@@ -57,6 +57,7 @@ from repro.converter.load import (
     ReferenceProfile,
     SourceProfile,
 )
+from repro.streams import instance_streams
 
 __all__ = [
     "MISSION_STREAM_TAG",
@@ -314,7 +315,21 @@ class MissionGenerator:
         """The mission of one instance (chunk-invariant in ``instance``)."""
         if instance < 0:
             raise ValueError(f"instance must be non-negative; got {instance}")
-        rng = np.random.default_rng((self.seed, MISSION_STREAM_TAG, instance))
+        return self.missions(1, first_instance=instance)[0]
+
+    def missions(
+        self, num_instances: int, first_instance: int = 0
+    ) -> list[MissionProfile]:
+        """Missions of ``[first_instance, first_instance + num_instances)``."""
+        if num_instances < 1:
+            raise ValueError("need at least one instance")
+        streams = instance_streams(
+            (self.seed, MISSION_STREAM_TAG), first_instance, num_instances
+        )
+        return [self._draw_mission(rng) for rng in streams]
+
+    def _draw_mission(self, rng: np.random.Generator) -> MissionProfile:
+        """One mission from its instance's stream."""
         if self.num_segments > 1:
             cuts = np.sort(
                 rng.choice(
@@ -334,16 +349,6 @@ class MissionGenerator:
             for start, end in zip(bounds, bounds[1:])
         )
         return MissionProfile(segments=segments)
-
-    def missions(
-        self, num_instances: int, first_instance: int = 0
-    ) -> list[MissionProfile]:
-        """Missions of ``[first_instance, first_instance + num_instances)``."""
-        if num_instances < 1:
-            raise ValueError("need at least one instance")
-        return [
-            self.mission(first_instance + i) for i in range(num_instances)
-        ]
 
     def _draw_load(
         self, rng: np.random.Generator, duration: int

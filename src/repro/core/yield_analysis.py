@@ -93,6 +93,7 @@ from repro.converter.missions import (
     resolve_missions,
 )
 from repro.core.design import DesignSpec
+from repro.streams import instance_streams, standard_normals
 from repro.technology.cells import CellKind
 from repro.technology.corners import OperatingConditions
 from repro.technology.library import TechnologyLibrary, intel32_like_library
@@ -661,55 +662,8 @@ class ComponentVariation:
         ``None`` or the identity matrix keeps the historical IID draw bit
         for bit.
         """
-        if num_variants < 1:
-            raise ValueError("need at least one variant")
-        if correlation is not None and not correlation.is_identity():
-            return self._sample_instances_correlated(
-                nominal, num_variants, first_instance, correlation
-            )
-        draws = np.empty((num_variants, 5))
-        for row in range(num_variants):
-            rng = np.random.default_rng(
-                (self.seed, _COMPONENT_STREAM_TAG, first_instance + row)
-            )
-            draws[row, 0] = rng.lognormal(mean=0.0, sigma=self.input_voltage_sigma)
-            draws[row, 1] = rng.lognormal(mean=0.0, sigma=self.inductance_sigma)
-            draws[row, 2] = rng.lognormal(mean=0.0, sigma=self.capacitance_sigma)
-            draws[row, 3] = rng.normal(loc=1.0, scale=self.resistance_sigma)
-            draws[row, 4] = rng.normal(loc=1.0, scale=self.resistance_sigma)
-        np.clip(draws[:, 3:], 0.0, None, out=draws[:, 3:])
-        return self._parameters_from_draws(nominal, draws)
-
-    def _sample_instances_correlated(
-        self,
-        nominal: BuckParameters,
-        num_variants: int,
-        first_instance: int,
-        correlation: CorrelatedVariationModel,
-    ) -> "BatchBuckParameters":
-        """Chunk-stable fleet draw with cross-axis correlation.
-
-        Instance ``i`` keeps its own ``(seed, stream tag, i)`` stream, so
-        the chunk-invariance contract of :meth:`sample_instances` holds
-        unchanged; within an instance the five standard-normal draws are
-        mixed by the Cholesky factor before the usual per-axis transforms.
-        """
-        if correlation.dimension != len(_COMPONENT_AXES):
-            raise ValueError(
-                f"correlation matrix spans {correlation.dimension} axes; the "
-                f"component draws span {len(_COMPONENT_AXES)} "
-                f"({', '.join(_COMPONENT_AXES)})"
-            )
-        dimensions = len(_COMPONENT_AXES)
-        draws = np.empty((num_variants, dimensions))
-        for row in range(num_variants):
-            rng = np.random.default_rng(
-                (self.seed, _COMPONENT_STREAM_TAG, first_instance + row)
-            )
-            z = rng.standard_normal(dimensions)
-            draws[row] = self._transform_draws(correlation.correlate(z))
-        np.clip(draws[:, 3:], 0.0, None, out=draws[:, 3:])
-        return self._parameters_from_draws(nominal, draws)
+        z = self._instance_normals(num_variants, first_instance, correlation)
+        return self._parameters_from_draws(nominal, self._transform_draws(z))
 
     def sample_instances_tilted(
         self,
@@ -738,26 +692,18 @@ class ComponentVariation:
         all-zero log-weights -- hypothesis-tested in
         ``tests/test_mc_statistics.py``.
         """
-        if num_variants < 1:
-            raise ValueError("need at least one variant")
-        shifts = tilt.shifts()
-        scale = tilt.sigma_scale
-        dimensions = len(_COMPONENT_AXES)
-        draws = np.empty((num_variants, dimensions))
-        log_weights = np.empty(num_variants)
-        for row in range(num_variants):
-            rng = np.random.default_rng(
-                (self.seed, _COMPONENT_STREAM_TAG, first_instance + row)
-            )
-            z = rng.standard_normal(dimensions)
-            tilted = shifts + scale * z
-            log_weights[row] = (
-                0.5 * float(z @ z)
-                - 0.5 * float(tilted @ tilted)
-                + dimensions * math.log(scale)
-            )
-            draws[row] = self._transform_draws(tilted)
-        np.clip(draws[:, 3:], 0.0, None, out=draws[:, 3:])
+        z = self._instance_normals(num_variants, first_instance)
+        tilted = tilt.shifts() + tilt.sigma_scale * z
+        log_scale = len(_COMPONENT_AXES) * math.log(tilt.sigma_scale)
+        # One dot product per row, as a per-instance draw computes it (a
+        # batched reduction may sum in another order).
+        log_weights = np.array(
+            [
+                0.5 * float(row @ row) - 0.5 * float(moved @ moved) + log_scale
+                for row, moved in zip(z, tilted)
+            ]
+        )
+        draws = self._transform_draws(tilted)
         return self._parameters_from_draws(nominal, draws), log_weights
 
     def sample_instances_stratum(
@@ -789,39 +735,74 @@ class ComponentVariation:
         lower_z, upper_z = stratification.bounds(stratum)
         cdf_lower = normal_cdf(lower_z)
         cdf_upper = normal_cdf(upper_z)
+        z = np.empty((num_variants, len(_COMPONENT_AXES)))
+        uniforms = np.empty(num_variants)
+        streams = instance_streams(
+            (self.seed, _STRATUM_STREAM_TAG, stratum), first_instance, num_variants
+        )
+        for row, rng in enumerate(streams):
+            rng.standard_normal(out=z[row])
+            uniforms[row] = rng.random()
+        # The truncated axis maps a fresh uniform into the shell's CDF mass;
+        # the clamp keeps normal_ppf away from its open-interval poles when
+        # a boundary sits far in the tail.
+        quantiles = np.clip(
+            cdf_lower + uniforms * (cdf_upper - cdf_lower), 1e-12, 1.0 - 1e-12
+        )
+        z[:, axis] = [normal_ppf(quantile) for quantile in quantiles.tolist()]
+        return self._parameters_from_draws(nominal, self._transform_draws(z))
+
+    def _instance_normals(
+        self,
+        num_variants: int,
+        first_instance: int,
+        correlation: CorrelatedVariationModel | None = None,
+    ) -> npt.NDArray[np.float64]:
+        """Per-instance z-space draws, one ``(seed, tag, i)`` stream per row.
+
+        ``correlation`` mixes each row by the Cholesky factor, one
+        matrix-vector product per row (as a single instance's draw does;
+        a batched product may round differently).
+        """
+        if num_variants < 1:
+            raise ValueError("need at least one variant")
+        if correlation is not None and correlation.is_identity():
+            correlation = None
         dimensions = len(_COMPONENT_AXES)
-        draws = np.empty((num_variants, dimensions))
-        for row in range(num_variants):
-            rng = np.random.default_rng(
-                (self.seed, _STRATUM_STREAM_TAG, stratum, first_instance + row)
+        if correlation is not None and correlation.dimension != dimensions:
+            raise ValueError(
+                f"correlation matrix spans {correlation.dimension} axes; the "
+                f"component draws span {dimensions} "
+                f"({', '.join(_COMPONENT_AXES)})"
             )
-            z = rng.standard_normal(dimensions)
-            # The truncated axis maps a fresh uniform into the shell's CDF
-            # mass; the clamp keeps normal_ppf away from its open-interval
-            # poles when a boundary sits far in the tail.
-            quantile = cdf_lower + rng.random() * (cdf_upper - cdf_lower)
-            quantile = min(max(quantile, 1e-12), 1.0 - 1e-12)
-            z[axis] = normal_ppf(quantile)
-            draws[row] = self._transform_draws(z)
-        np.clip(draws[:, 3:], 0.0, None, out=draws[:, 3:])
-        return self._parameters_from_draws(nominal, draws)
+        z = standard_normals(
+            (self.seed, _COMPONENT_STREAM_TAG), first_instance, num_variants, dimensions
+        )
+        if correlation is not None:
+            z = np.stack([correlation.correlate(row) for row in z])
+        return z
 
     def _transform_draws(self, z: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
-        """Map one instance's five z-space draws to relative spreads.
+        """Map ``(variants, 5)`` z-space draws to relative spreads.
 
-        Matches :meth:`sample_instances` exactly: log-normal for the
-        passives and the input rail, relative normal for the resistances
-        (clipping happens on the assembled matrix, as there).
+        Log-normal for the passives and the input rail, relative normal
+        clipped at zero for the resistances -- numpy's ``lognormal`` /
+        ``normal`` applied to the same draws.  The exponential stays
+        libm's ``math.exp``, the one numpy's ``lognormal`` calls, since
+        ``np.exp`` may round differently.
         """
-        return np.array(
-            [
-                math.exp(self.input_voltage_sigma * z[0]),
-                math.exp(self.inductance_sigma * z[1]),
-                math.exp(self.capacitance_sigma * z[2]),
-                1.0 + self.resistance_sigma * z[3],
-                1.0 + self.resistance_sigma * z[4],
-            ]
+        draws = np.empty_like(z)
+        passives = (
+            self.input_voltage_sigma,
+            self.inductance_sigma,
+            self.capacitance_sigma,
         )
+        for axis, sigma in enumerate(passives):
+            exponents = (sigma * z[:, axis]).tolist()
+            draws[:, axis] = [math.exp(value) for value in exponents]
+        draws[:, 3:] = 1.0 + self.resistance_sigma * z[:, 3:]
+        np.clip(draws[:, 3:], 0.0, None, out=draws[:, 3:])
+        return draws
 
     def _parameters_from_draws(
         self, nominal: BuckParameters, draws: npt.NDArray[np.float64]

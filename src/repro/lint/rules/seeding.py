@@ -11,6 +11,11 @@ function drawing per-instance randomness derives instance ``i``'s RNG from
     rng = np.random.default_rng((seed, tag, first_instance + i))  # OK
     rng = np.random.default_rng(self.seed)                      # VIOLATION
 
+The batched stream builders of :mod:`repro.streams` count as generator
+constructors too: their ``first_instance`` argument is the index key, so
+``instance_streams((self.seed, tag), first_instance, count)`` is fine and
+``instance_streams((self.seed, tag), 0, count)`` is flagged.
+
 The rule fires when a function that declares an instance-index parameter
 (``instance`` / ``first_instance`` / ``instance_index``) constructs a
 generator whose seed expression never mentions that parameter: every
@@ -38,6 +43,8 @@ _CONSTRUCTORS = {
     "numpy.random.RandomState",
     "numpy.random.SeedSequence",
     "random.Random",
+    "repro.streams.instance_streams",
+    "repro.streams.standard_normals",
 }
 
 

@@ -68,7 +68,6 @@ population a one-shot fabrication draws:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import Any
@@ -86,7 +85,6 @@ from repro.converter.missions import (
     resolve_missions,
 )
 from repro.core.design import DesignSpec, design_conventional, design_proposed
-from repro.core.proposed import ProposedDelayLineConfig
 from repro.core.ensemble import (
     ConventionalEnsemble,
     DelayLineEnsemble,
@@ -96,7 +94,6 @@ from repro.core.ensemble import (
 )
 from repro.core.yield_analysis import (
     ClosedLoopYieldResult,
-    ComponentTilt,
     ComponentVariation,
     LinearitySpec,
     RegulationSpec,
@@ -183,53 +180,6 @@ class ChunkedFabricator:
             first_instance=first_instance,
             backend=self.kernels,
         )
-
-    def fabricate_tilted(
-        self,
-        num_instances: int,
-        first_instance: int = 0,
-        *,
-        shift: float = 0.0,
-        sigma_scale: float = 1.0,
-    ) -> tuple[DelayLineEnsemble, npt.NDArray[np.float64]]:
-        """Draw instances from a *tilted* silicon-mismatch distribution.
-
-        Importance-sampling entry point: each buffer's standard-normal
-        mismatch draw is shifted by ``shift`` sigmas and widened by
-        ``sigma_scale`` (see :meth:`VariationModel.sample_tilted`), and the
-        per-instance log-likelihood ratios back to the nominal process come
-        along as the second return value.  The identity tilt reproduces
-        :meth:`fabricate` bit for bit with zero log-weights.
-        """
-        if num_instances < 1:
-            raise ValueError("need at least one instance")
-        if self.variation is None:
-            raise ValueError(
-                "tilted fabrication requires a variation model; ideal silicon "
-                "has no mismatch distribution to tilt"
-            )
-        config = self.config
-        if isinstance(config, ProposedDelayLineConfig):
-            buffers_per_cell = config.buffers_per_cell
-        else:
-            # The conventional sample spans the longest branch of every
-            # cell, matching ConventionalEnsemble.sample.
-            buffers_per_cell = config.branches * config.buffers_per_element
-        batch, log_lrs = self.variation.sample_batch_tilted(
-            num_instances,
-            config.num_cells,
-            buffers_per_cell,
-            first_instance=first_instance,
-            shift=shift,
-            sigma_scale=sigma_scale,
-        )
-        ensemble = self._ensemble_cls(
-            self.config,
-            library=self.library,
-            batch=batch,
-            backend=self.kernels,
-        )
-        return ensemble, log_lrs
 
 
 def fabricate_ensemble(
@@ -693,86 +643,6 @@ class ChunkedSiliconToRegulation:
             calibration=calibration,
             curves=curves,
             regulation=regulation,
-        )
-
-    def run_chunk_tilted(
-        self,
-        first_instance: int,
-        num_instances: int,
-        periods: int = 300,
-        *,
-        component_tilt: ComponentTilt | None = None,
-        silicon_shift: float = 0.0,
-        silicon_sigma_scale: float = 1.0,
-    ) -> tuple[PipelineResult, npt.NDArray[np.float64]]:
-        """Run a chunk drawn from tilted variation distributions.
-
-        The importance-sampling sibling of :meth:`run_chunk`: the silicon
-        mismatch and/or the electrical component spreads are drawn from
-        tilted distributions concentrated on the failure region, and the
-        second return value carries each instance's *combined*
-        log-likelihood ratio back to the nominal process -- the silicon
-        and component draws are independent, so their log-ratios add.
-        Feed the ratios to :func:`repro.mc.importance_sample` alongside
-        whatever pass flags the caller scores on the
-        :class:`PipelineResult`.  All-identity tilts reproduce
-        :meth:`run_chunk` bit for bit with zero log-weights.
-        """
-        log_weights = np.zeros(num_instances)
-        silicon_identity = math.isclose(silicon_shift, 0.0) and math.isclose(
-            silicon_sigma_scale, 1.0
-        )
-        if silicon_identity:
-            ensemble = self.fabricator.fabricate(
-                num_instances, first_instance=first_instance
-            )
-        else:
-            ensemble, silicon_lw = self.fabricator.fabricate_tilted(
-                num_instances,
-                first_instance=first_instance,
-                shift=silicon_shift,
-                sigma_scale=silicon_sigma_scale,
-            )
-            log_weights += silicon_lw
-        calibration = ensemble.lock(self.conditions)
-        curves = ensemble.transfer_curves(self.conditions, calibration=calibration)
-        quantizer = BatchQuantizer.from_ensemble(curves)
-        if self.component_variation is None:
-            if component_tilt is not None:
-                raise ValueError(
-                    "component_tilt requires a component_variation model"
-                )
-            parameters = BatchBuckParameters.uniform(self.nominal, num_instances)
-        elif component_tilt is None:
-            parameters = self.component_variation.sample_instances(
-                self.nominal, num_instances, first_instance=first_instance
-            )
-        else:
-            parameters, component_lw = (
-                self.component_variation.sample_instances_tilted(
-                    self.nominal,
-                    num_instances,
-                    first_instance=first_instance,
-                    tilt=component_tilt,
-                )
-            )
-            log_weights += component_lw
-        loop = BatchClosedLoop(
-            parameters,
-            quantizer,
-            reference_v=self.reference_v,
-            load=self.load,
-            backend=self.kernels,
-        )
-        return (
-            PipelineResult(
-                scheme=ensemble.scheme,
-                reference_v=self.reference_v,
-                calibration=calibration,
-                curves=curves,
-                regulation=loop.run(periods),
-            ),
-            log_weights,
         )
 
 

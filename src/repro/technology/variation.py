@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.streams import standard_normals
+
 __all__ = [
     "BatchVariationSample",
     "CorrelatedVariationModel",
@@ -192,13 +194,6 @@ class BatchVariationSample:
         """The scalar variation sample of one instance of the ensemble."""
         return VariationSample(multipliers=self.multipliers[index])
 
-    @classmethod
-    def from_samples(cls, samples: list[VariationSample]) -> "BatchVariationSample":
-        """Stack scalar samples (all of the same shape) into a batch."""
-        if not samples:
-            raise ValueError("need at least one sample")
-        return cls(multipliers=np.stack([sample.multipliers for sample in samples]))
-
 
 @dataclass
 class VariationModel:
@@ -241,24 +236,13 @@ class VariationModel:
                 parameters.
 
         Returns:
-            a :class:`VariationSample` with strictly positive multipliers.
+            a :class:`VariationSample` with strictly positive multipliers
+            -- instance ``instance`` of :meth:`sample_batch`.
         """
-        if num_cells <= 0:
-            raise ValueError("num_cells must be positive")
-        if buffers_per_cell <= 0:
-            raise ValueError("buffers_per_cell must be positive")
-        rng = np.random.default_rng((self.seed, instance))
-        random_part = rng.normal(
-            loc=0.0,
-            scale=self.random_sigma,
-            size=(num_cells, buffers_per_cell),
+        batch = self.sample_batch(
+            1, num_cells, buffers_per_cell, first_instance=instance
         )
-        gradient = self._placement_gradient(num_cells)
-        multipliers = 1.0 + random_part + gradient[:, np.newaxis]
-        # Delays cannot be negative or zero; clip far in the tail (beyond
-        # 5 sigma for the default settings) to keep the model physical.
-        np.clip(multipliers, 0.2, None, out=multipliers)
-        return VariationSample(multipliers=multipliers)
+        return batch.instance(0)
 
     def sample_tilted(
         self,
@@ -297,26 +281,15 @@ class VariationModel:
         Returns:
             ``(sample, log_likelihood_ratio)``.
         """
-        if num_cells <= 0:
-            raise ValueError("num_cells must be positive")
-        if buffers_per_cell <= 0:
-            raise ValueError("buffers_per_cell must be positive")
-        if sigma_scale <= 0.0:
-            raise ValueError(f"sigma_scale must be positive; got {sigma_scale}")
-        rng = np.random.default_rng((self.seed, instance))
-        z = rng.standard_normal(size=(num_cells, buffers_per_cell))
-        tilted = shift + sigma_scale * z
-        dimensions = num_cells * buffers_per_cell
-        log_lr = (
-            0.5 * float((z * z).sum())
-            - 0.5 * float((tilted * tilted).sum())
-            + dimensions * math.log(sigma_scale)
+        batch, log_lrs = self.sample_batch_tilted(
+            1,
+            num_cells,
+            buffers_per_cell,
+            first_instance=instance,
+            shift=shift,
+            sigma_scale=sigma_scale,
         )
-        random_part = self.random_sigma * tilted
-        gradient = self._placement_gradient(num_cells)
-        multipliers = 1.0 + random_part + gradient[:, np.newaxis]
-        np.clip(multipliers, 0.2, None, out=multipliers)
-        return VariationSample(multipliers=multipliers), log_lr
+        return batch.instance(0), float(log_lrs[0])
 
     def sample_batch(
         self,
@@ -327,21 +300,18 @@ class VariationModel:
     ) -> BatchVariationSample:
         """Sample per-buffer multipliers for a whole ensemble of instances.
 
-        Instance ``i`` of the batch is drawn from the same per-instance
-        stream as ``sample(..., instance=first_instance + i)``, so the batch
-        is bit-identical to stacking scalar samples -- the contract the
-        ensemble engine's batch-versus-scalar equivalence rests on.  (The
-        stacking loop is over RNG streams only; all delay computation on the
-        batch is vectorized.)
+        Instance ``i`` of the batch draws its mismatch from its own stream,
+        ``np.random.default_rng((seed, first_instance + i))``, so any
+        chunking of an instance range tiles the one-shot batch bit for bit
+        and ``sample(..., instance=first_instance + i)`` is slice ``i`` --
+        the contract the ensemble engine's batch-versus-scalar equivalence
+        rests on.  The streams come from :func:`repro.streams
+        .standard_normals`; everything after the draw is vectorized.
         """
-        if num_instances < 1:
-            raise ValueError("need at least one instance")
-        return BatchVariationSample.from_samples(
-            [
-                self.sample(num_cells, buffers_per_cell, instance=first_instance + i)
-                for i in range(num_instances)
-            ]
+        z = self._mismatch_draws(
+            num_instances, num_cells, buffers_per_cell, first_instance
         )
+        return self._batch_from_mismatch(z)
 
     def sample_batch_tilted(
         self,
@@ -363,21 +333,52 @@ class VariationModel:
             ``(batch, log_likelihood_ratios)`` where the ratio array has
             shape ``(num_instances,)``.
         """
+        if sigma_scale <= 0.0:
+            raise ValueError(f"sigma_scale must be positive; got {sigma_scale}")
+        z = self._mismatch_draws(
+            num_instances, num_cells, buffers_per_cell, first_instance
+        )
+        tilted = shift + sigma_scale * z
+        # A row-wise sum over contiguous rows is the same pairwise summation
+        # as one instance's whole-array sum, so the ratios match bit for bit.
+        rows = (num_instances, num_cells * buffers_per_cell)
+        log_lrs = (
+            0.5 * (z * z).reshape(rows).sum(axis=1)
+            - 0.5 * (tilted * tilted).reshape(rows).sum(axis=1)
+            + rows[1] * math.log(sigma_scale)
+        )
+        return self._batch_from_mismatch(tilted), log_lrs
+
+    def _mismatch_draws(
+        self,
+        num_instances: int,
+        num_cells: int,
+        buffers_per_cell: int,
+        first_instance: int,
+    ) -> np.ndarray:
+        """Standard-normal mismatch ``z`` of shape ``(instances, cells, buffers)``."""
         if num_instances < 1:
             raise ValueError("need at least one instance")
-        samples: list[VariationSample] = []
-        log_lrs = np.empty(num_instances)
-        for i in range(num_instances):
-            sample, log_lr = self.sample_tilted(
-                num_cells,
-                buffers_per_cell,
-                instance=first_instance + i,
-                shift=shift,
-                sigma_scale=sigma_scale,
-            )
-            samples.append(sample)
-            log_lrs[i] = log_lr
-        return BatchVariationSample.from_samples(samples), log_lrs
+        if num_cells <= 0:
+            raise ValueError("num_cells must be positive")
+        if buffers_per_cell <= 0:
+            raise ValueError("buffers_per_cell must be positive")
+        return standard_normals(
+            (self.seed,),
+            first_instance,
+            num_instances,
+            (num_cells, buffers_per_cell),
+        )
+
+    def _batch_from_mismatch(self, z: np.ndarray) -> BatchVariationSample:
+        """Multipliers ``1 + sigma * z + gradient`` from the mismatch, in place."""
+        z *= self.random_sigma
+        z += 1.0
+        z += self._placement_gradient(z.shape[1])[:, np.newaxis]
+        # Delays cannot be negative or zero; clip far in the tail (beyond
+        # 5 sigma for the default settings) to keep the model physical.
+        np.clip(z, 0.2, None, out=z)
+        return BatchVariationSample(multipliers=z)
 
     def _placement_gradient(self, num_cells: int) -> np.ndarray:
         """Systematic slow gradient along the placed line."""

@@ -27,8 +27,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.converter.load import ConstantLoad, LineTransient, RampLoad, ReferenceStep
+from repro.converter.load import (
+    ConstantLoad,
+    LineTransient,
+    PulseTrainLoad,
+    RampLoad,
+    RandomBurstLoad,
+    ReferenceStep,
+)
 from repro.converter.missions import (
+    MISSION_STREAM_TAG,
     MissionGenerator,
     MissionProfile,
     MissionSegment,
@@ -163,6 +171,26 @@ class TestMissionGenerator:
         for one, other in zip(whole, head + tail):
             assert one == other
             assert _resistance_trace(one, 96) == _resistance_trace(other, 96)
+
+    @pytest.mark.parametrize("first", [0, 9, 2**32 - 2])
+    def test_missions_follow_inline_default_rng_streams(self, first: int) -> None:
+        # Instance i's mission is drawn from default_rng((seed, "miss", i)),
+        # replayed here draw by draw: the cut points, then per segment its
+        # load kind plus the ramp direction / burst seed it consumes.
+        kinds = (ConstantLoad, ConstantLoad, RampLoad, PulseTrainLoad, RandomBurstLoad)
+        missions = GENERATOR.missions(4, first_instance=first)
+        for instance, mission in enumerate(missions, start=first):
+            rng = np.random.default_rng((GENERATOR.seed, MISSION_STREAM_TAG, instance))
+            cuts = np.sort(rng.choice(np.arange(1, 96), size=4, replace=False))
+            assert mission.segment_starts == (0, *(int(cut) for cut in cuts))
+            for segment in mission.segments:
+                shaped = segment.duration_periods >= GENERATOR.MIN_SHAPED_PERIODS
+                kind = int(rng.integers(5 if shaped else 2))
+                assert type(segment.load) is kinds[kind]
+                if kind == 2:
+                    rng.random()
+                elif kind == 4:
+                    assert segment.load.seed == int(rng.integers(2**31))
 
     def test_missions_are_deterministic_across_generators(self) -> None:
         twin = MissionGenerator(total_periods=96, num_segments=5, seed=11)

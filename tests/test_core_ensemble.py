@@ -64,11 +64,22 @@ class TestBatchVariationSample:
         model = VariationModel(random_sigma=0.05, gradient_peak=0.01, seed=11)
         batch = model.sample_batch(4, 16, 3, first_instance=7)
         assert batch.multipliers.shape == (4, 16, 3)
+        gradient = model.gradient_peak * np.cos(np.pi * np.linspace(0.0, 1.0, 16))
         for i in range(4):
             scalar = model.sample(16, 3, instance=7 + i)
             np.testing.assert_array_equal(
                 batch.instance(i).multipliers, scalar.multipliers
             )
+            # Independent reference: instance i's own default_rng stream.
+            rng = np.random.default_rng((model.seed, 7 + i))
+            reference = np.clip(
+                1.0
+                + rng.normal(0.0, model.random_sigma, size=(16, 3))
+                + gradient[:, np.newaxis],
+                0.2,
+                None,
+            )
+            np.testing.assert_array_equal(batch.instance(i).multipliers, reference)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

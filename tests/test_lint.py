@@ -146,6 +146,30 @@ SEEDING_NO_INSTANCE_PARAM = """
 """
 
 
+SEEDING_STREAMS_VIOLATION = """
+    from repro.streams import instance_streams
+
+    def sample_batch(seed, first_instance, count):
+        return [rng.normal() for rng in instance_streams((seed, 7), 0, count)]
+"""
+
+SEEDING_STREAMS_MODULE_VIOLATION = """
+    from repro import streams
+
+    def sample_batch(seed, first_instance, count):
+        return streams.standard_normals((seed,), 0, count, 3)
+"""
+
+SEEDING_STREAMS_OK = """
+    from repro.streams import instance_streams, standard_normals
+
+    def sample_batch(seed, first_instance, count):
+        z = standard_normals((seed,), first_instance, count, 3)
+        streams = instance_streams((seed, 7), first_instance, count)
+        return z, [rng.normal() for rng in streams]
+"""
+
+
 def test_seeding_contract_flags_index_free_seed():
     violations = lint_src(SEEDING_VIOLATION)
     assert rules_fired(violations) == {"seeding-contract"}
@@ -155,6 +179,19 @@ def test_seeding_contract_flags_index_free_seed():
 def test_seeding_contract_accepts_index_keyed_seed():
     assert lint_src(SEEDING_OK) == []
     assert lint_src(SEEDING_OK_ARITHMETIC) == []
+
+
+@pytest.mark.parametrize(
+    "code", [SEEDING_STREAMS_VIOLATION, SEEDING_STREAMS_MODULE_VIOLATION]
+)
+def test_seeding_contract_flags_index_free_stream_builder(code):
+    violations = lint_src(code)
+    assert rules_fired(violations) == {"seeding-contract"}
+    assert "first_instance" in violations[0].message
+
+
+def test_seeding_contract_accepts_index_keyed_stream_builder():
+    assert lint_src(SEEDING_STREAMS_OK) == []
 
 
 def test_seeding_contract_ignores_functions_without_instance_param():

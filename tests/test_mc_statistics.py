@@ -475,6 +475,111 @@ _FIELDS = (
 )
 
 
+#: The component stream tags ("comp", "stra"), spelled out so the inline
+#: references below stay independent of the code under test.
+COMPONENT_TAG = 0x636F6D70
+STRATUM_TAG = 0x73747261
+
+
+def _reference_spreads(variation: ComponentVariation, z: np.ndarray) -> list[float]:
+    """One instance's relative spreads from its (possibly moved) z-draws."""
+    return [
+        math.exp(variation.input_voltage_sigma * z[0]),
+        math.exp(variation.inductance_sigma * z[1]),
+        math.exp(variation.capacitance_sigma * z[2]),
+        max(1.0 + variation.resistance_sigma * z[3], 0.0),
+        max(1.0 + variation.resistance_sigma * z[4], 0.0),
+    ]
+
+
+def _reference_instances(
+    variation: ComponentVariation, count: int, first: int
+) -> np.ndarray:
+    """Per-instance ``default_rng((seed, "comp", i))`` draws, one at a time."""
+    rows = []
+    for instance in range(first, first + count):
+        rng = np.random.default_rng((variation.seed, COMPONENT_TAG, instance))
+        rows.append(
+            [
+                rng.lognormal(mean=0.0, sigma=variation.input_voltage_sigma),
+                rng.lognormal(mean=0.0, sigma=variation.inductance_sigma),
+                rng.lognormal(mean=0.0, sigma=variation.capacitance_sigma),
+                max(rng.normal(loc=1.0, scale=variation.resistance_sigma), 0.0),
+                max(rng.normal(loc=1.0, scale=variation.resistance_sigma), 0.0),
+            ]
+        )
+    return np.array(rows)
+
+
+def _assert_fleet_matches(parameters: object, spreads: np.ndarray) -> None:
+    for column, name in enumerate(_FIELDS):
+        np.testing.assert_array_equal(
+            getattr(parameters, name), getattr(NOMINAL, name) * spreads[:, column]
+        )
+
+
+class TestInlineStreamReference:
+    """Every chunk-stable component path against a per-instance
+    ``default_rng`` loop written out here, not a second call of the code
+    under test."""
+
+    @pytest.mark.parametrize(("first", "count"), [(0, 1), (5, 17), (2**32 - 4, 9)])
+    def test_sample_instances(self, first: int, count: int) -> None:
+        parameters = VARIATION.sample_instances(NOMINAL, count, first_instance=first)
+        _assert_fleet_matches(
+            parameters, _reference_instances(VARIATION, count, first)
+        )
+
+    @pytest.mark.parametrize("preset", ["passives", "thermal"])
+    def test_correlated_sample_instances(self, preset: str) -> None:
+        model = component_correlation_preset(preset)
+        parameters = VARIATION.sample_instances(
+            NOMINAL, 12, first_instance=3, correlation=model
+        )
+        rows = []
+        for instance in range(3, 15):
+            rng = np.random.default_rng((VARIATION.seed, COMPONENT_TAG, instance))
+            mixed = model.cholesky() @ rng.standard_normal(5)
+            rows.append(_reference_spreads(VARIATION, mixed))
+        _assert_fleet_matches(parameters, np.array(rows))
+
+    def test_tilted_sample_instances(self) -> None:
+        parameters, log_weights = VARIATION.sample_instances_tilted(
+            NOMINAL, 12, first_instance=4, tilt=TILT
+        )
+        rows, weights = [], []
+        for instance in range(4, 16):
+            rng = np.random.default_rng((VARIATION.seed, COMPONENT_TAG, instance))
+            z = rng.standard_normal(5)
+            moved = TILT.shifts() + TILT.sigma_scale * z
+            weights.append(
+                0.5 * float(z @ z)
+                - 0.5 * float(moved @ moved)
+                + 5 * math.log(TILT.sigma_scale)
+            )
+            rows.append(_reference_spreads(VARIATION, moved))
+        _assert_fleet_matches(parameters, np.array(rows))
+        np.testing.assert_array_equal(log_weights, np.array(weights))
+
+    @pytest.mark.parametrize("stratum", [0, 2])
+    def test_stratum_sample_instances(self, stratum: int) -> None:
+        parameters = VARIATION.sample_instances_stratum(
+            NOMINAL, 10, stratum, first_instance=6, stratification=STRATIFICATION
+        )
+        lower, upper = (normal_cdf(edge) for edge in STRATIFICATION.bounds(stratum))
+        rows = []
+        for instance in range(6, 16):
+            rng = np.random.default_rng(
+                (VARIATION.seed, STRATUM_TAG, stratum, instance)
+            )
+            z = rng.standard_normal(5)
+            quantile = min(max(lower + rng.random() * (upper - lower), 1e-12),
+                           1.0 - 1e-12)
+            z[STRATIFICATION.axis_index()] = normal_ppf(quantile)
+            rows.append(_reference_spreads(VARIATION, z))
+        _assert_fleet_matches(parameters, np.array(rows))
+
+
 class TestChunkStableStreams:
     def test_identity_tilt_reproduces_vanilla_bitwise(self) -> None:
         vanilla = VARIATION.sample_instances(NOMINAL, 16, first_instance=5)
@@ -496,6 +601,17 @@ class TestChunkStableStreams:
                 vanilla.multipliers, tilted.multipliers
             )
             assert log_lr == 0.0
+            # Inline per-instance reference for the shared draw.
+            rng = np.random.default_rng((model.seed, instance))
+            gradient = model.gradient_peak * np.cos(np.pi * np.linspace(0, 1, 12))
+            reference = np.clip(
+                1.0
+                + rng.normal(0.0, model.random_sigma, size=(12, 3))
+                + gradient[:, np.newaxis],
+                0.2,
+                None,
+            )
+            np.testing.assert_array_equal(vanilla.multipliers, reference)
 
     @given(split=st.integers(min_value=1, max_value=23))
     @settings(max_examples=25, deadline=None)
@@ -714,17 +830,13 @@ class TestCorrelatedVariation:
                 )
 
     def test_identity_sample_instances_is_bitwise_vanilla(self) -> None:
-        vanilla = VARIATION.sample_instances(NOMINAL, 24, first_instance=3)
         correlated = VARIATION.sample_instances(
             NOMINAL,
             24,
             first_instance=3,
             correlation=component_correlation_preset("identity"),
         )
-        for name in _FIELDS:
-            np.testing.assert_array_equal(
-                getattr(vanilla, name), getattr(correlated, name)
-            )
+        _assert_fleet_matches(correlated, _reference_instances(VARIATION, 24, 3))
 
     @given(split=st.integers(min_value=1, max_value=23))
     @settings(max_examples=25, deadline=None)
@@ -785,6 +897,7 @@ NEW_MODULES = [
     "src/repro/technology/thermal.py",
     "src/repro/converter/missions.py",
     "src/repro/pipeline.py",
+    "src/repro/streams.py",
     "src/repro/experiments/figure15_mission.py",
     "src/repro/experiments/figure15_rare.py",
 ]

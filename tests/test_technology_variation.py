@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,45 @@ class TestVariationModel:
         sample = VariationModel.ideal().sample(8, 3)
         delays = sample.cell_delays_ps(buffer_delay_ps=40.0)
         assert np.allclose(delays, 120.0)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            VariationModel(seed=7),
+            VariationModel(random_sigma=0.3, gradient_peak=0.0, seed=2**40 + 1),
+            VariationModel(random_sigma=0.05, gradient_peak=0.02, seed=0),
+        ],
+    )
+    @pytest.mark.parametrize("instance", [0, 5, 2**32 + 3])
+    def test_sample_matches_inline_default_rng_reference(self, model, instance):
+        # Written out per instance, as the scalar model was defined: the
+        # batched stream builder must reproduce it bit for bit.
+        rng = np.random.default_rng((model.seed, instance))
+        random_part = rng.normal(loc=0.0, scale=model.random_sigma, size=(24, 3))
+        position = np.linspace(0.0, 1.0, 24)
+        gradient = model.gradient_peak * np.cos(np.pi * position)
+        reference = np.clip(1.0 + random_part + gradient[:, np.newaxis], 0.2, None)
+        sample = model.sample(24, 3, instance=instance)
+        np.testing.assert_array_equal(sample.multipliers, reference)
+
+    def test_sample_tilted_matches_inline_default_rng_reference(self):
+        model = VariationModel(random_sigma=0.05, gradient_peak=0.01, seed=19)
+        sample, log_lr = model.sample_tilted(
+            10, 4, instance=6, shift=0.8, sigma_scale=1.25
+        )
+        rng = np.random.default_rng((model.seed, 6))
+        z = rng.standard_normal(size=(10, 4))
+        tilted = 0.8 + 1.25 * z
+        gradient = model.gradient_peak * np.cos(np.pi * np.linspace(0.0, 1.0, 10))
+        reference = np.clip(
+            1.0 + model.random_sigma * tilted + gradient[:, np.newaxis], 0.2, None
+        )
+        np.testing.assert_array_equal(sample.multipliers, reference)
+        assert log_lr == (
+            0.5 * float((z * z).sum())
+            - 0.5 * float((tilted * tilted).sum())
+            + 40 * math.log(1.25)
+        )
 
     @pytest.mark.parametrize("num_cells, buffers", [(0, 1), (4, 0), (-1, 2)])
     def test_invalid_shapes_rejected(self, num_cells, buffers):
