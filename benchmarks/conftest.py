@@ -9,7 +9,7 @@ Benchmarks that archive a ``BENCH_*.json`` artifact stamp it with the
 machine provenance from :func:`machine_provenance` (also available as the
 ``bench_provenance`` fixture): a throughput number is only comparable to
 another run when you know the core count, the numpy version and the
-kernel backend it was measured on.
+platform it was measured on.
 """
 
 import os
@@ -28,12 +28,9 @@ def machine_provenance() -> dict[str, object]:
     """Environment facts every archived benchmark report must carry."""
     import numpy
 
-    from repro.kernels import active_backend_name
-
     return {
         "cpu_count": os.cpu_count(),
         "numpy_version": numpy.__version__,
-        "backend": active_backend_name(),
         "platform": platform.platform(),
     }
 

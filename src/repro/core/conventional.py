@@ -51,9 +51,9 @@ def active_branch_delays_ps(
 ) -> np.ndarray:
     """Delay of the active branch of every cell, from per-buffer multipliers.
 
-    The math lives in :func:`repro.kernels.fabrication.active_branch_delays`
-    (this is the numpy reference the backend registry serves); the wrapper
-    stays for the scalar line's callers and for backwards compatibility.
+    The math lives in :func:`repro.kernels.fabrication.active_branch_delays`;
+    the wrapper stays for the scalar line's callers and for backwards
+    compatibility.
     ``multipliers`` is ``(..., cells, buffers)`` and ``buffers_active``
     ``(..., cells)``; leading batch axes broadcast, and the accumulation
     order is the same for every caller, so the scalar line and the ensemble

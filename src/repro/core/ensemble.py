@@ -77,7 +77,15 @@ from repro.core.conventional import (
 )
 from repro.core.mapper import MappingBlock
 from repro.core.proposed import ProposedDelayLine, ProposedDelayLineConfig
-from repro.kernels import KernelBackend, get_backend
+from repro.kernels.ensemble import (
+    conventional_crossing,
+    proposed_lock,
+    proposed_transfer_delays,
+)
+from repro.kernels.fabrication import (
+    active_branch_delays,
+    cell_delays_from_multipliers,
+)
 from repro.technology.corners import OperatingConditions
 from repro.technology.library import TechnologyLibrary, intel32_like_library
 from repro.technology.variation import BatchVariationSample, VariationModel
@@ -217,12 +225,8 @@ class DelayLineEnsemble:
         library: TechnologyLibrary | None,
         batch: BatchVariationSample | None,
         num_instances: int | None,
-        backend: str | KernelBackend | None = None,
     ) -> None:
         self.library = library or intel32_like_library()
-        self.kernels = (
-            backend if isinstance(backend, KernelBackend) else get_backend(backend)
-        )
         if batch is not None:
             expected = (num_cells, buffers_per_cell)
             actual = (batch.num_cells, batch.buffers_per_cell)
@@ -264,7 +268,6 @@ class ProposedEnsemble(DelayLineEnsemble):
         library: TechnologyLibrary | None = None,
         batch: BatchVariationSample | None = None,
         num_instances: int | None = None,
-        backend: str | KernelBackend | None = None,
     ) -> None:
         super().__init__(
             config.num_cells,
@@ -272,7 +275,6 @@ class ProposedEnsemble(DelayLineEnsemble):
             library,
             batch,
             num_instances,
-            backend=backend,
         )
         self.config = config
         # The transfer curves apply the mapper's eq.-18 multiply/shift/clamp
@@ -288,7 +290,6 @@ class ProposedEnsemble(DelayLineEnsemble):
         model: VariationModel,
         library: TechnologyLibrary | None = None,
         first_instance: int = 0,
-        backend: str | KernelBackend | None = None,
     ) -> "ProposedEnsemble":
         """Draw an ensemble of fabricated instances from a variation model."""
         batch = model.sample_batch(
@@ -297,21 +298,17 @@ class ProposedEnsemble(DelayLineEnsemble):
             config.buffers_per_cell,
             first_instance=first_instance,
         )
-        return cls(config, library=library, batch=batch, backend=backend)
+        return cls(config, library=library, batch=batch)
 
     @classmethod
-    def from_line(
-        cls,
-        line: ProposedDelayLine,
-        backend: str | KernelBackend | None = None,
-    ) -> "ProposedEnsemble":
+    def from_line(cls, line: ProposedDelayLine) -> "ProposedEnsemble":
         """A single-instance ensemble sharing one scalar line's sample."""
         batch = None
         if line.variation is not None:
             batch = BatchVariationSample(
                 multipliers=line.variation.multipliers[np.newaxis]
             )
-        return cls(line.config, library=line.library, batch=batch, backend=backend)
+        return cls(line.config, library=line.library, batch=batch)
 
     def line(self, index: int) -> ProposedDelayLine:
         """One instance as a scalar :class:`ProposedDelayLine` view."""
@@ -324,7 +321,7 @@ class ProposedEnsemble(DelayLineEnsemble):
         if self.batch is None:
             nominal = unit * self.config.buffers_per_cell
             return np.full((self.num_instances, self.config.num_cells), nominal)
-        return self.kernels.cell_delays_from_multipliers(self.batch.multipliers, unit)
+        return cell_delays_from_multipliers(self.batch.multipliers, unit)
 
     def tap_delays_ps(self, conditions: OperatingConditions) -> np.ndarray:
         """``(instances, num_cells)`` cumulative tap-delay matrix."""
@@ -338,9 +335,7 @@ class ProposedEnsemble(DelayLineEnsemble):
         # Tap delays increase strictly along the line, so the count of taps
         # at or below the half period is the fixed point the scalar up/down
         # walk dithers around (see repro.kernels.ensemble.proposed_lock).
-        control, locked, locked_delay = self.kernels.proposed_lock(
-            taps, half, config.num_cells
-        )
+        control, locked, locked_delay = proposed_lock(taps, half, config.num_cells)
         lock_cycles = control + self.synchronizer_latency_cycles
         return EnsembleCalibration(
             scheme=self.scheme,
@@ -380,7 +375,7 @@ class ProposedEnsemble(DelayLineEnsemble):
         words = np.arange(1, self.mapper.max_word + 1)
         # The mapping block, vectorized over (instances, words): integer
         # multiply, right shift, clamp to the last tap.
-        delays = self.kernels.proposed_transfer_delays(
+        delays = proposed_transfer_delays(
             taps, tap_sel, words, self.mapper.shift_amount, self.config.num_cells
         )
         period = self.config.clock_period_ps
@@ -409,7 +404,6 @@ class ConventionalEnsemble(DelayLineEnsemble):
         library: TechnologyLibrary | None = None,
         batch: BatchVariationSample | None = None,
         num_instances: int | None = None,
-        backend: str | KernelBackend | None = None,
     ) -> None:
         longest_branch = config.branches * config.buffers_per_element
         if batch is not None and batch.buffers_per_cell > longest_branch:
@@ -425,7 +419,6 @@ class ConventionalEnsemble(DelayLineEnsemble):
             library,
             batch,
             num_instances,
-            backend=backend,
         )
         self.config = config
         # A nominal template line provides the tuning-level bookkeeping, so
@@ -443,7 +436,6 @@ class ConventionalEnsemble(DelayLineEnsemble):
         model: VariationModel,
         library: TechnologyLibrary | None = None,
         first_instance: int = 0,
-        backend: str | KernelBackend | None = None,
     ) -> "ConventionalEnsemble":
         """Draw an ensemble of fabricated instances from a variation model.
 
@@ -457,21 +449,17 @@ class ConventionalEnsemble(DelayLineEnsemble):
             config.branches * config.buffers_per_element,
             first_instance=first_instance,
         )
-        return cls(config, library=library, batch=batch, backend=backend)
+        return cls(config, library=library, batch=batch)
 
     @classmethod
-    def from_line(
-        cls,
-        line: ConventionalDelayLine,
-        backend: str | KernelBackend | None = None,
-    ) -> "ConventionalEnsemble":
+    def from_line(cls, line: ConventionalDelayLine) -> "ConventionalEnsemble":
         """A single-instance ensemble sharing one scalar line's sample."""
         batch = None
         if line.variation is not None:
             batch = BatchVariationSample(
                 multipliers=line.variation.multipliers[np.newaxis]
             )
-        return cls(line.config, library=line.library, batch=batch, backend=backend)
+        return cls(line.config, library=line.library, batch=batch)
 
     def line(self, index: int) -> ConventionalDelayLine:
         """One instance as a scalar :class:`ConventionalDelayLine` view."""
@@ -518,9 +506,7 @@ class ConventionalEnsemble(DelayLineEnsemble):
         buffers_active = (levels + 1) * config.buffers_per_element
         if self.batch is None:
             return buffers_active.astype(float) * unit
-        return self.kernels.active_branch_delays(
-            self.batch.multipliers, buffers_active, unit
-        )
+        return active_branch_delays(self.batch.multipliers, buffers_active, unit)
 
     def tap_delays_ps(
         self, levels: np.ndarray, conditions: OperatingConditions
@@ -548,7 +534,7 @@ class ConventionalEnsemble(DelayLineEnsemble):
             # along the cell axis then reproduces the scalar tap accumulation
             # order bit-exactly without a second (instances, steps, cells)
             # allocation.
-            cell_delays = self.kernels.active_branch_delays(
+            cell_delays = active_branch_delays(
                 self.batch.multipliers[:, np.newaxis],
                 buffers_active[np.newaxis],
                 unit,
@@ -558,7 +544,7 @@ class ConventionalEnsemble(DelayLineEnsemble):
         last_but_one = step_taps[..., -2]
         # The controller halts at the first step whose total reaches the
         # period; when none does it saturates at the maximum step (up_limit).
-        steps, locked, total_at_stop = self.kernels.conventional_crossing(
+        steps, locked, total_at_stop = conventional_crossing(
             totals, last_but_one, period, config.max_adjustment_steps
         )
         lock_cycles = (

@@ -548,30 +548,19 @@ class ComponentVariation:
                 raise ValueError(f"{name} must be non-negative")
 
     def sample_batch(
-        self,
-        nominal: BuckParameters,
-        num_variants: int,
-        rng: np.random.Generator | None = None,
-        correlation: CorrelatedVariationModel | None = None,
+        self, nominal: BuckParameters, num_variants: int
     ) -> "BatchBuckParameters":
         """Draw a fleet of varied converters as stacked batch parameters.
 
         Returns a :class:`~repro.simulation.batch.BatchBuckParameters` of
-        ``num_variants`` draws around ``nominal``.  ``correlation``
-        declares cross-axis coupling of the underlying standard-normal
-        draws (see :class:`~repro.technology.variation
-        .CorrelatedVariationModel`); ``None`` or the identity matrix keeps
-        the historical IID draw bit for bit.
+        ``num_variants`` IID draws around ``nominal``, all from one
+        generator seeded with :attr:`seed`.
         """
         from repro.simulation.batch import BatchBuckParameters
 
         if num_variants < 1:
             raise ValueError("need at least one variant")
-        generator = rng if rng is not None else np.random.default_rng(self.seed)
-        if correlation is not None and not correlation.is_identity():
-            return self._sample_batch_correlated(
-                nominal, num_variants, generator, correlation
-            )
+        generator = np.random.default_rng(self.seed)
 
         def lognormal(sigma: float) -> npt.NDArray[np.float64]:
             return generator.lognormal(mean=0.0, sigma=sigma, size=num_variants)
@@ -594,43 +583,6 @@ class ComponentVariation:
             inductor_resistance_ohm=nominal.inductor_resistance_ohm
             * clipped_normal(self.resistance_sigma),
         )
-
-    def _sample_batch_correlated(
-        self,
-        nominal: BuckParameters,
-        num_variants: int,
-        generator: np.random.Generator,
-        correlation: CorrelatedVariationModel,
-    ) -> "BatchBuckParameters":
-        """One-generator fleet draw with cross-axis correlation.
-
-        One standard-normal row per axis is drawn in the canonical axis
-        order, the Cholesky factor mixes them, and the per-axis transforms
-        of :meth:`_transform_draws` apply columnwise (vectorized over the
-        fleet).  Marginals match the IID draw's distributions exactly; the
-        joint picks up the declared correlations.
-        """
-        if correlation.dimension != len(_COMPONENT_AXES):
-            raise ValueError(
-                f"correlation matrix spans {correlation.dimension} axes; the "
-                f"component draws span {len(_COMPONENT_AXES)} "
-                f"({', '.join(_COMPONENT_AXES)})"
-            )
-        z = np.stack(
-            [
-                generator.standard_normal(num_variants)
-                for _ in _COMPONENT_AXES
-            ]
-        )
-        correlated = correlation.correlate(z)
-        draws = np.empty((num_variants, len(_COMPONENT_AXES)))
-        draws[:, 0] = np.exp(self.input_voltage_sigma * correlated[0])
-        draws[:, 1] = np.exp(self.inductance_sigma * correlated[1])
-        draws[:, 2] = np.exp(self.capacitance_sigma * correlated[2])
-        draws[:, 3] = 1.0 + self.resistance_sigma * correlated[3]
-        draws[:, 4] = 1.0 + self.resistance_sigma * correlated[4]
-        np.clip(draws[:, 3:], 0.0, None, out=draws[:, 3:])
-        return self._parameters_from_draws(nominal, draws)
 
     def sample_instances(
         self,
@@ -658,9 +610,8 @@ class ComponentVariation:
         their baselines stay bit-identical.
 
         ``correlation`` couples the per-instance z-space draws across the
-        component axes (Cholesky mixing, as in :meth:`sample_batch`);
-        ``None`` or the identity matrix keeps the historical IID draw bit
-        for bit.
+        component axes (Cholesky mixing); ``None`` or the identity matrix
+        keeps the historical IID draw bit for bit.
         """
         z = self._instance_normals(num_variants, first_instance, correlation)
         return self._parameters_from_draws(nominal, self._transform_draws(z))

@@ -191,15 +191,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "versions of the package sources (they can never be hits again); "
         "requires --cache-dir",
     )
-    parser.add_argument(
-        "--backend",
-        metavar="NAME",
-        help="kernel backend for the vectorized engines (see "
-        "docs/backends.md): 'numpy' (default) or 'numba' (JIT-compiled "
-        "per-period kernels; silently falls back to numpy when numba is "
-        "not installed); exported as REPRO_BACKEND so sweep workers "
-        "inherit it, and recorded in the sweep cache key",
-    )
     return parser
 
 
@@ -242,27 +233,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
-
-    if args.backend is not None:
-        from repro.kernels import ENV_VAR, active_backend_name, available_backends
-
-        if args.backend not in available_backends():
-            print(
-                f"unknown --backend {args.backend!r}; available: "
-                f"{', '.join(available_backends())}",
-                file=sys.stderr,
-            )
-            return 2
-        # The env var is the selection channel every engine and every
-        # multiprocessing sweep worker reads (explicit args aside).
-        os.environ[ENV_VAR] = args.backend
-        effective = active_backend_name()
-        if effective != args.backend:
-            print(
-                f"--backend {args.backend}: not available in this "
-                f"environment, running on the {effective!r} backend",
-                file=sys.stderr,
-            )
 
     if args.prune_cache and args.cache_dir is None:
         print("--prune-cache requires --cache-dir", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Backend-pluggable math kernels for the batch engines.
+"""Pure math kernels for the batch engines.
 
 This package splits the pure array math out of the orchestration layers
 (:mod:`repro.simulation.batch`, :mod:`repro.core.ensemble`,
@@ -12,34 +12,15 @@ arrays out -- grouped by stage:
   fixed point, transfer-curve matrix build, conventional first-crossing);
 * :mod:`repro.kernels.fabrication` -- variation-draw-to-delay kernels.
 
-:mod:`repro.kernels.backend` selects between named kernel *sets*: the
-always-available ``numpy`` reference, and a ``numba`` backend that
-JIT-compiles the per-period kernels when numba is importable (falling
-back to numpy, with a logged note, when it is not).  See
-``docs/backends.md`` for the contract, selection precedence, and the
-cross-backend tolerance policy.
+The engines call these functions directly; there is one numpy
+implementation of each.  The kernel contract is described in the
+``repro.kernels`` section of ``docs/architecture.md`` and enforced by the
+``kernel-purity`` lint rule.
 """
 
-from repro.kernels.backend import (
-    DEFAULT_BACKEND,
-    ENV_VAR,
-    TOLERANCES,
-    KernelBackend,
-    active_backend_name,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend_name,
-)
+__all__ = ["active_backend_name"]
 
-__all__ = [
-    "DEFAULT_BACKEND",
-    "ENV_VAR",
-    "TOLERANCES",
-    "KernelBackend",
-    "active_backend_name",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "resolve_backend_name",
-]
+
+def active_backend_name() -> str:
+    """Name of the array library the kernels run on, for provenance."""
+    return "numpy"

@@ -1,4 +1,4 @@
-"""Closed-loop regulation kernels (numpy reference implementations).
+"""Closed-loop regulation kernels.
 
 These are the per-period hot-path operations of
 :class:`~repro.simulation.batch.BatchClosedLoop`: the exact 2x2
@@ -6,13 +6,11 @@ state-transition coefficient evaluation that fills the per-load coefficient
 tables, the coefficient gather itself, the PID compensator law and the
 duty-word quantizer.  Every function is stateless and RNG-free, takes plain
 arrays (plus scalar configuration) and returns plain arrays -- the kernel
-contract of :mod:`repro.kernels` (see ``docs/backends.md``), enforced by
-the ``kernel-purity`` lint rule.
+contract of :mod:`repro.kernels`, enforced by the ``kernel-purity`` lint
+rule.
 
-The implementations here are the *reference*: they preserve the exact
-operation order of the pre-split engine code, so the numpy backend is
-bit-identical to the historical behaviour and every other backend is
-measured against them (:data:`repro.kernels.TOLERANCES`).
+The implementations preserve the exact operation order of the pre-split
+engine code, so they are bit-identical to the historical behaviour.
 """
 
 from __future__ import annotations

@@ -1,16 +1,15 @@
-"""Delay-line ensemble kernels (numpy reference implementations).
+"""Delay-line ensemble kernels.
 
 The closed-form batch calibration math of :mod:`repro.core.ensemble`: the
 proposed scheme's tap-count fixed point, the conventional scheme's
 first-crossing search over the tuning-level schedule, and the
 ``(instances, words)`` transfer-curve matrix build of the proposed
 mapper.  Stateless, RNG-free, arrays in / arrays out -- the kernel
-contract of :mod:`repro.kernels` (``docs/backends.md``), enforced by the
-``kernel-purity`` lint rule.
+contract of :mod:`repro.kernels`, enforced by the ``kernel-purity`` lint
+rule.
 
-These reference implementations preserve the exact operation order the
-ensemble engine used before the kernel split, so the numpy backend stays
-bit-identical to the scalar cycle-accurate controllers (the property
+These implementations preserve the exact operation order the ensemble
+engine used before the kernel split, so they stay bit-identical to the scalar cycle-accurate controllers (the property
 ``tests/test_core_ensemble.py`` asserts).
 """
 

@@ -1,4 +1,4 @@
-"""Fabrication kernels (numpy reference implementations).
+"""Fabrication kernels.
 
 The variation-draw-to-delay math of the silicon stages: turning a batch of
 per-buffer mismatch multipliers into per-cell delay matrices (proposed
@@ -6,8 +6,8 @@ lines sum whole cells, conventional lines gather the active prefix of each
 cell's longest branch) and turning calibrated reset-edge delay matrices
 into per-instance DPWM duty tables.  The random *draw* itself stays in the
 orchestration layer (:mod:`repro.technology.variation`); kernels only see
-the drawn arrays -- stateless, RNG-free, arrays in / arrays out
-(``docs/backends.md``), enforced by the ``kernel-purity`` lint rule.
+the drawn arrays -- stateless, RNG-free, arrays in / arrays out, enforced
+by the ``kernel-purity`` lint rule.
 """
 
 from __future__ import annotations

@@ -1,16 +1,14 @@
 """Kernel-purity rule: ``repro.kernels`` functions stay stateless.
 
-The kernel layer's contract (``docs/backends.md``) is that every kernel is
-a pure function of its array arguments: no randomness, no module-level
-state, no captured mutable context.  That is what makes a kernel swappable
-between backends -- a numba transcription can only be proven equivalent to
-the numpy reference if both are functions of their inputs alone -- and
-what keeps the sweep cache sound (a cell key records the backend *name*;
-hidden state would make that name a lie).
+The kernel layer's contract (the ``repro.kernels`` section of
+``docs/architecture.md``) is that every kernel is a pure function of its
+array arguments: no randomness, no module-level state, no captured mutable
+context.  That keeps a kernel's output a function of its inputs alone, so
+the engines that call it stay reproducible and the sweep cache, which keys
+cells on inputs and source code only, stays sound.
 
 One rule id, three checks over every module under ``repro/kernels/``
-(except the ``backend`` registry and ``__init__``, which are orchestration,
-not kernels):
+except the package ``__init__``:
 
 * no RNG imports (``random``, ``secrets``, ``numpy.random``) -- draws
   belong in the orchestration layer, kernels only see drawn arrays;
@@ -35,8 +33,8 @@ RULE = "kernel-purity"
 #: Modules whose import into a kernel module breaks the RNG-free contract.
 _RNG_MODULES = ("random", "secrets", "numpy.random")
 
-#: Kernel-package files that are registry/orchestration, not kernels.
-_EXEMPT_FILES = frozenset({"backend.py", "__init__.py"})
+#: Kernel-package files that hold no kernels.
+_EXEMPT_FILES = frozenset({"__init__.py"})
 
 
 def _is_kernel_module(path: str) -> bool:

@@ -98,7 +98,6 @@ from repro.core.yield_analysis import (
     LinearitySpec,
     RegulationSpec,
 )
-from repro.kernels import KernelBackend, get_backend
 from repro.simulation.batch import (
     BatchBuckParameters,
     BatchClosedLoop,
@@ -140,12 +139,8 @@ class ChunkedFabricator:
         spec: DesignSpec,
         variation: VariationModel | None = None,
         library: TechnologyLibrary | None = None,
-        backend: str | KernelBackend | None = None,
     ) -> None:
         self.library = library or intel32_like_library()
-        self.kernels = (
-            backend if isinstance(backend, KernelBackend) else get_backend(backend)
-        )
         if scheme == "proposed":
             designed = design_proposed(spec, self.library)
             self._ensemble_cls = ProposedEnsemble
@@ -170,7 +165,6 @@ class ChunkedFabricator:
                 self.config,
                 library=self.library,
                 num_instances=num_instances,
-                backend=self.kernels,
             )
         return self._ensemble_cls.sample(
             self.config,
@@ -178,7 +172,6 @@ class ChunkedFabricator:
             self.variation,
             library=self.library,
             first_instance=first_instance,
-            backend=self.kernels,
         )
 
 
@@ -189,7 +182,6 @@ def fabricate_ensemble(
     num_instances: int,
     library: TechnologyLibrary | None = None,
     first_instance: int = 0,
-    backend: str | KernelBackend | None = None,
 ) -> DelayLineEnsemble:
     """Design a scheme for a specification and draw fabricated instances.
 
@@ -199,9 +191,7 @@ def fabricate_ensemble(
     (mismatch-free) silicon: every instance is the nominal line.  (One-shot
     convenience over :class:`ChunkedFabricator`.)
     """
-    fabricator = ChunkedFabricator(
-        scheme, spec, variation=variation, library=library, backend=backend
-    )
+    fabricator = ChunkedFabricator(scheme, spec, variation=variation, library=library)
     return fabricator.fabricate(num_instances, first_instance=first_instance)
 
 
@@ -297,7 +287,6 @@ class SiliconToRegulationPipeline:
         source_profile: SourceProfile | None = None,
         library: TechnologyLibrary | None = None,
         first_instance: int = 0,
-        backend: str | KernelBackend | None = None,
     ) -> None:
         """Fabricate, calibrate and convert the silicon for a fleet.
 
@@ -320,14 +309,8 @@ class SiliconToRegulationPipeline:
             library: technology library shared by design and calibration.
             first_instance: index of the first fabricated instance (for
                 sharding one Monte-Carlo population across runs).
-            backend: kernel backend name or instance shared by every stage
-                (``docs/backends.md``); defaults to the process-wide
-                selection (:func:`repro.kernels.get_backend`).
         """
         self.library = library or intel32_like_library()
-        self.kernels = (
-            backend if isinstance(backend, KernelBackend) else get_backend(backend)
-        )
         self.conditions = conditions or OperatingConditions.typical()
         self.spec = spec
         self.nominal = nominal = _resolve_nominal(nominal, spec)
@@ -338,7 +321,6 @@ class SiliconToRegulationPipeline:
             num_instances=num_instances,
             library=self.library,
             first_instance=first_instance,
-            backend=self.kernels,
         )
         self.scheme = self.ensemble.scheme
         self.calibration = self.ensemble.lock(self.conditions)
@@ -372,7 +354,6 @@ class SiliconToRegulationPipeline:
             self.parameters,
             self.quantizer,
             reference_v=self.reference_v,
-            backend=self.kernels,
             **self._loop_kwargs,
         )
 
@@ -424,12 +405,10 @@ class ChunkedSiliconToRegulation:
         correlation: CorrelatedVariationModel | None = None,
         load: LoadProfile | None = None,
         library: TechnologyLibrary | None = None,
-        backend: str | KernelBackend | None = None,
     ) -> None:
         self.fabricator = ChunkedFabricator(
-            scheme, spec, variation=variation, library=library, backend=backend
+            scheme, spec, variation=variation, library=library
         )
-        self.kernels = self.fabricator.kernels
         self.library = self.fabricator.library
         self.conditions = conditions or OperatingConditions.typical()
         self.spec = spec
@@ -468,73 +447,6 @@ class ChunkedSiliconToRegulation:
         """
         if thermal is not None and temperature_trace is None:
             raise ValueError("thermal derating requires a temperature_trace")
-        if missions is None and temperature_trace is None:
-            ensemble = self.fabricator.fabricate(
-                num_instances, first_instance=first_instance
-            )
-            calibration = ensemble.lock(self.conditions)
-            curves = ensemble.transfer_curves(
-                self.conditions, calibration=calibration
-            )
-            quantizer = BatchQuantizer.from_ensemble(curves)
-            parameters = self._chunk_parameters(num_instances, first_instance)
-            loop = BatchClosedLoop(
-                parameters,
-                quantizer,
-                reference_v=self.reference_v,
-                load=self.load,
-                backend=self.kernels,
-            )
-            return PipelineResult(
-                scheme=ensemble.scheme,
-                reference_v=self.reference_v,
-                calibration=calibration,
-                curves=curves,
-                regulation=loop.run(periods),
-            )
-        return self._run_chunk_mission(
-            first_instance,
-            num_instances,
-            periods,
-            missions=missions,
-            temperature_trace=temperature_trace,
-            thermal=thermal,
-        )
-
-    def _chunk_parameters(
-        self, num_instances: int, first_instance: int
-    ) -> BatchBuckParameters:
-        """The chunk's per-instance electrical parameters (chunk-stable)."""
-        if self.component_variation is None:
-            return BatchBuckParameters.uniform(self.nominal, num_instances)
-        return self.component_variation.sample_instances(
-            self.nominal,
-            num_instances,
-            first_instance=first_instance,
-            correlation=self.correlation,
-        )
-
-    def _run_chunk_mission(
-        self,
-        first_instance: int,
-        num_instances: int,
-        periods: int,
-        *,
-        missions: MissionGenerator | Sequence[MissionProfile] | None,
-        temperature_trace: TemperatureTrace | None,
-        thermal: ThermalDerating | None,
-    ) -> PipelineResult:
-        """Mission / temperature-drift run: epoch-split with state carry-over.
-
-        The run is cut at the temperature trace's epoch boundaries (one
-        isothermal epoch when no trace is given).  Within each epoch the
-        fleet advances under per-instance loads shifted to the epoch's
-        start (:meth:`OffsetLoad.wrap <repro.converter.missions.OffsetLoad
-        .wrap>`), so the concatenated history is the same sequence of load
-        resistances -- and, with the compensator object and the converter
-        state carried across the boundary, the same closed-loop trajectory
-        -- as an unsplit run.
-        """
         ensemble = self.fabricator.fabricate(
             num_instances, first_instance=first_instance
         )
@@ -554,12 +466,13 @@ class ChunkedSiliconToRegulation:
             epochs = [(0, periods, None)]
             derating = None
 
+        # Each epoch's loads are shifted to its start (OffsetLoad.wrap), and
+        # the compensator and converter state carry across the boundary, so
+        # the epochs concatenate to the trajectory of one unsplit run.
         calibration: EnsembleCalibration | None = None
         curves: EnsembleTransferCurves | None = None
         pieces: list[BatchRegulationResult] = []
-        compensator: BatchCompensator | None = None
-        carried_voltage: npt.NDArray[np.float64] | None = None
-        carried_current: npt.NDArray[np.float64] | None = None
+        loop: BatchClosedLoop | None = None
         for start, end, temperature in epochs:
             conditions = (
                 self.conditions.with_temperature(temperature)
@@ -570,7 +483,6 @@ class ChunkedSiliconToRegulation:
             epoch_curves = ensemble.transfer_curves(
                 conditions, calibration=epoch_calibration
             )
-            quantizer = BatchQuantizer.from_ensemble(epoch_curves)
             if calibration is None or curves is None:
                 calibration = epoch_calibration
                 curves = epoch_curves
@@ -579,70 +491,74 @@ class ChunkedSiliconToRegulation:
                 if derating is not None and temperature is not None
                 else base_parameters
             )
-            if mission_list is not None:
-                loop = BatchClosedLoop(
-                    parameters,
-                    quantizer,
-                    reference_v=self.reference_v,
-                    compensator=compensator,
-                    loads=[
-                        OffsetLoad.wrap(mission, start)
-                        for mission in mission_list
-                    ],
-                    start_at_reference=compensator is None,
-                    backend=self.kernels,
-                )
-            else:
-                loop = BatchClosedLoop(
-                    parameters,
-                    quantizer,
-                    reference_v=self.reference_v,
-                    compensator=compensator,
-                    load=(
-                        OffsetLoad.wrap(self.load, start)
-                        if self.load is not None
-                        else None
-                    ),
-                    start_at_reference=compensator is None,
-                    backend=self.kernels,
-                )
-            if carried_voltage is not None and carried_current is not None:
-                loop.output_voltage_v = carried_voltage
-                loop.inductor_current_a = carried_current
+            previous = loop
+            loop = BatchClosedLoop(
+                parameters,
+                BatchQuantizer.from_ensemble(epoch_curves),
+                reference_v=self.reference_v,
+                compensator=previous.compensator if previous is not None else None,
+                load=(
+                    OffsetLoad.wrap(self.load, start)
+                    if mission_list is None and self.load is not None
+                    else None
+                ),
+                loads=(
+                    [OffsetLoad.wrap(mission, start) for mission in mission_list]
+                    if mission_list is not None
+                    else None
+                ),
+                start_at_reference=previous is None,
+            )
+            if previous is not None:
+                loop.output_voltage_v = previous.output_voltage_v
+                loop.inductor_current_a = previous.inductor_current_a
             pieces.append(loop.run(end - start))
-            compensator = loop.compensator
-            carried_voltage = loop.output_voltage_v.copy()
-            carried_current = loop.inductor_current_a.copy()
 
         if calibration is None or curves is None:  # pragma: no cover
             raise RuntimeError("temperature trace produced no epochs")
-        regulation = BatchRegulationResult(
-            switching_period_s=pieces[0].switching_period_s,
-            output_voltages_v=np.concatenate(
-                [piece.output_voltages_v for piece in pieces], axis=0
-            ),
-            inductor_currents_a=np.concatenate(
-                [piece.inductor_currents_a for piece in pieces], axis=0
-            ),
-            duty_words=np.concatenate(
-                [piece.duty_words for piece in pieces], axis=0
-            ),
-            duty_fractions=np.concatenate(
-                [piece.duty_fractions for piece in pieces], axis=0
-            ),
-            error_codes=np.concatenate(
-                [piece.error_codes for piece in pieces], axis=0
-            ),
-            load_resistances_ohm=np.concatenate(
-                [piece.load_resistances_ohm for piece in pieces], axis=0
-            ),
-        )
+        if len(pieces) == 1:
+            regulation = pieces[0]
+        else:
+            regulation = BatchRegulationResult(
+                switching_period_s=pieces[0].switching_period_s,
+                output_voltages_v=np.concatenate(
+                    [piece.output_voltages_v for piece in pieces], axis=0
+                ),
+                inductor_currents_a=np.concatenate(
+                    [piece.inductor_currents_a for piece in pieces], axis=0
+                ),
+                duty_words=np.concatenate(
+                    [piece.duty_words for piece in pieces], axis=0
+                ),
+                duty_fractions=np.concatenate(
+                    [piece.duty_fractions for piece in pieces], axis=0
+                ),
+                error_codes=np.concatenate(
+                    [piece.error_codes for piece in pieces], axis=0
+                ),
+                load_resistances_ohm=np.concatenate(
+                    [piece.load_resistances_ohm for piece in pieces], axis=0
+                ),
+            )
         return PipelineResult(
             scheme=ensemble.scheme,
             reference_v=self.reference_v,
             calibration=calibration,
             curves=curves,
             regulation=regulation,
+        )
+
+    def _chunk_parameters(
+        self, num_instances: int, first_instance: int
+    ) -> BatchBuckParameters:
+        """The chunk's per-instance electrical parameters (chunk-stable)."""
+        if self.component_variation is None:
+            return BatchBuckParameters.uniform(self.nominal, num_instances)
+        return self.component_variation.sample_instances(
+            self.nominal,
+            num_instances,
+            first_instance=first_instance,
+            correlation=self.correlation,
         )
 
 

@@ -74,7 +74,14 @@ from repro.converter.load import (
     ReferenceProfile,
     SourceProfile,
 )
-from repro.kernels import KernelBackend, get_backend
+from repro.kernels.closed_loop import (
+    apply_period_step,
+    gather_coefficients,
+    interval_coefficients,
+    pid_update,
+    quantize_duty,
+)
+from repro.kernels.fabrication import duty_tables_from_delays
 
 __all__ = [
     "BatchBuckParameters",
@@ -225,7 +232,6 @@ class BatchQuantizer:
         levels: np.ndarray,
         num_variants: int | None = None,
         num_words: np.ndarray | None = None,
-        kernels: KernelBackend | None = None,
     ) -> None:
         levels = np.atleast_2d(np.asarray(levels, dtype=float))
         if levels.shape[1] < 2:
@@ -253,9 +259,6 @@ class BatchQuantizer:
         self.num_variants = num_variants
         self.num_words = num_words
         self._rows = np.arange(num_variants, dtype=np.int64)
-        # None means "inherit": BatchClosedLoop installs its backend, and a
-        # standalone quantize() falls back to the process default.
-        self.kernels = kernels
 
     @property
     def max_word(self) -> np.ndarray:
@@ -342,7 +345,7 @@ class BatchQuantizer:
             raise ValueError(
                 f"num_words must lie in [2, {available}], got {num_words}"
             )
-        levels = get_backend().duty_tables_from_delays(
+        levels = duty_tables_from_delays(
             delays, float(curves.clock_period_ps), num_words
         )
         return cls(levels)
@@ -366,8 +369,7 @@ class BatchQuantizer:
             # A single shared table serving a wider command vector: every
             # command reads row 0.
             rows = np.zeros(commands.shape[0], dtype=np.int64)
-        kernels = self.kernels or get_backend()
-        return kernels.quantize_duty(commands, self.levels, self.num_words, rows)
+        return quantize_duty(commands, self.levels, self.num_words, rows)
 
 
 class BatchCompensator:
@@ -383,7 +385,6 @@ class BatchCompensator:
         initial_duty: npt.ArrayLike = 0.5,
         min_duty: npt.ArrayLike = 0.0,
         max_duty: npt.ArrayLike = 1.0,
-        kernels: KernelBackend | None = None,
     ) -> None:
         self.kp = _as_variant_array(kp, num_variants, "kp")
         self.ki = _as_variant_array(ki, num_variants, "ki")
@@ -400,9 +401,6 @@ class BatchCompensator:
         ):
             raise ValueError("initial_duty must lie inside the duty limits")
         self.num_variants = num_variants
-        # None means "inherit": BatchClosedLoop installs its backend, and a
-        # standalone update() falls back to the process default.
-        self.kernels = kernels
         self.reset()
 
     def reset(self) -> None:
@@ -412,8 +410,7 @@ class BatchCompensator:
     def update(self, error_codes: np.ndarray) -> np.ndarray:
         """Advance one switching period; returns the duty commands."""
         error = np.asarray(error_codes, dtype=float)
-        kernels = self.kernels or get_backend()
-        duty, self.integral = kernels.pid_update(
+        duty, self.integral = pid_update(
             error,
             self.integral,
             self.previous_error,
@@ -448,20 +445,17 @@ class _LoadCoefficientTable:
     #: mixed evaluation stays bounded.
     FILL_BUDGET_PER_PERIOD = 8
 
-    def __init__(
-        self, plant: tuple, max_words: int, kernels: KernelBackend | None = None
-    ) -> None:
+    def __init__(self, plant: tuple, max_words: int) -> None:
         self.plant = plant  # (a, b, c, d) system-matrix entries, per variant
         self.slot_of_word = np.full(max_words, -1, dtype=np.int64)
         self.table: np.ndarray | None = None  # (slots, variants, 12)
         self.used = 0
         self.periods_seen = 0
-        self.kernels = kernels or get_backend()
 
     def _evaluate(self, on_time: np.ndarray, period_s: np.ndarray) -> np.ndarray:
         """``(variants, 12)`` on+off coefficients for per-variant on-times."""
         a, b, c, d = self.plant
-        return self.kernels.interval_coefficients(a, b, c, d, on_time, period_s)
+        return interval_coefficients(a, b, c, d, on_time, period_s)
 
     def coefficients(
         self,
@@ -506,7 +500,7 @@ class _LoadCoefficientTable:
                 # pre-table cost) and let later periods fill the rest.
                 return self._evaluate(duties * period_s, period_s)
             slots = self.slot_of_word[words]
-        return self.kernels.gather_coefficients(self.table, slots, variant_rows)
+        return gather_coefficients(self.table, slots, variant_rows)
 
 
 @dataclass
@@ -583,7 +577,6 @@ class BatchClosedLoop:
         start_at_reference: bool = True,
         reference_profile: ReferenceProfile | None = None,
         source_profile: SourceProfile | None = None,
-        backend: str | KernelBackend | None = None,
     ) -> None:
         """Assemble the batch loop.
 
@@ -601,18 +594,8 @@ class BatchClosedLoop:
                 loop does) rather than from a cold start.
             reference_profile / source_profile: shared per-period scenario
                 objects (see :mod:`repro.converter.load`).
-            backend: kernel backend name or instance (``docs/backends.md``);
-                defaults to the process-wide selection
-                (:func:`repro.kernels.get_backend`).  Installed on the
-                quantizer and compensator too, unless they were constructed
-                with an explicit ``kernels=`` of their own.
         """
         num_variants = parameters.num_variants
-        self.kernels = (
-            backend if isinstance(backend, KernelBackend) else get_backend(backend)
-        )
-        if quantizer.kernels is None:
-            quantizer.kernels = self.kernels
         if quantizer.num_variants not in (1, num_variants):
             raise ValueError(
                 f"quantizer covers {quantizer.num_variants} variants, "
@@ -648,8 +631,6 @@ class BatchClosedLoop:
             num_variants,
             initial_duty=initial_reference / parameters.input_voltage_v,
         )
-        if self.compensator.kernels is None:
-            self.compensator.kernels = self.kernels
         if load is not None and loads is not None:
             raise ValueError("pass either a shared load or per-variant loads")
         if loads is not None and len(loads) != num_variants:
@@ -755,7 +736,6 @@ class BatchClosedLoop:
                         load_resistance_ohm=rload,
                     ),
                     max_words,
-                    kernels=self.kernels,
                 )
                 load_tables[rload_key] = table
             step = table.coefficients(
@@ -767,9 +747,7 @@ class BatchClosedLoop:
                 np.asarray(source_voltage / params.inductance_h, dtype=float),
                 (num_variants,),
             )
-            current, voltage = self.kernels.apply_period_step(
-                step, current, voltage, drive
-            )
+            current, voltage = apply_period_step(step, current, voltage, drive)
             voltages[index] = voltage
             currents[index] = current
             words_out[index] = words

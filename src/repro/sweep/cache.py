@@ -125,7 +125,6 @@ def cell_key(
     experiment_id: str,
     params: dict[str, Any],
     fingerprint: str | None = None,
-    backend: str | None = None,
 ) -> str:
     """Content address of one sweep cell.
 
@@ -136,22 +135,11 @@ def cell_key(
             :func:`jsonable` conversion.
         fingerprint: override for the code fingerprint (tests use this to
             simulate code changes); defaults to :func:`code_fingerprint`.
-        backend: override for the kernel-backend name entering the key;
-            defaults to the *effective* backend of the current selection
-            (:func:`repro.kernels.active_backend_name`, after any numba ->
-            numpy fallback), so cells computed under different backends
-            never collide and a fallback run shares the numpy entries it
-            actually computed.
     """
-    if backend is None:
-        from repro.kernels import active_backend_name
-
-        backend = active_backend_name()
     document = {
         "experiment": experiment_id,
         "params": jsonable(params),
         "fingerprint": fingerprint if fingerprint is not None else code_fingerprint(),
-        "backend": backend,
     }
     return hashlib.sha256(canonical_json(document).encode("utf-8")).hexdigest()
 

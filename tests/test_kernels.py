@@ -1,124 +1,22 @@
-"""Tests for the kernel layer: backend registry and kernel equivalence.
+"""Tests for the kernel layer: kernel equivalence.
 
-Every kernel of the contract is property-tested against an independent
-straightforward reference (python loops over instances), for every backend
-that actually resolves in this environment -- on a numpy-only install that
-is the reference backend itself; on a numba install the same tests bind
-the JIT transcriptions to the numpy semantics under the documented
-tolerance policy (:data:`repro.kernels.TOLERANCES`).
+Every kernel is property-tested against an independent straightforward
+reference (python loops over instances); the kernels preserve the
+reference operation order, so every comparison demands bit-identity.
 """
 
 from __future__ import annotations
 
-import importlib.util
-import logging
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.kernels.backend as backend_module
 from repro.converter.buck import exact_interval_coefficients
-from repro.kernels import (
-    DEFAULT_BACKEND,
-    ENV_VAR,
-    TOLERANCES,
-    KernelBackend,
-    active_backend_name,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend_name,
-)
-from repro.sweep.cache import cell_key
-
-NUMBA_AVAILABLE = importlib.util.find_spec("numba") is not None
-
-#: Backends that resolve to themselves here (numba drops out when absent).
-BACKENDS = [name for name in available_backends() if get_backend(name).name == name]
-
-
-class TestBackendRegistry:
-    def test_default_is_the_numpy_reference(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        backend = get_backend()
-        assert backend.name == DEFAULT_BACKEND == "numpy"
-        assert backend.compiled is False
-        assert active_backend_name() == "numpy"
-
-    def test_both_builtin_backends_are_registered(self):
-        names = available_backends()
-        assert "numpy" in names and "numba" in names
-
-    def test_env_var_selects_the_backend(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numba")
-        assert resolve_backend_name() == "numba"
-        expected = "numba" if NUMBA_AVAILABLE else "numpy"
-        assert active_backend_name() == expected
-
-    def test_explicit_name_wins_over_the_env_var(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numba")
-        assert resolve_backend_name("numpy") == "numpy"
-        assert get_backend("numpy").name == "numpy"
-
-    def test_unknown_backend_raises_naming_the_registry(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown kernel backend 'cuda'"):
-            resolve_backend_name("cuda")
-        monkeypatch.setenv(ENV_VAR, "cuda")
-        with pytest.raises(ValueError, match="numpy"):
-            get_backend()
-
-    def test_numba_selection_never_fails(self, monkeypatch, caplog):
-        # Force a fresh build so the fallback path (and its log note) runs.
-        monkeypatch.setattr(backend_module, "_INSTANCES", {})
-        with caplog.at_level(logging.WARNING, logger="repro.kernels"):
-            backend = get_backend("numba")
-        if NUMBA_AVAILABLE:
-            assert backend.name == "numba" and backend.compiled
-        else:
-            assert backend.name == "numpy" and not backend.compiled
-            assert "falling back to the 'numpy' reference backend" in caplog.text
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("numpy", backend_module._build_numpy)
-
-    def test_custom_backend_registers_and_resolves(self, monkeypatch):
-        monkeypatch.setattr(
-            backend_module, "_FACTORIES", dict(backend_module._FACTORIES)
-        )
-        monkeypatch.setattr(backend_module, "_INSTANCES", {})
-
-        def build() -> KernelBackend:
-            reference = backend_module._numpy_kernels()
-            return KernelBackend(name="custom", compiled=False, **reference)
-
-        register_backend("custom", build)
-        assert "custom" in available_backends()
-        assert get_backend("custom").name == "custom"
-        monkeypatch.setenv(ENV_VAR, "custom")
-        assert active_backend_name() == "custom"
-
-    def test_tolerance_policy_covers_exactly_the_kernel_contract(self):
-        assert set(TOLERANCES) == set(KernelBackend.kernel_names())
-
-    def test_cell_key_separates_backends(self):
-        params = {"scheme": "proposed", "seed": 7}
-        numpy_key = cell_key("fig15", params, fingerprint="f", backend="numpy")
-        numba_key = cell_key("fig15", params, fingerprint="f", backend="numba")
-        assert numpy_key != numba_key
-        # No explicit backend: the key records the effective selection, so
-        # it equals the explicit spelling of that same backend.
-        default_key = cell_key("fig15", params, fingerprint="f")
-        assert default_key == cell_key(
-            "fig15", params, fingerprint="f", backend=active_backend_name()
-        )
-
+from repro.kernels import closed_loop, ensemble, fabrication
 
 # --- per-kernel equivalence properties ------------------------------------
 
-#: Moderate example counts: the suite runs these for every backend.
+#: Moderate example counts keep the eleven properties quick.
 KERNEL_SETTINGS = settings(max_examples=25, deadline=None)
 
 finite = st.floats(
@@ -150,21 +48,16 @@ def increasing_taps(draw):
     return np.cumsum(increments, axis=1)
 
 
-def assert_matches(name: str, result, expected) -> None:
-    """Compare per the tolerance policy: 0.0 means bit-identity."""
-    rtol = TOLERANCES[name]
+def assert_bit_identical(result, expected) -> None:
+    """Compare each output array of a kernel with its reference, exactly."""
     for got, want in zip(np.atleast_1d(result), np.atleast_1d(expected)):
-        if rtol == 0.0:
-            np.testing.assert_array_equal(got, want)
-        else:
-            np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+        np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestKernelEquivalence:
     @KERNEL_SETTINGS
     @given(data=st.data())
-    def test_interval_coefficients(self, backend, data):
+    def test_interval_coefficients(self, data):
         n = data.draw(st.integers(1, 5))
         draw_row = lambda elems: np.asarray(  # noqa: E731
             data.draw(st.lists(elems, min_size=n, max_size=n)), dtype=float
@@ -182,9 +75,7 @@ class TestKernelEquivalence:
         on_time = period * draw_row(
             st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
         )
-        result = get_backend(backend).interval_coefficients(
-            a, b, c, d, on_time, period
-        )
+        result = closed_loop.interval_coefficients(a, b, c, d, on_time, period)
         expected = np.stack(
             np.broadcast_arrays(
                 *exact_interval_coefficients(a, b, c, d, on_time),
@@ -193,11 +84,11 @@ class TestKernelEquivalence:
             axis=-1,
         )
         assert result.shape == (n, 12)
-        assert_matches("interval_coefficients", (result,), (expected,))
+        assert_bit_identical((result,), (expected,))
 
     @KERNEL_SETTINGS
     @given(data=st.data())
-    def test_gather_coefficients(self, backend, data):
+    def test_gather_coefficients(self, data):
         slots_count = data.draw(st.integers(1, 4))
         variants = data.draw(st.integers(1, 5))
         table = np.stack(
@@ -214,13 +105,13 @@ class TestKernelEquivalence:
             dtype=np.int64,
         )
         rows = np.arange(variants, dtype=np.int64)
-        result = get_backend(backend).gather_coefficients(table, slots, rows)
+        result = closed_loop.gather_coefficients(table, slots, rows)
         expected = np.stack([table[slots[i], i] for i in range(variants)])
-        assert_matches("gather_coefficients", (result,), (expected,))
+        assert_bit_identical((result,), (expected,))
 
     @KERNEL_SETTINGS
     @given(data=st.data())
-    def test_pid_update(self, backend, data):
+    def test_pid_update(self, data):
         n = data.draw(st.integers(1, 5))
         draw_row = lambda elems: np.asarray(  # noqa: E731
             data.draw(st.lists(elems, min_size=n, max_size=n)), dtype=float
@@ -231,18 +122,18 @@ class TestKernelEquivalence:
         kp, ki, kd = draw_row(unit), draw_row(unit), draw_row(unit)
         min_duty = draw_row(st.floats(min_value=0.0, max_value=0.4, allow_nan=False))
         max_duty = draw_row(st.floats(min_value=0.5, max_value=1.0, allow_nan=False))
-        result = get_backend(backend).pid_update(
+        result = closed_loop.pid_update(
             error, integral, previous, kp, ki, kd, min_duty, max_duty
         )
         new_integral = np.clip(integral + ki * error, min_duty, max_duty)
         expected_duty = np.clip(
             new_integral + kp * error + kd * (error - previous), min_duty, max_duty
         )
-        assert_matches("pid_update", result, (expected_duty, new_integral))
+        assert_bit_identical(result, (expected_duty, new_integral))
 
     @KERNEL_SETTINGS
     @given(data=st.data())
-    def test_quantize_duty(self, backend, data):
+    def test_quantize_duty(self, data):
         variants = data.draw(st.integers(1, 5))
         words = data.draw(st.integers(2, 16))
         levels = data.draw(
@@ -269,7 +160,7 @@ class TestKernelEquivalence:
         )
         num_words = np.full(variants, words, dtype=np.int64)
         rows = np.arange(variants, dtype=np.int64)
-        got_words, got_duties = get_backend(backend).quantize_duty(
+        got_words, got_duties = closed_loop.quantize_duty(
             commands, levels, num_words, rows
         )
         clipped = np.clip(commands, 0.0, 1.0)
@@ -277,41 +168,37 @@ class TestKernelEquivalence:
             np.rint(clipped * words).astype(np.int64), words - 1
         )
         expected_duties = levels[rows, expected_words]
-        assert_matches(
-            "quantize_duty",
-            (got_words, got_duties),
-            (expected_words, expected_duties),
+        assert_bit_identical(
+            (got_words, got_duties), (expected_words, expected_duties)
         )
 
     @KERNEL_SETTINGS
     @given(data=st.data())
-    def test_apply_period_step(self, backend, data):
+    def test_apply_period_step(self, data):
         n = data.draw(st.integers(1, 5))
         step = data.draw(float_matrix(n, 12))
         draw_row = lambda: np.asarray(  # noqa: E731
             data.draw(st.lists(finite, min_size=n, max_size=n)), dtype=float
         )
         current, voltage, drive = draw_row(), draw_row(), draw_row()
-        result = get_backend(backend).apply_period_step(
-            step, current, voltage, drive
-        )
+        result = closed_loop.apply_period_step(step, current, voltage, drive)
         on_i = step[:, 0] * current + step[:, 1] * voltage + step[:, 4] * drive
         on_v = step[:, 2] * current + step[:, 3] * voltage + step[:, 5] * drive
         expected = (
             step[:, 6] * on_i + step[:, 7] * on_v,
             step[:, 8] * on_i + step[:, 9] * on_v,
         )
-        assert_matches("apply_period_step", result, expected)
+        assert_bit_identical(result, expected)
 
     @KERNEL_SETTINGS
     @given(data=st.data())
-    def test_proposed_lock(self, backend, data):
+    def test_proposed_lock(self, data):
         taps = data.draw(increasing_taps())
         num_cells = taps.shape[1]
         half_period = data.draw(
             st.floats(min_value=0.0, max_value=float(taps.max()) * 1.5)
         )
-        control, locked, locked_delay = get_backend(backend).proposed_lock(
+        control, locked, locked_delay = ensemble.proposed_lock(
             taps, half_period, num_cells
         )
         for i, row in enumerate(taps):
@@ -323,7 +210,7 @@ class TestKernelEquivalence:
 
     @KERNEL_SETTINGS
     @given(data=st.data())
-    def test_proposed_transfer_delays(self, backend, data):
+    def test_proposed_transfer_delays(self, data):
         taps = data.draw(increasing_taps())
         instances, num_cells = taps.shape
         max_word = data.draw(st.integers(1, 12))
@@ -337,7 +224,7 @@ class TestKernelEquivalence:
             ),
             dtype=np.int64,
         )
-        result = get_backend(backend).proposed_transfer_delays(
+        result = ensemble.proposed_transfer_delays(
             taps, tap_sel, words, shift, num_cells
         )
         assert result.shape == (instances, max_word)
@@ -349,7 +236,7 @@ class TestKernelEquivalence:
 
     @KERNEL_SETTINGS
     @given(data=st.data())
-    def test_conventional_crossing(self, backend, data):
+    def test_conventional_crossing(self, data):
         totals = data.draw(increasing_taps())
         instances, steps_plus_one = totals.shape
         max_steps = steps_plus_one - 1
@@ -361,7 +248,7 @@ class TestKernelEquivalence:
             st.floats(min_value=float(totals.min()) * 0.5,
                       max_value=float(totals.max()) * 1.5)
         )
-        steps, locked, total_at_stop = get_backend(backend).conventional_crossing(
+        steps, locked, total_at_stop = ensemble.conventional_crossing(
             totals, last_but_one, period, max_steps
         )
         for i in range(instances):
@@ -376,7 +263,7 @@ class TestKernelEquivalence:
 
     @KERNEL_SETTINGS
     @given(data=st.data())
-    def test_cell_delays_from_multipliers(self, backend, data):
+    def test_cell_delays_from_multipliers(self, data):
         instances = data.draw(st.integers(1, 4))
         cells = data.draw(st.integers(1, 5))
         buffers = data.draw(st.integers(1, 6))
@@ -387,9 +274,7 @@ class TestKernelEquivalence:
             ]
         )
         unit = data.draw(positive)
-        result = get_backend(backend).cell_delays_from_multipliers(
-            multipliers, unit
-        )
+        result = fabrication.cell_delays_from_multipliers(multipliers, unit)
         # Under 8 elements numpy sums sequentially, so the loop reference
         # is bit-identical (pairwise summation never kicks in).
         expected = np.empty((instances, cells))
@@ -399,11 +284,11 @@ class TestKernelEquivalence:
                 for k in range(buffers):
                     total += multipliers[i, j, k]
                 expected[i, j] = total * unit
-        assert_matches("cell_delays_from_multipliers", (result,), (expected,))
+        assert_bit_identical((result,), (expected,))
 
     @KERNEL_SETTINGS
     @given(data=st.data())
-    def test_active_branch_delays(self, backend, data):
+    def test_active_branch_delays(self, data):
         instances = data.draw(st.integers(1, 4))
         cells = data.draw(st.integers(1, 5))
         buffers = data.draw(st.integers(1, 6))
@@ -426,9 +311,7 @@ class TestKernelEquivalence:
             dtype=np.int64,
         )
         unit = data.draw(positive)
-        result = get_backend(backend).active_branch_delays(
-            multipliers, active, unit
-        )
+        result = fabrication.active_branch_delays(multipliers, active, unit)
         expected = np.empty((instances, cells))
         for i in range(instances):
             for j in range(cells):
@@ -436,20 +319,18 @@ class TestKernelEquivalence:
                 for k in range(int(active[i, j])):
                     total += multipliers[i, j, k]
                 expected[i, j] = unit * total
-        assert_matches("active_branch_delays", (result,), (expected,))
+        assert_bit_identical((result,), (expected,))
 
     @KERNEL_SETTINGS
     @given(data=st.data())
-    def test_duty_tables_from_delays(self, backend, data):
+    def test_duty_tables_from_delays(self, data):
         instances = data.draw(st.integers(1, 4))
         num_words = data.draw(st.integers(2, 10))
         delays = data.draw(
             float_matrix(instances, num_words - 1, elements=positive)
         )
         clock_period = data.draw(positive)
-        result = get_backend(backend).duty_tables_from_delays(
-            delays, clock_period, num_words
-        )
+        result = fabrication.duty_tables_from_delays(delays, clock_period, num_words)
         assert result.shape == (instances, num_words)
         for i in range(instances):
             assert result[i, 0] == 0.0

@@ -426,11 +426,13 @@ def test_kernel_purity_allows_argument_shadowing_a_global():
     assert lint_kernel(code) == []
 
 
-def test_kernel_purity_exempts_registry_and_non_kernel_files():
+def test_kernel_purity_exempts_only_init_and_non_kernel_files():
     stateful = "_CACHE = {}\n\ndef f():\n    return _CACHE\n"
-    assert lint_source("src/repro/kernels/backend.py", stateful) == []
     assert lint_source("src/repro/kernels/__init__.py", stateful) == []
     assert lint_src(stateful) == []
+    # Every other module of the package is a kernel module, whatever its name.
+    flagged = lint_source("src/repro/kernels/backend.py", stateful)
+    assert "kernel-purity" in rules_fired(flagged)
 
 
 # ---------------------------------------------------------------------------

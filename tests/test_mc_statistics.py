@@ -798,7 +798,7 @@ class TestCorrelatedVariation:
     @pytest.mark.parametrize("preset", ["passives", "thermal"])
     def test_empirical_correlation_matches_preset(self, preset: str) -> None:
         model = component_correlation_preset(preset)
-        parameters = VARIATION.sample_batch(
+        parameters = VARIATION.sample_instances(
             NOMINAL, CORRELATION_DRAWS, correlation=model
         )
         empirical = np.corrcoef(_recover_z(parameters))
@@ -809,25 +809,13 @@ class TestCorrelatedVariation:
     @pytest.mark.parametrize("preset", ["passives", "thermal"])
     def test_marginals_keep_iid_moments(self, preset: str) -> None:
         model = component_correlation_preset(preset)
-        parameters = VARIATION.sample_batch(
+        parameters = VARIATION.sample_instances(
             NOMINAL, CORRELATION_DRAWS, correlation=model
         )
         z = _recover_z(parameters)
         bound = 3.0 / math.sqrt(CORRELATION_DRAWS)
         assert (np.abs(z.mean(axis=1)) <= bound + 1e-9).all()
         assert (np.abs(z.std(axis=1) - 1.0) <= 2.0 * bound).all()
-
-    def test_identity_sample_batch_is_bitwise_vanilla(self) -> None:
-        vanilla = VARIATION.sample_batch(NOMINAL, 64)
-        for model in (
-            component_correlation_preset("identity"),
-            CorrelatedVariationModel.identity(5),
-        ):
-            correlated = VARIATION.sample_batch(NOMINAL, 64, correlation=model)
-            for name in _FIELDS:
-                np.testing.assert_array_equal(
-                    getattr(vanilla, name), getattr(correlated, name)
-                )
 
     def test_identity_sample_instances_is_bitwise_vanilla(self) -> None:
         correlated = VARIATION.sample_instances(
@@ -880,8 +868,6 @@ class TestCorrelatedVariation:
         matrix = np.eye(3)
         matrix[0, 1] = matrix[1, 0] = 0.5
         small = CorrelatedVariationModel(matrix=matrix)
-        with pytest.raises(ValueError, match="spans 3 axes"):
-            VARIATION.sample_batch(NOMINAL, 8, correlation=small)
         with pytest.raises(ValueError, match="spans 3 axes"):
             VARIATION.sample_instances(NOMINAL, 8, correlation=small)
 
