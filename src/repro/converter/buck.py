@@ -20,7 +20,7 @@ of a millivolt on the regulation workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,11 @@ __all__ = [
     "BuckParameters",
     "BuckPowerStage",
     "BuckState",
+    "PlantTerms",
+    "duration_coefficients",
     "exact_interval_coefficients",
     "plant_matrix_entries",
+    "plant_terms",
 ]
 
 
@@ -59,38 +62,40 @@ def plant_matrix_entries(
 _DEGENERATE_EPS = 1e-24
 
 
-def exact_interval_coefficients(
-    a: Any, b: Any, c: Any, d: Any, duration: Any
-) -> tuple[Any, Any, Any, Any, Any, Any]:
-    """Exact discrete-time update coefficients for a 2-state linear interval.
+class PlantTerms(NamedTuple):
+    """Duration-independent terms of the closed-form interval update.
 
-    For ``dx/dt = A x + u`` with ``A = [[a, b], [c, d]]`` constant over
-    ``duration`` and a constant drive ``u``, the exact update is::
+    ``(a, b, c, d)`` are the system-matrix entries as float arrays; ``mu``
+    and ``delta`` the half-sum and half-difference of the diagonal; ``q``
+    the eigenvalue split (1 where ``degenerate``); ``oscillatory`` marks
+    the underdamped plants (``q**2 < 0``) and ``det`` is ``det(A)``.  All
+    fields broadcast together, one entry per plant.
+    """
 
-        x(T) = Ad @ x(0) + M @ u        with  Ad = expm(A T),
-                                              M  = inv(A) @ (Ad - eye(2))
+    a: Any
+    b: Any
+    c: Any
+    d: Any
+    mu: Any
+    delta: Any
+    q: Any
+    degenerate: Any
+    oscillatory: Any
+    det: Any
 
-    The matrix exponential is evaluated in closed form: with
-    ``mu = (a + d) / 2`` and ``q**2 = ((a - d) / 2)**2 + b c``,
 
-        ``expm(A T) = exp(mu T) * (C(T) I + S(T) (A - mu I))``
+def plant_terms(a: Any, b: Any, c: Any, d: Any) -> PlantTerms:
+    """The duration-independent half of :func:`exact_interval_coefficients`.
 
-    where ``C = cosh(q T)`` and ``S = sinh(q T) / q`` (which become
-    ``cos``/``sin`` for the underdamped case ``q**2 < 0`` and ``1``/``T``
-    in the critically damped limit).  All inputs may be scalars or
-    broadcastable numpy arrays, which is what the batch engine relies on.
-
-    Returns:
-        ``(ad11, ad12, ad21, ad22, m11, m21)`` -- the four entries of ``Ad``
-        and the first column of ``M`` (the buck's drive only has a first
-        component, ``u = [Vs / L, 0]``, so the second column is never
-        needed).
+    A plant's terms serve every interval it is advanced over, so callers
+    that evaluate many durations of one plant (the on and off intervals of
+    a period, every duty word of a load level) compute them once and pass
+    them to :func:`duration_coefficients`.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)
-    duration = np.asarray(duration, dtype=float)
 
     mu = 0.5 * (a + d)
     delta = 0.5 * (a - d)
@@ -98,8 +103,26 @@ def exact_interval_coefficients(
     scale = np.maximum(mu * mu, np.abs(q_squared))
     degenerate = np.abs(q_squared) <= _DEGENERATE_EPS * np.maximum(scale, 1.0)
     q = np.sqrt(np.abs(np.where(degenerate, 1.0, q_squared)))
-    qt = q * duration
     oscillatory = q_squared < 0
+    # det(A) > 0 for any physical buck (d = -1/(R C) and b c = -1/(L C)
+    # make it strictly positive); M = inv(A) (Ad - I) divides by it.
+    det = a * d - b * c
+    return PlantTerms(a, b, c, d, mu, delta, q, degenerate, oscillatory, det)
+
+
+def duration_coefficients(
+    terms: PlantTerms, duration: Any
+) -> tuple[Any, Any, Any, Any, Any, Any]:
+    """The duration half of :func:`exact_interval_coefficients`.
+
+    ``duration`` broadcasts against the plant terms, so a ``(2, N)`` stack
+    of on and off times evaluates both intervals of ``N`` plants in one
+    pass.  Every operation is elementwise, so each entry equals the
+    separate evaluation of its own plant and duration bit for bit.
+    """
+    a, b, c, d, mu, delta, q, degenerate, oscillatory, det = terms
+    duration = np.asarray(duration, dtype=float)
+    qt = q * duration
 
     envelope = np.exp(mu * duration)
     # Overdamped branch.  For moderate q t, evaluate exp(mu t) * cosh/sinh
@@ -126,12 +149,45 @@ def exact_interval_coefficients(
     ad22 = cosh_env - sinh_env * delta
 
     # M = inv(A) (Ad - I); only the first column is needed because the
-    # drive's second component is zero.  det(A) > 0 for any physical buck
-    # (d = -1/(R C) and b c = -1/(L C) make it strictly positive).
-    det = a * d - b * c
+    # drive's second component is zero.
     m11 = (d * (ad11 - 1.0) - b * ad21) / det
     m21 = (a * ad21 - c * (ad11 - 1.0)) / det
     return ad11, ad12, ad21, ad22, m11, m21
+
+
+def exact_interval_coefficients(
+    a: Any, b: Any, c: Any, d: Any, duration: Any
+) -> tuple[Any, Any, Any, Any, Any, Any]:
+    """Exact discrete-time update coefficients for a 2-state linear interval.
+
+    For ``dx/dt = A x + u`` with ``A = [[a, b], [c, d]]`` constant over
+    ``duration`` and a constant drive ``u``, the exact update is::
+
+        x(T) = Ad @ x(0) + M @ u        with  Ad = expm(A T),
+                                              M  = inv(A) @ (Ad - eye(2))
+
+    The matrix exponential is evaluated in closed form: with
+    ``mu = (a + d) / 2`` and ``q**2 = ((a - d) / 2)**2 + b c``,
+
+        ``expm(A T) = exp(mu T) * (C(T) I + S(T) (A - mu I))``
+
+    where ``C = cosh(q T)`` and ``S = sinh(q T) / q`` (which become
+    ``cos``/``sin`` for the underdamped case ``q**2 < 0`` and ``1``/``T``
+    in the critically damped limit).  All inputs may be scalars or
+    broadcastable numpy arrays, which is what the batch engine relies on.
+
+    The evaluation is :func:`plant_terms` (everything that depends on the
+    plant alone) composed with :func:`duration_coefficients`; this
+    function is that composition and nothing else, so the scalar stepper
+    and the batch engine share one copy of the math.
+
+    Returns:
+        ``(ad11, ad12, ad21, ad22, m11, m21)`` -- the four entries of ``Ad``
+        and the first column of ``M`` (the buck's drive only has a first
+        component, ``u = [Vs / L, 0]``, so the second column is never
+        needed).
+    """
+    return duration_coefficients(plant_terms(a, b, c, d), duration)
 
 
 @dataclass(frozen=True)

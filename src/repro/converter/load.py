@@ -19,6 +19,7 @@ from typing import Protocol
 import numpy as np
 
 __all__ = [
+    "load_schedule",
     "LoadProfile",
     "ReferenceProfile",
     "SourceProfile",
@@ -37,6 +38,31 @@ class LoadProfile(Protocol):
 
     def resistance_at(self, period_index: int) -> float:  # pragma: no cover
         ...
+
+
+def _period_indices(start: int, count: int) -> np.ndarray:
+    """The int64 period indices ``start .. start + count``."""
+    if count < 0:
+        raise ValueError(f"count must be non-negative; got {count}")
+    return np.arange(start, start + count, dtype=np.int64)
+
+
+def load_schedule(load: LoadProfile, start: int, count: int) -> np.ndarray:
+    """Resistances of ``load`` over periods ``start .. start + count``.
+
+    Profiles with a vectorized ``resistances(start, count)`` method (every
+    primitive here, :class:`~repro.converter.missions.MissionProfile` and
+    :class:`~repro.converter.missions.OffsetLoad`) resolve the whole window
+    in a few array operations; any other profile falls back to exactly one
+    ``resistance_at`` call per period.  Either way entry ``k`` equals
+    ``load.resistance_at(start + k)`` bit for bit.
+    """
+    vectorized = getattr(load, "resistances", None)
+    if vectorized is not None:
+        return np.asarray(vectorized(start, count), dtype=float)
+    return np.array(
+        [load.resistance_at(start + offset) for offset in range(count)], dtype=float
+    )
 
 
 class ReferenceProfile(Protocol):
@@ -72,6 +98,10 @@ class ConstantLoad:
         """Load resistance during the given switching period."""
         return self.resistance_ohm
 
+    def resistances(self, start: int, count: int) -> np.ndarray:
+        """The window ``[start, start + count)`` at once (see :func:`load_schedule`)."""
+        return np.full(count, self.resistance_ohm, dtype=float)
+
 
 @dataclass(frozen=True)
 class SteppedLoad:
@@ -104,6 +134,12 @@ class SteppedLoad:
         if self.step_up_period <= period_index < self.step_down_period:
             return self.heavy_ohm
         return self.light_ohm
+
+    def resistances(self, start: int, count: int) -> np.ndarray:
+        """The window ``[start, start + count)`` at once (see :func:`load_schedule`)."""
+        index = _period_indices(start, count)
+        heavy = (self.step_up_period <= index) & (index < self.step_down_period)
+        return np.where(heavy, self.heavy_ohm, self.light_ohm)
 
 
 @dataclass(frozen=True)
@@ -145,6 +181,21 @@ class RampLoad:
         )
         return self.start_ohm + progress * (self.end_ohm - self.start_ohm)
 
+    def resistances(self, start: int, count: int) -> np.ndarray:
+        """The window ``[start, start + count)`` at once (see :func:`load_schedule`).
+
+        The same IEEE operations as :meth:`resistance_at`: the integer
+        offsets divide exactly as Python's true division does.
+        """
+        index = _period_indices(start, count)
+        progress = (index - self.ramp_start_period) / (
+            self.ramp_end_period - self.ramp_start_period
+        )
+        ramp = self.start_ohm + progress * (self.end_ohm - self.start_ohm)
+        ramp[index <= self.ramp_start_period] = self.start_ohm
+        ramp[index >= self.ramp_end_period] = self.end_ohm
+        return ramp
+
 
 @dataclass(frozen=True)
 class PulseTrainLoad:
@@ -177,6 +228,13 @@ class PulseTrainLoad:
             return self.light_ohm
         phase = (period_index - self.first_pulse_period) % self.train_period
         return self.heavy_ohm if phase < self.pulse_periods else self.light_ohm
+
+    def resistances(self, start: int, count: int) -> np.ndarray:
+        """The window ``[start, start + count)`` at once (see :func:`load_schedule`)."""
+        index = _period_indices(start, count)
+        phase = (index - self.first_pulse_period) % self.train_period
+        heavy = (index >= self.first_pulse_period) & (phase < self.pulse_periods)
+        return np.where(heavy, self.heavy_ohm, self.light_ohm)
 
 
 @dataclass(frozen=True)
@@ -220,6 +278,13 @@ class RandomBurstLoad:
         if self._heavy_mask[period_index % self.horizon_periods]:
             return self.heavy_ohm
         return self.light_ohm
+
+    def resistances(self, start: int, count: int) -> np.ndarray:
+        """The window ``[start, start + count)`` at once (see :func:`load_schedule`)."""
+        if start < 0:
+            raise ValueError("period index must be non-negative")
+        heavy = self._heavy_mask[_period_indices(start, count) % self.horizon_periods]
+        return np.where(heavy, self.heavy_ohm, self.light_ohm)
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,7 @@ from repro.converter.load import (
     RandomBurstLoad,
     ReferenceProfile,
     SourceProfile,
+    load_schedule,
 )
 from repro.streams import instance_streams
 
@@ -200,6 +201,36 @@ class MissionProfile:
         load = segment.load if segment.load is not None else self.default_load
         return load.resistance_at(local)
 
+    def resistances(self, start: int, count: int) -> np.ndarray:
+        """Resistances of periods ``start .. start + count``.
+
+        Walks the segment windows the range overlaps and resolves each
+        overlap with one :func:`~repro.converter.load.load_schedule` call
+        at segment-local indices; the last segment's window is open-ended,
+        so the tail overhang past :attr:`total_periods` is its final leg
+        held, exactly as :meth:`resistance_at` evaluates it.
+        """
+        if start < 0:
+            raise ValueError(f"period index must be non-negative; got {start}")
+        if count < 0:
+            raise ValueError(f"count must be non-negative; got {count}")
+        stop = start + count
+        schedule = np.empty(count)
+        last = len(self.segments) - 1
+        for position, segment in enumerate(self.segments):
+            segment_start = self._starts[position]
+            segment_end = (
+                stop if position == last else segment_start + segment.duration_periods
+            )
+            low, high = max(start, segment_start), min(stop, segment_end)
+            if low >= high:
+                continue
+            load = segment.load if segment.load is not None else self.default_load
+            schedule[low - start : high - start] = load_schedule(
+                load, low - segment_start, high - low
+            )
+        return schedule
+
     def reference_at(self, period_index: int) -> float:
         """Reference voltage during the given (mission-global) period."""
         segment, local = self._locate(period_index)
@@ -261,6 +292,12 @@ class OffsetLoad:
                 f"period index must be non-negative; got {period_index}"
             )
         return self.load.resistance_at(self.offset_periods + period_index)
+
+    def resistances(self, start: int, count: int) -> np.ndarray:
+        """Resistances of periods ``start .. start + count`` at the shifted index."""
+        if start < 0:
+            raise ValueError(f"period index must be non-negative; got {start}")
+        return load_schedule(self.load, self.offset_periods + start, count)
 
 
 @dataclass(frozen=True)

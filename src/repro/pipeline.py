@@ -444,18 +444,34 @@ class ChunkedSiliconToRegulation:
         .ThermalDerating`), with exact closed-loop state carry-over across
         the boundaries -- an all-nominal-temperature trace reproduces the
         unsplit run bit for bit.
+
+        Only a mission's *load* channel is applied: the fleet regulates to
+        ``reference_v`` from the nominal input rail.  A mission that sets a
+        reference or source channel (a segment ``reference``/``source``
+        scenario, ``default_reference_v`` or ``default_source_v``) raises a
+        ``ValueError`` naming the instance and the channel rather than
+        being flown without it.
         """
         if thermal is not None and temperature_trace is None:
             raise ValueError("thermal derating requires a temperature_trace")
-        ensemble = self.fabricator.fabricate(
-            num_instances, first_instance=first_instance
-        )
-        base_parameters = self._chunk_parameters(num_instances, first_instance)
         mission_list = (
             resolve_missions(missions, num_instances, first_instance)
             if missions is not None
             else None
         )
+        for offset, mission in enumerate(mission_list or ()):
+            channel = _unapplied_channel(mission)
+            if channel is not None:
+                raise ValueError(
+                    f"the mission of instance {first_instance + offset} sets "
+                    f"a {channel}, but run_chunk applies only mission loads "
+                    "(the fleet regulates to reference_v from the nominal "
+                    "input rail); drop the channel from the mission"
+                )
+        ensemble = self.fabricator.fabricate(
+            num_instances, first_instance=first_instance
+        )
+        base_parameters = self._chunk_parameters(num_instances, first_instance)
         if temperature_trace is not None:
             epochs: list[tuple[int, int, float | None]] = [
                 (start, end, temperature)
@@ -560,6 +576,24 @@ class ChunkedSiliconToRegulation:
             first_instance=first_instance,
             correlation=self.correlation,
         )
+
+
+def _unapplied_channel(mission: MissionProfile) -> str | None:
+    """The first reference or source channel a mission sets, if any.
+
+    :meth:`ChunkedSiliconToRegulation.run_chunk` flies only the load
+    channel of a mission, so any of these would be silently ignored.
+    """
+    if mission.default_reference_v is not None:
+        return "reference channel (default_reference_v)"
+    if mission.default_source_v is not None:
+        return "source channel (default_source_v)"
+    for index, segment in enumerate(mission.segments):
+        if segment.reference is not None:
+            return f"reference channel (segment {index} reference scenario)"
+        if segment.source is not None:
+            return f"source channel (segment {index} source scenario)"
+    return None
 
 
 def closed_loop_cell(

@@ -50,6 +50,7 @@ ideal 6-bit DPWM, advanced 200 switching periods in one vectorized run:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -59,7 +60,9 @@ import numpy.typing as npt
 from repro.converter.adc import WindowedADC
 from repro.converter.buck import (
     BuckParameters,
+    PlantTerms,
     plant_matrix_entries,
+    plant_terms,
 )
 from repro.converter.closed_loop import (
     DigitallyControlledBuck,
@@ -73,11 +76,12 @@ from repro.converter.load import (
     LoadProfile,
     ReferenceProfile,
     SourceProfile,
+    load_schedule,
 )
 from repro.kernels.closed_loop import (
     apply_period_step,
     gather_coefficients,
-    interval_coefficients,
+    period_coefficients,
     pid_update,
     quantize_duty,
 )
@@ -432,11 +436,12 @@ class _LoadCoefficientTable:
     variant only ever visits a handful of distinct words.  This table
     memoizes the exact-stepper coefficients per duty word: the first period
     a word value appears, its on/off coefficients are evaluated for every
-    variant at once (one vectorized :func:`exact_interval_coefficients`
-    pair); afterwards a period costs one fancy-indexing gather no matter
-    how the fleet dithers.  Gathered values are bit-identical to computing
-    the coefficients fresh because the evaluation is elementwise per
-    variant.
+    variant at once (one fused :func:`~repro.kernels.closed_loop
+    .period_coefficients` call on the load level's precomputed
+    :class:`~repro.converter.buck.PlantTerms`); afterwards a period costs
+    one fancy-indexing gather no matter how the fleet dithers.  Gathered
+    values are bit-identical to computing the coefficients fresh because
+    the evaluation is elementwise per variant.
     """
 
     #: At most this many brand-new words are cached per period.  A settled
@@ -445,8 +450,8 @@ class _LoadCoefficientTable:
     #: mixed evaluation stays bounded.
     FILL_BUDGET_PER_PERIOD = 8
 
-    def __init__(self, plant: tuple, max_words: int) -> None:
-        self.plant = plant  # (a, b, c, d) system-matrix entries, per variant
+    def __init__(self, terms: PlantTerms, max_words: int) -> None:
+        self.terms = terms
         self.slot_of_word = np.full(max_words, -1, dtype=np.int64)
         self.table: np.ndarray | None = None  # (slots, variants, 12)
         self.used = 0
@@ -454,8 +459,7 @@ class _LoadCoefficientTable:
 
     def _evaluate(self, on_time: np.ndarray, period_s: np.ndarray) -> np.ndarray:
         """``(variants, 12)`` on+off coefficients for per-variant on-times."""
-        a, b, c, d = self.plant
-        return interval_coefficients(a, b, c, d, on_time, period_s)
+        return period_coefficients(self.terms, on_time, period_s)
 
     def coefficients(
         self,
@@ -468,10 +472,10 @@ class _LoadCoefficientTable:
         """``(variants, 12)`` on+off coefficients for this period's words.
 
         Values are bit-identical whether gathered from the table or
-        evaluated directly: :func:`exact_interval_coefficients` is
-        elementwise per variant, so computing a word column for the whole
-        fleet and gathering each variant's slot later reproduces the mixed
-        evaluation float for float.
+        evaluated directly: :func:`~repro.kernels.closed_loop
+        .period_coefficients` is elementwise per variant, so computing a
+        word column for the whole fleet and gathering each variant's slot
+        later reproduces the mixed evaluation float for float.
         """
         self.periods_seen += 1
         slots = self.slot_of_word[words]
@@ -639,7 +643,8 @@ class BatchClosedLoop:
         self._variant_loads = list(loads) if loads is not None else None
         # Loads that declare themselves static (ConstantLoad sets is_static)
         # are evaluated once and the resistance vector is reused every
-        # period; anything else is re-evaluated per period as before.
+        # period; anything else is resolved once per run into the
+        # (periods, variants) schedule (see _load_schedule).
         if self._variant_loads is not None:
             loads_static = all(
                 getattr(variant_load, "is_static", False)
@@ -652,7 +657,7 @@ class BatchClosedLoop:
         self.reference_profile = reference_profile
         self.source_profile = source_profile
         if start_at_reference:
-            initial_load = self._load_resistances(0)
+            initial_load = self._load_schedule(np.empty((1, num_variants)))[0]
             self.output_voltage_v = initial_reference.copy()
             self.inductor_current_a = initial_reference / initial_load
         else:
@@ -663,25 +668,41 @@ class BatchClosedLoop:
     def num_variants(self) -> int:
         return self.parameters.num_variants
 
-    def _load_resistances(self, period_index: int) -> np.ndarray:
-        if self._static_resistances is not None:
-            return self._static_resistances
-        if self._variant_loads is not None:
-            resistances = np.array(
-                [load.resistance_at(period_index) for load in self._variant_loads]
-            )
-        else:
-            resistances = np.broadcast_to(
-                np.asarray(self._shared_load.resistance_at(period_index), dtype=float),
-                (self.num_variants,),
-            )
-        if np.any(resistances <= 0):
-            raise ValueError(
-                f"load resistance must be positive in period {period_index}"
-            )
+    def _load_schedule(self, schedule: np.ndarray) -> np.ndarray:
+        """Fill ``schedule`` with the loads of periods ``0 .. len(schedule)``.
+
+        ``schedule`` has shape ``(periods, variants)`` (the run writes the
+        result's ``load_resistances_ohm`` array in place).  Static loads are
+        evaluated once per loop and broadcast; dynamic profiles are resolved
+        with one :func:`~repro.converter.load.load_schedule` call each, which
+        is vectorized for the library's profiles and one ``resistance_at``
+        per period for any other.
+        """
         if self._loads_static:
-            self._static_resistances = resistances
-        return resistances
+            if self._static_resistances is None:
+                self._static_resistances = self._evaluate_loads(
+                    np.empty((1, self.num_variants))
+                )[0]
+            schedule[...] = self._static_resistances
+            return schedule
+        return self._evaluate_loads(schedule)
+
+    def _evaluate_loads(self, schedule: np.ndarray) -> np.ndarray:
+        """Resolve the load profiles into ``schedule`` and check the values."""
+        periods = schedule.shape[0]
+        if self._variant_loads is not None:
+            for column, variant_load in enumerate(self._variant_loads):
+                schedule[:, column] = load_schedule(variant_load, 0, periods)
+        else:
+            schedule[...] = load_schedule(self._shared_load, 0, periods).reshape(
+                periods, -1
+            )
+        nonpositive = np.flatnonzero(np.any(schedule <= 0, axis=1))
+        if nonpositive.size:
+            raise ValueError(
+                f"load resistance must be positive in period {nonpositive[0]}"
+            )
+        return schedule
 
     def run(self, periods: int) -> BatchRegulationResult:
         """Run the closed loop for a number of switching periods."""
@@ -692,12 +713,12 @@ class BatchClosedLoop:
         series_resistance = params.switch_resistance_ohm + params.inductor_resistance_ohm
         period_s = params.switching_period_s
 
+        loads_out = self._load_schedule(np.empty((periods, num_variants)))
         voltages = np.empty((periods, num_variants))
         currents = np.empty((periods, num_variants))
         words_out = np.empty((periods, num_variants), dtype=np.int64)
         duties_out = np.empty((periods, num_variants))
         codes_out = np.empty((periods, num_variants), dtype=np.int64)
-        loads_out = np.empty((periods, num_variants))
 
         current = self.inductor_current_a
         voltage = self.output_voltage_v
@@ -710,6 +731,29 @@ class BatchClosedLoop:
         load_tables: dict[bytes, _LoadCoefficientTable] = {}
         max_words = int(self.quantizer.num_words.max())
         variant_rows = np.arange(num_variants)
+
+        def terms_for(rload: np.ndarray) -> PlantTerms:
+            return plant_terms(
+                *plant_matrix_entries(
+                    inductance_h=params.inductance_h,
+                    capacitance_f=params.capacitance_f,
+                    series_resistance_ohm=series_resistance,
+                    load_resistance_ohm=rload,
+                )
+            )
+
+        # A load row that occurs once in the run (a fleet with some instance
+        # mid-ramp) would retire its table after one period, so it skips the
+        # table and pays the table's first-period cost: one direct fused
+        # evaluation.  Rows are told apart by the hash of their bytes; a
+        # collision only makes a one-shot row look recurring, which costs a
+        # table but never changes a value.  Static loads repeat one row.
+        if self._loads_static:
+            recurs = [True] * periods
+        else:
+            row_hashes = [hash(row.tobytes()) for row in loads_out]
+            occurrences = Counter(row_hashes)
+            recurs = [occurrences[row_hash] > 1 for row_hash in row_hashes]
         for index in range(periods):
             if self.reference_profile is not None:
                 reference = self.reference_profile.reference_at(index)
@@ -718,29 +762,26 @@ class BatchClosedLoop:
             codes = self.adc.quantize_error_array(reference, voltage)
             commands = self.compensator.update(codes)
             words, duties = self.quantizer.quantize(commands)
-            rload = self._load_resistances(index)
+            rload = loads_out[index]
             if self.source_profile is not None:
                 source_voltage = self.source_profile.voltage_at(index)
             else:
                 source_voltage = params.input_voltage_v
-            rload_key = rload.tobytes()
-            table = load_tables.get(rload_key)
-            if table is None:
-                if len(load_tables) >= self.MAX_CACHED_LOADS:
-                    load_tables.clear()
-                table = _LoadCoefficientTable(
-                    plant_matrix_entries(
-                        inductance_h=params.inductance_h,
-                        capacitance_f=params.capacitance_f,
-                        series_resistance_ohm=series_resistance,
-                        load_resistance_ohm=rload,
-                    ),
-                    max_words,
+            if not recurs[index]:
+                step = period_coefficients(
+                    terms_for(rload), duties * period_s, period_s
                 )
-                load_tables[rload_key] = table
-            step = table.coefficients(
-                words, duties, self.quantizer.levels, period_s, variant_rows
-            )
+            else:
+                rload_key = rload.tobytes()
+                table = load_tables.get(rload_key)
+                if table is None:
+                    if len(load_tables) >= self.MAX_CACHED_LOADS:
+                        load_tables.clear()
+                    table = _LoadCoefficientTable(terms_for(rload), max_words)
+                    load_tables[rload_key] = table
+                step = table.coefficients(
+                    words, duties, self.quantizer.levels, period_s, variant_rows
+                )
             # On interval with the switch node at the source voltage, then
             # the drive-free off interval, in one kernel call.
             drive = np.broadcast_to(
@@ -753,7 +794,6 @@ class BatchClosedLoop:
             words_out[index] = words
             duties_out[index] = duties
             codes_out[index] = codes
-            loads_out[index] = rload
         self.inductor_current_a = current
         self.output_voltage_v = voltage
         return BatchRegulationResult(

@@ -15,6 +15,11 @@ Three contracts, hypothesis-tested where the statement is universal:
   the shared-load path).
 * **Scoring** -- :func:`mission_yield` attributes failures per segment and
   its summary stays JSON-serializable.
+* **Vectorized schedules** -- every load primitive, :class:`MissionProfile`
+  and :class:`OffsetLoad` resolve a window of periods with
+  ``resistances(start, count)`` bit-identically to one ``resistance_at``
+  per period, which is what lets the batch engine resolve a run's whole
+  load schedule up front.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ from repro.converter.load import (
     RampLoad,
     RandomBurstLoad,
     ReferenceStep,
+    SteppedLoad,
+    load_schedule,
 )
 from repro.converter.missions import (
     MISSION_STREAM_TAG,
@@ -154,6 +161,177 @@ class TestMissionComposition:
         assert mission.voltage_at(11) == 1.8
         assert mission.voltage_at(12) == 1.5
         assert mission.voltage_at(16) == 1.8
+
+
+# ---------------------------------------------------------------------------
+# Vectorized schedules.
+# ---------------------------------------------------------------------------
+
+ohms = st.floats(
+    min_value=0.05, max_value=50.0, allow_nan=False, allow_infinity=False
+)
+primitive_loads = st.one_of(
+    st.builds(ConstantLoad, ohms),
+    st.builds(
+        lambda light, heavy, up, width: SteppedLoad(light, heavy, up, up + width),
+        ohms,
+        ohms,
+        st.integers(0, 60),
+        st.integers(1, 60),
+    ),
+    st.builds(
+        lambda begin, end, start, width: RampLoad(begin, end, start, start + width),
+        ohms,
+        ohms,
+        st.integers(0, 60),
+        st.integers(1, 60),
+    ),
+    st.builds(
+        lambda light, heavy, pulse, gap, first: PulseTrainLoad(
+            light, heavy, pulse, pulse + gap, first
+        ),
+        ohms,
+        ohms,
+        st.integers(1, 10),
+        st.integers(1, 10),
+        st.integers(0, 30),
+    ),
+    st.builds(
+        RandomBurstLoad,
+        ohms,
+        ohms,
+        burst_probability=st.floats(0.0, 1.0),
+        burst_periods=st.integers(1, 10),
+        horizon_periods=st.integers(1, 40),
+        seed=st.integers(0, 2**31 - 1),
+    ),
+)
+
+
+class ScalarOnlyLoad:
+    """A custom profile with ``resistance_at`` only (the fallback path)."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.calls = 0
+
+    def resistance_at(self, period_index: int) -> float:
+        self.calls += 1
+        return self.inner.resistance_at(period_index)
+
+
+mission_profiles = st.builds(
+    lambda legs, default: MissionProfile(
+        segments=tuple(MissionSegment(duration, load) for duration, load in legs),
+        default_load=default,
+    ),
+    st.lists(
+        st.tuples(
+            st.integers(1, 40),
+            st.one_of(
+                st.none(), primitive_loads, primitive_loads.map(ScalarOnlyLoad)
+            ),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    primitive_loads,
+)
+offset_loads = st.builds(
+    OffsetLoad, st.one_of(primitive_loads, mission_profiles), st.integers(0, 100)
+)
+
+
+def _assert_schedule_matches_scalar(load, start: int, count: int) -> None:
+    expected = np.array(
+        [load.resistance_at(start + offset) for offset in range(count)], dtype=float
+    )
+    vectorized = load.resistances(start, count)
+    assert vectorized.dtype == np.float64
+    assert vectorized.shape == (count,)
+    # Compare raw bits: -0.0 vs 0.0 or a one-ulp ramp drift would fail.
+    assert vectorized.tobytes() == expected.tobytes()
+
+
+_RAMP = RampLoad(start_ohm=2.0, end_ohm=0.7, ramp_start_period=5, ramp_end_period=12)
+_EDGE_MISSION = MissionProfile(
+    segments=(
+        MissionSegment(duration_periods=5, load=ConstantLoad(2.0)),
+        MissionSegment(duration_periods=4, load=_RAMP),
+        MissionSegment(duration_periods=3),
+    ),
+    default_load=PulseTrainLoad(
+        light_ohm=2.0, heavy_ohm=0.9, pulse_periods=2, train_period=5
+    ),
+)
+
+
+class TestVectorizedSchedule:
+    @given(
+        load=st.one_of(primitive_loads, mission_profiles, offset_loads),
+        start=st.integers(min_value=0, max_value=150),
+        count=st.integers(min_value=0, max_value=120),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_resistances_equal_per_period_evaluation(
+        self, load, start: int, count: int
+    ) -> None:
+        _assert_schedule_matches_scalar(load, start, count)
+
+    @pytest.mark.parametrize(
+        "load, start, count",
+        [
+            pytest.param(_RAMP, 0, 20, id="ramp-endpoints"),
+            pytest.param(_RAMP, 5, 8, id="ramp-exact-window"),
+            pytest.param(
+                PulseTrainLoad(
+                    light_ohm=2.0,
+                    heavy_ohm=0.9,
+                    pulse_periods=3,
+                    train_period=7,
+                    first_pulse_period=4,
+                ),
+                0,
+                40,
+                id="pulse-phase-wrap",
+            ),
+            pytest.param(
+                RandomBurstLoad(
+                    light_ohm=2.0,
+                    heavy_ohm=0.9,
+                    burst_probability=0.3,
+                    burst_periods=2,
+                    horizon_periods=16,
+                    seed=5,
+                ),
+                10,
+                50,
+                id="burst-horizon-wrap",
+            ),
+            pytest.param(_EDGE_MISSION, 3, 30, id="mission-tail-overhang"),
+            pytest.param(_EDGE_MISSION, 40, 10, id="mission-beyond-the-end"),
+            pytest.param(OffsetLoad(_EDGE_MISSION, 7), 3, 20, id="offset-mission"),
+            pytest.param(
+                OffsetLoad(OffsetLoad(_RAMP, 2), 3), 0, 15, id="nested-offsets"
+            ),
+        ],
+    )
+    def test_edges(self, load, start: int, count: int) -> None:
+        _assert_schedule_matches_scalar(load, start, count)
+
+    def test_fallback_calls_resistance_at_once_per_period(self) -> None:
+        custom = ScalarOnlyLoad(_RAMP)
+        schedule = load_schedule(custom, 3, 11)
+        assert custom.calls == 11
+        assert schedule.tobytes() == _RAMP.resistances(3, 11).tobytes()
+
+    def test_negative_windows_are_rejected(self) -> None:
+        burst = RandomBurstLoad(light_ohm=2.0, heavy_ohm=0.9)
+        for load in (_EDGE_MISSION, OffsetLoad(_RAMP, 3), burst):
+            with pytest.raises(ValueError, match="non-negative"):
+                load.resistances(-1, 4)
+        with pytest.raises(ValueError, match="non-negative"):
+            _EDGE_MISSION.resistances(0, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@
 Every kernel is property-tested against an independent straightforward
 reference (python loops over instances); the kernels preserve the
 reference operation order, so every comparison demands bit-identity.
+The fused on/off coefficient kernel is also checked branch by branch
+(oscillatory, overdamped-grouped, degenerate) against the separate
+per-interval evaluation, and through the batch engine's coefficient table.
 """
 
 from __future__ import annotations
@@ -11,8 +14,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.converter.buck import exact_interval_coefficients
+from repro.converter.buck import exact_interval_coefficients, plant_terms
 from repro.kernels import closed_loop, ensemble, fabrication
+from repro.simulation.batch import _LoadCoefficientTable
 
 # --- per-kernel equivalence properties ------------------------------------
 
@@ -336,3 +340,136 @@ class TestKernelEquivalence:
             assert result[i, 0] == 0.0
             for w in range(1, num_words):
                 assert result[i, w] == min(delays[i, w - 1] / clock_period, 1.0)
+
+
+# --- the fused on/off coefficient kernel ------------------------------------
+
+
+def bit_pattern(array) -> np.ndarray:
+    """The raw float64 bits, so -0.0 != 0.0 and every ulp counts."""
+    return np.ascontiguousarray(array, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def branch_plant(draw, branch):
+    """One ``(a, b, c, d)`` plant whose closed form takes ``branch``.
+
+    * ``oscillatory`` -- ``q**2 < 0`` (the underdamped buck);
+    * ``grouped`` -- overdamped with a large eigenvalue split, so durations
+      near 1 push ``q t`` past 30 and the exp((mu +/- q) t) grouping runs;
+    * ``degenerate`` -- ``q**2 == 0`` exactly (critically damped).
+
+    Every plant has ``det(A) > 0``, as a physical buck does.
+    """
+    negative = lambda lo, hi: st.floats(  # noqa: E731
+        min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False
+    )
+    if branch == "oscillatory":
+        a, d = draw(negative(-20.0, -1e-3)), draw(negative(-20.0, -1e-3))
+        delta = 0.5 * (a - d)
+        return a, -1.0, delta * delta + draw(negative(0.5, 100.0)), d
+    if branch == "grouped":
+        return draw(negative(-200.0, -100.0)), -1.0, draw(negative(0.1, 1.0)), (
+            draw(negative(-2.0, -0.5))
+        )
+    diagonal = draw(negative(-20.0, -0.1))
+    return diagonal, -1.0, 0.0, diagonal
+
+
+BRANCHES = ("oscillatory", "grouped", "degenerate")
+
+
+@st.composite
+def mixed_plants(draw):
+    """Per-variant plant entries drawn over all three branches, plus times."""
+    n = draw(st.integers(1, 6))
+    rows = [
+        draw(branch_plant(draw(st.sampled_from(BRANCHES)))) for _ in range(n)
+    ]
+    a, b, c, d = (np.array(column, dtype=float) for column in zip(*rows))
+    unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+    period = np.asarray(
+        draw(
+            st.lists(
+                st.floats(min_value=0.5, max_value=2.0, allow_nan=False),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    on_time = period * np.asarray(draw(st.lists(unit, min_size=n, max_size=n)))
+    return a, b, c, d, on_time, period
+
+
+def separate_evaluation(a, b, c, d, on_time, period):
+    """The pre-fusion reference: two per-interval calls, stacked."""
+    return np.stack(
+        np.broadcast_arrays(
+            *exact_interval_coefficients(a, b, c, d, on_time),
+            *exact_interval_coefficients(a, b, c, d, period - on_time),
+        ),
+        axis=-1,
+    )
+
+
+class TestFusedIntervalCoefficients:
+    def test_branch_examples_take_their_branch(self):
+        """The branch strategies really reach the three closed-form branches."""
+        a = np.array([-0.3, -150.0, -4.0])
+        b = np.array([-1.0, -1.0, -1.0])
+        c = np.array([25.0, 0.5, 0.0])
+        d = np.array([-0.7, -1.0, -4.0])
+        terms = plant_terms(a, b, c, d)
+        assert list(terms.oscillatory) == [True, False, False]
+        assert list(terms.degenerate) == [False, False, True]
+        assert terms.q[1] * 1.0 > 30.0  # grouped at a unit duration
+        period = np.ones(3)
+        on_time = np.array([0.25, 0.9, 0.5])
+        np.testing.assert_array_equal(
+            bit_pattern(closed_loop.interval_coefficients(a, b, c, d, on_time, period)),
+            bit_pattern(separate_evaluation(a, b, c, d, on_time, period)),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(plants=mixed_plants())
+    def test_fused_equals_separate_calls(self, plants):
+        a, b, c, d, on_time, period = plants
+        expected = separate_evaluation(a, b, c, d, on_time, period)
+        fused = closed_loop.interval_coefficients(a, b, c, d, on_time, period)
+        on_terms = closed_loop.period_coefficients(
+            plant_terms(a, b, c, d), on_time, period
+        )
+        assert fused.shape == (a.size, 12)
+        assert np.all(np.isfinite(expected))
+        np.testing.assert_array_equal(bit_pattern(fused), bit_pattern(expected))
+        np.testing.assert_array_equal(bit_pattern(on_terms), bit_pattern(expected))
+
+    @settings(max_examples=30, deadline=None)
+    @given(plants=mixed_plants(), data=st.data())
+    def test_table_gather_equals_fresh_evaluation(self, plants, data):
+        """The per-duty-word table returns the fresh evaluation bit for bit.
+
+        Enough periods run for the table to pass through all of its modes:
+        the direct first period, budgeted fills, mixed fallbacks and pure
+        gathers.
+        """
+        a, b, c, d, _, period = plants
+        n = a.size
+        num_words = data.draw(st.integers(2, 24))
+        levels = np.asarray(
+            data.draw(float_matrix(n, num_words, elements=st.floats(0.0, 1.0)))
+        )
+        terms = plant_terms(a, b, c, d)
+        table = _LoadCoefficientTable(terms, num_words)
+        rows = np.arange(n)
+        for _ in range(data.draw(st.integers(1, 12))):
+            words = np.asarray(
+                data.draw(
+                    st.lists(st.integers(0, num_words - 1), min_size=n, max_size=n)
+                ),
+                dtype=np.int64,
+            )
+            duties = levels[rows, words]
+            got = table.coefficients(words, duties, levels, period, rows)
+            fresh = closed_loop.period_coefficients(terms, duties * period, period)
+            np.testing.assert_array_equal(bit_pattern(got), bit_pattern(fresh))
