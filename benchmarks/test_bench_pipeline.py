@@ -1,12 +1,13 @@
-"""Benchmark: the fused silicon-to-regulation pipeline vs scalar composition.
+"""Benchmark: the silicon-to-regulation stage function vs scalar composition.
 
 The acceptance workload is a 512-instance Monte-Carlo run of the paper's
 100 MHz / 6-bit proposed design at the typical corner, with per-chip
 component variation on the buck: the scalar composition fabricates each
 instance, runs the cycle-accurate lock inside a
 ``CalibratedDelayLineDPWM``, and advances a scalar
-``DigitallyControlledBuck`` period by period; the fused pipeline draws the
-same instances as one ensemble, locks them closed-form, converts the
+``DigitallyControlledBuck`` period by period; the fixed-N
+``closed_loop_yield`` draws the same instances as one ensemble and hands
+them to ``regulate_ensemble``, which locks them closed-form, converts the
 ``(instances, words)`` curve matrix straight into a ``BatchQuantizer`` and
 advances the whole fleet per period.  The pipeline must be at least 10x
 faster end to end at *bit-exact* agreement: identical duty-word decisions in
@@ -25,11 +26,11 @@ import time
 
 import numpy as np
 
+from repro.converter.buck import BuckParameters
 from repro.converter.closed_loop import DigitallyControlledBuck
 from repro.core.design import DesignSpec, design_proposed
-from repro.core.yield_analysis import ComponentVariation
+from repro.core.yield_analysis import ComponentVariation, closed_loop_yield
 from repro.dpwm.calibrated import CalibratedDelayLineDPWM
-from repro.pipeline import SiliconToRegulationPipeline
 from repro.technology.corners import OperatingConditions
 from repro.technology.library import intel32_like_library
 from repro.technology.variation import VariationModel
@@ -47,33 +48,36 @@ DESIGN = design_proposed(SPEC, LIBRARY)
 
 
 def _run_pipeline():
-    pipeline = SiliconToRegulationPipeline(
+    return closed_loop_yield(
         "proposed",
         SPEC,
         CONDITIONS,
-        variation=VARIATION,
-        num_instances=NUM_INSTANCES,
         reference_v=REFERENCE_V,
+        variation=VARIATION,
         component_variation=COMPONENTS,
+        num_instances=NUM_INSTANCES,
+        periods=PERIODS,
         library=LIBRARY,
-    )
-    return pipeline, pipeline.run(PERIODS)
+    ).pipeline_result
 
 
-def _run_scalar_composition(pipeline):
+def _run_scalar_composition():
     """The seed-style path: one scalar DPWM + one scalar loop per instance."""
+    config = DESIGN.build_line(library=LIBRARY).config
+    parameters = COMPONENTS.sample_batch(
+        BuckParameters(switching_frequency_hz=SPEC.clock_frequency_mhz * 1e6),
+        NUM_INSTANCES,
+    )
     duty_words = np.empty((PERIODS, NUM_INSTANCES), dtype=np.int64)
     voltages = np.empty((PERIODS, NUM_INSTANCES))
     for index in range(NUM_INSTANCES):
         sample = VARIATION.sample(
-            pipeline.ensemble.config.num_cells,
-            pipeline.ensemble.config.buffers_per_cell,
-            instance=index,
+            config.num_cells, config.buffers_per_cell, instance=index
         )
         line = DESIGN.build_line(library=LIBRARY, variation=sample)
         dpwm = CalibratedDelayLineDPWM(line, CONDITIONS)
         loop = DigitallyControlledBuck(
-            pipeline.parameters.variant(index), dpwm, reference_v=REFERENCE_V
+            parameters.variant(index), dpwm, reference_v=REFERENCE_V
         )
         trace = loop.run(PERIODS)
         duty_words[:, index] = trace.duty_words
@@ -82,17 +86,13 @@ def _run_scalar_composition(pipeline):
 
 
 def test_bench_pipeline_speedup_and_bit_exactness(benchmark, bench_provenance):
-    # One warm construction outside the timers hands the scalar path its
-    # (identical) electrical parameter draws.
-    reference_pipeline, _ = _run_pipeline()
-
     # Reference: the scalar composition, timed once (it is the slow side;
     # timing it through the benchmark fixture would dominate the suite).
     start = time.perf_counter()
-    scalar_words, scalar_voltages = _run_scalar_composition(reference_pipeline)
+    scalar_words, scalar_voltages = _run_scalar_composition()
     scalar_seconds = time.perf_counter() - start
 
-    _, result = benchmark(_run_pipeline)
+    result = benchmark(_run_pipeline)
     batch_seconds = benchmark.stats.stats.mean
     speedup = scalar_seconds / batch_seconds
 

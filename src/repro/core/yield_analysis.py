@@ -102,8 +102,17 @@ from repro.technology.variation import CorrelatedVariationModel, VariationModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pipeline imports us)
     from repro.analysis.metrics import BatchLinearityMetrics
-    from repro.core.ensemble import EnsembleCalibration, EnsembleTransferCurves
-    from repro.mc import AdaptiveSampleResult
+    from repro.core.ensemble import (
+        DelayLineEnsemble,
+        EnsembleCalibration,
+        EnsembleTransferCurves,
+    )
+    from repro.mc import (
+        AdaptiveSampleResult,
+        ImportanceSampleResult,
+        SampleChunk,
+        StratifiedSampleResult,
+    )
     from repro.pipeline import PipelineResult
     from repro.simulation.batch import (
         BatchBuckParameters,
@@ -887,6 +896,105 @@ class RegulationSpec:
         )
 
 
+def _component_fleet(
+    parameters: "BatchBuckParameters",
+    reference_v: float,
+    periods: int,
+    *,
+    load: LoadProfile | None,
+    dpwm_bits: int,
+    quantizer: "BatchQuantizer | None" = None,
+) -> "BatchRegulationResult":
+    """Regulate a component-varied fleet around one shared DPWM.
+
+    The fleet of the component-only regulation estimators: every variant
+    gets ``quantizer`` (an ideal ``dpwm_bits``-bit DPWM by default).
+    """
+    from repro.simulation.batch import BatchClosedLoop, BatchQuantizer
+
+    if quantizer is None:
+        quantizer = BatchQuantizer.ideal(dpwm_bits, parameters.num_variants)
+    loop = BatchClosedLoop(parameters, quantizer, reference_v=reference_v, load=load)
+    return loop.run(periods)
+
+
+def _regulation_chunk(
+    spec: RegulationSpec, regulation: "BatchRegulationResult", reference_v: float
+) -> "SampleChunk":
+    """Score one fleet run against a :class:`RegulationSpec`."""
+    from repro.mc import SampleChunk
+
+    steady_state = regulation.steady_state_voltage_v(spec.tail_fraction)
+    ripple = regulation.steady_state_ripple_v(spec.tail_fraction)
+    return SampleChunk(
+        passes={"regulation": spec.passes(steady_state, ripple, reference_v)},
+        values={
+            "steady_state_v": steady_state,
+            "ripple_v": ripple,
+            "error_v": np.abs(steady_state - reference_v),
+        },
+    )
+
+
+def _linearity_chunk(
+    spec: LinearitySpec,
+    ensemble: "DelayLineEnsemble",
+    conditions: OperatingConditions,
+) -> "SampleChunk":
+    """Lock and sweep a fabricated ensemble; score it against ``spec``."""
+    from repro.mc import SampleChunk
+
+    calibration = ensemble.lock(conditions)
+    curves = ensemble.transfer_curves(conditions, calibration=calibration)
+    metrics = curves.metrics()
+    error_fractions = curves.max_error_fraction_of_period()
+    return SampleChunk(
+        passes={
+            "linearity": spec.passes(metrics, calibration.locked, error_fractions),
+            "lock": np.asarray(calibration.locked, dtype=bool),
+            "monotonic": np.asarray(metrics.monotonic, dtype=bool),
+        },
+        values={
+            "max_dnl_lsb": metrics.max_dnl_lsb,
+            "max_inl_lsb": metrics.max_inl_lsb,
+            "rms_inl_lsb": metrics.rms_inl_lsb,
+            "error_fraction": error_fractions,
+        },
+    )
+
+
+def _closed_loop_chunk(
+    linearity_spec: LinearitySpec,
+    regulation_spec: RegulationSpec,
+    result: "PipelineResult",
+) -> "SampleChunk":
+    """Score one silicon-to-regulation run against both specs.
+
+    A chip passes ``"closed_loop"`` only when its silicon meets the
+    linearity spec *and* the loop it serves meets the regulation spec.
+    """
+    from repro.mc import SampleChunk
+
+    linearity_passes = linearity_spec.evaluate(result.calibration, result.curves)
+    regulation = _regulation_chunk(
+        regulation_spec, result.regulation, result.reference_v
+    )
+    regulation_passes = regulation.passes["regulation"]
+    return SampleChunk(
+        passes={
+            "closed_loop": linearity_passes & regulation_passes,
+            "linearity": linearity_passes,
+            "regulation": regulation_passes,
+            "lock": np.asarray(result.calibration.locked, dtype=bool),
+        },
+        values={
+            "steady_state_v": regulation.values["steady_state_v"],
+            "limit_cycle_amplitude_v": regulation.values["ripple_v"],
+            "error_v": regulation.values["error_v"],
+        },
+    )
+
+
 @dataclass(frozen=True)
 class RegulationYieldResult:
     """Outcome of a Monte-Carlo regulation sweep.
@@ -924,23 +1032,23 @@ def regulation_yield(
     one vectorized batch run, so 256 variants cost a couple of matrix-vector
     products per switching period rather than millions of Python iterations.
     """
-    from repro.simulation.batch import BatchClosedLoop, BatchQuantizer
-
     spec = RegulationSpec(tolerance_v=tolerance_v)
     variation = variation or ComponentVariation()
     parameters = variation.sample_batch(nominal, num_variants)
-    if quantizer is None:
-        quantizer = BatchQuantizer.ideal(dpwm_bits, num_variants)
-    loop = BatchClosedLoop(parameters, quantizer, reference_v=reference_v, load=load)
-    result = loop.run(periods)
-    steady_state = result.steady_state_voltage_v(spec.tail_fraction)
-    ripple = result.steady_state_ripple_v(spec.tail_fraction)
-    passes = spec.passes(steady_state, ripple, reference_v)
+    regulation = _component_fleet(
+        parameters,
+        reference_v,
+        periods,
+        load=load,
+        dpwm_bits=dpwm_bits,
+        quantizer=quantizer,
+    )
+    chunk = _regulation_chunk(spec, regulation, reference_v)
     return RegulationYieldResult(
-        regulation_yield=float(np.mean(passes)),
-        steady_state_voltages_v=steady_state,
-        steady_state_ripples_v=ripple,
-        worst_error_v=float(np.abs(steady_state - reference_v).max()),
+        regulation_yield=float(np.mean(chunk.passes["regulation"])),
+        steady_state_voltages_v=chunk.values["steady_state_v"],
+        steady_state_ripples_v=chunk.values["ripple_v"],
+        worst_error_v=float(chunk.values["error_v"].max()),
     )
 
 
@@ -1004,9 +1112,7 @@ def linearity_yield(
     the limit arguments (lock if required, DNL/INL/deviation limits,
     monotonicity if required); see that class for the unit conventions.
     """
-    if num_instances < 1:
-        raise ValueError("need at least one instance")
-    from repro.pipeline import fabricate_ensemble
+    from repro.pipeline import ChunkedFabricator
 
     linearity_spec = LinearitySpec(
         dnl_limit_lsb=dnl_limit_lsb,
@@ -1015,34 +1121,26 @@ def linearity_yield(
         require_monotonic=require_monotonic,
         require_lock=require_lock,
     )
-    library = library or intel32_like_library()
-    variation = variation or VariationModel()
-    ensemble = fabricate_ensemble(
-        scheme,
-        spec,
-        variation=variation,
-        num_instances=num_instances,
-        library=library,
-        first_instance=first_instance,
+    fabricator = ChunkedFabricator(
+        scheme, spec, variation=variation or VariationModel(), library=library
     )
-
-    calibration = ensemble.lock(conditions)
-    curves = ensemble.transfer_curves(conditions, calibration=calibration)
-    metrics = curves.metrics()
-    error_fractions = curves.max_error_fraction_of_period()
-
-    passes = linearity_spec.passes(metrics, calibration.locked, error_fractions)
+    chunk = _linearity_chunk(
+        linearity_spec,
+        fabricator.fabricate(num_instances, first_instance=first_instance),
+        conditions,
+    )
+    passes = chunk.passes["linearity"]
     return LinearityYieldResult(
         scheme=scheme,
         linearity_yield=float(np.mean(passes)),
-        lock_yield=float(np.mean(calibration.locked)),
+        lock_yield=float(np.mean(chunk.passes["lock"])),
         passes=passes,
-        locked=calibration.locked,
-        max_dnl_lsb=metrics.max_dnl_lsb,
-        max_inl_lsb=metrics.max_inl_lsb,
-        rms_inl_lsb=metrics.rms_inl_lsb,
-        monotonic=metrics.monotonic,
-        max_error_fraction_of_period=error_fractions,
+        locked=chunk.passes["lock"],
+        max_dnl_lsb=chunk.values["max_dnl_lsb"],
+        max_inl_lsb=chunk.values["max_inl_lsb"],
+        rms_inl_lsb=chunk.values["rms_inl_lsb"],
+        monotonic=chunk.passes["monotonic"],
+        max_error_fraction_of_period=chunk.values["error_fraction"],
     )
 
 
@@ -1102,52 +1200,66 @@ def closed_loop_yield(
 ) -> ClosedLoopYieldResult:
     """Monte-Carlo estimate of the fused silicon-to-regulation yield.
 
-    Every fabricated delay-line instance is calibrated, converted into a
-    DPWM duty table and closed around its own buck converter in one
-    vectorized :class:`repro.pipeline.SiliconToRegulationPipeline` run -- no
-    per-instance Python loop anywhere in the hot path.  An instance "yields"
-    when it meets both the :class:`LinearitySpec` (its silicon) and the
-    :class:`RegulationSpec` (the loop it serves); the composition is the
-    point: a chip with linear silicon that limit-cycles out of tolerance
-    fails, as does a chip that regulates today on silicon that never locked.
-    """
-    from repro.pipeline import SiliconToRegulationPipeline
+    ``num_instances`` fabricated delay lines, each on its own buck
+    converter (electrical spreads from :meth:`ComponentVariation
+    .sample_batch`), run through :func:`repro.pipeline.regulate_ensemble`
+    -- calibrated, converted into DPWM duty tables and regulated in one
+    vectorized run.  An instance "yields" when it meets both the
+    :class:`LinearitySpec` (its silicon) and the :class:`RegulationSpec`
+    (the loop it serves): a chip with linear silicon that limit-cycles out
+    of tolerance fails, as does a chip that regulates on silicon that
+    never locked.
 
-    linearity_spec = linearity_spec or LinearitySpec()
-    regulation_spec = regulation_spec or RegulationSpec()
-    pipeline = SiliconToRegulationPipeline(
-        scheme,
-        spec,
+    ``sample_batch`` ignores ``first_instance``, so sharding with a
+    ``component_variation`` raises a ``ValueError``; shard with
+    :func:`adaptive_closed_loop_yield` or
+    :meth:`repro.pipeline.ChunkedSiliconToRegulation.run_chunk` instead.
+    """
+    if first_instance != 0 and component_variation is not None:
+        raise ValueError(
+            f"first_instance={first_instance} with a component_variation: "
+            "sample_batch ignores the offset, so every shard would reuse the "
+            "same component spreads; shard with adaptive_closed_loop_yield or "
+            "ChunkedSiliconToRegulation.run_chunk (chunk-stable draws)"
+        )
+    from repro.pipeline import ChunkedFabricator, _resolve_nominal, regulate_ensemble
+    from repro.simulation.batch import BatchBuckParameters
+
+    resolved_nominal = _resolve_nominal(nominal, spec)
+    ensemble = ChunkedFabricator(
+        scheme, spec, variation=variation, library=library
+    ).fabricate(num_instances, first_instance=first_instance)
+    parameters = (
+        BatchBuckParameters.uniform(resolved_nominal, num_instances)
+        if component_variation is None
+        else component_variation.sample_batch(resolved_nominal, num_instances)
+    )
+    result = regulate_ensemble(
+        ensemble,
+        parameters,
         conditions,
-        variation=variation,
-        num_instances=num_instances,
-        nominal=nominal,
         reference_v=reference_v,
-        component_variation=component_variation,
+        periods=periods,
         load=load,
-        library=library,
-        first_instance=first_instance,
     )
-    result = pipeline.run(periods)
-    linearity_passes = linearity_spec.evaluate(result.calibration, result.curves)
-    steady_state = result.regulation.steady_state_voltage_v(
-        regulation_spec.tail_fraction
+    chunk = _closed_loop_chunk(
+        linearity_spec or LinearitySpec(),
+        regulation_spec or RegulationSpec(),
+        result,
     )
-    ripple = result.regulation.steady_state_ripple_v(regulation_spec.tail_fraction)
-    regulation_passes = regulation_spec.passes(steady_state, ripple, reference_v)
-    passes = linearity_passes & regulation_passes
+    passes = chunk.passes
     return ClosedLoopYieldResult(
         scheme=result.scheme,
-        closed_loop_yield=float(np.mean(passes)),
-        linearity_yield=float(np.mean(linearity_passes)),
-        regulation_yield=float(np.mean(regulation_passes)),
-        lock_yield=float(np.mean(result.calibration.locked)),
-        passes=passes,
-        linearity_passes=linearity_passes,
-        regulation_passes=regulation_passes,
-        steady_state_voltages_v=steady_state,
-        limit_cycle_amplitudes_v=ripple,
-        worst_error_v=float(np.abs(steady_state - reference_v).max()),
+        closed_loop_yield=float(np.mean(passes["closed_loop"])),
+        linearity_yield=float(np.mean(passes["linearity"])),
+        regulation_yield=float(np.mean(passes["regulation"])),
+        lock_yield=float(np.mean(passes["lock"])),
+        passes=passes["closed_loop"],
+        linearity_passes=passes["linearity"],
+        regulation_passes=passes["regulation"],
+        steady_state_voltages_v=chunk.values["steady_state_v"],
+        limit_cycle_amplitudes_v=chunk.values["limit_cycle_amplitude_v"],
+        worst_error_v=float(chunk.values["error_v"].max()),
         pipeline_result=result,
     )
 
@@ -1262,7 +1374,7 @@ def adaptive_linearity_yield(
     so the sample stream -- and therefore the estimate -- is independent of
     the chunk size.
     """
-    from repro.mc import SampleChunk, adaptive_sample
+    from repro.mc import adaptive_sample
     from repro.pipeline import ChunkedFabricator
 
     resolved_spec = LinearitySpec(
@@ -1276,27 +1388,9 @@ def adaptive_linearity_yield(
         scheme, spec, variation=variation or VariationModel(), library=library
     )
 
-    def draw(first_instance: int, count: int) -> SampleChunk:
+    def draw(first_instance: int, count: int) -> "SampleChunk":
         ensemble = fabricator.fabricate(count, first_instance=first_instance)
-        calibration = ensemble.lock(conditions)
-        curves = ensemble.transfer_curves(conditions, calibration=calibration)
-        metrics = curves.metrics()
-        error_fractions = curves.max_error_fraction_of_period()
-        return SampleChunk(
-            passes={
-                "linearity": resolved_spec.passes(
-                    metrics, calibration.locked, error_fractions
-                ),
-                "lock": np.asarray(calibration.locked, dtype=bool),
-                "monotonic": np.asarray(metrics.monotonic, dtype=bool),
-            },
-            values={
-                "max_dnl_lsb": metrics.max_dnl_lsb,
-                "max_inl_lsb": metrics.max_inl_lsb,
-                "rms_inl_lsb": metrics.rms_inl_lsb,
-                "error_fraction": error_fractions,
-            },
-        )
+        return _linearity_chunk(resolved_spec, ensemble, conditions)
 
     sample_result = adaptive_sample(
         draw,
@@ -1344,7 +1438,7 @@ def adaptive_closed_loop_yield(
     so the population differs from the fixed-N :func:`closed_loop_yield`
     draw -- by design; each path is internally reproducible.
     """
-    from repro.mc import SampleChunk, adaptive_sample
+    from repro.mc import adaptive_sample
     from repro.pipeline import ChunkedSiliconToRegulation
 
     resolved_linearity = linearity_spec or LinearitySpec()
@@ -1361,32 +1455,9 @@ def adaptive_closed_loop_yield(
         library=library,
     )
 
-    def draw(first_instance: int, count: int) -> SampleChunk:
+    def draw(first_instance: int, count: int) -> "SampleChunk":
         result = runner.run_chunk(first_instance, count, periods=periods)
-        linearity_passes = resolved_linearity.evaluate(
-            result.calibration, result.curves
-        )
-        steady_state = result.regulation.steady_state_voltage_v(
-            resolved_regulation.tail_fraction
-        )
-        ripple = result.regulation.steady_state_ripple_v(
-            resolved_regulation.tail_fraction
-        )
-        regulation_passes = resolved_regulation.passes(
-            steady_state, ripple, reference_v
-        )
-        return SampleChunk(
-            passes={
-                "closed_loop": linearity_passes & regulation_passes,
-                "linearity": linearity_passes,
-                "regulation": regulation_passes,
-                "lock": np.asarray(result.calibration.locked, dtype=bool),
-            },
-            values={
-                "limit_cycle_amplitude_v": ripple,
-                "error_v": np.abs(steady_state - reference_v),
-            },
-        )
+        return _closed_loop_chunk(resolved_linearity, resolved_regulation, result)
 
     sample_result = adaptive_sample(
         draw,
@@ -1424,33 +1495,19 @@ def adaptive_regulation_yield(
     :class:`RegulationSpec`, until the interval on the regulation yield is
     tight enough or the cap runs out.
     """
-    from repro.mc import SampleChunk, adaptive_sample
-    from repro.simulation.batch import BatchClosedLoop, BatchQuantizer
+    from repro.mc import adaptive_sample
 
     spec = RegulationSpec(tolerance_v=tolerance_v)
     resolved_variation = variation or ComponentVariation()
 
-    def draw(first_instance: int, count: int) -> SampleChunk:
+    def draw(first_instance: int, count: int) -> "SampleChunk":
         parameters = resolved_variation.sample_instances(
             nominal, count, first_instance=first_instance
         )
-        loop = BatchClosedLoop(
-            parameters,
-            BatchQuantizer.ideal(dpwm_bits, count),
-            reference_v=reference_v,
-            load=load,
+        regulation = _component_fleet(
+            parameters, reference_v, periods, load=load, dpwm_bits=dpwm_bits
         )
-        result = loop.run(periods)
-        steady_state = result.steady_state_voltage_v(spec.tail_fraction)
-        ripple = result.steady_state_ripple_v(spec.tail_fraction)
-        return SampleChunk(
-            passes={"regulation": spec.passes(steady_state, ripple, reference_v)},
-            values={
-                "steady_state_v": steady_state,
-                "ripple_v": ripple,
-                "error_v": np.abs(steady_state - reference_v),
-            },
-        )
+        return _regulation_chunk(spec, regulation, reference_v)
 
     sample_result = adaptive_sample(
         draw,
@@ -1621,7 +1678,7 @@ def rare_event_regulation_yield(
         importance_sample,
         stratified_sample,
     )
-    from repro.simulation.batch import BatchClosedLoop, BatchQuantizer
+    from repro.simulation.batch import BatchQuantizer
 
     estimators = ("vanilla", "stratified", "importance")
     if estimator not in estimators:
@@ -1649,30 +1706,37 @@ def rare_event_regulation_yield(
         else np.atleast_2d(np.asarray(quantizer_levels, dtype=float))
     )
 
-    def simulate(
-        parameters: "BatchBuckParameters", count: int
-    ) -> tuple[npt.NDArray[np.bool_], npt.NDArray[np.float64]]:
+    def simulate(parameters: "BatchBuckParameters") -> SampleChunk:
         """Run one fleet chunk and score per-instance dip failures."""
-        if levels_row is None:
-            quantizer = BatchQuantizer.ideal(dpwm_bits, count)
-        else:
-            quantizer = BatchQuantizer(levels_row, num_variants=count)
-        loop = BatchClosedLoop(
-            parameters, quantizer, reference_v=reference_v, load=load
+        regulation = _component_fleet(
+            parameters,
+            reference_v,
+            periods,
+            load=load,
+            dpwm_bits=dpwm_bits,
+            quantizer=(
+                None
+                if levels_row is None
+                else BatchQuantizer(levels_row, num_variants=parameters.num_variants)
+            ),
         )
-        outputs = loop.run(periods).output_voltages_v
-        dips = outputs[settle_periods:].min(axis=0)
-        return dips < dip_limit_v, dips
+        dips = regulation.output_voltages_v[settle_periods:].min(axis=0)
+        return SampleChunk(
+            passes={"failure": dips < dip_limit_v}, values={"dip_v": dips}
+        )
 
+    sampled: AdaptiveSampleResult | ImportanceSampleResult | StratifiedSampleResult
+    effective_sample_size: float | None = None
+    strata_rows: tuple[dict[str, float | int | str], ...] | None = None
     if estimator == "vanilla":
         def draw_vanilla(first_instance: int, count: int) -> SampleChunk:
-            parameters = resolved_variation.sample_instances(
-                nominal, count, first_instance=first_instance
+            return simulate(
+                resolved_variation.sample_instances(
+                    nominal, count, first_instance=first_instance
+                )
             )
-            fails, dips = simulate(parameters, count)
-            return SampleChunk(passes={"failure": fails}, values={"dip_v": dips})
 
-        vanilla = adaptive_sample(
+        sampled = adaptive_sample(
             draw_vanilla,
             primary="failure",
             precision=precision,
@@ -1680,37 +1744,20 @@ def rare_event_regulation_yield(
             max_samples=max_instances,
             chunk_size=chunk_size,
         )
-        interval = vanilla.intervals["failure"]
-        return RareEventYieldResult(
-            estimator=estimator,
-            failure_probability=vanilla.estimates["failure"],
-            lower=interval.lower,
-            upper=interval.upper,
-            confidence=confidence,
-            precision=precision,
-            samples=vanilla.trials,
-            max_samples=max_instances,
-            chunk_size=chunk_size,
-            stop_reason=vanilla.stop_reason,
-            dip_limit_v=dip_limit_v,
-            mean_dip_v=vanilla.moments["dip_v"].mean,
-        )
-
-    if estimator == "importance":
+        mean_dip_v = sampled.moments["dip_v"].mean
+    elif estimator == "importance":
         resolved_tilt = tilt or ComponentTilt()
 
         def draw_tilted(first_instance: int, count: int) -> WeightedSampleChunk:
             parameters, log_weights = resolved_variation.sample_instances_tilted(
                 nominal, count, first_instance=first_instance, tilt=resolved_tilt
             )
-            fails, dips = simulate(parameters, count)
+            chunk = simulate(parameters)
             return WeightedSampleChunk(
-                passes={"failure": fails},
-                log_weights=log_weights,
-                values={"dip_v": dips},
+                passes=chunk.passes, log_weights=log_weights, values=chunk.values
             )
 
-        weighted = importance_sample(
+        sampled = importance_sample(
             draw_tilted,
             primary="failure",
             precision=precision,
@@ -1719,68 +1766,41 @@ def rare_event_regulation_yield(
             chunk_size=chunk_size,
             min_ess=min_ess,
         )
-        interval = weighted.intervals["failure"]
-        return RareEventYieldResult(
-            estimator=estimator,
-            failure_probability=weighted.estimates["failure"],
-            lower=interval.lower,
-            upper=interval.upper,
-            confidence=confidence,
+        mean_dip_v = sampled.value_moments["dip_v"].mean
+        effective_sample_size = sampled.effective_sample_size
+    else:
+        resolved_strat = stratification or ComponentStratification()
+        weights = resolved_strat.weights()
+        names = resolved_strat.names()
+
+        def stratum_draw(index: int) -> "Callable[[int, int], SampleChunk]":
+            def draw_stratum(first_instance: int, count: int) -> SampleChunk:
+                return simulate(
+                    resolved_variation.sample_instances_stratum(
+                        nominal,
+                        count,
+                        index,
+                        first_instance=first_instance,
+                        stratification=resolved_strat,
+                    )
+                )
+
+            return draw_stratum
+
+        strata = tuple(
+            Stratum(name=names[h], weight=weights[h], draw=stratum_draw(h))
+            for h in range(resolved_strat.num_strata)
+        )
+        sampled = stratified_sample(
+            strata,
+            primary="failure",
             precision=precision,
-            samples=weighted.trials,
+            confidence=confidence,
             max_samples=max_instances,
             chunk_size=chunk_size,
-            stop_reason=weighted.stop_reason,
-            dip_limit_v=dip_limit_v,
-            mean_dip_v=weighted.value_moments["dip_v"].mean,
-            effective_sample_size=weighted.effective_sample_size,
         )
-
-    resolved_strat = stratification or ComponentStratification()
-    weights = resolved_strat.weights()
-    names = resolved_strat.names()
-
-    def stratum_draw(index: int) -> "Callable[[int, int], SampleChunk]":
-        def draw_stratum(first_instance: int, count: int) -> SampleChunk:
-            parameters = resolved_variation.sample_instances_stratum(
-                nominal,
-                count,
-                index,
-                first_instance=first_instance,
-                stratification=resolved_strat,
-            )
-            fails, dips = simulate(parameters, count)
-            return SampleChunk(passes={"failure": fails}, values={"dip_v": dips})
-
-        return draw_stratum
-
-    strata = tuple(
-        Stratum(name=names[h], weight=weights[h], draw=stratum_draw(h))
-        for h in range(resolved_strat.num_strata)
-    )
-    stratified = stratified_sample(
-        strata,
-        primary="failure",
-        precision=precision,
-        confidence=confidence,
-        max_samples=max_instances,
-        chunk_size=chunk_size,
-    )
-    interval = stratified.intervals["failure"]
-    return RareEventYieldResult(
-        estimator=estimator,
-        failure_probability=stratified.estimates["failure"],
-        lower=interval.lower,
-        upper=interval.upper,
-        confidence=confidence,
-        precision=precision,
-        samples=stratified.trials,
-        max_samples=max_instances,
-        chunk_size=chunk_size,
-        stop_reason=stratified.stop_reason,
-        dip_limit_v=dip_limit_v,
-        mean_dip_v=stratified.value_means["dip_v"],
-        strata=tuple(
+        mean_dip_v = sampled.value_means["dip_v"]
+        strata_rows = tuple(
             {
                 "name": row.name,
                 "weight": row.weight,
@@ -1788,8 +1808,24 @@ def rare_event_regulation_yield(
                 "failures": row.successes.get("failure", 0),
                 "failure_rate": row.estimate("failure"),
             }
-            for row in stratified.strata
-        ),
+            for row in sampled.strata
+        )
+    interval = sampled.intervals["failure"]
+    return RareEventYieldResult(
+        estimator=estimator,
+        failure_probability=sampled.estimates["failure"],
+        lower=interval.lower,
+        upper=interval.upper,
+        confidence=confidence,
+        precision=precision,
+        samples=sampled.trials,
+        max_samples=max_instances,
+        chunk_size=chunk_size,
+        stop_reason=sampled.stop_reason,
+        dip_limit_v=dip_limit_v,
+        mean_dip_v=mean_dip_v,
+        effective_sample_size=effective_sample_size,
+        strata=strata_rows,
     )
 
 

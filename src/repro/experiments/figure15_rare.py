@@ -44,7 +44,7 @@ from repro.core.yield_analysis import (
     rare_event_regulation_yield,
 )
 from repro.experiments.base import ExperimentResult, register
-from repro.pipeline import fabricate_ensemble
+from repro.pipeline import ChunkedFabricator
 from repro.simulation.batch import BatchQuantizer
 from repro.sweep import ParameterGrid, SweepOrchestrator, sweep_map
 from repro.technology.corners import OperatingConditions, ProcessCorner
@@ -115,9 +115,9 @@ def _duty_levels(corner: str) -> "BatchQuantizer":
         clock_frequency_mhz=FREQUENCY_MHZ, resolution_bits=RESOLUTION_BITS
     )
     conditions = OperatingConditions(corner=ProcessCorner[corner.upper()])
-    ensemble = fabricate_ensemble(
-        "proposed", spec, None, 1, library=intel32_like_library()
-    )
+    ensemble = ChunkedFabricator(
+        "proposed", spec, library=intel32_like_library()
+    ).fabricate(1)
     calibration = ensemble.lock(conditions)
     curves = ensemble.transfer_curves(conditions, calibration=calibration)
     return BatchQuantizer.from_ensemble(curves)

@@ -1,51 +1,49 @@
-"""The fused silicon-to-regulation Monte-Carlo pipeline.
+"""The silicon-to-regulation Monte-Carlo stage function.
 
 The paper's end-to-end claim is that delay-line DPWM nonlinearity under
 process variation decides whether the closed-loop buck regulates cleanly or
-limit-cycles.  Before this module the repo evaluated the two halves in
-separate engines: :mod:`repro.core.ensemble` produced per-instance DPWM
-transfer curves and :mod:`repro.simulation.batch` ran fleets of closed
-loops, but connecting them meant constructing scalar
-:class:`~repro.dpwm.calibrated.CalibratedDelayLineDPWM` objects one instance
-at a time in Python.  :class:`SiliconToRegulationPipeline` fuses the stack:
+limit-cycles.  :mod:`repro.core.ensemble` produces per-instance DPWM
+transfer curves and :mod:`repro.simulation.batch` runs fleets of closed
+loops; this module joins them in one vectorized stack, with no
+per-instance Python loop:
 
-1. **Fabricate** -- draw ``N`` post-APR instances of the designed delay line
-   from a :class:`~repro.technology.variation.VariationModel`
-   (:func:`fabricate_ensemble`).
-2. **Calibrate** -- lock every instance closed-form and extract the full
-   ``(instances, words)`` transfer-curve matrix in one vectorized ensemble
-   pass.
-3. **Convert** -- turn that matrix directly into per-instance DPWM duty
-   tables with :meth:`~repro.simulation.batch.BatchQuantizer.from_ensemble`
-   (no per-instance scalar DPWM construction, no Python loops).
-4. **Regulate** -- close a :class:`~repro.simulation.batch.BatchClosedLoop`
-   fleet around the fabricated DPWMs, optionally with per-chip electrical
-   spreads from :class:`~repro.core.yield_analysis.ComponentVariation`, and
-   advance all loops together period by period.
+1. **Fabricate** -- :class:`ChunkedFabricator` runs the paper's design
+   procedure once and draws any range of post-APR instances from a
+   :class:`~repro.technology.variation.VariationModel`.
+2. **Regulate** -- :func:`regulate_ensemble`, the one stage function,
+   locks every instance closed-form, extracts the ``(instances, words)``
+   transfer-curve matrix, turns it into per-instance DPWM duty tables
+   (:meth:`~repro.simulation.batch.BatchQuantizer.from_ensemble`) and
+   advances a :class:`~repro.simulation.batch.BatchClosedLoop` fleet
+   around them, one fleet variant per fabricated instance.  Under a
+   :class:`~repro.technology.thermal.TemperatureTrace` it re-locks and
+   re-derates at every epoch with exact state carry-over.
 
 Each fleet variant's DPWM nonlinearity is its *own* fabricated instance's
-calibrated curve, so steady-state limit-cycle amplitude and regulation yield
-become per-chip Monte-Carlo statistics.  The fused run is bit-identical to
+calibrated curve, so steady-state limit-cycle amplitude and regulation
+yield become per-chip Monte-Carlo statistics.  The run is bit-identical to
 composing the two engines by hand (scalar ``CalibratedDelayLineDPWM`` plus
 scalar ``DigitallyControlledBuck`` per instance) -- the property
 ``tests/test_pipeline.py`` asserts and ``benchmarks/test_bench_pipeline.py``
 perf-gates (>= 10x at bit-exact steady-state agreement).
 
-Scoring lives next door: :func:`repro.core.yield_analysis.closed_loop_yield`
-runs this pipeline and composes the :class:`LinearitySpec` and
-:class:`RegulationSpec` pass/fail frameworks into one fused yield number.
+Every estimator reaches the stage function the same way and differs only
+in the component spreads it hands over:
 
-For adaptive Monte-Carlo (:mod:`repro.mc`) the pipeline also exposes a
-*chunked* entry point: :class:`ChunkedSiliconToRegulation` runs the design
-procedure once and then fabricates → calibrates → converts → regulates any
-instance range on demand, so a streaming sampler can grow the population
-chunk by chunk without re-running the design.  Because every variation
-model keys instance ``i``'s randomness on ``i`` itself, chunked runs are
-bit-identical to slicing one big run -- the contract the adaptive engine's
-reproducibility rests on.
+* :meth:`ChunkedSiliconToRegulation.run_chunk` fabricates an instance
+  range and draws its spreads from the chunk-stable
+  :meth:`~repro.core.yield_analysis.ComponentVariation.sample_instances`
+  stream -- the adaptive (:mod:`repro.mc`) and mission paths;
+* :func:`repro.core.yield_analysis.closed_loop_yield`, the fixed-N
+  estimator, draws them with
+  :meth:`~repro.core.yield_analysis.ComponentVariation.sample_batch`.
+
+Because every variation model keys instance ``i``'s randomness on ``i``
+itself, chunked runs are bit-identical to slicing one big run -- the
+contract the adaptive engine's reproducibility rests on.
 
 Example -- design once, fabricate in chunks, and the chunks tile the same
-population a one-shot fabrication draws:
+population one run over the whole range regulates:
 
     >>> import numpy as np
     >>> from repro.core.design import DesignSpec
@@ -68,16 +66,14 @@ population a one-shot fabrication draws:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from collections.abc import Sequence
-from typing import Any
 
 import numpy as np
 import numpy.typing as npt
 
-from repro.converter.adc import WindowedADC
 from repro.converter.buck import BuckParameters
-from repro.converter.load import LoadProfile, ReferenceProfile, SourceProfile
+from repro.converter.load import LoadProfile
 from repro.converter.missions import (
     MissionGenerator,
     MissionProfile,
@@ -101,7 +97,6 @@ from repro.core.yield_analysis import (
 from repro.simulation.batch import (
     BatchBuckParameters,
     BatchClosedLoop,
-    BatchCompensator,
     BatchQuantizer,
     BatchRegulationResult,
 )
@@ -114,9 +109,8 @@ __all__ = [
     "ChunkedFabricator",
     "ChunkedSiliconToRegulation",
     "PipelineResult",
-    "SiliconToRegulationPipeline",
     "closed_loop_cell",
-    "fabricate_ensemble",
+    "regulate_ensemble",
 ]
 
 
@@ -175,26 +169,6 @@ class ChunkedFabricator:
         )
 
 
-def fabricate_ensemble(
-    scheme: str,
-    spec: DesignSpec,
-    variation: VariationModel | None,
-    num_instances: int,
-    library: TechnologyLibrary | None = None,
-    first_instance: int = 0,
-) -> DelayLineEnsemble:
-    """Design a scheme for a specification and draw fabricated instances.
-
-    Runs the paper's design procedure (:mod:`repro.core.design`) for the
-    requested scheme, then samples ``num_instances`` post-APR instances from
-    the variation model as one batch.  ``variation=None`` fabricates ideal
-    (mismatch-free) silicon: every instance is the nominal line.  (One-shot
-    convenience over :class:`ChunkedFabricator`.)
-    """
-    fabricator = ChunkedFabricator(scheme, spec, variation=variation, library=library)
-    return fabricator.fabricate(num_instances, first_instance=first_instance)
-
-
 def _resolve_nominal(
     nominal: BuckParameters | None, spec: DesignSpec
 ) -> BuckParameters:
@@ -214,14 +188,14 @@ def _resolve_nominal(
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Everything one fused pipeline run produced, stage by stage.
+    """Everything one :func:`regulate_ensemble` run produced.
 
     Attributes:
         scheme: ``"proposed"`` or ``"conventional"``.
         reference_v: the regulation target the fleet was closed on.
-        calibration: per-instance lock outcomes (stage 2).
-        curves: per-instance post-calibration transfer curves (stage 2).
-        regulation: the fleet's per-period regulation history (stage 4).
+        calibration: per-instance lock outcomes.
+        curves: per-instance post-calibration transfer curves.
+        regulation: the fleet's per-period regulation history.
     """
 
     scheme: str
@@ -258,126 +232,128 @@ class PipelineResult:
         return np.abs(self.steady_state_voltages_v(tail_fraction) - self.reference_v)
 
 
-class SiliconToRegulationPipeline:
-    """Variation -> calibration -> DPWM -> regulation, one vectorized stack.
+def regulate_ensemble(
+    ensemble: DelayLineEnsemble,
+    parameters: BatchBuckParameters,
+    conditions: OperatingConditions,
+    *,
+    reference_v: float,
+    periods: int,
+    load: LoadProfile | None = None,
+    missions: Sequence[MissionProfile] | None = None,
+    temperature_trace: TemperatureTrace | None = None,
+    thermal: ThermalDerating | None = None,
+) -> PipelineResult:
+    """Lock, convert and regulate a fabricated ensemble: the stage function.
 
-    Construction runs the silicon stages (fabricate, calibrate, convert);
-    :meth:`run` closes the fleet and advances it.  All per-instance state
-    lives in stacked arrays end to end: the variation batch, the closed-form
-    ensemble lock, the ``(instances, words)`` duty-table matrix and the
-    batch closed loop -- there is no per-instance Python loop anywhere.
+    Every instance of ``ensemble`` is locked closed-form at ``conditions``,
+    its transfer curve becomes that instance's DPWM duty table, and a
+    :class:`~repro.simulation.batch.BatchClosedLoop` fleet -- variant ``i``
+    is instance ``i`` on electricals ``parameters.variant(i)`` -- regulates
+    to ``reference_v`` for ``periods`` switching periods.
+
+    The fleet flies either one shared ``load`` or per-instance ``missions``
+    (one :class:`~repro.converter.missions.MissionProfile` per instance,
+    load channel only); passing both raises a ``ValueError``.
+    ``temperature_trace`` makes the run non-isothermal: the run is split at
+    the trace's epoch boundaries, the ensemble is re-locked at each
+    epoch's temperature through the corner model (so the DPWM duty tables
+    drift exactly as a static run at that temperature would) and the
+    electricals are re-derated through ``thermal`` (default
+    :class:`~repro.technology.thermal.ThermalDerating`), with exact
+    closed-loop state carry-over across the boundaries -- an
+    all-nominal-temperature trace reproduces the unsplit run bit for bit.
+    The result's calibration and curves are the first epoch's.
     """
-
-    def __init__(
-        self,
-        scheme: str,
-        spec: DesignSpec,
-        conditions: OperatingConditions | None = None,
-        *,
-        variation: VariationModel | None = None,
-        num_instances: int = 256,
-        nominal: BuckParameters | None = None,
-        reference_v: float = 0.9,
-        component_variation: ComponentVariation | None = None,
-        load: LoadProfile | None = None,
-        loads: Sequence[LoadProfile] | None = None,
-        adc: WindowedADC | None = None,
-        compensator: BatchCompensator | None = None,
-        reference_profile: ReferenceProfile | None = None,
-        source_profile: SourceProfile | None = None,
-        library: TechnologyLibrary | None = None,
-        first_instance: int = 0,
-    ) -> None:
-        """Fabricate, calibrate and convert the silicon for a fleet.
-
-        Args:
-            scheme: ``"proposed"`` or ``"conventional"``.
-            spec: the delay-line design specification; its clock frequency is
-                the fleet's switching frequency.
-            conditions: PVT operating point of the silicon (typical corner by
-                default).
-            variation: post-APR mismatch model; ``None`` fabricates ideal
-                silicon.
-            num_instances: fabricated instances = fleet variants.
-            nominal: nominal electrical parameters; defaults to the stock
-                :class:`BuckParameters` switched at the spec's frequency.
-            reference_v: regulation target.
-            component_variation: optional per-chip spread of the electrical
-                components (L, C, parasitics, input rail).
-            load / loads / adc / compensator / reference_profile /
-                source_profile: forwarded to :class:`BatchClosedLoop`.
-            library: technology library shared by design and calibration.
-            first_instance: index of the first fabricated instance (for
-                sharding one Monte-Carlo population across runs).
-        """
-        self.library = library or intel32_like_library()
-        self.conditions = conditions or OperatingConditions.typical()
-        self.spec = spec
-        self.nominal = nominal = _resolve_nominal(nominal, spec)
-        self.ensemble = fabricate_ensemble(
-            scheme,
-            spec,
-            variation=variation,
-            num_instances=num_instances,
-            library=self.library,
-            first_instance=first_instance,
+    if thermal is not None and temperature_trace is None:
+        raise ValueError("thermal derating requires a temperature_trace")
+    if load is not None and missions is not None:
+        raise ValueError(
+            "got both a shared load and per-instance missions; the fleet "
+            "flies one or the other, so drop the load or the missions"
         )
-        self.scheme = self.ensemble.scheme
-        self.calibration = self.ensemble.lock(self.conditions)
-        self.curves = self.ensemble.transfer_curves(
-            self.conditions, calibration=self.calibration
-        )
-        self.quantizer = BatchQuantizer.from_ensemble(self.curves)
-        if component_variation is None:
-            self.parameters = BatchBuckParameters.uniform(nominal, num_instances)
-        else:
-            self.parameters = component_variation.sample_batch(
-                nominal, num_instances
-            )
-        self.reference_v = reference_v
-        self._loop_kwargs: dict[str, Any] = dict(
-            adc=adc,
-            compensator=compensator,
-            load=load,
-            loads=loads,
-            reference_profile=reference_profile,
-            source_profile=source_profile,
-        )
+    if temperature_trace is not None:
+        epochs: list[tuple[int, int, float | None]] = [
+            (start, end, temperature)
+            for start, end, temperature in temperature_trace.epochs(periods)
+        ]
+        derating = thermal or ThermalDerating()
+    else:
+        epochs = [(0, periods, None)]
+        derating = None
 
-    @property
-    def num_instances(self) -> int:
-        return self.ensemble.num_instances
-
-    def build_loop(self) -> BatchClosedLoop:
-        """A fresh fleet closed around the fabricated DPWMs."""
-        return BatchClosedLoop(
-            self.parameters,
-            self.quantizer,
-            reference_v=self.reference_v,
-            **self._loop_kwargs,
+    # Each epoch's loads are shifted to its start (OffsetLoad.wrap), and
+    # the compensator and converter state carry across the boundary, so
+    # the epochs concatenate to the trajectory of one unsplit run.
+    locks: list[tuple[EnsembleCalibration, EnsembleTransferCurves]] = []
+    pieces: list[BatchRegulationResult] = []
+    loop: BatchClosedLoop | None = None
+    for start, end, temperature in epochs:
+        epoch_conditions = (
+            conditions.with_temperature(temperature)
+            if temperature is not None
+            else conditions
         )
-
-    def run(self, periods: int = 300) -> PipelineResult:
-        """Advance a fresh fleet and bundle all stages into one result."""
-        regulation = self.build_loop().run(periods)
-        return PipelineResult(
-            scheme=self.scheme,
-            reference_v=self.reference_v,
-            calibration=self.calibration,
-            curves=self.curves,
-            regulation=regulation,
+        epoch_calibration = ensemble.lock(epoch_conditions)
+        epoch_curves = ensemble.transfer_curves(
+            epoch_conditions, calibration=epoch_calibration
         )
+        locks.append((epoch_calibration, epoch_curves))
+        epoch_parameters = (
+            derating.derate(parameters, temperature)
+            if derating is not None and temperature is not None
+            else parameters
+        )
+        previous = loop
+        loop = BatchClosedLoop(
+            epoch_parameters,
+            BatchQuantizer.from_ensemble(epoch_curves),
+            reference_v=reference_v,
+            compensator=previous.compensator if previous is not None else None,
+            load=OffsetLoad.wrap(load, start) if load is not None else None,
+            loads=(
+                [OffsetLoad.wrap(mission, start) for mission in missions]
+                if missions is not None
+                else None
+            ),
+            start_at_reference=previous is None,
+        )
+        if previous is not None:
+            loop.output_voltage_v = previous.output_voltage_v
+            loop.inductor_current_a = previous.inductor_current_a
+        pieces.append(loop.run(end - start))
+
+    if len(pieces) == 1:
+        regulation = pieces[0]
+    else:
+        regulation = BatchRegulationResult(
+            switching_period_s=pieces[0].switching_period_s,
+            **{
+                field.name: np.concatenate(
+                    [getattr(piece, field.name) for piece in pieces]
+                )
+                for field in fields(BatchRegulationResult)
+                if field.name != "switching_period_s"
+            },
+        )
+    calibration, curves = locks[0]
+    return PipelineResult(
+        scheme=ensemble.scheme,
+        reference_v=reference_v,
+        calibration=calibration,
+        curves=curves,
+        regulation=regulation,
+    )
 
 
 class ChunkedSiliconToRegulation:
-    """The pipeline's chunked entry point for streaming Monte-Carlo.
+    """Design once, then fabricate and regulate any instance range.
 
-    :class:`SiliconToRegulationPipeline` fabricates its whole population in
-    the constructor -- the right shape for a fixed-N run.  A streaming
-    sampler (:mod:`repro.mc`) instead grows the population until a
-    confidence target is met, so this variant runs the (deterministic)
-    design procedure once and defers all fabrication to :meth:`run_chunk`,
-    which takes an explicit instance range.  Chunk boundaries never change
+    A streaming sampler (:mod:`repro.mc`) grows its population until a
+    confidence target is met, so this runner runs the (deterministic)
+    design procedure once and defers everything else to :meth:`run_chunk`:
+    fabricate the chunk's instances, draw their electrical spreads, and
+    hand both to :func:`regulate_ensemble`.  Chunk boundaries never change
     the sample stream:
 
     * the silicon mismatch of instance ``i`` comes from
@@ -385,8 +361,8 @@ class ChunkedSiliconToRegulation:
     * the electrical spread of instance ``i`` comes from
       :meth:`ComponentVariation.sample_instances`'s per-instance stream
       (*not* the one-shot :meth:`~ComponentVariation.sample_batch` stream
-      the fixed-N pipeline draws -- the two paths are different, equally
-      valid populations),
+      the fixed-N :func:`~repro.core.yield_analysis.closed_loop_yield`
+      draws -- the two are different, equally valid populations),
 
     so ``run_chunk(0, n)`` equals the concatenation of any chunking of
     ``[0, n)`` bit for bit -- hypothesis-tested in ``tests/test_pipeline.py``.
@@ -435,15 +411,9 @@ class ChunkedSiliconToRegulation:
         :class:`~repro.converter.missions.MissionGenerator` draws one per
         instance from its chunk-invariant stream; an explicit sequence
         supplies one :class:`~repro.converter.missions.MissionProfile` per
-        instance).  ``temperature_trace`` makes the run non-isothermal: the
-        run is split at the trace's epoch boundaries, the ensemble is
-        re-locked at each epoch's temperature through the corner model (so
-        the DPWM duty tables drift exactly as a static run at that
-        temperature would) and the electricals are re-derated through
-        ``thermal`` (default :class:`~repro.technology.thermal
-        .ThermalDerating`), with exact closed-loop state carry-over across
-        the boundaries -- an all-nominal-temperature trace reproduces the
-        unsplit run bit for bit.
+        instance) in place of the runner's shared ``load``; giving both
+        raises a ``ValueError``.  ``temperature_trace`` / ``thermal`` make
+        the run non-isothermal; see :func:`regulate_ensemble`.
 
         Only a mission's *load* channel is applied: the fleet regulates to
         ``reference_v`` from the nominal input rail.  A mission that sets a
@@ -452,8 +422,6 @@ class ChunkedSiliconToRegulation:
         ``ValueError`` naming the instance and the channel rather than
         being flown without it.
         """
-        if thermal is not None and temperature_trace is None:
-            raise ValueError("thermal derating requires a temperature_trace")
         mission_list = (
             resolve_missions(missions, num_instances, first_instance)
             if missions is not None
@@ -471,97 +439,16 @@ class ChunkedSiliconToRegulation:
         ensemble = self.fabricator.fabricate(
             num_instances, first_instance=first_instance
         )
-        base_parameters = self._chunk_parameters(num_instances, first_instance)
-        if temperature_trace is not None:
-            epochs: list[tuple[int, int, float | None]] = [
-                (start, end, temperature)
-                for start, end, temperature in temperature_trace.epochs(periods)
-            ]
-            derating = thermal or ThermalDerating()
-        else:
-            epochs = [(0, periods, None)]
-            derating = None
-
-        # Each epoch's loads are shifted to its start (OffsetLoad.wrap), and
-        # the compensator and converter state carry across the boundary, so
-        # the epochs concatenate to the trajectory of one unsplit run.
-        calibration: EnsembleCalibration | None = None
-        curves: EnsembleTransferCurves | None = None
-        pieces: list[BatchRegulationResult] = []
-        loop: BatchClosedLoop | None = None
-        for start, end, temperature in epochs:
-            conditions = (
-                self.conditions.with_temperature(temperature)
-                if temperature is not None
-                else self.conditions
-            )
-            epoch_calibration = ensemble.lock(conditions)
-            epoch_curves = ensemble.transfer_curves(
-                conditions, calibration=epoch_calibration
-            )
-            if calibration is None or curves is None:
-                calibration = epoch_calibration
-                curves = epoch_curves
-            parameters = (
-                derating.derate(base_parameters, temperature)
-                if derating is not None and temperature is not None
-                else base_parameters
-            )
-            previous = loop
-            loop = BatchClosedLoop(
-                parameters,
-                BatchQuantizer.from_ensemble(epoch_curves),
-                reference_v=self.reference_v,
-                compensator=previous.compensator if previous is not None else None,
-                load=(
-                    OffsetLoad.wrap(self.load, start)
-                    if mission_list is None and self.load is not None
-                    else None
-                ),
-                loads=(
-                    [OffsetLoad.wrap(mission, start) for mission in mission_list]
-                    if mission_list is not None
-                    else None
-                ),
-                start_at_reference=previous is None,
-            )
-            if previous is not None:
-                loop.output_voltage_v = previous.output_voltage_v
-                loop.inductor_current_a = previous.inductor_current_a
-            pieces.append(loop.run(end - start))
-
-        if calibration is None or curves is None:  # pragma: no cover
-            raise RuntimeError("temperature trace produced no epochs")
-        if len(pieces) == 1:
-            regulation = pieces[0]
-        else:
-            regulation = BatchRegulationResult(
-                switching_period_s=pieces[0].switching_period_s,
-                output_voltages_v=np.concatenate(
-                    [piece.output_voltages_v for piece in pieces], axis=0
-                ),
-                inductor_currents_a=np.concatenate(
-                    [piece.inductor_currents_a for piece in pieces], axis=0
-                ),
-                duty_words=np.concatenate(
-                    [piece.duty_words for piece in pieces], axis=0
-                ),
-                duty_fractions=np.concatenate(
-                    [piece.duty_fractions for piece in pieces], axis=0
-                ),
-                error_codes=np.concatenate(
-                    [piece.error_codes for piece in pieces], axis=0
-                ),
-                load_resistances_ohm=np.concatenate(
-                    [piece.load_resistances_ohm for piece in pieces], axis=0
-                ),
-            )
-        return PipelineResult(
-            scheme=ensemble.scheme,
+        return regulate_ensemble(
+            ensemble,
+            self._chunk_parameters(num_instances, first_instance),
+            self.conditions,
             reference_v=self.reference_v,
-            calibration=calibration,
-            curves=curves,
-            regulation=regulation,
+            periods=periods,
+            load=self.load,
+            missions=mission_list,
+            temperature_trace=temperature_trace,
+            thermal=thermal,
         )
 
     def _chunk_parameters(

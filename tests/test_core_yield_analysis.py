@@ -16,6 +16,7 @@ from repro.core.yield_analysis import (
     adaptive_linearity_yield,
     adaptive_regulation_yield,
     cells_for_yield,
+    closed_loop_yield,
     coverage_yield,
     linearity_yield,
     yield_curve,
@@ -327,6 +328,51 @@ class TestAdaptiveClosedLoopYield:
         assert chunked.spec_yields == one_shot.spec_yields
         assert chunked.value_stats["error_v"]["max"] == (
             one_shot.value_stats["error_v"]["max"]
+        )
+
+
+class TestClosedLoopYieldSharding:
+    SPEC = DesignSpec(clock_frequency_mhz=100.0, resolution_bits=5)
+
+    def test_component_draw_cannot_be_sharded(self, library):
+        """sample_batch ignores first_instance, so every shard would reuse
+        shard 0's component spreads; the fixed-N path refuses instead."""
+        with pytest.raises(
+            ValueError, match=r"first_instance=4 .*adaptive_closed_loop_yield"
+        ):
+            closed_loop_yield(
+                "proposed",
+                self.SPEC,
+                OperatingConditions.typical(),
+                variation=VariationModel(seed=5),
+                component_variation=ComponentVariation(seed=5),
+                num_instances=4,
+                periods=40,
+                library=library,
+                first_instance=4,
+            )
+
+    def test_silicon_only_shards_tile_the_population(self, library):
+        def run(num_instances, first_instance):
+            return closed_loop_yield(
+                "proposed",
+                self.SPEC,
+                OperatingConditions.typical(),
+                variation=VariationModel(seed=5),
+                num_instances=num_instances,
+                periods=40,
+                library=library,
+                first_instance=first_instance,
+            )
+
+        whole = run(8, 0)
+        shards = [run(4, 0), run(4, 4)]
+        np.testing.assert_array_equal(
+            np.concatenate([shard.steady_state_voltages_v for shard in shards]),
+            whole.steady_state_voltages_v,
+        )
+        np.testing.assert_array_equal(
+            np.concatenate([shard.passes for shard in shards]), whole.passes
         )
 
 

@@ -1,7 +1,8 @@
-"""Tests for the fused silicon-to-regulation pipeline.
+"""Tests for the silicon-to-regulation stage function and its callers.
 
-The load-bearing property: the fused pipeline must match composing the two
-engines by hand, instance by instance -- a scalar
+The load-bearing property: :func:`regulate_ensemble`, reached through the
+fixed-N :func:`closed_loop_yield` or the chunked runner, must match
+composing the two engines by hand, instance by instance -- a scalar
 :class:`CalibratedDelayLineDPWM` (cycle-accurate lock, per-word table) closed
 inside a scalar :class:`DigitallyControlledBuck`, run period by period.
 Bit-exact: identical duty-word decisions and identical output-voltage
@@ -18,7 +19,11 @@ from hypothesis import strategies as st
 from repro.converter.buck import BuckParameters
 from repro.converter.closed_loop import DigitallyControlledBuck, IdealDPWM
 from repro.converter.load import LineTransient, ReferenceStep, SteppedLoad
-from repro.converter.missions import MissionProfile, MissionSegment
+from repro.converter.missions import (
+    MissionGenerator,
+    MissionProfile,
+    MissionSegment,
+)
 from repro.core.design import DesignSpec, design_conventional, design_proposed
 from repro.core.ensemble import ConventionalEnsemble, ProposedEnsemble
 from repro.core.yield_analysis import (
@@ -31,38 +36,42 @@ from repro.dpwm.calibrated import CalibratedDelayLineDPWM
 from repro.pipeline import (
     ChunkedFabricator,
     ChunkedSiliconToRegulation,
-    SiliconToRegulationPipeline,
-    fabricate_ensemble,
+    regulate_ensemble,
 )
-from repro.simulation.batch import BatchQuantizer
+from repro.simulation.batch import BatchBuckParameters, BatchQuantizer
 from repro.technology.corners import OperatingConditions, ProcessCorner
 from repro.technology.library import intel32_like_library
 from repro.technology.variation import VariationModel
 
 LIBRARY = intel32_like_library()
 SPEC = DesignSpec(clock_frequency_mhz=100.0, resolution_bits=5)
+NOMINAL = BuckParameters(switching_frequency_hz=100e6)
 
 schemes = st.sampled_from(["proposed", "conventional"])
 corners = st.sampled_from(list(ProcessCorner))
 seeds = st.integers(min_value=0, max_value=2**16)
 
 
-def _hand_composed(pipeline, design, conditions, periods):
+def _fabricate(scheme, variation, num_instances):
+    return ChunkedFabricator(
+        scheme, SPEC, variation=variation, library=LIBRARY
+    ).fabricate(num_instances)
+
+
+def _hand_composed(ensemble, parameters, design, conditions, periods):
     """The two engines composed by hand: one scalar DPWM + loop per instance."""
-    num = pipeline.num_instances
+    num = ensemble.num_instances
     words = np.empty((periods, num), dtype=np.int64)
     voltages = np.empty((periods, num))
     duty_tables = []
     for index in range(num):
         line = design.build_line(
-            library=LIBRARY, variation=pipeline.ensemble.batch.instance(index)
+            library=LIBRARY, variation=ensemble.batch.instance(index)
         )
         dpwm = CalibratedDelayLineDPWM(line, conditions)
         duty_tables.append(dpwm.duty_table())
         loop = DigitallyControlledBuck(
-            pipeline.parameters.variant(index),
-            dpwm,
-            reference_v=pipeline.reference_v,
+            parameters.variant(index), dpwm, reference_v=0.9
         )
         trace = loop.run(periods)
         words[:, index] = trace.duty_words
@@ -79,47 +88,49 @@ class TestFusedVersusHandComposed:
         conditions = OperatingConditions(corner=corner)
         design_fn = design_proposed if scheme == "proposed" else design_conventional
         design = design_fn(SPEC, LIBRARY)
-        pipeline = SiliconToRegulationPipeline(
+        variation = VariationModel(random_sigma=0.05, gradient_peak=0.01, seed=seed)
+        components = ComponentVariation(seed=seed)
+        periods = 40
+        result = closed_loop_yield(
             scheme,
             SPEC,
             conditions,
-            variation=VariationModel(random_sigma=0.05, gradient_peak=0.01, seed=seed),
+            variation=variation,
             num_instances=3,
-            component_variation=ComponentVariation(seed=seed),
+            periods=periods,
+            component_variation=components,
             library=LIBRARY,
-        )
-        periods = 40
-        result = pipeline.run(periods)
+        ).pipeline_result
         words, voltages, duty_tables = _hand_composed(
-            pipeline, design, conditions, periods
+            _fabricate(scheme, variation, 3),
+            components.sample_batch(NOMINAL, 3),
+            design,
+            conditions,
+            periods,
         )
         np.testing.assert_array_equal(result.regulation.duty_words, words)
         np.testing.assert_array_equal(result.regulation.output_voltages_v, voltages)
+        quantizer = BatchQuantizer.from_ensemble(result.curves)
         for index, table in enumerate(duty_tables):
             np.testing.assert_array_equal(
-                pipeline.quantizer.levels[index, : table.size], table
+                quantizer.levels[index, : table.size], table
             )
 
     def test_pipeline_matches_composition_under_load_step(self):
         conditions = OperatingConditions.typical()
         load = SteppedLoad(light_ohm=2.0, heavy_ohm=0.9, step_up_period=15)
-        pipeline = SiliconToRegulationPipeline(
-            "proposed",
-            SPEC,
-            conditions,
-            variation=VariationModel(seed=3),
-            num_instances=2,
-            load=load,
-            library=LIBRARY,
+        ensemble = _fabricate("proposed", VariationModel(seed=3), 2)
+        parameters = BatchBuckParameters.uniform(NOMINAL, 2)
+        result = regulate_ensemble(
+            ensemble, parameters, conditions, reference_v=0.9, periods=50, load=load
         )
-        result = pipeline.run(50)
         design = design_proposed(SPEC, LIBRARY)
         for index in range(2):
             line = design.build_line(
-                library=LIBRARY, variation=pipeline.ensemble.batch.instance(index)
+                library=LIBRARY, variation=ensemble.batch.instance(index)
             )
             loop = DigitallyControlledBuck(
-                pipeline.parameters.variant(index),
+                parameters.variant(index),
                 CalibratedDelayLineDPWM(line, conditions),
                 reference_v=0.9,
                 load=load,
@@ -132,33 +143,6 @@ class TestFusedVersusHandComposed:
                 np.asarray(trace.output_voltages_v),
                 result.regulation.output_voltages_v[:, index],
             )
-
-
-class TestFabricateEnsemble:
-    def test_designs_both_schemes(self):
-        proposed = fabricate_ensemble(
-            "proposed", SPEC, VariationModel(seed=1), 4, LIBRARY
-        )
-        conventional = fabricate_ensemble(
-            "conventional", SPEC, VariationModel(seed=1), 4, LIBRARY
-        )
-        assert isinstance(proposed, ProposedEnsemble)
-        assert isinstance(conventional, ConventionalEnsemble)
-        assert proposed.num_instances == conventional.num_instances == 4
-
-    def test_none_variation_fabricates_nominal_silicon(self):
-        ensemble = fabricate_ensemble("proposed", SPEC, None, 3, LIBRARY)
-        assert ensemble.batch is None
-        assert ensemble.num_instances == 3
-        conditions = OperatingConditions.typical()
-        delays = ensemble.cell_delays_ps(conditions)
-        np.testing.assert_array_equal(delays[0], delays[1])
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="unknown scheme"):
-            fabricate_ensemble("ideal", SPEC, None, 2, LIBRARY)
-        with pytest.raises(ValueError, match="at least one instance"):
-            fabricate_ensemble("proposed", SPEC, None, 0, LIBRARY)
 
 
 class TestChunkedFabricator:
@@ -183,6 +167,21 @@ class TestChunkedFabricator:
             whole.batch.multipliers,
             np.concatenate([head.batch.multipliers, tail.batch.multipliers]),
         )
+
+    def test_designs_both_schemes(self):
+        proposed = _fabricate("proposed", VariationModel(seed=1), 4)
+        conventional = _fabricate("conventional", VariationModel(seed=1), 4)
+        assert isinstance(proposed, ProposedEnsemble)
+        assert isinstance(conventional, ConventionalEnsemble)
+        assert proposed.num_instances == conventional.num_instances == 4
+
+    def test_none_variation_fabricates_nominal_silicon(self):
+        ensemble = _fabricate("proposed", None, 3)
+        assert ensemble.batch is None
+        assert ensemble.num_instances == 3
+        conditions = OperatingConditions.typical()
+        delays = ensemble.cell_delays_ps(conditions)
+        np.testing.assert_array_equal(delays[0], delays[1])
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown scheme"):
@@ -285,6 +284,30 @@ class TestChunkedSiliconToRegulation:
         result = runner.run_chunk(4, 2, periods=20, missions=[load_only] * 2)
         assert result.num_instances == 2
 
+    @pytest.mark.parametrize(
+        "missions",
+        [
+            [MissionProfile(segments=(MissionSegment(duration_periods=20),))] * 2,
+            MissionGenerator(total_periods=20, num_segments=2, seed=3),
+        ],
+        ids=["mission-list", "mission-generator"],
+    )
+    def test_shared_load_and_missions_are_exclusive(self, missions):
+        """The runner's shared load is never dropped for the missions."""
+        runner = ChunkedSiliconToRegulation(
+            "proposed",
+            SPEC,
+            load=SteppedLoad(light_ohm=2.0, heavy_ohm=0.9, step_up_period=5),
+            library=LIBRARY,
+        )
+        with pytest.raises(ValueError, match="shared load and per-instance missions"):
+            runner.run_chunk(0, 2, periods=20, missions=missions)
+        # Either input alone still runs.
+        assert runner.run_chunk(0, 2, periods=20).num_instances == 2
+        missions_only = ChunkedSiliconToRegulation("proposed", SPEC, library=LIBRARY)
+        result = missions_only.run_chunk(0, 2, periods=20, missions=missions)
+        assert result.num_instances == 2
+
     def test_uniform_parameters_without_component_variation(self):
         runner = ChunkedSiliconToRegulation(
             "proposed", SPEC, library=LIBRARY
@@ -301,31 +324,84 @@ class TestChunkedSiliconToRegulation:
             )
 
 
+class TestFixedNMatchesChunked:
+    @pytest.mark.parametrize(
+        "load",
+        [None, SteppedLoad(light_ohm=2.0, heavy_ohm=0.9, step_up_period=25)],
+        ids=["static", "stepped"],
+    )
+    @pytest.mark.parametrize("scheme", ["proposed", "conventional"])
+    def test_closed_loop_yield_equals_run_chunk(self, scheme, load):
+        """Without a component spread both paths fly the same population
+        through the one stage function, so they agree bit for bit."""
+        conditions = OperatingConditions.typical()
+        variation = VariationModel(seed=8)
+        fixed = closed_loop_yield(
+            scheme,
+            SPEC,
+            conditions,
+            variation=variation,
+            num_instances=5,
+            periods=60,
+            load=load,
+            library=LIBRARY,
+        ).pipeline_result
+        chunked = ChunkedSiliconToRegulation(
+            scheme, SPEC, conditions, variation=variation, load=load, library=LIBRARY
+        ).run_chunk(0, 5, periods=60)
+        for name in (
+            "output_voltages_v",
+            "inductor_currents_a",
+            "duty_words",
+            "duty_fractions",
+            "error_codes",
+            "load_resistances_ohm",
+        ):
+            np.testing.assert_array_equal(
+                getattr(fixed.regulation, name), getattr(chunked.regulation, name)
+            )
+        np.testing.assert_array_equal(
+            fixed.calibration.locked, chunked.calibration.locked
+        )
+        np.testing.assert_array_equal(fixed.curves.delays_ps, chunked.curves.delays_ps)
+
+
 class TestPipelineConstruction:
     def test_mismatched_switching_frequency_rejected(self):
         nominal = BuckParameters(switching_frequency_hz=50e6)
         with pytest.raises(ValueError, match="one switching clock"):
-            SiliconToRegulationPipeline(
-                "proposed", SPEC, nominal=nominal, num_instances=2, library=LIBRARY
+            closed_loop_yield(
+                "proposed",
+                SPEC,
+                OperatingConditions.typical(),
+                nominal=nominal,
+                num_instances=2,
+                library=LIBRARY,
             )
 
     def test_defaults_follow_the_spec_frequency(self):
-        pipeline = SiliconToRegulationPipeline(
-            "proposed", SPEC, num_instances=2, library=LIBRARY
-        )
-        assert pipeline.nominal.switching_frequency_hz == pytest.approx(100e6)
-        assert pipeline.parameters.num_variants == 2
-        assert pipeline.quantizer.num_variants == 2
-
-    def test_result_statistics_shapes(self):
-        pipeline = SiliconToRegulationPipeline(
+        result = closed_loop_yield(
             "proposed",
             SPEC,
+            OperatingConditions.typical(),
+            num_instances=2,
+            periods=20,
+            library=LIBRARY,
+        ).pipeline_result
+        assert result.regulation.switching_period_s == pytest.approx(1e-8)
+        assert result.regulation.num_variants == 2
+        assert result.curves.delays_ps.shape[0] == 2
+
+    def test_result_statistics_shapes(self):
+        result = closed_loop_yield(
+            "proposed",
+            SPEC,
+            OperatingConditions.typical(),
             variation=VariationModel(seed=5),
             num_instances=4,
+            periods=60,
             library=LIBRARY,
-        )
-        result = pipeline.run(60)
+        ).pipeline_result
         assert result.num_instances == 4
         assert result.steady_state_voltages_v().shape == (4,)
         assert result.limit_cycle_amplitudes_v().shape == (4,)
@@ -353,9 +429,7 @@ class TestBatchQuantizerFromEnsemble:
             np.testing.assert_array_equal(quantizer.levels[index], reference)
 
     def test_word_zero_is_the_no_pulse_word(self):
-        ensemble = fabricate_ensemble(
-            "proposed", SPEC, VariationModel(seed=2), 2, LIBRARY
-        )
+        ensemble = _fabricate("proposed", VariationModel(seed=2), 2)
         quantizer = BatchQuantizer.from_ensemble(
             ensemble.transfer_curves(OperatingConditions.typical())
         )
@@ -363,7 +437,7 @@ class TestBatchQuantizerFromEnsemble:
         assert np.all(np.diff(quantizer.levels, axis=1) >= 0.0)
 
     def test_narrower_word_register(self):
-        ensemble = fabricate_ensemble("proposed", SPEC, None, 1, LIBRARY)
+        ensemble = _fabricate("proposed", None, 1)
         curves = ensemble.transfer_curves(OperatingConditions.typical())
         quantizer = BatchQuantizer.from_ensemble(curves, num_words=8)
         assert quantizer.levels.shape == (1, 8)
@@ -385,7 +459,7 @@ class TestBatchQuantizerFromEnsemble:
         with pytest.raises(ValueError, match="covers"):
             BatchQuantizer.from_ensemble(ShapeMismatch())
 
-        ensemble = fabricate_ensemble("proposed", SPEC, None, 1, LIBRARY)
+        ensemble = _fabricate("proposed", None, 1)
         curves = ensemble.transfer_curves(OperatingConditions.typical())
         with pytest.raises(ValueError, match="num_words"):
             BatchQuantizer.from_ensemble(curves, num_words=1)
@@ -410,9 +484,7 @@ class TestSpecFramework:
 
     def test_linearity_spec_evaluates_ensembles(self):
         conditions = OperatingConditions.typical()
-        ensemble = fabricate_ensemble(
-            "proposed", SPEC, VariationModel(seed=4), 5, LIBRARY
-        )
+        ensemble = _fabricate("proposed", VariationModel(seed=4), 5)
         calibration = ensemble.lock(conditions)
         curves = ensemble.transfer_curves(conditions, calibration=calibration)
         passes = LinearitySpec().evaluate(calibration, curves)
