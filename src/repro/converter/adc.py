@@ -76,18 +76,26 @@ class WindowedADC:
         return code > self.max_code or code < self.min_code
 
     def quantize_error_array(
-        self, reference_v: npt.ArrayLike, measured_v: npt.ArrayLike
+        self,
+        reference_v: npt.ArrayLike,
+        measured_v: npt.ArrayLike,
+        out: npt.NDArray[np.int64] | None = None,
     ) -> npt.NDArray[np.int64]:
         """Vectorized :meth:`quantize_error` over arrays of voltages.
 
         Used by the batch simulation engine; element-for-element identical to
         the scalar method (``np.rint`` and Python's ``round`` both round half
-        to even).
+        to even).  ``out``, when given, is the int64 array to fill.  With no
+        dead band the dead-band mask is skipped: an error of exactly zero
+        rounds to code 0 anyway.
         """
-        error = np.asarray(reference_v, dtype=float) - np.asarray(
-            measured_v, dtype=float
-        )
-        codes = np.clip(
-            np.rint(error / self.lsb_v).astype(np.int64), self.min_code, self.max_code
-        )
-        return np.where(np.abs(error) <= self.dead_band_v, 0, codes)
+        error = np.subtract(reference_v, measured_v, dtype=float)
+        scaled = np.rint(error / self.lsb_v)
+        if out is None:
+            out = np.empty(np.shape(scaled), dtype=np.int64)
+        np.copyto(out, scaled, casting="unsafe")
+        np.maximum(out, self.min_code, out=out)
+        np.minimum(out, self.max_code, out=out)
+        if self.dead_band_v > 0:
+            out[np.abs(error) <= self.dead_band_v] = 0
+        return out

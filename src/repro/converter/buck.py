@@ -111,7 +111,7 @@ def plant_terms(a: Any, b: Any, c: Any, d: Any) -> PlantTerms:
 
 
 def duration_coefficients(
-    terms: PlantTerms, duration: Any
+    terms: PlantTerms, duration: Any, out: Any = None
 ) -> tuple[Any, Any, Any, Any, Any, Any]:
     """The duration half of :func:`exact_interval_coefficients`.
 
@@ -119,39 +119,62 @@ def duration_coefficients(
     of on and off times evaluates both intervals of ``N`` plants in one
     pass.  Every operation is elementwise, so each entry equals the
     separate evaluation of its own plant and duration bit for bit.
+
+    Only the closed-form branches some plant of the batch takes are
+    evaluated: an all-underdamped batch computes cos/sin alone, the grouped
+    exponentials run only if some plant is grouped, and the critically
+    damped override only if some plant is degenerate.  A skipped branch is
+    one whose ``np.where`` would have discarded every value, so skipping it
+    changes no bit.
+
+    ``out``, when given, is a ``(6, *shape)`` float array that receives
+    ``(ad11, ad12, ad21, ad22, m11, m21)`` in place of fresh arrays.
     """
     a, b, c, d, mu, delta, q, degenerate, oscillatory, det = terms
     duration = np.asarray(duration, dtype=float)
     qt = q * duration
 
     envelope = np.exp(mu * duration)
-    # Overdamped branch.  For moderate q t, evaluate exp(mu t) * cosh/sinh
-    # directly (well-conditioned for small q t).  For large q t those
-    # factors overflow/underflow individually even though their product is
-    # finite, so group them as exp((mu +/- q) t) -- both exponents are
-    # non-positive because det(A) > 0 implies q < |mu|.  Branch arguments
-    # are masked so the unused side never overflows.
-    grouped = (~oscillatory) & (qt > 30.0)
-    qt_direct = np.where(grouped, 0.0, qt)
-    cosh_env = envelope * np.where(oscillatory, np.cos(qt), np.cosh(qt_direct))
-    sinh_env = envelope * np.where(oscillatory, np.sin(qt), np.sinh(qt_direct)) / q
-    q_grouped = np.where(grouped, q, 0.0)
-    exp_plus = np.exp((mu + q_grouped) * duration)
-    exp_minus = np.exp((mu - q_grouped) * duration)
-    cosh_env = np.where(grouped, 0.5 * (exp_plus + exp_minus), cosh_env)
-    sinh_env = np.where(grouped, (exp_plus - exp_minus) / (2.0 * q), sinh_env)
-    cosh_env = np.where(degenerate, envelope, cosh_env)
-    sinh_env = np.where(degenerate, duration * envelope, sinh_env)
+    # Branch presence is counted with np.count_nonzero: one call answers
+    # both "all" and "any", cheaper than the ndarray.all/any reductions.
+    oscillating = np.count_nonzero(oscillatory)
+    if oscillating == np.size(oscillatory):
+        cosh_env = envelope * np.cos(qt)
+        sinh_env = envelope * np.sin(qt) / q
+    else:
+        # Overdamped branch.  For moderate q t, evaluate exp(mu t) *
+        # cosh/sinh directly (well-conditioned for small q t).  For large
+        # q t those factors overflow/underflow individually even though
+        # their product is finite, so group them as exp((mu +/- q) t) --
+        # both exponents are non-positive because det(A) > 0 implies
+        # q < |mu|.  Branch arguments are masked so the unused side never
+        # overflows.
+        grouped = (~oscillatory) & (qt > 30.0)
+        qt_direct = np.where(grouped, 0.0, qt)
+        cosh_env = envelope * np.where(oscillatory, np.cos(qt), np.cosh(qt_direct))
+        sinh_env = envelope * np.where(oscillatory, np.sin(qt), np.sinh(qt_direct)) / q
+        if np.count_nonzero(grouped):
+            q_grouped = np.where(grouped, q, 0.0)
+            exp_plus = np.exp((mu + q_grouped) * duration)
+            exp_minus = np.exp((mu - q_grouped) * duration)
+            cosh_env = np.where(grouped, 0.5 * (exp_plus + exp_minus), cosh_env)
+            sinh_env = np.where(grouped, (exp_plus - exp_minus) / (2.0 * q), sinh_env)
+    if np.count_nonzero(degenerate):
+        cosh_env = np.where(degenerate, envelope, cosh_env)
+        sinh_env = np.where(degenerate, duration * envelope, sinh_env)
 
-    ad11 = cosh_env + sinh_env * delta
-    ad12 = sinh_env * b
-    ad21 = sinh_env * c
-    ad22 = cosh_env - sinh_env * delta
+    ad11, ad12, ad21, ad22, m11, m21 = (None,) * 6 if out is None else out
+    sinh_delta = sinh_env * delta
+    ad11 = np.add(cosh_env, sinh_delta, out=ad11)
+    ad12 = np.multiply(sinh_env, b, out=ad12)
+    ad21 = np.multiply(sinh_env, c, out=ad21)
+    ad22 = np.subtract(cosh_env, sinh_delta, out=ad22)
 
     # M = inv(A) (Ad - I); only the first column is needed because the
     # drive's second component is zero.
-    m11 = (d * (ad11 - 1.0) - b * ad21) / det
-    m21 = (a * ad21 - c * (ad11 - 1.0)) / det
+    ad11_minus_one = ad11 - 1.0
+    m11 = np.divide(d * ad11_minus_one - b * ad21, det, out=m11)
+    m21 = np.divide(a * ad21 - c * ad11_minus_one, det, out=m21)
     return ad11, ad12, ad21, ad22, m11, m21
 
 

@@ -247,6 +247,15 @@ class RandomBurstLoad:
     once for ``horizon_periods`` periods and repeats beyond the horizon, so
     ``resistance_at`` is a pure function of the period index and two runs
     with the same seed see the same workload.
+
+    Bursts that overlap merge: here bursts start in periods 2, 3, 11 and
+    13, each holding the heavy load for three periods (``#``):
+
+    >>> load = RandomBurstLoad(
+    ...     light_ohm=2.0, heavy_ohm=0.5, burst_probability=0.15,
+    ...     burst_periods=3, horizon_periods=16, seed=0)
+    >>> "".join("#" if r == 0.5 else "." for r in load.resistances(0, 16))
+    '..####.....#####'
     """
 
     light_ohm: float
@@ -266,10 +275,12 @@ class RandomBurstLoad:
             raise ValueError("burst_periods and horizon_periods must be positive")
         rng = np.random.default_rng(self.seed)
         starts = rng.random(self.horizon_periods) < self.burst_probability
-        mask = np.zeros(self.horizon_periods, dtype=bool)
-        for start in np.flatnonzero(starts):
-            mask[start : start + self.burst_periods] = True
-        object.__setattr__(self, "_heavy_mask", mask)
+        # Period t is heavy when a burst started in its window of the last
+        # burst_periods periods: a difference of running start counts.
+        started = np.cumsum(starts, dtype=np.int64)
+        in_window = started.copy()
+        in_window[self.burst_periods :] -= started[: -self.burst_periods]
+        object.__setattr__(self, "_heavy_mask", in_window > 0)
 
     def resistance_at(self, period_index: int) -> float:
         """Load resistance during the given switching period."""

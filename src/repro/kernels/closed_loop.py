@@ -59,7 +59,10 @@ def interval_coefficients(
 
 
 def period_coefficients(
-    terms: PlantTerms, on_time_s: FloatArray, period_s: FloatArray
+    terms: PlantTerms,
+    on_time_s: FloatArray,
+    period_s: FloatArray,
+    out: FloatArray | None = None,
 ) -> FloatArray:
     """:func:`interval_coefficients` on precomputed plant terms.
 
@@ -69,15 +72,19 @@ def period_coefficients(
     of evaluating the two intervals separately.  The evaluation is
     elementwise, so the result is bit-equal to two separate
     :func:`~repro.converter.buck.exact_interval_coefficients` calls.
+    ``out``, when given, is the ``(variants, 12)`` array to fill.
     """
-    off_time_s = period_s - on_time_s
-    durations = np.empty((2, *np.shape(off_time_s)))
+    durations = np.empty((2, *np.broadcast(period_s, on_time_s).shape))
     durations[0] = on_time_s
-    durations[1] = off_time_s
+    np.subtract(period_s, on_time_s, out=durations[1])
+    coefficients = np.empty((6, *np.broadcast(durations, terms.q).shape))
+    duration_coefficients(terms, durations, out=coefficients)
     # (6, 2, variants) -> (variants, 2, 6) -> (variants, 12): the on
     # coefficients fill columns 0..5 and the off coefficients 6..11.
-    coefficients = np.array(duration_coefficients(terms, durations))
-    return coefficients.transpose(2, 1, 0).reshape(-1, 12)
+    if out is None:
+        out = np.empty((coefficients.shape[2], 12))
+    out.reshape(-1, 2, 6)[...] = coefficients.transpose(2, 1, 0)
+    return out
 
 
 def gather_coefficients(
@@ -110,30 +117,61 @@ def pid_update(
     accumulate the clamped integral, add the proportional and derivative
     terms, clamp the command to the duty limits.  The caller keeps the
     state (integral, previous error); this function only computes.
+
+    The clamps are ``np.maximum`` then ``np.minimum`` rather than
+    ``np.clip``: the same values, NaN included, without ``np.clip``'s
+    Python-level argument handling.  The one difference is the sign of a
+    zero -- ``np.clip(-0.0, 0.0, 1.0)`` keeps ``-0.0`` where
+    ``np.maximum(-0.0, 0.0)`` gives ``+0.0`` -- which no duty word or
+    achieved duty can see:
+
+    >>> import numpy as np
+    >>> duty, integral = pid_update(
+    ...     error=np.array([4.0, -4.0, 0.0]), integral=np.full(3, 0.5),
+    ...     previous_error=np.zeros(3), kp=np.full(3, 0.1),
+    ...     ki=np.full(3, 0.01), kd=np.zeros(3),
+    ...     min_duty=np.full(3, 0.2), max_duty=np.full(3, 0.8))
+    >>> duty.tolist(), integral.tolist()
+    ([0.8, 0.2, 0.5], [0.54, 0.46, 0.5])
     """
-    integral = np.clip(integral + ki * error, min_duty, max_duty)
-    duty = integral + kp * error + kd * (error - previous_error)
-    return np.clip(duty, min_duty, max_duty), integral
+    integral = np.add(integral, ki * error)
+    np.maximum(integral, min_duty, out=integral)
+    np.minimum(integral, max_duty, out=integral)
+    duty = integral + kp * error
+    duty += kd * (error - previous_error)
+    np.maximum(duty, min_duty, out=duty)
+    np.minimum(duty, max_duty, out=duty)
+    return duty, integral
 
 
 def quantize_duty(
     commands: FloatArray,
     levels: FloatArray,
-    num_words: IntArray,
     rows: IntArray,
+    counts: IntArray,
+    out: tuple[IntArray, FloatArray] | None = None,
 ) -> tuple[IntArray, FloatArray]:
     """Duty commands -> ``(duty words, achieved duty fractions)``.
 
     Matches the scalar ``duty_word_for`` of the ideal and calibrated DPWMs
-    exactly: clip the command to [0, 1], round half to even to a word,
+    exactly: clamp the command to [0, 1], round half to even to a word,
     clamp to the top word, then look the achieved duty up in the
-    per-variant ``levels`` table (``rows`` selects each command's table
-    row, so a single shared row serves any fleet size).
+    per-variant ``levels`` table.  ``rows`` selects each command's table
+    row (so a single shared row serves any fleet size); ``counts`` is
+    that row's word count (``num_words[rows]``), which a caller
+    quantizing many periods resolves once.  ``out``, when given, is the ``(words,
+    duties)`` pair of arrays to fill.  The [0, 1] clamp is
+    ``np.maximum``/``np.minimum`` (see :func:`pid_update`).
     """
-    commands = np.clip(commands, 0.0, 1.0)
-    counts = num_words[rows]
-    words = np.minimum(np.rint(commands * counts).astype(np.int64), counts - 1)
-    return words, levels[rows, words]
+    commands = np.minimum(np.maximum(commands, 0.0), 1.0)
+    scaled = np.rint(commands * counts)
+    if out is None:
+        out = (np.empty(scaled.shape, dtype=np.int64), np.empty(scaled.shape))
+    words, duties = out
+    np.copyto(words, scaled, casting="unsafe")
+    np.minimum(words, counts - 1, out=words)
+    duties[...] = levels[rows, words]
+    return words, duties
 
 
 def apply_period_step(
@@ -141,17 +179,20 @@ def apply_period_step(
     current: FloatArray,
     voltage: FloatArray,
     drive: FloatArray,
+    out: tuple[FloatArray, FloatArray] | None = None,
 ) -> tuple[FloatArray, FloatArray]:
     """Advance the fleet state through one on+off switching period.
 
     ``step`` is the ``(variants, 12)`` coefficient matrix of
     :func:`interval_coefficients`.  The on interval applies the drive term
     (switch node at the source voltage); the off interval is drive-free
-    (switch node grounded).  Returns the new ``(current, voltage)``.
+    (switch node grounded).  Returns the new ``(current, voltage)``,
+    written into ``out`` when it is given.
     """
     on_current = step[:, 0] * current + step[:, 1] * voltage + step[:, 4] * drive
     on_voltage = step[:, 2] * current + step[:, 3] * voltage + step[:, 5] * drive
+    new_current, new_voltage = (None, None) if out is None else out
     return (
-        step[:, 6] * on_current + step[:, 7] * on_voltage,
-        step[:, 8] * on_current + step[:, 9] * on_voltage,
+        np.add(step[:, 6] * on_current, step[:, 7] * on_voltage, out=new_current),
+        np.add(step[:, 8] * on_current, step[:, 9] * on_voltage, out=new_voltage),
     )

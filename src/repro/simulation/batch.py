@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -262,7 +262,6 @@ class BatchQuantizer:
         self.levels = levels
         self.num_variants = num_variants
         self.num_words = num_words
-        self._rows = np.arange(num_variants, dtype=np.int64)
 
     @property
     def max_word(self) -> np.ndarray:
@@ -354,6 +353,22 @@ class BatchQuantizer:
         )
         return cls(levels)
 
+    def word_lookup(
+        self, num_commands: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, counts)`` for a vector of ``num_commands``.
+
+        Each command's table row and word count, as
+        :func:`~repro.kernels.closed_loop.quantize_duty` takes them.  A
+        single shared table serving a wider command vector gives every
+        command row 0.  A closed loop resolves this once per run.
+        """
+        if num_commands == self.num_variants:
+            rows = np.arange(num_commands, dtype=np.int64)
+        else:
+            rows = np.zeros(num_commands, dtype=np.int64)
+        return rows, self.num_words[rows]
+
     def quantize(self, commands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Duty commands -> (duty words, achieved duty fractions).
 
@@ -367,13 +382,9 @@ class BatchQuantizer:
                 f"need one duty command per variant ({self.num_variants}), "
                 f"got shape {commands.shape}"
             )
-        if commands.shape[0] == self.num_variants:
-            rows = self._rows
-        else:
-            # A single shared table serving a wider command vector: every
-            # command reads row 0.
-            rows = np.zeros(commands.shape[0], dtype=np.int64)
-        return quantize_duty(commands, self.levels, self.num_words, rows)
+        return quantize_duty(
+            commands, self.levels, *self.word_lookup(commands.shape[0])
+        )
 
 
 class BatchCompensator:
@@ -412,8 +423,13 @@ class BatchCompensator:
         self.previous_error = np.zeros(self.num_variants)
 
     def update(self, error_codes: np.ndarray) -> np.ndarray:
-        """Advance one switching period; returns the duty commands."""
-        error = np.asarray(error_codes, dtype=float)
+        """Advance one switching period; returns the duty commands.
+
+        The error is copied before it is kept as ``previous_error``, so a
+        caller may reuse its error buffer without changing the next
+        derivative term.
+        """
+        error = np.array(error_codes, dtype=float)
         duty, self.integral = pid_update(
             error,
             self.integral,
@@ -480,7 +496,7 @@ class _LoadCoefficientTable:
         self.periods_seen += 1
         slots = self.slot_of_word[words]
         missing = slots < 0
-        if np.any(missing):
+        if missing.any():
             # A table's very first period is always evaluated directly: a
             # load level that never repeats (a ramp retires its table every
             # period) then costs exactly the plain mixed evaluation, and
@@ -568,6 +584,14 @@ class BatchClosedLoop:
     #: handful of load levels, continuously varying scenarios (ramps, random
     #: bursts) would otherwise grow one table per period.
     MAX_CACHED_LOADS = 64
+
+    #: Cap on the plant terms of one block of one-shot load rows, in
+    #: lane-periods: 64 rows of a 64-lane fleet, one row at 4096 lanes
+    #: (where a row's element work already dwarfs the per-call cost).  A
+    #: block never has fewer than one row, so each of its term arrays holds
+    #: at most ``max(cap, lanes)`` elements: above 4096 lanes a block is one
+    #: row, the size of the per-period evaluation it replaces.
+    PLANT_TERMS_BLOCK_ELEMENTS = 4096
 
     def __init__(
         self,
@@ -705,7 +729,14 @@ class BatchClosedLoop:
         return schedule
 
     def run(self, periods: int) -> BatchRegulationResult:
-        """Run the closed loop for a number of switching periods."""
+        """Run the closed loop for a number of switching periods.
+
+        Everything fixed for the run -- the drive and reference when no
+        profile varies them, the quantizer's rows and word counts, the
+        variant rows -- is resolved before the first period, and each
+        period's ADC codes, duty words, achieved duties and state are
+        written straight into the result's arrays.
+        """
         if periods < 1:
             raise ValueError("periods must be >= 1")
         params = self.parameters
@@ -722,6 +753,13 @@ class BatchClosedLoop:
 
         current = self.inductor_current_a
         voltage = self.output_voltage_v
+        adc = self.adc
+        compensator = self.compensator
+        levels = self.quantizer.levels
+        quantizer_rows, word_counts = self.quantizer.word_lookup(num_variants)
+        reference: npt.ArrayLike = self.reference_v
+        drive = params.input_voltage_v / params.inductance_h
+        step_buffer = np.empty((num_variants, 12))
         # Transition coefficients are memoized per (load fingerprint, duty
         # word) in one table per load level (see _LoadCoefficientTable):
         # whole-fleet dithering costs one gather per period instead of two
@@ -754,24 +792,45 @@ class BatchClosedLoop:
             row_hashes = [hash(row.tobytes()) for row in loads_out]
             occurrences = Counter(row_hashes)
             recurs = [occurrences[row_hash] > 1 for row_hash in row_hashes]
+        # The one-shot rows' plant terms are computed a block of rows at a
+        # time (elementwise, so bit-equal to one row at a time); the block
+        # is capped by element count, so a wide fleet keeps a short block.
+        one_shot = np.flatnonzero(~np.asarray(recurs))
+        block_rows = max(1, self.PLANT_TERMS_BLOCK_ELEMENTS // num_variants)
+
+        def block_terms() -> Iterator[PlantTerms]:
+            for first in range(0, one_shot.size, block_rows):
+                rows = one_shot[first : first + block_rows]
+                block = np.broadcast_arrays(*terms_for(loads_out[rows]))
+                for row_terms in zip(*block):
+                    yield PlantTerms._make(row_terms)
+
+        one_shot_terms = block_terms()
+        reference_profile = self.reference_profile
+        source_profile = self.source_profile
         for index in range(periods):
-            if self.reference_profile is not None:
-                reference = self.reference_profile.reference_at(index)
-            else:
-                reference = self.reference_v
-            codes = self.adc.quantize_error_array(reference, voltage)
-            commands = self.compensator.update(codes)
-            words, duties = self.quantizer.quantize(commands)
-            rload = loads_out[index]
-            if self.source_profile is not None:
-                source_voltage = self.source_profile.voltage_at(index)
-            else:
-                source_voltage = params.input_voltage_v
+            if reference_profile is not None:
+                reference = reference_profile.reference_at(index)
+            codes = adc.quantize_error_array(reference, voltage, out=codes_out[index])
+            commands = compensator.update(codes)
+            words, duties = quantize_duty(
+                commands,
+                levels,
+                quantizer_rows,
+                word_counts,
+                out=(words_out[index], duties_out[index]),
+            )
+            if source_profile is not None:
+                drive = source_profile.voltage_at(index) / params.inductance_h
             if not recurs[index]:
                 step = period_coefficients(
-                    terms_for(rload), duties * period_s, period_s
+                    next(one_shot_terms),
+                    duties * period_s,
+                    period_s,
+                    out=step_buffer,
                 )
             else:
+                rload = loads_out[index]
                 rload_key = rload.tobytes()
                 table = load_tables.get(rload_key)
                 if table is None:
@@ -780,22 +839,15 @@ class BatchClosedLoop:
                     table = _LoadCoefficientTable(terms_for(rload), max_words)
                     load_tables[rload_key] = table
                 step = table.coefficients(
-                    words, duties, self.quantizer.levels, period_s, variant_rows
+                    words, duties, levels, period_s, variant_rows
                 )
             # On interval with the switch node at the source voltage, then
             # the drive-free off interval, in one kernel call.
-            drive = np.broadcast_to(
-                np.asarray(source_voltage / params.inductance_h, dtype=float),
-                (num_variants,),
+            current, voltage = apply_period_step(
+                step, current, voltage, drive, out=(currents[index], voltages[index])
             )
-            current, voltage = apply_period_step(step, current, voltage, drive)
-            voltages[index] = voltage
-            currents[index] = current
-            words_out[index] = words
-            duties_out[index] = duties
-            codes_out[index] = codes
-        self.inductor_current_a = current
-        self.output_voltage_v = voltage
+        self.inductor_current_a = current.copy()
+        self.output_voltage_v = voltage.copy()
         return BatchRegulationResult(
             switching_period_s=period_s,
             output_voltages_v=voltages,

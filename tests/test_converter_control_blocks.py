@@ -218,6 +218,31 @@ class TestLoads:
         for start in starts:
             assert heavy[start : start + 10].all() or start + 10 > 1000
 
+    @pytest.mark.parametrize("burst_probability", [0.0, 0.05, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        ("burst_periods", "horizon_periods"),
+        [(20, 4096), (7, 300), (500, 300), (1, 50), (3, 1), (1, 1)],
+    )
+    def test_random_burst_mask_matches_the_loop_reference(
+        self, burst_probability, burst_periods, horizon_periods
+    ):
+        """The cumsum-window mask equals marking each burst with a loop."""
+        for seed in range(25):
+            load = RandomBurstLoad(
+                light_ohm=2.0,
+                heavy_ohm=0.5,
+                burst_probability=burst_probability,
+                burst_periods=burst_periods,
+                horizon_periods=horizon_periods,
+                seed=seed,
+            )
+            rng = np.random.default_rng(seed)
+            starts = rng.random(horizon_periods) < burst_probability
+            expected = np.zeros(horizon_periods, dtype=bool)
+            for start in np.flatnonzero(starts):
+                expected[start : start + burst_periods] = True
+            np.testing.assert_array_equal(load._heavy_mask, expected)
+
     def test_reference_step(self):
         step = ReferenceStep(initial_v=0.9, final_v=1.2, step_period=100)
         assert step.reference_at(99) == 0.9

@@ -21,8 +21,10 @@ from pathlib import Path
 
 import pytest
 
+import repro.converter.load
 import repro.core.ensemble
 import repro.core.yield_analysis
+import repro.kernels.closed_loop
 import repro.mc
 import repro.pipeline
 import repro.simulation.batch
@@ -34,6 +36,8 @@ DOCS = REPO_ROOT / "docs"
 #: The hot modules whose docstrings must carry runnable examples.
 DOCTEST_MODULES = [
     repro.simulation.batch,
+    repro.kernels.closed_loop,
+    repro.converter.load,
     repro.core.ensemble,
     repro.core.yield_analysis,
     repro.pipeline,

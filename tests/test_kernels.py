@@ -11,10 +11,16 @@ per-interval evaluation, and through the batch engine's coefficient table.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.converter.buck import exact_interval_coefficients, plant_terms
+from repro.converter.adc import WindowedADC
+from repro.converter.buck import (
+    duration_coefficients,
+    exact_interval_coefficients,
+    plant_terms,
+)
 from repro.kernels import closed_loop, ensemble, fabrication
 from repro.simulation.batch import _LoadCoefficientTable
 
@@ -164,8 +170,9 @@ class TestKernelEquivalence:
         )
         num_words = np.full(variants, words, dtype=np.int64)
         rows = np.arange(variants, dtype=np.int64)
+        counts = num_words[rows]
         got_words, got_duties = closed_loop.quantize_duty(
-            commands, levels, num_words, rows
+            commands, levels, rows, counts
         )
         clipped = np.clip(commands, 0.0, 1.0)
         expected_words = np.minimum(
@@ -473,3 +480,249 @@ class TestFusedIntervalCoefficients:
             got = table.coefficients(words, duties, levels, period, rows)
             fresh = closed_loop.period_coefficients(terms, duties * period, period)
             np.testing.assert_array_equal(bit_pattern(got), bit_pattern(fresh))
+
+
+# --- branch skipping ---------------------------------------------------------
+
+
+def all_branches_reference(terms, duration):
+    """The closed form with every branch evaluated and picked by ``np.where``.
+
+    This is :func:`~repro.converter.buck.duration_coefficients` before it
+    learned to skip the branches no plant of the batch takes; the kernel
+    must reproduce it bit for bit.
+    """
+    a, b, c, d, mu, delta, q, degenerate, oscillatory, det = terms
+    duration = np.asarray(duration, dtype=float)
+    qt = q * duration
+    envelope = np.exp(mu * duration)
+    grouped = (~oscillatory) & (qt > 30.0)
+    qt_direct = np.where(grouped, 0.0, qt)
+    cosh_env = envelope * np.where(oscillatory, np.cos(qt), np.cosh(qt_direct))
+    sinh_env = envelope * np.where(oscillatory, np.sin(qt), np.sinh(qt_direct)) / q
+    q_grouped = np.where(grouped, q, 0.0)
+    exp_plus = np.exp((mu + q_grouped) * duration)
+    exp_minus = np.exp((mu - q_grouped) * duration)
+    cosh_env = np.where(grouped, 0.5 * (exp_plus + exp_minus), cosh_env)
+    sinh_env = np.where(grouped, (exp_plus - exp_minus) / (2.0 * q), sinh_env)
+    cosh_env = np.where(degenerate, envelope, cosh_env)
+    sinh_env = np.where(degenerate, duration * envelope, sinh_env)
+    ad11 = cosh_env + sinh_env * delta
+    ad12 = sinh_env * b
+    ad21 = sinh_env * c
+    ad22 = cosh_env - sinh_env * delta
+    m11 = (d * (ad11 - 1.0) - b * ad21) / det
+    m21 = (a * ad21 - c * (ad11 - 1.0)) / det
+    return ad11, ad12, ad21, ad22, m11, m21
+
+
+BATCH_KINDS = (*BRANCHES, "mixed")
+
+
+@st.composite
+def branch_batch(draw, kind):
+    """Plants that all take one branch (or a mix), with on-times and periods."""
+    n = draw(st.integers(1, 6))
+    rows = [
+        draw(
+            branch_plant(
+                draw(st.sampled_from(BRANCHES)) if kind == "mixed" else kind
+            )
+        )
+        for _ in range(n)
+    ]
+    a, b, c, d = (np.array(column, dtype=float) for column in zip(*rows))
+    period = np.asarray(
+        draw(
+            st.lists(
+                st.floats(min_value=0.5, max_value=2.0, allow_nan=False),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    fractions = draw(
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=n, max_size=n)
+    )
+    return a, b, c, d, period * np.asarray(fractions), period
+
+
+def assert_same_bits(got, want) -> None:
+    for got_entry, want_entry in zip(got, want, strict=True):
+        np.testing.assert_array_equal(
+            bit_pattern(got_entry), bit_pattern(want_entry)
+        )
+
+
+class TestBranchSkipping:
+    """``duration_coefficients`` skips branches without moving a bit."""
+
+    @pytest.mark.parametrize("kind", BATCH_KINDS)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_all_branch_reference(self, kind, data):
+        a, b, c, d, on_time, period = data.draw(branch_batch(kind))
+        terms = plant_terms(a, b, c, d)
+        if kind == "oscillatory":
+            assert terms.oscillatory.all()
+        elif kind == "degenerate":
+            assert terms.degenerate.all()
+        elif kind == "grouped":
+            assert not (terms.oscillatory.any() or terms.degenerate.any())
+        for duration in (on_time, np.stack([on_time, period - on_time])):
+            assert_same_bits(
+                duration_coefficients(terms, duration),
+                all_branches_reference(terms, duration),
+            )
+
+    @pytest.mark.parametrize("kind", BATCH_KINDS)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_out_buffer_and_period_kernel(self, kind, data):
+        a, b, c, d, on_time, period = data.draw(branch_batch(kind))
+        terms = plant_terms(a, b, c, d)
+        stacked = np.stack([on_time, period - on_time])
+        out = np.full((6, *stacked.shape), np.nan)
+        returned = duration_coefficients(terms, stacked, out=out)
+        reference = all_branches_reference(terms, stacked)
+        assert_same_bits(out, reference)
+        assert all(np.shares_memory(entry, out) for entry in returned)
+        step = np.full((a.size, 12), np.nan)
+        filled = closed_loop.period_coefficients(terms, on_time, period, out=step)
+        assert filled is step
+        np.testing.assert_array_equal(
+            bit_pattern(step),
+            bit_pattern(separate_evaluation(a, b, c, d, on_time, period)),
+        )
+
+    def test_scalar_plants_match_reference(self):
+        """0-d plants (the scalar exact stepper) take every branch too."""
+        plants = (
+            (-0.3, -1.0, 25.0, -0.7),
+            (-150.0, -1.0, 0.5, -1.0),
+            (-4.0, -1.0, 0.0, -4.0),
+        )
+        for a, b, c, d in plants:
+            terms = plant_terms(a, b, c, d)
+            for duration in (0.25, 0.9):
+                assert_same_bits(
+                    duration_coefficients(terms, duration),
+                    all_branches_reference(terms, duration),
+                )
+
+# --- the np.clip replacement -------------------------------------------------
+
+SPECIAL = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 0.2, 0.8, 1.0, 0.5, -3.0])
+
+
+def assert_equal_values(got, want) -> None:
+    """Equal values (NaN equals NaN); bit-equal wherever the value is not zero.
+
+    ``np.clip(-0.0, 0.0, 1.0)`` keeps ``-0.0`` where ``np.maximum`` gives
+    ``+0.0``; every other value keeps its bits.
+    """
+    np.testing.assert_array_equal(got, want)
+    nonzero = np.asarray(want) != 0
+    np.testing.assert_array_equal(
+        bit_pattern(np.asarray(got)[nonzero]), bit_pattern(np.asarray(want)[nonzero])
+    )
+
+
+class TestClipReplacement:
+    """``np.minimum``/``np.maximum`` clamps against an ``np.clip`` reference."""
+
+    @pytest.mark.parametrize("per_variant", [False, True])
+    def test_pid_update(self, per_variant):
+        n = SPECIAL.size
+        if per_variant:
+            min_duty, max_duty = np.full(n, 0.2), np.full(n, 0.8)
+        else:
+            min_duty, max_duty = 0.2, 0.8
+        for integral in (SPECIAL, np.full(n, 0.5)):
+            for error in (SPECIAL, np.zeros(n), -SPECIAL):
+                kp, ki, kd = 0.1, 1.0, 0.5
+                previous = np.linspace(-1.0, 1.0, n)
+                duty, new_integral = closed_loop.pid_update(
+                    error, integral, previous, kp, ki, kd, min_duty, max_duty
+                )
+                want_integral = np.clip(integral + ki * error, min_duty, max_duty)
+                want_duty = np.clip(
+                    want_integral + kp * error + kd * (error - previous),
+                    min_duty,
+                    max_duty,
+                )
+                assert_equal_values(new_integral, want_integral)
+                assert_equal_values(duty, want_duty)
+
+    def test_pid_update_unit_bounds_keep_the_signed_zero_difference_harmless(self):
+        """At bounds [0, 1] a -0.0 command clamps to +0.0, and still words 0."""
+        error = np.array([-0.0, 0.0, 1.0, -1.0])
+        duty, _ = closed_loop.pid_update(
+            error, np.array([-0.0, -0.0, 1.0, 0.0]), np.zeros(4),
+            0.0, 0.0, 0.0, 0.0, 1.0,
+        )
+        reference = np.clip(np.array([-0.0, -0.0, 1.0, 0.0]), 0.0, 1.0)
+        assert_equal_values(duty, reference)
+        levels = np.linspace(0.0, 1.0, 8)[np.newaxis, :]
+        rows = np.zeros(4, dtype=np.int64)
+        counts = np.full(4, 8)
+        got = closed_loop.quantize_duty(duty, levels, rows, counts)
+        want = closed_loop.quantize_duty(reference, levels, rows, counts)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(bit_pattern(got[1]), bit_pattern(want[1]))
+
+    @pytest.mark.parametrize("shared_row", [False, True])
+    def test_quantize_duty(self, shared_row):
+        finite = SPECIAL[~np.isnan(SPECIAL)]
+        n = finite.size
+        words = 16
+        levels = np.sort(
+            np.random.default_rng(5).random((1 if shared_row else n, words))
+        )
+        rows = np.zeros(n, dtype=np.int64) if shared_row else np.arange(n)
+        counts = np.full(n, words)
+        got_words, got_duties = closed_loop.quantize_duty(
+            finite, levels, rows, counts
+        )
+        want_words = np.minimum(
+            np.rint(np.clip(finite, 0.0, 1.0) * counts).astype(np.int64), counts - 1
+        )
+        np.testing.assert_array_equal(got_words, want_words)
+        np.testing.assert_array_equal(
+            bit_pattern(got_duties), bit_pattern(levels[rows, want_words])
+        )
+        out = (np.empty(n, dtype=np.int64), np.empty(n))
+        filled = closed_loop.quantize_duty(
+            finite, levels, rows, counts, out=out
+        )
+        assert filled[0] is out[0] and filled[1] is out[1]
+        np.testing.assert_array_equal(out[0], want_words)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    def test_quantize_duty_nan_fails_like_the_clip_version(self):
+        levels = np.linspace(0.0, 1.0, 8)[np.newaxis, :]
+        rows, counts = np.zeros(1, dtype=np.int64), np.full(1, 8)
+        with pytest.raises(IndexError):
+            closed_loop.quantize_duty(
+                np.array([np.nan]), levels, rows, counts
+            )
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    @pytest.mark.parametrize("dead_band_v", [0.0, 0.004])
+    def test_adc_codes(self, dead_band_v):
+        adc = WindowedADC(lsb_v=0.005, bits=5, dead_band_v=dead_band_v)
+        limits = np.array([adc.min_code, adc.max_code]) * adc.lsb_v
+        measured = 0.9 - np.concatenate(
+            [SPECIAL, limits, limits * 1.001, [0.003, -0.003, 0.0025, -0.0075]]
+        )
+        error = 0.9 - measured
+        want = np.clip(
+            np.rint(error / adc.lsb_v).astype(np.int64), adc.min_code, adc.max_code
+        )
+        want = np.where(np.abs(error) <= adc.dead_band_v, 0, want)
+        np.testing.assert_array_equal(adc.quantize_error_array(0.9, measured), want)
+        out = np.full(measured.size, 99, dtype=np.int64)
+        assert adc.quantize_error_array(0.9, measured, out=out) is out
+        np.testing.assert_array_equal(out, want)
+        # Scalars in, a 0-d code out, as before.
+        assert adc.quantize_error_array(0.9, 0.9).shape == ()
