@@ -14,19 +14,15 @@ slow-corner proposed cell must *keep* sampling (spending more than the
 high-yield cell) -- the adaptive budget concentrates where the
 uncertainty is, it does not starve hard cells.
 
-When ``BENCH_ADAPTIVE_MC_JSON`` is set, the measurements are written
-there so CI can archive the perf trajectory (the ``BENCH_adaptive_mc``
-artifact).
+The fixed budget is the same estimator at ``precision=0`` in one chunk.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 from repro.core.design import DesignSpec
-from repro.core.yield_analysis import adaptive_linearity_yield, linearity_yield
+from repro.core.yield_analysis import adaptive_linearity_yield
 from repro.experiments.figure50_51_mc import (
     DNL_LIMIT_LSB,
     ERROR_LIMIT_FRACTION,
@@ -56,12 +52,14 @@ def _cell_kwargs(corner: OperatingConditions) -> dict:
     )
 
 
-def test_bench_adaptive_budget_reduction_on_a_high_yield_cell(bench_provenance):
+def test_bench_adaptive_budget_reduction_on_a_high_yield_cell():
     # The fixed reference: the stock fig50_51_mc budget of 1000 instances.
     start = time.perf_counter()
-    fixed = linearity_yield(
+    fixed = adaptive_linearity_yield(
         "proposed",
-        num_instances=NUM_INSTANCES,
+        precision=0.0,
+        max_instances=NUM_INSTANCES,
+        chunk_size=NUM_INSTANCES,
         **_cell_kwargs(OperatingConditions.fast()),
     )
     fixed_seconds = time.perf_counter() - start
@@ -91,7 +89,7 @@ def test_bench_adaptive_budget_reduction_on_a_high_yield_cell(bench_provenance):
         ),
         "fixed_instances": NUM_INSTANCES,
         "fixed_seconds": fixed_seconds,
-        "fixed_yield": fixed.linearity_yield,
+        "fixed_yield": fixed.yield_estimate,
         "adaptive_samples": adaptive.samples,
         "adaptive_seconds": adaptive_seconds,
         "adaptive_yield": adaptive.yield_estimate,
@@ -101,12 +99,7 @@ def test_bench_adaptive_budget_reduction_on_a_high_yield_cell(bench_provenance):
         "budget_reduction_x": NUM_INSTANCES / adaptive.samples,
         "marginal_cell_samples": marginal.samples,
         "marginal_cell_yield": marginal.yield_estimate,
-        "provenance": bench_provenance,
     }
-    report_path = os.environ.get("BENCH_ADAPTIVE_MC_JSON")
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
 
     # The headline gate: < 25 % of the fixed budget (>= 4x reduction).
     assert adaptive.stop_reason == "precision", report
@@ -115,7 +108,7 @@ def test_bench_adaptive_budget_reduction_on_a_high_yield_cell(bench_provenance):
     # Statistical sanity: the tight interval really brackets the answer
     # the full fixed budget converges to.
     assert adaptive.half_width <= PRECISION, report
-    assert adaptive.lower <= fixed.linearity_yield <= adaptive.upper, report
+    assert adaptive.lower <= fixed.yield_estimate <= adaptive.upper, report
 
     # The saved budget is concentration, not starvation: the marginal
     # slow-corner cell spends strictly more than the pinned fast cell.

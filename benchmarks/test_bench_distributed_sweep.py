@@ -23,9 +23,7 @@ what is actually measured.  Four gates (see ``docs/sweeps.md``):
 
 The timing gates scale with the machine: straggler and cooperation need
 real concurrency and only bind on >= 2 cpus (identity and the warm-resume
-gate always bind).  When ``BENCH_DISTRIBUTED_SWEEP_JSON`` is set, every
-measurement is archived there (the ``BENCH_distributed_sweep.json`` CI
-artifact), stamped with the machine provenance.
+gate always bind).
 """
 
 from __future__ import annotations
@@ -176,7 +174,7 @@ def _run_real_experiments(sweep=None) -> str:
     return canonical_json(collected)
 
 
-def test_bench_distributed_sweep(tmp_path, bench_provenance):
+def test_bench_distributed_sweep(tmp_path):
     cpus = _cpu_count()
     pool_workers = max(2, min(4, cpus))
 
@@ -257,35 +255,6 @@ def test_bench_distributed_sweep(tmp_path, bench_provenance):
     real_identical = all(
         result == real_baseline for result in real_results.values()
     )
-
-    # Archive the measurements *before* the gates: a perf regression is
-    # exactly the run whose numbers must survive for diagnosis.
-    report_path = os.environ.get("BENCH_DISTRIBUTED_SWEEP_JSON")
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "workload": f"synthetic {N_CELLS}-cell grid "
-                    f"(10x the 30 real MC cells) + {', '.join(REAL_EXPERIMENTS)}",
-                    "cpus": cpus,
-                    "pool_workers": pool_workers,
-                    "straggler_ordered_seconds": ordered_seconds,
-                    "straggler_unordered_seconds": unordered_seconds,
-                    "straggler_ordered_over_unordered": ordered_seconds
-                    / unordered_seconds,
-                    "cold_shared_cache_seconds": cold_seconds,
-                    "warm_seconds": warm_seconds,
-                    "warm_fraction_of_cold": warm_fraction,
-                    "cooperation_solo_seconds": solo_seconds,
-                    "cooperation_duo_seconds": duo_seconds,
-                    "cooperation_speedup": cooperation_speedup,
-                    "synthetic_bit_identical": synthetic_identical,
-                    "real_experiments_bit_identical": real_identical,
-                    "provenance": bench_provenance,
-                },
-                handle,
-                indent=2,
-            )
 
     # Acceptance 1: bit-identity across every execution strategy.
     assert synthetic_identical, "executors diverged on the synthetic grid"

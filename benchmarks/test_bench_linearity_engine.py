@@ -9,16 +9,10 @@ closed-form and produces the whole ``(instances, words)`` curve matrix in
 vectorized numpy.  The engine must be at least 10x faster end to end with
 transfer-curve agreement tighter than 1e-6 ps and identical locked tap
 counts.
-
-When ``BENCH_LINEARITY_ENGINE_JSON`` is set, the measured throughput
-(instances/second for both paths) is written there so CI can archive the perf
-trajectory (the ``BENCH_linearity_engine.json`` artifact).
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 import numpy as np
@@ -72,7 +66,7 @@ def _run_scalar_sweep():
     return tap_sels, delays
 
 
-def test_bench_linearity_engine_speedup_and_agreement(benchmark, bench_provenance):
+def test_bench_linearity_engine_speedup_and_agreement(benchmark):
     # Reference: the seed per-instance loop, timed once (it is the slow side;
     # timing it through the benchmark fixture would dominate the suite).
     start = time.perf_counter()
@@ -84,28 +78,6 @@ def test_bench_linearity_engine_speedup_and_agreement(benchmark, bench_provenanc
 
     worst_disagreement = np.max(np.abs(curves.delays_ps - scalar_delays))
     speedup = scalar_seconds / batch_seconds
-
-    # Archive the measurements *before* the gates: a perf regression is
-    # exactly the run whose numbers must survive for diagnosis.
-    report_path = os.environ.get("BENCH_LINEARITY_ENGINE_JSON")
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "workload": "1000-instance proposed-scheme linearity sweep "
-                    "(100 MHz, 6-bit, typical corner)",
-                    "num_instances": NUM_INSTANCES,
-                    "scalar_seconds": scalar_seconds,
-                    "batch_seconds": batch_seconds,
-                    "scalar_instances_per_sec": NUM_INSTANCES / scalar_seconds,
-                    "batch_instances_per_sec": NUM_INSTANCES / batch_seconds,
-                    "speedup": speedup,
-                    "worst_disagreement_ps": float(worst_disagreement),
-                    "provenance": bench_provenance,
-                },
-                handle,
-                indent=2,
-            )
 
     # Acceptance: >= 10x over the scalar loop at sub-1e-6 ps agreement.
     assert speedup >= 10.0, (

@@ -10,16 +10,10 @@ times; the batched path issues a single ``run_chunk(0, 32)``.  Because
 both sides draw from the same per-instance ``(seed, tag, i)`` streams, the
 batched run must reproduce the scalar columns *bit for bit* -- the
 benchmark doubles as the chunk-invariance gate under thermal epoching.
-
-When ``BENCH_MISSION_JSON`` is set, the measured throughput is written
-there so CI can archive the perf trajectory (the ``BENCH_mission.json``
-artifact).
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 import numpy as np
@@ -85,7 +79,7 @@ def _run_scalar_loop(pipeline: ChunkedSiliconToRegulation):
     return words, voltages
 
 
-def test_bench_mission_speedup_and_bit_exactness(benchmark, bench_provenance):
+def test_bench_mission_speedup_and_bit_exactness(benchmark):
     pipeline = _build_pipeline()
 
     # Reference: the scalar loop, timed once (it is the slow side; timing
@@ -104,32 +98,6 @@ def test_bench_mission_speedup_and_bit_exactness(benchmark, bench_provenance):
     voltages_equal = bool(
         np.array_equal(result.regulation.output_voltages_v, scalar_voltages)
     )
-
-    # Archive the measurements *before* the gates: a perf regression is
-    # exactly the run whose numbers must survive for diagnosis.
-    report_path = os.environ.get("BENCH_MISSION_JSON")
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "workload": "32-instance randomized-mission fleet "
-                    "(proposed, 100 MHz, 6-bit, typical corner, per-instance "
-                    f"missions, 25->85->25 degC trace, {PERIODS} periods)",
-                    "num_instances": NUM_INSTANCES,
-                    "periods": PERIODS,
-                    "num_segments": MISSIONS.num_segments,
-                    "scalar_seconds": scalar_seconds,
-                    "batch_seconds": batch_seconds,
-                    "scalar_instances_per_sec": NUM_INSTANCES / scalar_seconds,
-                    "batch_instances_per_sec": NUM_INSTANCES / batch_seconds,
-                    "speedup": speedup,
-                    "duty_words_bit_exact": words_equal,
-                    "voltages_bit_exact": voltages_equal,
-                    "provenance": bench_provenance,
-                },
-                handle,
-                indent=2,
-            )
 
     # Acceptance: >= 5x over the scalar loop, bit-for-bit columns.
     assert speedup >= 5.0, (

@@ -5,23 +5,18 @@ The acceptance workload is a 512-instance Monte-Carlo run of the paper's
 component variation on the buck: the scalar composition fabricates each
 instance, runs the cycle-accurate lock inside a
 ``CalibratedDelayLineDPWM``, and advances a scalar
-``DigitallyControlledBuck`` period by period; the fixed-N
-``closed_loop_yield`` draws the same instances as one ensemble and hands
-them to ``regulate_ensemble``, which locks them closed-form, converts the
+``DigitallyControlledBuck`` period by period;
+``ChunkedSiliconToRegulation.run_chunk`` draws the same instances as one
+ensemble and hands them to ``regulate_ensemble``, which locks them
+closed-form, converts the
 ``(instances, words)`` curve matrix straight into a ``BatchQuantizer`` and
 advances the whole fleet per period.  The pipeline must be at least 10x
 faster end to end at *bit-exact* agreement: identical duty-word decisions in
 every period and identical (not merely close) steady-state voltages.
-
-When ``BENCH_PIPELINE_JSON`` is set, the measured throughput is written
-there so CI can archive the perf trajectory (the ``BENCH_pipeline.json``
-artifact).
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 import numpy as np
@@ -29,8 +24,9 @@ import numpy as np
 from repro.converter.buck import BuckParameters
 from repro.converter.closed_loop import DigitallyControlledBuck
 from repro.core.design import DesignSpec, design_proposed
-from repro.core.yield_analysis import ComponentVariation, closed_loop_yield
+from repro.core.yield_analysis import ComponentVariation
 from repro.dpwm.calibrated import CalibratedDelayLineDPWM
+from repro.pipeline import ChunkedSiliconToRegulation
 from repro.technology.corners import OperatingConditions
 from repro.technology.library import intel32_like_library
 from repro.technology.variation import VariationModel
@@ -48,23 +44,21 @@ DESIGN = design_proposed(SPEC, LIBRARY)
 
 
 def _run_pipeline():
-    return closed_loop_yield(
+    return ChunkedSiliconToRegulation(
         "proposed",
         SPEC,
         CONDITIONS,
         reference_v=REFERENCE_V,
         variation=VARIATION,
         component_variation=COMPONENTS,
-        num_instances=NUM_INSTANCES,
-        periods=PERIODS,
         library=LIBRARY,
-    ).pipeline_result
+    ).run_chunk(0, NUM_INSTANCES, periods=PERIODS)
 
 
 def _run_scalar_composition():
     """The seed-style path: one scalar DPWM + one scalar loop per instance."""
     config = DESIGN.build_line(library=LIBRARY).config
-    parameters = COMPONENTS.sample_batch(
+    parameters = COMPONENTS.sample_instances(
         BuckParameters(switching_frequency_hz=SPEC.clock_frequency_mhz * 1e6),
         NUM_INSTANCES,
     )
@@ -85,7 +79,7 @@ def _run_scalar_composition():
     return duty_words, voltages
 
 
-def test_bench_pipeline_speedup_and_bit_exactness(benchmark, bench_provenance):
+def test_bench_pipeline_speedup_and_bit_exactness(benchmark):
     # Reference: the scalar composition, timed once (it is the slow side;
     # timing it through the benchmark fixture would dominate the suite).
     start = time.perf_counter()
@@ -102,31 +96,6 @@ def test_bench_pipeline_speedup_and_bit_exactness(benchmark, bench_provenance):
     voltages_equal = bool(
         np.array_equal(result.regulation.output_voltages_v, scalar_voltages)
     )
-
-    # Archive the measurements *before* the gates: a perf regression is
-    # exactly the run whose numbers must survive for diagnosis.
-    report_path = os.environ.get("BENCH_PIPELINE_JSON")
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "workload": "512-instance silicon-to-regulation Monte-Carlo "
-                    "(proposed, 100 MHz, 6-bit, typical corner, component "
-                    f"variation, {PERIODS} periods)",
-                    "num_instances": NUM_INSTANCES,
-                    "periods": PERIODS,
-                    "scalar_seconds": scalar_seconds,
-                    "batch_seconds": batch_seconds,
-                    "scalar_instances_per_sec": NUM_INSTANCES / scalar_seconds,
-                    "batch_instances_per_sec": NUM_INSTANCES / batch_seconds,
-                    "speedup": speedup,
-                    "duty_words_bit_exact": words_equal,
-                    "voltages_bit_exact": voltages_equal,
-                    "provenance": bench_provenance,
-                },
-                handle,
-                indent=2,
-            )
 
     # Acceptance: >= 10x over the scalar composition, bit-for-bit.
     assert speedup >= 10.0, (

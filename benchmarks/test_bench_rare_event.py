@@ -9,16 +9,10 @@ importance-sampling run must stop on precision with **at most 10 % of
 the vanilla sample budget**, its interval must bracket the brute-force
 answer, and the two estimates must agree within their summed
 half-widths.
-
-When ``BENCH_RARE_EVENT_JSON`` is set, the measurements are written
-there so CI can archive the perf trajectory (the ``BENCH_rare_event``
-artifact).
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 from repro.converter.buck import BuckParameters
@@ -67,7 +61,7 @@ def _run(estimator: str, *, max_instances: int, chunk_size: int, tilt=None):
     )
 
 
-def test_bench_importance_budget_reduction_on_ppm_cell(bench_provenance):
+def test_bench_importance_budget_reduction_on_ppm_cell():
     # The brute-force reference: vanilla adaptive sampling to the same
     # precision target.  It doubles as the budget baseline and as the
     # unbiased estimate the importance interval must bracket.
@@ -107,12 +101,7 @@ def test_bench_importance_budget_reduction_on_ppm_cell(bench_provenance):
         "importance_ess": importance.effective_sample_size,
         "budget_fraction": budget_fraction,
         "budget_reduction_x": vanilla.samples / importance.samples,
-        "provenance": bench_provenance,
     }
-    report_path = os.environ.get("BENCH_RARE_EVENT_JSON")
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
 
     # The headline gate: same precision, <= 10 % of the vanilla budget.
     assert importance.stop_reason == "precision", report

@@ -13,14 +13,10 @@ target is enforced where the cells can actually land on four-plus cores
 proportional floor of ``0.5 * cpus`` applies, and on a single-core box
 (where a process pool cannot beat the serial loop) only the identity and
 warm-cache gates run.
-
-When ``BENCH_SWEEP_JSON`` is set, every measurement is written there so CI
-can archive the perf trajectory (the ``BENCH_sweep.json`` artifact).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -51,7 +47,7 @@ def _run_all(sweep=None) -> str:
     return canonical_json(collected)
 
 
-def test_bench_sweep_speedup_identity_and_warm_cache(tmp_path, bench_provenance):
+def test_bench_sweep_speedup_identity_and_warm_cache(tmp_path):
     cpus = _cpu_count()
     cache_dir = tmp_path / "sweep-cache"
 
@@ -80,28 +76,6 @@ def test_bench_sweep_speedup_identity_and_warm_cache(tmp_path, bench_provenance)
 
     speedup = serial_seconds / cold_seconds
     warm_fraction = warm_seconds / serial_seconds
-
-    # Archive the measurements *before* the gates: a perf regression is
-    # exactly the run whose numbers must survive for diagnosis.
-    report_path = os.environ.get("BENCH_SWEEP_JSON")
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "workload": "all Monte-Carlo grid experiments "
-                    f"({', '.join(MC_EXPERIMENTS)}; 30 sweep cells)",
-                    "cpus": cpus,
-                    "serial_seconds": serial_seconds,
-                    "cold_parallel_seconds": cold_seconds,
-                    "warm_seconds": warm_seconds,
-                    "parallel_speedup": speedup,
-                    "warm_fraction_of_serial": warm_fraction,
-                    "bit_identical": serial_json == cold_json == warm_json,
-                    "provenance": bench_provenance,
-                },
-                handle,
-                indent=2,
-            )
 
     # Acceptance 1: serial, cold-parallel and warm runs agree bit for bit.
     assert cold_json == serial_json, "parallel cold run diverged from serial"

@@ -16,6 +16,10 @@ converter itself -- cost a single vectorized run:
   plus component-varied buck, fused by :mod:`repro.pipeline` -- meets the
   composed linearity + regulation specification?
 
+Both yields come from the Monte-Carlo estimators of
+:mod:`repro.core.yield_analysis` at a fixed budget: ``precision=0`` in one
+chunk of ``NUM_VARIANTS`` instances.
+
 Run with:  python examples/batch_monte_carlo.py
 """
 
@@ -31,8 +35,8 @@ from repro.core.yield_analysis import (
     ComponentVariation,
     LinearitySpec,
     RegulationSpec,
-    closed_loop_yield,
-    regulation_yield,
+    adaptive_closed_loop_yield,
+    adaptive_regulation_yield,
 )
 from repro.simulation.batch import BatchClosedLoop, BatchQuantizer
 from repro.technology.corners import OperatingConditions
@@ -54,26 +58,34 @@ def main() -> None:
         seed=2012,
     )
 
+    fixed_budget = dict(
+        precision=0.0, max_instances=NUM_VARIANTS, chunk_size=NUM_VARIANTS
+    )
+
     # 1. Regulation yield under component spread, one vectorized run.
-    result = regulation_yield(
+    result = adaptive_regulation_yield(
         nominal,
         reference_v=VREF_V,
         variation=variation,
-        num_variants=NUM_VARIANTS,
         periods=PERIODS,
         tolerance_v=0.02,
         dpwm_bits=8,
+        **fixed_budget,
     )
-    spread_mv = result.steady_state_voltages_v * 1e3
+    steady_state = result.value_stats["steady_state_v"]
     print(
         format_table(
             headers=["Metric", "Value"],
             rows=[
-                ["Variants", str(NUM_VARIANTS)],
-                ["Regulation yield (+/- 20 mV)", f"{result.regulation_yield:.3f}"],
-                ["Steady-state Vout mean (mV)", f"{spread_mv.mean():.2f}"],
-                ["Steady-state Vout std (mV)", f"{spread_mv.std():.2f}"],
-                ["Worst deviation from Vref (mV)", f"{result.worst_error_v * 1e3:.2f}"],
+                ["Variants", str(result.samples)],
+                ["Regulation yield (+/- 20 mV)", f"{result.yield_estimate:.3f}"],
+                ["95 % CI on the yield", f"[{result.lower:.3f}, {result.upper:.3f}]"],
+                ["Steady-state Vout mean (mV)", f"{steady_state['mean'] * 1e3:.2f}"],
+                ["Steady-state Vout std (mV)", f"{steady_state['std'] * 1e3:.2f}"],
+                [
+                    "Worst deviation from Vref (mV)",
+                    f"{result.value_stats['error_v']['max'] * 1e3:.2f}",
+                ],
             ],
             title=(
                 f"Monte-Carlo regulation sweep: {VIN_V} V -> {VREF_V} V, "
@@ -83,7 +95,7 @@ def main() -> None:
     )
 
     # 2. The same fleet riding a pulsed microprocessor-style workload.
-    parameters = variation.sample_batch(nominal, NUM_VARIANTS)
+    parameters = variation.sample_instances(nominal, NUM_VARIANTS)
     loop = BatchClosedLoop(
         parameters,
         BatchQuantizer.ideal(8, NUM_VARIANTS),
@@ -127,7 +139,7 @@ def main() -> None:
     # 3. The fused silicon-to-regulation pipeline: every fabricated
     #    proposed-scheme delay line calibrated, converted to a DPWM duty
     #    table and closed around its own component-varied buck.
-    silicon = closed_loop_yield(
+    silicon = adaptive_closed_loop_yield(
         "proposed",
         DesignSpec(clock_frequency_mhz=100.0, resolution_bits=6),
         OperatingConditions.slow(),
@@ -135,23 +147,25 @@ def main() -> None:
         reference_v=VREF_V,
         variation=VariationModel(seed=2012),
         component_variation=variation,
-        num_instances=NUM_VARIANTS,
         periods=PERIODS,
         linearity_spec=LinearitySpec(error_limit_fraction=0.045),
         regulation_spec=RegulationSpec(tolerance_v=0.02),
+        **fixed_budget,
     )
+    amplitude = silicon.value_stats["limit_cycle_amplitude_v"]
     print()
     print(
         format_table(
             headers=["Metric", "Value"],
             rows=[
-                ["Fabricated instances", str(silicon.num_instances)],
-                ["Closed-loop yield", f"{silicon.closed_loop_yield:.3f}"],
-                ["Linearity yield", f"{silicon.linearity_yield:.3f}"],
-                ["Regulation yield", f"{silicon.regulation_yield:.3f}"],
+                ["Fabricated instances", str(silicon.samples)],
+                ["Closed-loop yield", f"{silicon.yield_estimate:.3f}"],
+                ["95 % CI on the yield", f"[{silicon.lower:.3f}, {silicon.upper:.3f}]"],
+                ["Linearity yield", f"{silicon.spec_yields['linearity']:.3f}"],
+                ["Regulation yield", f"{silicon.spec_yields['regulation']:.3f}"],
                 [
                     "Worst limit-cycle amplitude (mV)",
-                    f"{silicon.limit_cycle_amplitudes_v.max() * 1e3:.2f}",
+                    f"{amplitude['max'] * 1e3:.2f}",
                 ],
             ],
             title=(

@@ -67,22 +67,17 @@ from repro.core.proposed import (
 from repro.core.structural import StructuralLockResult, StructuralProposedDelayLine
 from repro.core.comparison import SchemeComparison, compare_schemes
 from repro.core.yield_analysis import (
-    ClosedLoopYieldResult,
     LinearitySpec,
-    LinearityYieldResult,
     RegulationSpec,
     YieldModel,
     YieldPoint,
     cells_for_yield,
-    closed_loop_yield,
     coverage_yield,
-    linearity_yield,
     yield_curve,
 )
 
 __all__ = [
     "CalibrationResult",
-    "ClosedLoopYieldResult",
     "ContinuousCalibrationTrace",
     "ConventionalDelayLine",
     "ConventionalDelayLineConfig",
@@ -95,7 +90,6 @@ __all__ = [
     "EnsembleTransferCurves",
     "FixedDelayCell",
     "LinearitySpec",
-    "LinearityYieldResult",
     "LockingStep",
     "LockingTrace",
     "MappingBlock",
@@ -115,12 +109,10 @@ __all__ = [
     "YieldModel",
     "YieldPoint",
     "cells_for_yield",
-    "closed_loop_yield",
     "compare_schemes",
     "coverage_yield",
     "design_conventional",
     "design_proposed",
-    "linearity_yield",
     "transfer_curve",
     "yield_curve",
 ]

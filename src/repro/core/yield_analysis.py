@@ -19,41 +19,35 @@ This module implements that analysis:
   meets a yield target.
 
 It also carries the statistical treatment through to the closed loop the
-DPWM ultimately serves:
+DPWM ultimately serves, with one Monte-Carlo estimator per yield
+statistic, each built on the streaming engine of :mod:`repro.mc`:
 
-* :class:`ComponentVariation` draws per-chip spreads of the buck's passives
-  and parasitics, and
-* :func:`regulation_yield` runs a whole fleet of varied converters through
-  the vectorized batch engine and reports the fraction that regulate within
-  a voltage tolerance -- the regulation-side analogue of the locking yield.
+* :func:`adaptive_regulation_yield` draws per-chip spreads of the buck's
+  passives and parasitics (:class:`ComponentVariation`), regulates the
+  whole fleet in the vectorized batch engine and reports the fraction that
+  stays within a voltage tolerance -- the regulation-side analogue of the
+  locking yield;
+* :func:`adaptive_linearity_yield` fabricates post-APR instances of either
+  scheme, calibrates and sweeps every transfer curve with the vectorized
+  :mod:`repro.core.ensemble` engine, and reports the fraction that meets a
+  DNL/INL/monotonicity specification -- the population-level question
+  behind the paper's Figures 41-42 and 50-51;
+* :func:`adaptive_closed_loop_yield` composes the two declarative specs
+  (:class:`LinearitySpec` / :class:`RegulationSpec`): it drives the
+  silicon-to-regulation stage function (:mod:`repro.pipeline`) -- every
+  fabricated delay line calibrated, turned into a DPWM duty table and
+  closed around its own buck converter -- and reports the fraction of
+  chips that meet *both*.  That is the paper's end-to-end claim as a
+  single Monte-Carlo number: a chip only ships when its delay line is
+  linear enough *and* the loop it serves regulates cleanly.
 
-:func:`linearity_yield` is the delay-line analogue of
-:func:`regulation_yield`: it fabricates an ensemble of post-APR instances of
-either scheme, calibrates and extracts every transfer curve with the
-vectorized :mod:`repro.core.ensemble` engine, and reports the fraction of
-instances that meet a DNL/INL/monotonicity specification -- the
-population-level question behind the paper's Figures 41-42 and 50-51.
-
-Every estimator also has an *adaptive* sibling
-(:func:`adaptive_linearity_yield` / :func:`adaptive_closed_loop_yield` /
-:func:`adaptive_regulation_yield`) built on the streaming engine of
-:mod:`repro.mc`: instead of a fixed instance count, the caller names a
-precision (the target half-width of the confidence interval on the yield)
-and a sample cap, and the estimator draws variation chunks until the
-interval is tight enough, returning an :class:`AdaptiveYieldResult`
-(estimate, CI, samples drawn, stop reason).  A pinned 100 %-yield cell then
-costs a couple of hundred samples instead of a thousand, while a cell
-teetering at a corner keeps drawing until the cap.
-
-Both yields are scored against declarative specification objects
-(:class:`LinearitySpec` / :class:`RegulationSpec`), and
-:func:`closed_loop_yield` composes them: it drives the fused
-silicon-to-regulation pipeline (:mod:`repro.pipeline`) -- every fabricated
-delay line calibrated, turned into a DPWM duty table and closed around its
-own buck converter -- and reports the fraction of chips that meet *both*
-specs.  That is the paper's end-to-end claim as a single Monte-Carlo number:
-a chip only ships when its delay line is linear enough *and* the loop it
-serves regulates cleanly.
+Each estimator draws chunks until the confidence interval on its yield
+has half-width ``<= precision`` or ``max_instances`` samples are spent,
+and returns an :class:`AdaptiveYieldResult` (estimate, CI, samples drawn,
+stop reason).  A fixed budget of ``N`` instances is the same run at
+``precision=0.0, max_instances=N, chunk_size=N``: one chunk, no early
+stop.  Instance ``i`` draws from its own RNG streams, so a seed names one
+population whatever the budget or the chunking.
 
 Example -- the declarative specs score plain arrays, and the Monte-Carlo
 estimators run whole seeded fleets in one vectorized pass:
@@ -62,17 +56,18 @@ estimators run whole seeded fleets in one vectorized pass:
     >>> from repro.converter.buck import BuckParameters
     >>> from repro.core.yield_analysis import (
     ...     ComponentVariation, RegulationSpec, YieldModel,
-    ...     coverage_yield, regulation_yield)
+    ...     adaptive_regulation_yield, coverage_yield)
     >>> spec = RegulationSpec(tolerance_v=0.02)
     >>> spec.passes(np.array([0.905, 0.95]), np.array([0.0, 0.0]), 0.9)
     array([ True, False])
     >>> coverage_yield(num_cells=16, buffers_per_cell=2,
     ...     clock_period_ps=1000.0, model=YieldModel(seed=1), num_chips=500)
     0.884
-    >>> fleet = regulation_yield(BuckParameters(), reference_v=0.9,
-    ...     variation=ComponentVariation(seed=3), num_variants=8, periods=200)
-    >>> fleet.regulation_yield
-    1.0
+    >>> fleet = adaptive_regulation_yield(BuckParameters(), reference_v=0.9,
+    ...     variation=ComponentVariation(seed=3), precision=0.0,
+    ...     max_instances=8, chunk_size=8, periods=200)
+    >>> fleet.yield_estimate, fleet.samples, fleet.stop_reason
+    (1.0, 8, 'max_samples')
 """
 
 from __future__ import annotations
@@ -133,9 +128,6 @@ __all__ = [
     "MissionYieldResult",
     "RareEventYieldResult",
     "RegulationSpec",
-    "ClosedLoopYieldResult",
-    "LinearityYieldResult",
-    "RegulationYieldResult",
     "adaptive_closed_loop_yield",
     "adaptive_linearity_yield",
     "adaptive_regulation_yield",
@@ -143,11 +135,8 @@ __all__ = [
     "coverage_yield",
     "yield_curve",
     "cells_for_yield",
-    "closed_loop_yield",
-    "linearity_yield",
     "mission_yield",
     "rare_event_regulation_yield",
-    "regulation_yield",
 ]
 
 
@@ -559,39 +548,8 @@ class ComponentVariation:
     def sample_batch(
         self, nominal: BuckParameters, num_variants: int
     ) -> "BatchBuckParameters":
-        """Draw a fleet of varied converters as stacked batch parameters.
-
-        Returns a :class:`~repro.simulation.batch.BatchBuckParameters` of
-        ``num_variants`` IID draws around ``nominal``, all from one
-        generator seeded with :attr:`seed`.
-        """
-        from repro.simulation.batch import BatchBuckParameters
-
-        if num_variants < 1:
-            raise ValueError("need at least one variant")
-        generator = np.random.default_rng(self.seed)
-
-        def lognormal(sigma: float) -> npt.NDArray[np.float64]:
-            return generator.lognormal(mean=0.0, sigma=sigma, size=num_variants)
-
-        def clipped_normal(sigma: float) -> npt.NDArray[np.float64]:
-            return np.clip(
-                generator.normal(loc=1.0, scale=sigma, size=num_variants), 0.0, None
-            )
-
-        return BatchBuckParameters(
-            input_voltage_v=nominal.input_voltage_v
-            * lognormal(self.input_voltage_sigma),
-            inductance_h=nominal.inductance_h * lognormal(self.inductance_sigma),
-            capacitance_f=nominal.capacitance_f * lognormal(self.capacitance_sigma),
-            switching_frequency_hz=np.full(
-                num_variants, nominal.switching_frequency_hz
-            ),
-            switch_resistance_ohm=nominal.switch_resistance_ohm
-            * clipped_normal(self.resistance_sigma),
-            inductor_resistance_ohm=nominal.inductor_resistance_ohm
-            * clipped_normal(self.resistance_sigma),
-        )
+        """The fleet ``[0, num_variants)``: :meth:`sample_instances` from 0."""
+        return self.sample_instances(nominal, num_variants, 0)
 
     def sample_instances(
         self,
@@ -602,21 +560,15 @@ class ComponentVariation:
     ) -> "BatchBuckParameters":
         """Chunk-stable fleet draw: instance ``i`` owns its RNG stream.
 
-        :meth:`sample_batch` draws the whole fleet from one generator, so
-        the values instance ``i`` receives depend on the batch size -- fine
-        for fixed-N runs, useless for streaming ones.  Here instance ``i``
-        draws its spreads from its *own* stream keyed on
+        Instance ``i`` draws its spreads from its *own* stream keyed on
         ``(seed, stream tag, i)``, so sampling ``[first_instance,
         first_instance + num_variants)`` in any chunking produces the same
-        fleet bit for bit (the contract of :mod:`repro.mc`).  The stream
-        tag keeps the component draws decorrelated from
+        fleet bit for bit (the contract of :mod:`repro.mc`), and a seed
+        names one population.  The stream tag keeps the component draws
+        decorrelated from
         :meth:`~repro.technology.variation.VariationModel.sample`, which
         keys per-instance silicon streams on ``(seed, i)`` -- often with
         the very same seed.
-
-        The two methods draw *different* (equally valid) populations from
-        the same seed; fixed-N experiments keep :meth:`sample_batch` so
-        their baselines stay bit-identical.
 
         ``correlation`` couples the per-instance z-space draws across the
         component axes (Cholesky mixing); ``None`` or the identity matrix
@@ -996,283 +948,13 @@ def _closed_loop_chunk(
 
 
 @dataclass(frozen=True)
-class RegulationYieldResult:
-    """Outcome of a Monte-Carlo regulation sweep.
-
-    Attributes:
-        regulation_yield: fraction of variants whose steady-state output lies
-            within the tolerance of the reference.
-        steady_state_voltages_v: per-variant steady-state outputs.
-        steady_state_ripples_v: per-variant peak-to-peak tail ripple.
-        worst_error_v: largest steady-state deviation from the reference.
-    """
-
-    regulation_yield: float
-    steady_state_voltages_v: npt.NDArray[np.float64]
-    steady_state_ripples_v: npt.NDArray[np.float64]
-    worst_error_v: float
-
-
-def regulation_yield(
-    nominal: BuckParameters,
-    reference_v: float,
-    variation: ComponentVariation | None = None,
-    num_variants: int = 256,
-    periods: int = 300,
-    tolerance_v: float = 0.02,
-    dpwm_bits: int = 6,
-    quantizer: "BatchQuantizer | None" = None,
-    load: LoadProfile | None = None,
-) -> RegulationYieldResult:
-    """Monte-Carlo estimate of the closed loop's regulation yield.
-
-    A variant "yields" when it meets the :class:`RegulationSpec` built from
-    ``tolerance_v`` (steady-state output within the tolerance of the
-    reference) despite its component draws.  The whole fleet is advanced in
-    one vectorized batch run, so 256 variants cost a couple of matrix-vector
-    products per switching period rather than millions of Python iterations.
-    """
-    spec = RegulationSpec(tolerance_v=tolerance_v)
-    variation = variation or ComponentVariation()
-    parameters = variation.sample_batch(nominal, num_variants)
-    regulation = _component_fleet(
-        parameters,
-        reference_v,
-        periods,
-        load=load,
-        dpwm_bits=dpwm_bits,
-        quantizer=quantizer,
-    )
-    chunk = _regulation_chunk(spec, regulation, reference_v)
-    return RegulationYieldResult(
-        regulation_yield=float(np.mean(chunk.passes["regulation"])),
-        steady_state_voltages_v=chunk.values["steady_state_v"],
-        steady_state_ripples_v=chunk.values["ripple_v"],
-        worst_error_v=float(chunk.values["error_v"].max()),
-    )
-
-
-@dataclass(frozen=True)
-class LinearityYieldResult:
-    """Outcome of a Monte-Carlo linearity sweep over fabricated instances.
-
-    Attributes:
-        scheme: ``"proposed"`` or ``"conventional"``.
-        linearity_yield: fraction of instances meeting the full specification
-            (lock if required, DNL/INL limits, monotonicity if required).
-        lock_yield: fraction of instances whose controller achieved a valid
-            lock.
-        passes: per-instance pass/fail flags.
-        locked: per-instance lock flags.
-        max_dnl_lsb / max_inl_lsb / rms_inl_lsb: per-instance metrics.
-        monotonic: per-instance monotonicity flags.
-        max_error_fraction_of_period: per-instance worst-case deviation from
-            the ideal line as a fraction of the switching period.
-    """
-
-    scheme: str
-    linearity_yield: float
-    lock_yield: float
-    passes: npt.NDArray[np.bool_]
-    locked: npt.NDArray[np.bool_]
-    max_dnl_lsb: npt.NDArray[np.float64]
-    max_inl_lsb: npt.NDArray[np.float64]
-    rms_inl_lsb: npt.NDArray[np.float64]
-    monotonic: npt.NDArray[np.bool_]
-    max_error_fraction_of_period: npt.NDArray[np.float64]
-
-    @property
-    def num_instances(self) -> int:
-        return int(self.passes.shape[0])
-
-
-def linearity_yield(
-    scheme: str,
-    spec: DesignSpec,
-    conditions: OperatingConditions,
-    variation: VariationModel | None = None,
-    num_instances: int = 1000,
-    dnl_limit_lsb: float | None = None,
-    inl_limit_lsb: float | None = None,
-    error_limit_fraction: float | None = None,
-    require_monotonic: bool = True,
-    require_lock: bool = True,
-    library: TechnologyLibrary | None = None,
-    first_instance: int = 0,
-) -> LinearityYieldResult:
-    """Monte-Carlo estimate of the fraction of instances meeting a linearity spec.
-
-    The design procedure sizes the requested scheme for the specification,
-    ``num_instances`` post-APR instances are drawn from the variation model,
-    and the whole ensemble is calibrated and swept in one vectorized run of
-    the :mod:`repro.core.ensemble` engine -- the delay-line analogue of
-    :func:`regulation_yield`.
-
-    An instance "yields" when it meets the :class:`LinearitySpec` built from
-    the limit arguments (lock if required, DNL/INL/deviation limits,
-    monotonicity if required); see that class for the unit conventions.
-    """
-    from repro.pipeline import ChunkedFabricator
-
-    linearity_spec = LinearitySpec(
-        dnl_limit_lsb=dnl_limit_lsb,
-        inl_limit_lsb=inl_limit_lsb,
-        error_limit_fraction=error_limit_fraction,
-        require_monotonic=require_monotonic,
-        require_lock=require_lock,
-    )
-    fabricator = ChunkedFabricator(
-        scheme, spec, variation=variation or VariationModel(), library=library
-    )
-    chunk = _linearity_chunk(
-        linearity_spec,
-        fabricator.fabricate(num_instances, first_instance=first_instance),
-        conditions,
-    )
-    passes = chunk.passes["linearity"]
-    return LinearityYieldResult(
-        scheme=scheme,
-        linearity_yield=float(np.mean(passes)),
-        lock_yield=float(np.mean(chunk.passes["lock"])),
-        passes=passes,
-        locked=chunk.passes["lock"],
-        max_dnl_lsb=chunk.values["max_dnl_lsb"],
-        max_inl_lsb=chunk.values["max_inl_lsb"],
-        rms_inl_lsb=chunk.values["rms_inl_lsb"],
-        monotonic=chunk.passes["monotonic"],
-        max_error_fraction_of_period=chunk.values["error_fraction"],
-    )
-
-
-@dataclass(frozen=True)
-class ClosedLoopYieldResult:
-    """Outcome of a fused silicon-to-regulation Monte-Carlo sweep.
-
-    Attributes:
-        scheme: ``"proposed"`` or ``"conventional"``.
-        closed_loop_yield: fraction of fabricated instances meeting *both*
-            the linearity and the regulation specification.
-        linearity_yield / regulation_yield / lock_yield: the per-spec
-            fractions (of the same instances).
-        passes / linearity_passes / regulation_passes: per-instance flags.
-        steady_state_voltages_v: per-instance steady-state outputs.
-        limit_cycle_amplitudes_v: per-instance steady-state peak-to-peak
-            output ripple (the limit-cycle amplitude the DPWM's finite,
-            nonlinear resolution leaves behind).
-        worst_error_v: largest steady-state deviation from the reference.
-        pipeline_result: the full :class:`repro.pipeline.PipelineResult`
-            (calibration, transfer curves, per-period regulation history).
-    """
-
-    scheme: str
-    closed_loop_yield: float
-    linearity_yield: float
-    regulation_yield: float
-    lock_yield: float
-    passes: npt.NDArray[np.bool_]
-    linearity_passes: npt.NDArray[np.bool_]
-    regulation_passes: npt.NDArray[np.bool_]
-    steady_state_voltages_v: npt.NDArray[np.float64]
-    limit_cycle_amplitudes_v: npt.NDArray[np.float64]
-    worst_error_v: float
-    pipeline_result: "PipelineResult"
-
-    @property
-    def num_instances(self) -> int:
-        return int(self.passes.shape[0])
-
-
-def closed_loop_yield(
-    scheme: str,
-    spec: DesignSpec,
-    conditions: OperatingConditions,
-    nominal: BuckParameters | None = None,
-    reference_v: float = 0.9,
-    variation: VariationModel | None = None,
-    component_variation: ComponentVariation | None = None,
-    num_instances: int = 256,
-    periods: int = 300,
-    linearity_spec: LinearitySpec | None = None,
-    regulation_spec: RegulationSpec | None = None,
-    load: LoadProfile | None = None,
-    library: TechnologyLibrary | None = None,
-    first_instance: int = 0,
-) -> ClosedLoopYieldResult:
-    """Monte-Carlo estimate of the fused silicon-to-regulation yield.
-
-    ``num_instances`` fabricated delay lines, each on its own buck
-    converter (electrical spreads from :meth:`ComponentVariation
-    .sample_batch`), run through :func:`repro.pipeline.regulate_ensemble`
-    -- calibrated, converted into DPWM duty tables and regulated in one
-    vectorized run.  An instance "yields" when it meets both the
-    :class:`LinearitySpec` (its silicon) and the :class:`RegulationSpec`
-    (the loop it serves): a chip with linear silicon that limit-cycles out
-    of tolerance fails, as does a chip that regulates on silicon that
-    never locked.
-
-    ``sample_batch`` ignores ``first_instance``, so sharding with a
-    ``component_variation`` raises a ``ValueError``; shard with
-    :func:`adaptive_closed_loop_yield` or
-    :meth:`repro.pipeline.ChunkedSiliconToRegulation.run_chunk` instead.
-    """
-    if first_instance != 0 and component_variation is not None:
-        raise ValueError(
-            f"first_instance={first_instance} with a component_variation: "
-            "sample_batch ignores the offset, so every shard would reuse the "
-            "same component spreads; shard with adaptive_closed_loop_yield or "
-            "ChunkedSiliconToRegulation.run_chunk (chunk-stable draws)"
-        )
-    from repro.pipeline import ChunkedFabricator, _resolve_nominal, regulate_ensemble
-    from repro.simulation.batch import BatchBuckParameters
-
-    resolved_nominal = _resolve_nominal(nominal, spec)
-    ensemble = ChunkedFabricator(
-        scheme, spec, variation=variation, library=library
-    ).fabricate(num_instances, first_instance=first_instance)
-    parameters = (
-        BatchBuckParameters.uniform(resolved_nominal, num_instances)
-        if component_variation is None
-        else component_variation.sample_batch(resolved_nominal, num_instances)
-    )
-    result = regulate_ensemble(
-        ensemble,
-        parameters,
-        conditions,
-        reference_v=reference_v,
-        periods=periods,
-        load=load,
-    )
-    chunk = _closed_loop_chunk(
-        linearity_spec or LinearitySpec(),
-        regulation_spec or RegulationSpec(),
-        result,
-    )
-    passes = chunk.passes
-    return ClosedLoopYieldResult(
-        scheme=result.scheme,
-        closed_loop_yield=float(np.mean(passes["closed_loop"])),
-        linearity_yield=float(np.mean(passes["linearity"])),
-        regulation_yield=float(np.mean(passes["regulation"])),
-        lock_yield=float(np.mean(passes["lock"])),
-        passes=passes["closed_loop"],
-        linearity_passes=passes["linearity"],
-        regulation_passes=passes["regulation"],
-        steady_state_voltages_v=chunk.values["steady_state_v"],
-        limit_cycle_amplitudes_v=chunk.values["limit_cycle_amplitude_v"],
-        worst_error_v=float(chunk.values["error_v"].max()),
-        pipeline_result=result,
-    )
-
-
-@dataclass(frozen=True)
 class AdaptiveYieldResult:
     """Outcome of a confidence-bounded adaptive Monte-Carlo yield run.
 
-    Where the fixed-N results report per-instance arrays, the adaptive
-    result reports *streaming* statistics: the sampler only ever holds one
-    chunk of instances in memory, so everything here is a scalar summary --
-    which also makes the whole object JSON-able and therefore directly
-    cacheable by the sweep layer.
+    The result reports *streaming* statistics: the sampler only ever holds
+    one chunk of instances in memory, so everything here is a scalar
+    summary -- which also makes the whole object JSON-able and therefore
+    directly cacheable by the sweep layer.
 
     Attributes:
         scheme: ``"proposed"`` / ``"conventional"`` (``None`` for the
@@ -1315,6 +997,16 @@ class AdaptiveYieldResult:
     def half_width(self) -> float:
         """Realized half-width of the primary confidence interval."""
         return 0.5 * (self.upper - self.lower)
+
+    def interval_summary(self) -> dict[str, object]:
+        """The primary interval and the spent budget as JSON scalars."""
+        return {
+            "ci_lower": self.lower,
+            "ci_upper": self.upper,
+            "confidence": self.confidence,
+            "samples": self.samples,
+            "stop_reason": self.stop_reason,
+        }
 
 
 def _adaptive_result(
@@ -1364,8 +1056,11 @@ def adaptive_linearity_yield(
     require_lock: bool = True,
     library: TechnologyLibrary | None = None,
 ) -> AdaptiveYieldResult:
-    """Adaptive sibling of :func:`linearity_yield`: sample until the CI is tight.
+    """Monte-Carlo linearity yield: sample until the CI is tight.
 
+    An instance "yields" when it meets the :class:`LinearitySpec` built from
+    the limit arguments (lock if required, DNL/INL/deviation limits,
+    monotonicity if required); see that class for the unit conventions.
     The scheme is designed once (:class:`repro.pipeline.ChunkedFabricator`),
     then post-APR chunks are fabricated, calibrated and scored until the
     confidence interval on the linearity yield has half-width
@@ -1425,18 +1120,20 @@ def adaptive_closed_loop_yield(
     load: LoadProfile | None = None,
     library: TechnologyLibrary | None = None,
 ) -> AdaptiveYieldResult:
-    """Adaptive sibling of :func:`closed_loop_yield`.
+    """Monte-Carlo silicon-to-regulation yield: linearity AND regulation.
 
-    Runs the silicon-to-regulation pipeline per chunk through
+    An instance "yields" when it meets both the :class:`LinearitySpec` (its
+    silicon) and the :class:`RegulationSpec` (the loop it serves): a chip
+    with linear silicon that limit-cycles out of tolerance fails, as does a
+    chip that regulates on silicon that never locked.  Runs the
+    silicon-to-regulation pipeline per chunk through
     :class:`repro.pipeline.ChunkedSiliconToRegulation` -- the design
     procedure runs once, each chunk only fabricates, calibrates, converts
     and regulates its own instance range -- until the confidence interval
     on the *composed* yield (linearity AND regulation) is tight enough.
     The per-spec yields and the streaming limit-cycle-amplitude statistics
-    ride along.  Note the electrical spread uses
-    :meth:`ComponentVariation.sample_instances` (the chunk-stable stream),
-    so the population differs from the fixed-N :func:`closed_loop_yield`
-    draw -- by design; each path is internally reproducible.
+    ride along.  The electrical spread of instance ``i`` comes from
+    :meth:`ComponentVariation.sample_instances` (the chunk-stable stream).
     """
     from repro.mc import adaptive_sample
     from repro.pipeline import ChunkedSiliconToRegulation
@@ -1487,7 +1184,7 @@ def adaptive_regulation_yield(
     dpwm_bits: int = 6,
     load: LoadProfile | None = None,
 ) -> AdaptiveYieldResult:
-    """Adaptive sibling of :func:`regulation_yield` (component spread only).
+    """Monte-Carlo regulation yield under component spread only.
 
     Each chunk draws its electrical spreads from
     :meth:`ComponentVariation.sample_instances` (the chunk-stable stream),
@@ -1975,7 +1672,7 @@ def mission_yield(
 ) -> MissionYieldResult:
     """Monte-Carlo estimate of the fleet's mission-survival yield.
 
-    The mission-profile sibling of :func:`closed_loop_yield`: every
+    The mission-profile sibling of :func:`adaptive_closed_loop_yield`: every
     fabricated delay line is calibrated, turned into a DPWM duty table and
     closed around its own buck converter, but instead of one static load
     each instance flies its *own* randomized mission (a chain of load

@@ -17,6 +17,7 @@ __all__ = [
     "accepts_parameter",
     "accepts_seed",
     "accepts_sweep",
+    "monte_carlo_budget",
     "registry",
     "register",
     "run_experiment",
@@ -126,6 +127,28 @@ def accepts_mission(experiment_id: str) -> bool:
     reshape the randomized missions and the component-correlation preset.
     """
     return accepts_parameter(experiment_id, "mission_length")
+
+
+def monte_carlo_budget(
+    params: dict[str, Any], *, fixed_instances: int, max_instances: int
+) -> dict[str, Any]:
+    """Estimator budget keywords of one Monte-Carlo sweep cell.
+
+    A cell with a ``precision`` coordinate samples adaptively up to its
+    ``max_instances`` coordinate (default ``max_instances``).  A cell
+    without one spends the fixed budget of ``fixed_instances``: the same
+    estimator at ``precision=0.0`` in a single chunk.
+    """
+    if "precision" in params:
+        return {
+            "precision": params["precision"],
+            "max_instances": params.get("max_instances", max_instances),
+        }
+    return {
+        "precision": 0.0,
+        "max_instances": fixed_instances,
+        "chunk_size": fixed_instances,
+    }
 
 
 def run_experiment(

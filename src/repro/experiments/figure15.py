@@ -11,19 +11,22 @@ engine (:mod:`repro.simulation.batch`):
   transient dip and recovery.
 * **Monte-Carlo regulation yield** -- a 256-variant fleet with component
   spreads drawn from :class:`~repro.core.yield_analysis.ComponentVariation`
-  is advanced in one vectorized run, extending the paper's Section 5.2
-  statistical-sizing mindset from the delay line to the regulation loop.
+  is advanced in one vectorized run
+  (:func:`~repro.core.yield_analysis.adaptive_regulation_yield`), extending
+  the paper's Section 5.2 statistical-sizing mindset from the delay line to
+  the regulation loop.
 * **Silicon Monte-Carlo** -- the fused silicon-to-regulation pipeline
   (:mod:`repro.pipeline` via
-  :func:`~repro.core.yield_analysis.closed_loop_yield`): 256 fabricated
-  proposed-scheme delay lines, each calibrated and closed around its own
-  component-varied buck, scored against the composed linearity +
+  :func:`~repro.core.yield_analysis.adaptive_closed_loop_yield`): 256
+  fabricated proposed-scheme delay lines, each calibrated and closed around
+  its own component-varied buck, scored against the composed linearity +
   regulation specification.
+
+Both sections spend a fixed budget of 256 instances (``precision=0`` in one
+chunk) unless a ``precision`` asks for adaptive sampling.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.analysis.reports import format_table
 from repro.converter.buck import BuckParameters
@@ -36,11 +39,9 @@ from repro.core.yield_analysis import (
     RegulationSpec,
     adaptive_closed_loop_yield,
     adaptive_regulation_yield,
-    regulation_yield,
 )
 from repro.dpwm.calibrated import CalibratedDelayLineDPWM
-from repro.experiments.base import ExperimentResult, register
-from repro.pipeline import closed_loop_cell
+from repro.experiments.base import ExperimentResult, monte_carlo_budget, register
 from repro.simulation.batch import (
     BatchBuckParameters,
     BatchClosedLoop,
@@ -75,88 +76,43 @@ def run_cell(params: dict) -> dict:
     """Payload of one Monte-Carlo section of the experiment.
 
     Two cell kinds share this entry point (``params["section"]`` selects):
-    ``component_mc`` is the 256-variant component-variation regulation
-    sweep, ``silicon_mc`` the fused silicon-to-regulation pipeline run.
-    Both are pure functions of their scalar parameters, so the sweep
-    orchestrator can fan them out and cache them independently.  When the
-    dict carries ``precision`` / ``max_instances`` coordinates, both
-    sections run their adaptive siblings
-    (:func:`~repro.core.yield_analysis.adaptive_regulation_yield` /
-    :func:`~repro.core.yield_analysis.adaptive_closed_loop_yield`) and
-    report streaming summaries instead of per-variant arrays.
+    ``component_mc`` is the component-variation regulation sweep,
+    ``silicon_mc`` the fused silicon-to-regulation pipeline run.  Both are
+    pure functions of their scalar parameters, so the sweep orchestrator
+    can fan them out and cache them independently.  A cell with
+    ``precision`` / ``max_instances`` coordinates samples adaptively; one
+    without spends its ``num_instances`` budget (see
+    :func:`~repro.experiments.base.monte_carlo_budget`).  Either way the
+    payload carries streaming summaries plus the confidence bookkeeping.
     """
     nominal = BuckParameters(
         input_voltage_v=1.8,
         switching_frequency_hz=params["frequency_mhz"] * 1e6,
     )
-    if "precision" in params:
-        return _run_adaptive_cell(params, nominal)
+    budget = monte_carlo_budget(
+        params,
+        fixed_instances=params.get("num_instances", NUM_MONTE_CARLO_VARIANTS),
+        max_instances=DEFAULT_MAX_INSTANCES,
+    )
     if params["section"] == "component_mc":
-        result = regulation_yield(
+        result = adaptive_regulation_yield(
             nominal,
             reference_v=REFERENCE_V,
             variation=ComponentVariation(seed=params["seed"]),
-            num_variants=params["num_instances"],
             periods=_MC_PERIODS,
             tolerance_v=0.02,
+            **budget,
         )
         return {
-            "regulation_yield": result.regulation_yield,
-            "steady_state_voltages_v": result.steady_state_voltages_v,
-            "steady_state_ripples_v": result.steady_state_ripples_v,
-            "worst_error_v": result.worst_error_v,
+            "regulation_yield": result.yield_estimate,
+            "mean_steady_state_v": result.value_stats["steady_state_v"]["mean"],
+            "std_steady_state_v": result.value_stats["steady_state_v"]["std"],
+            "worst_error_v": result.value_stats["error_v"]["max"],
+            "worst_ripple_v": result.value_stats["ripple_v"]["max"],
+            **result.interval_summary(),
         }
     if params["section"] == "silicon_mc":
-        silicon = closed_loop_cell(
-            "proposed",
-            frequency_mhz=params["frequency_mhz"],
-            corner="typical",
-            seed=params["seed"],
-            reference_v=REFERENCE_V,
-            num_instances=params["num_instances"],
-            periods=_MC_PERIODS,
-            linearity_spec=LinearitySpec(error_limit_fraction=0.045),
-            regulation_spec=RegulationSpec(tolerance_v=0.02),
-            nominal=nominal,
-            library=intel32_like_library(),
-        )
-        return {
-            "closed_loop_yield": silicon.closed_loop_yield,
-            "linearity_yield": silicon.linearity_yield,
-            "regulation_yield": silicon.regulation_yield,
-            "lock_yield": silicon.lock_yield,
-            "worst_error_v": silicon.worst_error_v,
-            "limit_cycle_amplitudes_v": silicon.limit_cycle_amplitudes_v,
-        }
-    raise ValueError(f"unknown fig15 cell section {params['section']!r}")
-
-
-def _run_adaptive_cell(params: dict, nominal: BuckParameters) -> dict:
-    """Adaptive payload of one Monte-Carlo section (``precision`` given)."""
-    if params["section"] == "component_mc":
-        adaptive = adaptive_regulation_yield(
-            nominal,
-            reference_v=REFERENCE_V,
-            variation=ComponentVariation(seed=params["seed"]),
-            precision=params["precision"],
-            max_instances=params.get("max_instances", DEFAULT_MAX_INSTANCES),
-            periods=_MC_PERIODS,
-            tolerance_v=0.02,
-        )
-        return {
-            "regulation_yield": adaptive.yield_estimate,
-            "mean_steady_state_v": adaptive.value_stats["steady_state_v"]["mean"],
-            "std_steady_state_v": adaptive.value_stats["steady_state_v"]["std"],
-            "worst_error_v": adaptive.value_stats["error_v"]["max"],
-            "worst_ripple_v": adaptive.value_stats["ripple_v"]["max"],
-            "ci_lower": adaptive.lower,
-            "ci_upper": adaptive.upper,
-            "confidence": adaptive.confidence,
-            "samples": adaptive.samples,
-            "stop_reason": adaptive.stop_reason,
-        }
-    if params["section"] == "silicon_mc":
-        adaptive = adaptive_closed_loop_yield(
+        result = adaptive_closed_loop_yield(
             "proposed",
             DesignSpec(
                 clock_frequency_mhz=params["frequency_mhz"], resolution_bits=6
@@ -166,99 +122,36 @@ def _run_adaptive_cell(params: dict, nominal: BuckParameters) -> dict:
             reference_v=REFERENCE_V,
             variation=VariationModel(seed=params["seed"]),
             component_variation=ComponentVariation(seed=params["seed"]),
-            precision=params["precision"],
-            max_instances=params.get("max_instances", DEFAULT_MAX_INSTANCES),
             periods=_MC_PERIODS,
             linearity_spec=LinearitySpec(error_limit_fraction=0.045),
             regulation_spec=RegulationSpec(tolerance_v=0.02),
             library=intel32_like_library(),
+            **budget,
         )
         return {
-            "closed_loop_yield": adaptive.yield_estimate,
-            "linearity_yield": adaptive.spec_yields["linearity"],
-            "regulation_yield": adaptive.spec_yields["regulation"],
-            "lock_yield": adaptive.spec_yields["lock"],
-            "worst_error_v": adaptive.value_stats["error_v"]["max"],
+            "closed_loop_yield": result.yield_estimate,
+            "linearity_yield": result.spec_yields["linearity"],
+            "regulation_yield": result.spec_yields["regulation"],
+            "lock_yield": result.spec_yields["lock"],
+            "worst_error_v": result.value_stats["error_v"]["max"],
             "worst_limit_cycle_amplitude_v": (
-                adaptive.value_stats["limit_cycle_amplitude_v"]["max"]
+                result.value_stats["limit_cycle_amplitude_v"]["max"]
             ),
-            "ci_lower": adaptive.lower,
-            "ci_upper": adaptive.upper,
-            "confidence": adaptive.confidence,
-            "samples": adaptive.samples,
-            "stop_reason": adaptive.stop_reason,
+            **result.interval_summary(),
         }
     raise ValueError(f"unknown fig15 cell section {params['section']!r}")
 
 
-def _fixed_sections(
-    monte_carlo: dict[str, object], silicon: dict[str, object]
-) -> tuple[str, str, dict[str, object], dict[str, object]]:
-    """Tables + data payloads of the two fixed-N Monte-Carlo sections."""
-    spread = np.asarray(monte_carlo["steady_state_voltages_v"])
-    ripples = np.asarray(monte_carlo["steady_state_ripples_v"])
-    yield_table = format_table(
-        headers=["Metric", "Value"],
-        rows=[
-            ["Variants", str(NUM_MONTE_CARLO_VARIANTS)],
-            ["Regulation yield (|Vss - Vref| <= 20 mV)", f"{monte_carlo['regulation_yield']:.3f}"],
-            ["Mean steady-state Vout (V)", f"{spread.mean():.4f}"],
-            ["Std of steady-state Vout (mV)", f"{spread.std() * 1e3:.2f}"],
-            ["Worst |Vss - Vref| (mV)", f"{monte_carlo['worst_error_v'] * 1e3:.2f}"],
-            [
-                "Worst tail ripple (mV)",
-                f"{ripples.max() * 1e3:.2f}",
-            ],
-        ],
-        title="Monte-Carlo regulation yield under component variation",
-    )
-
-    amplitudes = np.asarray(silicon["limit_cycle_amplitudes_v"])
-    silicon_table = format_table(
-        headers=["Metric", "Value"],
-        rows=[
-            ["Fabricated instances", str(NUM_MONTE_CARLO_VARIANTS)],
-            ["Closed-loop yield (linearity AND regulation)", f"{silicon['closed_loop_yield']:.3f}"],
-            ["Linearity yield", f"{silicon['linearity_yield']:.3f}"],
-            ["Regulation yield", f"{silicon['regulation_yield']:.3f}"],
-            ["Lock yield", f"{silicon['lock_yield']:.3f}"],
-            ["Worst |Vss - Vref| (mV)", f"{silicon['worst_error_v'] * 1e3:.2f}"],
-            [
-                "Worst limit-cycle amplitude (mV)",
-                f"{amplitudes.max() * 1e3:.2f}",
-            ],
-        ],
-        title=(
-            "Silicon-to-regulation pipeline -- every fabricated proposed-scheme "
-            "delay line closed around its own component-varied buck"
-        ),
-    )
-    mc_data = {
-        "regulation_yield": monte_carlo["regulation_yield"],
-        "steady_state_voltages_v": spread,
-        "steady_state_ripples_v": ripples,
-        "worst_error_v": monte_carlo["worst_error_v"],
-    }
-    silicon_data = {
-        "closed_loop_yield": silicon["closed_loop_yield"],
-        "linearity_yield": silicon["linearity_yield"],
-        "regulation_yield": silicon["regulation_yield"],
-        "lock_yield": silicon["lock_yield"],
-        "worst_error_v": silicon["worst_error_v"],
-        "limit_cycle_amplitudes_v": amplitudes,
-    }
-    return yield_table, silicon_table, mc_data, silicon_data
-
-
-def _adaptive_sections(
-    monte_carlo: dict[str, object], silicon: dict[str, object]
-) -> tuple[str, str, dict[str, object], dict[str, object]]:
-    """Tables + data payloads of the two adaptive Monte-Carlo sections.
-
-    The adaptive sampler streams its statistics, so the payloads carry
-    scalar summaries plus the confidence bookkeeping instead of
-    per-variant arrays.
-    """
+def _section_tables(
+    monte_carlo: dict[str, object],
+    silicon: dict[str, object],
+    precision: float | None,
+) -> tuple[str, str]:
+    """Report tables of the two Monte-Carlo sections."""
+    if precision is None:
+        sampling, budget = "fixed", f"{NUM_MONTE_CARLO_VARIANTS} instances"
+    else:
+        sampling, budget = "adaptive", f"adaptive to +/- {precision:g} CI half-width"
 
     def ci(entry: dict) -> str:
         return f"[{entry['ci_lower']:.3f}, {entry['ci_upper']:.3f}]"
@@ -266,7 +159,7 @@ def _adaptive_sections(
     yield_table = format_table(
         headers=["Metric", "Value"],
         rows=[
-            ["Samples drawn (adaptive)", str(monte_carlo["samples"])],
+            [f"Samples drawn ({sampling})", str(monte_carlo["samples"])],
             ["Stop reason", monte_carlo["stop_reason"]],
             ["Regulation yield (|Vss - Vref| <= 20 mV)", f"{monte_carlo['regulation_yield']:.3f}"],
             ["95 % CI on the yield", ci(monte_carlo)],
@@ -275,12 +168,12 @@ def _adaptive_sections(
             ["Worst |Vss - Vref| (mV)", f"{monte_carlo['worst_error_v'] * 1e3:.2f}"],
             ["Worst tail ripple (mV)", f"{monte_carlo['worst_ripple_v'] * 1e3:.2f}"],
         ],
-        title="Monte-Carlo regulation yield under component variation (adaptive)",
+        title=f"Monte-Carlo regulation yield under component variation ({budget})",
     )
     silicon_table = format_table(
         headers=["Metric", "Value"],
         rows=[
-            ["Samples drawn (adaptive)", str(silicon["samples"])],
+            [f"Samples drawn ({sampling})", str(silicon["samples"])],
             ["Stop reason", silicon["stop_reason"]],
             ["Closed-loop yield (linearity AND regulation)", f"{silicon['closed_loop_yield']:.3f}"],
             ["95 % CI on the yield", ci(silicon)],
@@ -294,12 +187,12 @@ def _adaptive_sections(
             ],
         ],
         title=(
-            "Silicon-to-regulation pipeline (adaptive) -- every fabricated "
+            f"Silicon-to-regulation pipeline ({budget}) -- every fabricated "
             "proposed-scheme delay line closed around its own "
             "component-varied buck"
         ),
     )
-    return yield_table, silicon_table, dict(monte_carlo), dict(silicon)
+    return yield_table, silicon_table
 
 
 @register("fig15")
@@ -319,7 +212,7 @@ def run(
             sections then run as cacheable sweep cells.
         precision: optional CI half-width target (the CLI's ``--precision``
             flag); switches both Monte-Carlo sections from their fixed
-            256-variant budget to the adaptive sampler (the architecture
+            256-variant budget to adaptive sampling (the architecture
             comparison is deterministic and unaffected).
         max_instances: per-section sample cap of the adaptive mode (the
             CLI's ``--max-instances`` flag); requires ``precision``.
@@ -415,22 +308,15 @@ def run(
         experiment_id="fig15",
         sweep=sweep,
     )
-    if precision is not None:
-        yield_table, silicon_table, mc_data, silicon_data = _adaptive_sections(
-            monte_carlo, silicon
-        )
-    else:
-        yield_table, silicon_table, mc_data, silicon_data = _fixed_sections(
-            monte_carlo, silicon
-        )
+    yield_table, silicon_table = _section_tables(monte_carlo, silicon, precision)
 
     return ExperimentResult(
         experiment_id="fig15",
         title="Digitally controlled buck regulation at scale (paper Figure 15)",
         data={
             "architectures": comparison,
-            "monte_carlo": mc_data,
-            "silicon_monte_carlo": silicon_data,
+            "monte_carlo": monte_carlo,
+            "silicon_monte_carlo": silicon,
         },
         report=architecture_table + "\n\n" + yield_table + "\n\n" + silicon_table,
         paper_reference={

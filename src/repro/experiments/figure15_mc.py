@@ -4,7 +4,7 @@ The ``fig15`` experiment shows *one* converter per DPWM architecture and a
 component-only Monte-Carlo sweep; the ``fig50_51_mc`` experiment scores the
 delay-line silicon but never closes a loop.  This experiment fuses the two
 halves with the silicon-to-regulation pipeline (:mod:`repro.pipeline` via
-:func:`~repro.core.yield_analysis.closed_loop_yield`): for every
+:func:`~repro.core.yield_analysis.adaptive_closed_loop_yield`): for every
 (scheme x corner x frequency x load scenario) cell, a population of
 fabricated delay-line instances is drawn, calibrated closed-form, converted
 into per-instance DPWM duty tables and closed around its own
@@ -19,19 +19,17 @@ mis-scaled table -- so a regulation-only screen would ship silicon whose
 DPWM never calibrated.  The composed specification catches it.
 
 The sweep itself is declarative: :data:`GRID` names the cell axes and
-:func:`run_cell` computes one cell from its scalar coordinates through
-:func:`repro.pipeline.closed_loop_cell`, so the orchestrator
-(:mod:`repro.sweep`) can fan cells out across worker processes and memoize
-each one in the result cache.
+:func:`run_cell` computes one cell from its scalar coordinates, so the
+orchestrator (:mod:`repro.sweep`) can fan cells out across worker
+processes and memoize each one in the result cache.
 
-With a ``precision`` (the CLI's ``--precision``), the fixed 128-instance
-budget per cell is replaced by the adaptive sampler
-(:func:`repro.core.yield_analysis.adaptive_closed_loop_yield`): each cell
-fabricates and regulates chunks until the confidence interval on its
-composed closed-loop yield has the requested half-width or the
-``max_instances`` cap is spent.  The adaptive coordinates join the cell
-dicts -- and therefore the cache keys -- so fixed-N and adaptive results
-never collide in the sweep cache.
+By default each cell spends a fixed budget of 128 instances: the estimator
+at ``precision=0`` in one chunk.  With a ``precision`` (the CLI's
+``--precision``) each cell instead fabricates and regulates chunks until
+the confidence interval on its composed closed-loop yield has the
+requested half-width or the ``max_instances`` cap is spent.  The adaptive
+coordinates join the cell dicts -- and therefore the cache keys -- so the
+two budgets never collide in the sweep cache.
 """
 
 from __future__ import annotations
@@ -45,8 +43,7 @@ from repro.core.yield_analysis import (
     RegulationSpec,
     adaptive_closed_loop_yield,
 )
-from repro.experiments.base import ExperimentResult, register
-from repro.pipeline import closed_loop_cell
+from repro.experiments.base import ExperimentResult, monte_carlo_budget, register
 from repro.sweep import ParameterGrid, SweepOrchestrator, sweep_map
 from repro.technology.corners import OperatingConditions, ProcessCorner
 from repro.technology.library import intel32_like_library
@@ -103,66 +100,43 @@ def run_cell(params: dict) -> dict:
     grid coordinates plus the RNG seed), so the sweep orchestrator can
     pickle it into worker processes and content-address the result.  The
     load *scenario name* is the cell coordinate; the scenario object is
-    looked up here, inside the worker.  When the dict carries
-    ``precision`` / ``max_instances`` coordinates, the cell runs the
-    adaptive sampler instead of the fixed instance count and reports the
-    extra confidence bookkeeping alongside the same metric keys.
+    looked up here, inside the worker.  Both the silicon mismatch and the
+    per-chip component spread derive from the seed.  A cell with
+    ``precision`` / ``max_instances`` coordinates samples adaptively; one
+    without spends the fixed :data:`NUM_INSTANCES` budget (see
+    :func:`~repro.experiments.base.monte_carlo_budget`).  Either way the
+    payload carries the confidence bookkeeping after the metric keys.
     """
-    if "precision" in params:
-        adaptive = adaptive_closed_loop_yield(
-            params["scheme"],
-            DesignSpec(
-                clock_frequency_mhz=params["frequency_mhz"], resolution_bits=6
-            ),
-            OperatingConditions(corner=ProcessCorner[params["corner"].upper()]),
-            reference_v=REFERENCE_V,
-            variation=VariationModel(seed=params["seed"]),
-            component_variation=ComponentVariation(seed=params["seed"]),
-            precision=params["precision"],
-            max_instances=params.get("max_instances", DEFAULT_MAX_INSTANCES),
-            periods=PERIODS,
-            linearity_spec=LINEARITY_SPEC,
-            regulation_spec=REGULATION_SPEC,
-            load=LOAD_SCENARIOS[params["load"]],
-            library=intel32_like_library(),
-        )
-        amplitude = adaptive.value_stats["limit_cycle_amplitude_v"]
-        return {
-            "closed_loop_yield": adaptive.yield_estimate,
-            "linearity_yield": adaptive.spec_yields["linearity"],
-            "regulation_yield": adaptive.spec_yields["regulation"],
-            "lock_yield": adaptive.spec_yields["lock"],
-            "worst_error_v": adaptive.value_stats["error_v"]["max"],
-            "mean_limit_cycle_amplitude_v": amplitude["mean"],
-            "worst_limit_cycle_amplitude_v": amplitude["max"],
-            "ci_lower": adaptive.lower,
-            "ci_upper": adaptive.upper,
-            "confidence": adaptive.confidence,
-            "samples": adaptive.samples,
-            "stop_reason": adaptive.stop_reason,
-        }
-    result = closed_loop_cell(
+    result = adaptive_closed_loop_yield(
         params["scheme"],
-        frequency_mhz=params["frequency_mhz"],
-        corner=params["corner"],
-        seed=params["seed"],
+        DesignSpec(
+            clock_frequency_mhz=params["frequency_mhz"], resolution_bits=6
+        ),
+        OperatingConditions(corner=ProcessCorner[params["corner"].upper()]),
         reference_v=REFERENCE_V,
-        num_instances=NUM_INSTANCES,
+        variation=VariationModel(seed=params["seed"]),
+        component_variation=ComponentVariation(seed=params["seed"]),
         periods=PERIODS,
         linearity_spec=LINEARITY_SPEC,
         regulation_spec=REGULATION_SPEC,
         load=LOAD_SCENARIOS[params["load"]],
         library=intel32_like_library(),
+        **monte_carlo_budget(
+            params,
+            fixed_instances=NUM_INSTANCES,
+            max_instances=DEFAULT_MAX_INSTANCES,
+        ),
     )
-    amplitudes = result.limit_cycle_amplitudes_v
+    amplitude = result.value_stats["limit_cycle_amplitude_v"]
     return {
-        "closed_loop_yield": result.closed_loop_yield,
-        "linearity_yield": result.linearity_yield,
-        "regulation_yield": result.regulation_yield,
-        "lock_yield": result.lock_yield,
-        "worst_error_v": result.worst_error_v,
-        "mean_limit_cycle_amplitude_v": float(amplitudes.mean()),
-        "worst_limit_cycle_amplitude_v": float(amplitudes.max()),
+        "closed_loop_yield": result.yield_estimate,
+        "linearity_yield": result.spec_yields["linearity"],
+        "regulation_yield": result.spec_yields["regulation"],
+        "lock_yield": result.spec_yields["lock"],
+        "worst_error_v": result.value_stats["error_v"]["max"],
+        "mean_limit_cycle_amplitude_v": amplitude["mean"],
+        "worst_limit_cycle_amplitude_v": amplitude["max"],
+        **result.interval_summary(),
     }
 
 
@@ -183,7 +157,7 @@ def run(
             without one, with bit-identical results.
         precision: optional CI half-width target (the CLI's ``--precision``
             flag); switches every cell from the fixed 128-instance budget
-            to the adaptive sampler.
+            to adaptive sampling.
         max_instances: per-cell sample cap of the adaptive mode (the CLI's
             ``--max-instances`` flag); requires ``precision``.
     """
@@ -207,26 +181,22 @@ def run(
         frequency, scenario = cell["frequency_mhz"], cell["load"]
         per_frequency = data.setdefault(scheme, {}).setdefault(corner, {})
         per_frequency.setdefault(frequency, {})[scenario] = entry
-        row = [
-            scheme,
-            corner,
-            f"{frequency:.0f}",
-            scenario,
-            f"{entry['closed_loop_yield']:.3f}",
-            f"{entry['regulation_yield']:.3f}",
-            f"{entry['lock_yield']:.3f}",
-            f"{entry['mean_limit_cycle_amplitude_v'] * 1e3:.1f}",
-            f"{entry['worst_error_v'] * 1e3:.1f}",
-        ]
-        if precision is not None:
-            row.extend(
-                [
-                    f"[{entry['ci_lower']:.3f}, {entry['ci_upper']:.3f}]",
-                    str(entry["samples"]),
-                    entry["stop_reason"],
-                ]
-            )
-        rows.append(row)
+        rows.append(
+            [
+                scheme,
+                corner,
+                f"{frequency:.0f}",
+                scenario,
+                f"{entry['closed_loop_yield']:.3f}",
+                f"{entry['regulation_yield']:.3f}",
+                f"{entry['lock_yield']:.3f}",
+                f"{entry['mean_limit_cycle_amplitude_v'] * 1e3:.1f}",
+                f"{entry['worst_error_v'] * 1e3:.1f}",
+                f"[{entry['ci_lower']:.3f}, {entry['ci_upper']:.3f}]",
+                str(entry["samples"]),
+                entry["stop_reason"],
+            ]
+        )
 
     headers = [
         "Scheme",
@@ -238,11 +208,13 @@ def run(
         "Lock yield",
         "Mean limit cycle (mV)",
         "Worst |Vss-Vref| (mV)",
+        "95 % CI",
+        "Samples",
+        "Stop",
     ]
     if precision is None:
         budget = f"over {NUM_INSTANCES} fabricated instances per cell"
     else:
-        headers.extend(["95 % CI", "Samples", "Stop"])
         budget = (
             f"adaptive to +/- {precision:g} CI half-width "
             f"(cap {max_instances or DEFAULT_MAX_INSTANCES} instances/cell)"

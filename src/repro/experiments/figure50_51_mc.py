@@ -16,21 +16,21 @@ The sweep itself is declarative: :data:`GRID` names the cell axes and
 scalar coordinates, so the orchestrator (:mod:`repro.sweep`) can fan cells
 out across worker processes and memoize each one in the result cache.
 
-With a ``precision`` (the CLI's ``--precision``), the fixed 1000-instance
-budget per cell is replaced by the adaptive sampler
-(:func:`repro.core.yield_analysis.adaptive_linearity_yield`): each cell
-draws chunks until the confidence interval on its linearity yield has the
-requested half-width or the ``max_instances`` cap is spent.  The adaptive
-coordinates join the cell dicts -- and therefore the cache keys -- so
-fixed-N and adaptive results never collide in the sweep cache.
+Every cell runs :func:`repro.core.yield_analysis.adaptive_linearity_yield`.
+By default it spends a fixed budget of 1000 instances: ``precision=0`` in
+one chunk.  With a ``precision`` (the CLI's ``--precision``) each cell
+instead draws chunks until the confidence interval on its linearity yield
+has the requested half-width or the ``max_instances`` cap is spent.  The
+adaptive coordinates join the cell dicts -- and therefore the cache keys --
+so the two budgets never collide in the sweep cache.
 """
 
 from __future__ import annotations
 
 from repro.analysis.reports import format_table
 from repro.core.design import DesignSpec
-from repro.core.yield_analysis import adaptive_linearity_yield, linearity_yield
-from repro.experiments.base import ExperimentResult, register
+from repro.core.yield_analysis import adaptive_linearity_yield
+from repro.experiments.base import ExperimentResult, monte_carlo_budget, register
 from repro.sweep import ParameterGrid, SweepOrchestrator, sweep_map
 from repro.technology.corners import OperatingConditions, ProcessCorner
 from repro.technology.library import intel32_like_library
@@ -77,69 +77,45 @@ def run_cell(params: dict) -> dict:
 
     Module-level and driven entirely by the scalar ``params`` dict (the
     grid coordinates plus the RNG seed), so the sweep orchestrator can
-    pickle it into worker processes and content-address the result.  When
-    the dict carries ``precision`` / ``max_instances`` coordinates, the
-    cell runs the adaptive sampler instead of the fixed instance count and
-    reports the extra confidence bookkeeping (CI bounds, samples drawn,
-    stop reason) alongside the same metric keys.
+    pickle it into worker processes and content-address the result.  A
+    cell with ``precision`` / ``max_instances`` coordinates samples
+    adaptively; one without spends the fixed :data:`NUM_INSTANCES` budget
+    (see :func:`~repro.experiments.base.monte_carlo_budget`).  Either way
+    the payload carries the confidence bookkeeping (CI bounds, samples
+    drawn, stop reason) after the metric keys.
     """
-    spec = DesignSpec(
-        clock_frequency_mhz=params["frequency_mhz"], resolution_bits=6
-    )
-    conditions = OperatingConditions(
-        corner=ProcessCorner[params["corner"].upper()]
-    )
-    variation = VariationModel(
-        random_sigma=0.04, gradient_peak=0.015, seed=params["seed"]
-    )
-    if "precision" in params:
-        adaptive = adaptive_linearity_yield(
-            scheme=params["scheme"],
-            spec=spec,
-            conditions=conditions,
-            variation=variation,
-            precision=params["precision"],
-            max_instances=params.get("max_instances", DEFAULT_MAX_INSTANCES),
-            dnl_limit_lsb=DNL_LIMIT_LSB,
-            inl_limit_lsb=INL_LIMIT_LSB,
-            error_limit_fraction=ERROR_LIMIT_FRACTION,
-            library=intel32_like_library(),
-        )
-        return {
-            "linearity_yield": adaptive.yield_estimate,
-            "lock_yield": adaptive.spec_yields["lock"],
-            "monotonic_fraction": adaptive.spec_yields["monotonic"],
-            "mean_max_dnl_lsb": adaptive.value_stats["max_dnl_lsb"]["mean"],
-            "mean_max_inl_lsb": adaptive.value_stats["max_inl_lsb"]["mean"],
-            "worst_max_inl_lsb": adaptive.value_stats["max_inl_lsb"]["max"],
-            "mean_rms_inl_lsb": adaptive.value_stats["rms_inl_lsb"]["mean"],
-            "worst_error_fraction": adaptive.value_stats["error_fraction"]["max"],
-            "ci_lower": adaptive.lower,
-            "ci_upper": adaptive.upper,
-            "confidence": adaptive.confidence,
-            "samples": adaptive.samples,
-            "stop_reason": adaptive.stop_reason,
-        }
-    result = linearity_yield(
+    result = adaptive_linearity_yield(
         scheme=params["scheme"],
-        spec=spec,
-        conditions=conditions,
-        variation=variation,
-        num_instances=NUM_INSTANCES,
+        spec=DesignSpec(
+            clock_frequency_mhz=params["frequency_mhz"], resolution_bits=6
+        ),
+        conditions=OperatingConditions(
+            corner=ProcessCorner[params["corner"].upper()]
+        ),
+        variation=VariationModel(
+            random_sigma=0.04, gradient_peak=0.015, seed=params["seed"]
+        ),
         dnl_limit_lsb=DNL_LIMIT_LSB,
         inl_limit_lsb=INL_LIMIT_LSB,
         error_limit_fraction=ERROR_LIMIT_FRACTION,
         library=intel32_like_library(),
+        **monte_carlo_budget(
+            params,
+            fixed_instances=NUM_INSTANCES,
+            max_instances=DEFAULT_MAX_INSTANCES,
+        ),
     )
+    stats = result.value_stats
     return {
-        "linearity_yield": result.linearity_yield,
-        "lock_yield": result.lock_yield,
-        "monotonic_fraction": float(result.monotonic.mean()),
-        "mean_max_dnl_lsb": float(result.max_dnl_lsb.mean()),
-        "mean_max_inl_lsb": float(result.max_inl_lsb.mean()),
-        "worst_max_inl_lsb": float(result.max_inl_lsb.max()),
-        "mean_rms_inl_lsb": float(result.rms_inl_lsb.mean()),
-        "worst_error_fraction": float(result.max_error_fraction_of_period.max()),
+        "linearity_yield": result.yield_estimate,
+        "lock_yield": result.spec_yields["lock"],
+        "monotonic_fraction": result.spec_yields["monotonic"],
+        "mean_max_dnl_lsb": stats["max_dnl_lsb"]["mean"],
+        "mean_max_inl_lsb": stats["max_inl_lsb"]["mean"],
+        "worst_max_inl_lsb": stats["max_inl_lsb"]["max"],
+        "mean_rms_inl_lsb": stats["rms_inl_lsb"]["mean"],
+        "worst_error_fraction": stats["error_fraction"]["max"],
+        **result.interval_summary(),
     }
 
 
@@ -160,7 +136,7 @@ def run(
             without one, with bit-identical results.
         precision: optional CI half-width target (the CLI's ``--precision``
             flag); switches every cell from the fixed 1000-instance budget
-            to the adaptive sampler.
+            to adaptive sampling.
         max_instances: per-cell sample cap of the adaptive mode (the CLI's
             ``--max-instances`` flag); requires ``precision``.
     """
@@ -183,25 +159,21 @@ def run(
         scheme, corner = cell["scheme"], cell["corner"]
         frequency = cell["frequency_mhz"]
         data.setdefault(scheme, {}).setdefault(corner, {})[frequency] = entry
-        row = [
-            scheme,
-            corner,
-            f"{frequency:.0f}",
-            f"{entry['linearity_yield']:.3f}",
-            f"{entry['lock_yield']:.3f}",
-            f"{entry['monotonic_fraction']:.3f}",
-            f"{entry['mean_max_inl_lsb']:.2f}",
-            f"{100 * entry['worst_error_fraction']:.2f} %",
-        ]
-        if precision is not None:
-            row.extend(
-                [
-                    f"[{entry['ci_lower']:.3f}, {entry['ci_upper']:.3f}]",
-                    str(entry["samples"]),
-                    entry["stop_reason"],
-                ]
-            )
-        rows.append(row)
+        rows.append(
+            [
+                scheme,
+                corner,
+                f"{frequency:.0f}",
+                f"{entry['linearity_yield']:.3f}",
+                f"{entry['lock_yield']:.3f}",
+                f"{entry['monotonic_fraction']:.3f}",
+                f"{entry['mean_max_inl_lsb']:.2f}",
+                f"{100 * entry['worst_error_fraction']:.2f} %",
+                f"[{entry['ci_lower']:.3f}, {entry['ci_upper']:.3f}]",
+                str(entry["samples"]),
+                entry["stop_reason"],
+            ]
+        )
 
     headers = [
         "Scheme",
@@ -212,11 +184,13 @@ def run(
         "Monotonic",
         "Mean max |INL| (LSB)",
         "Worst error (% period)",
+        "95 % CI",
+        "Samples",
+        "Stop",
     ]
     if precision is None:
         budget = f"over {NUM_INSTANCES} post-APR instances per cell"
     else:
-        headers.extend(["95 % CI", "Samples", "Stop"])
         budget = (
             f"adaptive to +/- {precision:g} CI half-width "
             f"(cap {max_instances or DEFAULT_MAX_INSTANCES} instances/cell)"

@@ -493,6 +493,70 @@ class AdaptiveSampleResult:
         return self.intervals[self.primary]
 
 
+def _check_budget(
+    precision: float, max_samples: int, chunk_size: int, confidence: float
+) -> None:
+    """Validate the budget arguments every estimator shares."""
+    if precision < 0:
+        raise ValueError(f"precision must be non-negative; got {precision}")
+    if max_samples < 1:
+        raise ValueError(f"max_samples must be >= 1; got {max_samples}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1; got {chunk_size}")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1); got {confidence}")
+
+
+def _checked_chunk(
+    chunk: SampleChunk | WeightedSampleChunk,
+    count: int,
+    primary: str,
+    seen: tuple[set[str], set[str]] | None,
+    source: str = "chunk",
+) -> tuple[dict[str, npt.NDArray[np.bool_]], dict[str, npt.NDArray[np.float64]]]:
+    """Validate one drawn chunk and return its flag and value arrays.
+
+    ``seen`` holds the pass-statistic and value-stream names of the
+    chunks folded so far (``None`` before the first); a chunk must not
+    change them, and every array must have shape ``(count,)``.
+    ``source`` names the chunk in the errors.
+    """
+    if primary not in chunk.passes:
+        raise ValueError(
+            f"{source} has no primary pass statistic {primary!r}; "
+            f"got {sorted(chunk.passes)}"
+        )
+    if seen is not None:
+        pass_names, value_names = seen
+        if set(chunk.passes) != pass_names:
+            raise ValueError(
+                f"{source} pass statistics changed mid-run: "
+                f"{sorted(chunk.passes)} vs {sorted(pass_names)}"
+            )
+        if set(chunk.values) != value_names:
+            raise ValueError(
+                f"{source} value streams changed mid-run: "
+                f"{sorted(chunk.values)} vs {sorted(value_names)}"
+            )
+    flags: dict[str, npt.NDArray[np.bool_]] = {}
+    for name, raw_flags in chunk.passes.items():
+        flags[name] = np.asarray(raw_flags, dtype=bool)
+        if flags[name].shape != (count,):
+            raise ValueError(
+                f"pass statistic {name!r} has shape {flags[name].shape}; "
+                f"expected ({count},)"
+            )
+    streams: dict[str, npt.NDArray[np.float64]] = {}
+    for name, raw_stream in chunk.values.items():
+        streams[name] = np.asarray(raw_stream, dtype=float)
+        if streams[name].shape != (count,):
+            raise ValueError(
+                f"value stream {name!r} has shape {streams[name].shape}; "
+                f"expected ({count},)"
+            )
+    return flags, streams
+
+
 def adaptive_sample(
     draw: Callable[[int, int], SampleChunk],
     *,
@@ -529,14 +593,7 @@ def adaptive_sample(
         an :class:`AdaptiveSampleResult`; ``result.trials`` is the spent
         sample budget, the quantity the adaptive engine exists to shrink.
     """
-    if precision < 0:
-        raise ValueError(f"precision must be non-negative; got {precision}")
-    if max_samples < 1:
-        raise ValueError(f"max_samples must be >= 1; got {max_samples}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1; got {chunk_size}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1); got {confidence}")
+    _check_budget(precision, max_samples, chunk_size, confidence)
     if min_samples is None:
         min_samples = min(chunk_size, max_samples)
     if min_samples < 1:
@@ -550,37 +607,15 @@ def adaptive_sample(
     stop_reason = "max_samples"
     while trials < max_samples:
         count = min(chunk_size, max_samples - trials)
-        chunk = draw(trials, count)
-        if primary not in chunk.passes:
-            raise ValueError(
-                f"chunk has no primary pass statistic {primary!r}; "
-                f"got {sorted(chunk.passes)}"
-            )
-        if chunks and set(chunk.passes) != set(successes):
-            raise ValueError(
-                f"chunk pass statistics changed mid-run: "
-                f"{sorted(chunk.passes)} vs {sorted(successes)}"
-            )
-        if chunks and set(chunk.values) != set(moments):
-            raise ValueError(
-                f"chunk value streams changed mid-run: "
-                f"{sorted(chunk.values)} vs {sorted(moments)}"
-            )
-        for name, flags in chunk.passes.items():
-            flags = np.asarray(flags, dtype=bool)
-            if flags.shape != (count,):
-                raise ValueError(
-                    f"pass statistic {name!r} has shape {flags.shape}; "
-                    f"expected ({count},)"
-                )
-            successes[name] = successes.get(name, 0) + int(flags.sum())
-        for name, stream in chunk.values.items():
-            stream = np.asarray(stream, dtype=float)
-            if stream.shape != (count,):
-                raise ValueError(
-                    f"value stream {name!r} has shape {stream.shape}; "
-                    f"expected ({count},)"
-                )
+        flags, streams = _checked_chunk(
+            draw(trials, count),
+            count,
+            primary,
+            (set(successes), set(moments)) if chunks else None,
+        )
+        for name, passed in flags.items():
+            successes[name] = successes.get(name, 0) + int(passed.sum())
+        for name, stream in streams.items():
             moments.setdefault(name, RunningMoments()).extend(stream)
         trials += count
         chunks += 1
@@ -890,14 +925,7 @@ def importance_sample(
         an :class:`ImportanceSampleResult`; ``result.trials`` is the spent
         (tilted) sample budget.
     """
-    if precision < 0:
-        raise ValueError(f"precision must be non-negative; got {precision}")
-    if max_samples < 1:
-        raise ValueError(f"max_samples must be >= 1; got {max_samples}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1; got {chunk_size}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1); got {confidence}")
+    _check_budget(precision, max_samples, chunk_size, confidence)
     if min_ess < 0:
         raise ValueError(f"min_ess must be non-negative; got {min_ess}")
     if min_samples is None:
@@ -914,43 +942,22 @@ def importance_sample(
     while trials < max_samples:
         count = min(chunk_size, max_samples - trials)
         chunk = draw(trials, count)
-        if primary not in chunk.passes:
-            raise ValueError(
-                f"chunk has no primary pass statistic {primary!r}; "
-                f"got {sorted(chunk.passes)}"
-            )
-        if chunks and set(chunk.passes) != set(weighted):
-            raise ValueError(
-                f"chunk pass statistics changed mid-run: "
-                f"{sorted(chunk.passes)} vs {sorted(weighted)}"
-            )
-        if chunks and set(chunk.values) != set(value_moments):
-            raise ValueError(
-                f"chunk value streams changed mid-run: "
-                f"{sorted(chunk.values)} vs {sorted(value_moments)}"
-            )
+        flags, streams = _checked_chunk(
+            chunk,
+            count,
+            primary,
+            (set(weighted), set(value_moments)) if chunks else None,
+        )
         log_weights = np.asarray(chunk.log_weights, dtype=float)
         if log_weights.shape != (count,):
             raise ValueError(
                 f"log_weights has shape {log_weights.shape}; expected ({count},)"
             )
-        for name, flags in chunk.passes.items():
-            flags = np.asarray(flags, dtype=bool)
-            if flags.shape != (count,):
-                raise ValueError(
-                    f"pass statistic {name!r} has shape {flags.shape}; "
-                    f"expected ({count},)"
-                )
+        for name, passed in flags.items():
             weighted.setdefault(name, WeightedRunningMoments()).extend(
-                flags.astype(float), log_weights
+                passed.astype(float), log_weights
             )
-        for name, stream in chunk.values.items():
-            stream = np.asarray(stream, dtype=float)
-            if stream.shape != (count,):
-                raise ValueError(
-                    f"value stream {name!r} has shape {stream.shape}; "
-                    f"expected ({count},)"
-                )
+        for name, stream in streams.items():
             value_moments.setdefault(name, WeightedRunningMoments()).extend(
                 stream, log_weights
             )
@@ -1145,17 +1152,12 @@ def stratified_sample(
         raise ValueError(
             f"stratum weights must sum to 1; got {total_weight!r}"
         )
-    if precision < 0:
-        raise ValueError(f"precision must be non-negative; got {precision}")
     if max_samples < len(strata):
         raise ValueError(
             f"max_samples must cover at least one draw per stratum; "
             f"got {max_samples} for {len(strata)} strata"
         )
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1; got {chunk_size}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1); got {confidence}")
+    _check_budget(precision, max_samples, chunk_size, confidence)
     if min_samples_per_stratum is None:
         min_samples_per_stratum = min(chunk_size, max_samples // len(strata))
     if min_samples_per_stratum < 1:
@@ -1167,45 +1169,26 @@ def stratified_sample(
     trials_h = [0 for _ in strata]
     successes_h: list[dict[str, int]] = [{} for _ in strata]
     moments_h: list[dict[str, RunningMoments]] = [{} for _ in strata]
-    stat_names: set[str] | None = None
-    value_names: set[str] | None = None
+    seen: tuple[set[str], set[str]] | None = None
     trials = 0
     chunks = 0
     stop_reason = "max_samples"
 
     def fold(index: int, count: int) -> None:
-        nonlocal trials, chunks, stat_names, value_names
-        chunk = strata[index].draw(trials_h[index], count)
-        if primary not in chunk.passes:
-            raise ValueError(
-                f"stratum {strata[index].name!r} chunk has no primary pass "
-                f"statistic {primary!r}; got {sorted(chunk.passes)}"
-            )
-        if stat_names is None:
-            stat_names = set(chunk.passes)
-            value_names = set(chunk.values)
-        elif set(chunk.passes) != stat_names or set(chunk.values) != value_names:
-            raise ValueError(
-                f"stratum {strata[index].name!r} changed the statistic set "
-                f"mid-run: {sorted(chunk.passes)} / {sorted(chunk.values)}"
-            )
-        for name, flags in chunk.passes.items():
-            flag_array = np.asarray(flags, dtype=bool)
-            if flag_array.shape != (count,):
-                raise ValueError(
-                    f"pass statistic {name!r} has shape {flag_array.shape}; "
-                    f"expected ({count},)"
-                )
-            bucket = successes_h[index]
-            bucket[name] = bucket.get(name, 0) + int(flag_array.sum())
-        for name, stream in chunk.values.items():
-            stream_array = np.asarray(stream, dtype=float)
-            if stream_array.shape != (count,):
-                raise ValueError(
-                    f"value stream {name!r} has shape {stream_array.shape}; "
-                    f"expected ({count},)"
-                )
-            moments_h[index].setdefault(name, RunningMoments()).extend(stream_array)
+        nonlocal trials, chunks, seen
+        flags, streams = _checked_chunk(
+            strata[index].draw(trials_h[index], count),
+            count,
+            primary,
+            seen,
+            source=f"stratum {strata[index].name!r} chunk",
+        )
+        seen = (set(flags), set(streams))
+        bucket = successes_h[index]
+        for name, passed in flags.items():
+            bucket[name] = bucket.get(name, 0) + int(passed.sum())
+        for name, stream in streams.items():
+            moments_h[index].setdefault(name, RunningMoments()).extend(stream)
         trials_h[index] += count
         trials += count
         chunks += 1
@@ -1263,10 +1246,10 @@ def stratified_sample(
                 stop_reason = "precision"
                 break
 
-    resolved_stats = sorted(stat_names or {primary})
+    stat_names, value_names = seen or ({primary}, set())
     estimates: dict[str, float] = {}
     intervals: dict[str, ConfidenceInterval] = {}
-    for name in resolved_stats:
+    for name in sorted(stat_names):
         estimate = 0.0
         variance = 0.0
         for index, stratum in enumerate(strata):
@@ -1295,7 +1278,7 @@ def stratified_sample(
         )
 
     value_means: dict[str, float] = {}
-    for name in sorted(value_names or set()):
+    for name in sorted(value_names):
         value_means[name] = sum(
             stratum.weight * moments_h[index][name].mean
             for index, stratum in enumerate(strata)

@@ -27,20 +27,15 @@ scalar ``DigitallyControlledBuck`` per instance) -- the property
 ``tests/test_pipeline.py`` asserts and ``benchmarks/test_bench_pipeline.py``
 perf-gates (>= 10x at bit-exact steady-state agreement).
 
-Every estimator reaches the stage function the same way and differs only
-in the component spreads it hands over:
-
-* :meth:`ChunkedSiliconToRegulation.run_chunk` fabricates an instance
-  range and draws its spreads from the chunk-stable
-  :meth:`~repro.core.yield_analysis.ComponentVariation.sample_instances`
-  stream -- the adaptive (:mod:`repro.mc`) and mission paths;
-* :func:`repro.core.yield_analysis.closed_loop_yield`, the fixed-N
-  estimator, draws them with
-  :meth:`~repro.core.yield_analysis.ComponentVariation.sample_batch`.
-
+Every estimator reaches the stage function through
+:meth:`ChunkedSiliconToRegulation.run_chunk`, which fabricates an instance
+range and draws its spreads from the chunk-stable
+:meth:`~repro.core.yield_analysis.ComponentVariation.sample_instances`
+stream -- the closed-loop (:mod:`repro.mc`) and mission estimators alike.
 Because every variation model keys instance ``i``'s randomness on ``i``
-itself, chunked runs are bit-identical to slicing one big run -- the
-contract the adaptive engine's reproducibility rests on.
+itself, chunked runs are bit-identical to slicing one big run, and a seed
+names one population whatever the budget -- the contract the estimators'
+reproducibility rests on.
 
 Example -- design once, fabricate in chunks, and the chunks tile the same
 population one run over the whole range regulates:
@@ -88,19 +83,14 @@ from repro.core.ensemble import (
     EnsembleTransferCurves,
     ProposedEnsemble,
 )
-from repro.core.yield_analysis import (
-    ClosedLoopYieldResult,
-    ComponentVariation,
-    LinearitySpec,
-    RegulationSpec,
-)
+from repro.core.yield_analysis import ComponentVariation
 from repro.simulation.batch import (
     BatchBuckParameters,
     BatchClosedLoop,
     BatchQuantizer,
     BatchRegulationResult,
 )
-from repro.technology.corners import OperatingConditions, ProcessCorner
+from repro.technology.corners import OperatingConditions
 from repro.technology.library import TechnologyLibrary, intel32_like_library
 from repro.technology.thermal import TemperatureTrace, ThermalDerating
 from repro.technology.variation import CorrelatedVariationModel, VariationModel
@@ -109,7 +99,6 @@ __all__ = [
     "ChunkedFabricator",
     "ChunkedSiliconToRegulation",
     "PipelineResult",
-    "closed_loop_cell",
     "regulate_ensemble",
 ]
 
@@ -359,13 +348,14 @@ class ChunkedSiliconToRegulation:
     * the silicon mismatch of instance ``i`` comes from
       :meth:`VariationModel.sample`'s per-instance RNG stream, and
     * the electrical spread of instance ``i`` comes from
-      :meth:`ComponentVariation.sample_instances`'s per-instance stream
-      (*not* the one-shot :meth:`~ComponentVariation.sample_batch` stream
-      the fixed-N :func:`~repro.core.yield_analysis.closed_loop_yield`
-      draws -- the two are different, equally valid populations),
+      :meth:`ComponentVariation.sample_instances`'s per-instance stream,
 
     so ``run_chunk(0, n)`` equals the concatenation of any chunking of
     ``[0, n)`` bit for bit -- hypothesis-tested in ``tests/test_pipeline.py``.
+
+    ``correlation`` couples the component draws, so it needs a
+    ``component_variation`` to act on; giving it alone raises a
+    ``ValueError`` rather than running uncorrelated.
     """
 
     def __init__(
@@ -382,6 +372,12 @@ class ChunkedSiliconToRegulation:
         load: LoadProfile | None = None,
         library: TechnologyLibrary | None = None,
     ) -> None:
+        if correlation is not None and component_variation is None:
+            raise ValueError(
+                "a correlation couples the component draws, but no "
+                "component_variation was given to draw them; pass a "
+                "ComponentVariation or drop the correlation"
+            )
         self.fabricator = ChunkedFabricator(
             scheme, spec, variation=variation, library=library
         )
@@ -482,55 +478,3 @@ def _unapplied_channel(mission: MissionProfile) -> str | None:
             return f"source channel (segment {index} source scenario)"
     return None
 
-
-def closed_loop_cell(
-    scheme: str,
-    *,
-    frequency_mhz: float,
-    seed: int,
-    corner: str = "typical",
-    resolution_bits: int = 6,
-    reference_v: float = 0.9,
-    num_instances: int = 256,
-    periods: int = 300,
-    linearity_spec: LinearitySpec | None = None,
-    regulation_spec: RegulationSpec | None = None,
-    load: LoadProfile | None = None,
-    nominal: BuckParameters | None = None,
-    library: TechnologyLibrary | None = None,
-) -> ClosedLoopYieldResult:
-    """One silicon-to-regulation sweep cell from scalar cell coordinates.
-
-    This is the cell-sized entry point of the pipeline: everything that
-    identifies the cell -- scheme, corner *name*, switching frequency, RNG
-    seed -- is a JSON scalar, so a sweep grid can address, schedule and
-    cache the cell, while the rich objects (operating conditions, seeded
-    variation models, pass/fail specs) are reconstructed here, inside the
-    worker.  Both the silicon mismatch draw and the per-chip component
-    spread derive from ``seed``, making the cell a pure function of its
-    arguments: serial, parallel and cached evaluations agree bit for bit.
-
-    Returns the composed
-    :class:`~repro.core.yield_analysis.ClosedLoopYieldResult`; callers
-    flatten it into their payload schema.
-    """
-    from repro.core.yield_analysis import closed_loop_yield
-
-    conditions = OperatingConditions(corner=ProcessCorner[corner.upper()])
-    return closed_loop_yield(
-        scheme,
-        DesignSpec(
-            clock_frequency_mhz=frequency_mhz, resolution_bits=resolution_bits
-        ),
-        conditions,
-        nominal=nominal,
-        reference_v=reference_v,
-        variation=VariationModel(seed=seed),
-        component_variation=ComponentVariation(seed=seed),
-        num_instances=num_instances,
-        periods=periods,
-        linearity_spec=linearity_spec,
-        regulation_spec=regulation_spec,
-        load=load,
-        library=library,
-    )

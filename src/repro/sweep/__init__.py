@@ -37,7 +37,7 @@ Adaptive Monte-Carlo cells (:mod:`repro.mc`, the CLI's ``--precision``)
 need no special handling here: the adaptive coordinates (``precision``,
 ``max_instances``) join the cell's parameter dict via
 :meth:`ParameterGrid.cells`, so they are part of the content address --
-fixed-N and adaptive results never collide, a warm adaptive re-run with
+fixed-budget and adaptive results never collide, a warm adaptive re-run with
 the same ``(seed, precision, cap)`` triple is bit-identical, and changing
 any of the three recomputes the cell.
 """

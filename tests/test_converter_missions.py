@@ -667,6 +667,22 @@ class TestMissionYield:
         if any(result.segment_failure_counts):
             assert payload["worst_segment"] is not None
 
+    def test_correlation_without_component_variation_is_rejected(self) -> None:
+        # Without a component spread there are no component draws to
+        # correlate; the run must refuse rather than fly uncorrelated.
+        with pytest.raises(ValueError, match="no component_variation"):
+            mission_yield(
+                "proposed",
+                DesignSpec(clock_frequency_mhz=100.0, resolution_bits=6),
+                OperatingConditions.typical(),
+                missions=MissionGenerator(
+                    total_periods=20, num_segments=2, seed=3
+                ),
+                variation=VariationModel(seed=3),
+                correlation=component_correlation_preset("passives"),
+                num_instances=2,
+            )
+
 
 # ---------------------------------------------------------------------------
 # The fig15_mission experiment end to end, through the sweep layer.

@@ -31,7 +31,8 @@ from repro.core.proposed import (
     ProposedDelayLine,
     ProposedDelayLineConfig,
 )
-from repro.core.yield_analysis import linearity_yield
+from repro.core.yield_analysis import LinearitySpec, adaptive_linearity_yield
+from repro.pipeline import ChunkedFabricator
 from repro.technology.corners import OperatingConditions, ProcessCorner
 from repro.technology.library import intel32_like_library
 from repro.technology.variation import BatchVariationSample, VariationModel
@@ -320,52 +321,70 @@ class TestBatchMetrics:
 
 
 class TestLinearityYield:
-    def test_result_shapes_and_consistency(self):
-        result = linearity_yield(
+    def test_fixed_budget_scores_the_fabricated_population(self):
+        spec = DesignSpec(100.0, 5)
+        conditions = OperatingConditions.typical()
+        variation = VariationModel(seed=9)
+        result = adaptive_linearity_yield(
             scheme="proposed",
-            spec=DesignSpec(100.0, 5),
-            conditions=OperatingConditions.typical(),
-            variation=VariationModel(seed=9),
-            num_instances=32,
+            spec=spec,
+            conditions=conditions,
+            variation=variation,
+            precision=0.0,
+            max_instances=32,
+            chunk_size=32,
             error_limit_fraction=0.05,
             library=LIBRARY,
         )
-        assert result.num_instances == 32
-        assert result.passes.shape == (32,)
-        assert 0.0 <= result.linearity_yield <= 1.0
-        assert result.linearity_yield == pytest.approx(result.passes.mean())
-        assert result.lock_yield == pytest.approx(result.locked.mean())
-        # The pass mask is consistent with the reported metrics.
-        expected = (
-            (result.max_error_fraction_of_period <= 0.05)
-            & result.monotonic
-            & result.locked
+        assert result.samples == 32
+        assert 0.0 <= result.yield_estimate <= 1.0
+        # The estimate is the pass fraction of the same 32 instances,
+        # scored by hand against the same spec.
+        ensemble = ChunkedFabricator(
+            "proposed", spec, variation=variation, library=LIBRARY
+        ).fabricate(32)
+        calibration = ensemble.lock(conditions)
+        curves = ensemble.transfer_curves(conditions, calibration=calibration)
+        passes = LinearitySpec(error_limit_fraction=0.05).evaluate(
+            calibration, curves
         )
-        np.testing.assert_array_equal(result.passes, expected)
+        expected = (
+            (curves.max_error_fraction_of_period() <= 0.05)
+            & curves.metrics().monotonic
+            & calibration.locked
+        )
+        np.testing.assert_array_equal(passes, expected)
+        assert result.yield_estimate == float(np.mean(passes))
+        assert result.spec_yields["lock"] == float(np.mean(calibration.locked))
+        assert result.value_stats["max_inl_lsb"]["max"] == float(
+            curves.metrics().max_inl_lsb.max()
+        )
 
     def test_unknown_scheme_and_bad_limits_rejected(self):
         spec = DesignSpec(100.0, 5)
         conditions = OperatingConditions.typical()
         with pytest.raises(ValueError, match="unknown scheme"):
-            linearity_yield("hybrid", spec, conditions, num_instances=2)
+            adaptive_linearity_yield("hybrid", spec, conditions, max_instances=2)
         with pytest.raises(ValueError, match="must be positive"):
-            linearity_yield(
-                "proposed", spec, conditions, num_instances=2, dnl_limit_lsb=0.0
+            adaptive_linearity_yield(
+                "proposed", spec, conditions, max_instances=2, dnl_limit_lsb=0.0
             )
         with pytest.raises(ValueError):
-            linearity_yield("proposed", spec, conditions, num_instances=0)
+            adaptive_linearity_yield("proposed", spec, conditions, max_instances=0)
 
     def test_conventional_slow_corner_lock_collapse(self):
         # The paper's 6-bit 100 MHz sizing: at the slow corner even the
         # all-minimum line overshoots the period (fig37's saturation), so
         # only a sliver of mismatched instances lock.
-        result = linearity_yield(
+        result = adaptive_linearity_yield(
             scheme="conventional",
             spec=DesignSpec(100.0, 6),
             conditions=OperatingConditions.slow(),
             variation=VariationModel(seed=9),
-            num_instances=64,
+            precision=0.0,
+            max_instances=64,
+            chunk_size=64,
             library=LIBRARY,
         )
-        assert result.lock_yield < 0.2
-        assert result.linearity_yield <= result.lock_yield
+        assert result.spec_yields["lock"] < 0.2
+        assert result.yield_estimate <= result.spec_yields["lock"]

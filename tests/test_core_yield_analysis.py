@@ -16,9 +16,7 @@ from repro.core.yield_analysis import (
     adaptive_linearity_yield,
     adaptive_regulation_yield,
     cells_for_yield,
-    closed_loop_yield,
     coverage_yield,
-    linearity_yield,
     yield_curve,
 )
 from repro.technology.corners import OperatingConditions
@@ -165,16 +163,29 @@ class TestComponentVariationSampleInstances:
                 np.concatenate([getattr(head, name), getattr(tail, name)]),
             ), name
 
-    def test_stream_differs_from_the_fixed_batch_stream(self):
-        # sample_batch's one-generator stream and the per-instance streams
-        # are different populations of the same distribution -- by design:
-        # changing sample_batch would break the fixed-N baselines.
-        variation = ComponentVariation(seed=7)
+    @given(
+        num_variants=st.integers(min_value=1, max_value=24),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_sample_batch_is_the_instance_stream(self, num_variants, seed):
+        # One population per seed: the whole-fleet draw is instances
+        # [0, n) of the per-instance streams, bit for bit.
+        variation = ComponentVariation(seed=seed)
         nominal = BuckParameters()
-        batch = variation.sample_batch(nominal, 8)
-        instances = variation.sample_instances(nominal, 8)
-        assert not np.array_equal(batch.inductance_h, instances.inductance_h)
-        assert not np.array_equal(batch.input_voltage_v, instances.input_voltage_v)
+        batch = variation.sample_batch(nominal, num_variants)
+        instances = variation.sample_instances(nominal, num_variants)
+        for name in (
+            "input_voltage_v",
+            "inductance_h",
+            "capacitance_f",
+            "switching_frequency_hz",
+            "switch_resistance_ohm",
+            "inductor_resistance_ohm",
+        ):
+            assert np.array_equal(
+                getattr(batch, name), getattr(instances, name)
+            ), name
 
     def test_decorrelated_from_silicon_variation_streams(self):
         # The same seed drives both the silicon mismatch and the component
@@ -201,64 +212,33 @@ class TestAdaptiveLinearityYield:
     def test_high_yield_cell_stops_early_and_brackets_the_fixed_estimate(
         self, spec_100mhz_6bit, library
     ):
-        conditions = OperatingConditions.fast()
-        variation = VariationModel(random_sigma=0.04, gradient_peak=0.015, seed=5)
-        adaptive = adaptive_linearity_yield(
-            "proposed",
-            spec_100mhz_6bit,
-            conditions,
-            variation=variation,
-            precision=0.02,
-            max_instances=1000,
+        kwargs = dict(
+            spec=spec_100mhz_6bit,
+            conditions=OperatingConditions.fast(),
+            variation=VariationModel(
+                random_sigma=0.04, gradient_peak=0.015, seed=5
+            ),
             error_limit_fraction=0.045,
             library=library,
+        )
+        adaptive = adaptive_linearity_yield(
+            "proposed", precision=0.02, max_instances=1000, **kwargs
         )
         assert adaptive.stop_reason == "precision"
         assert adaptive.samples < 250  # >= 4x below the fixed 1000 budget
         assert adaptive.half_width <= 0.02
-        fixed = linearity_yield(
+        fixed = adaptive_linearity_yield(
             "proposed",
-            spec_100mhz_6bit,
-            conditions,
-            variation=variation,
-            num_instances=adaptive.samples,
-            error_limit_fraction=0.045,
-            library=library,
+            precision=0.0,
+            max_instances=adaptive.samples,
+            chunk_size=adaptive.samples,
+            **kwargs,
         )
-        # Same per-instance streams: the adaptive run IS the first
-        # `samples` instances of the fixed run.
-        assert adaptive.yield_estimate == fixed.linearity_yield
-        assert adaptive.spec_yields["lock"] == fixed.lock_yield
-
-    @given(chunk_size=st.integers(min_value=7, max_value=96))
-    @settings(max_examples=8, deadline=None)
-    def test_chunk_size_never_changes_the_estimate(
-        self, chunk_size, spec_100mhz_6bit, library
-    ):
-        kwargs = dict(
-            spec=spec_100mhz_6bit,
-            conditions=OperatingConditions.fast(),
-            variation=VariationModel(seed=3),
-            precision=0.0,  # disable early stopping: always run to the cap
-            max_instances=96,
-            error_limit_fraction=0.045,
-            library=library,
-        )
-        reference = adaptive_linearity_yield(
-            "proposed", chunk_size=96, **kwargs
-        )
-        chunked = adaptive_linearity_yield(
-            "proposed", chunk_size=chunk_size, **kwargs
-        )
-        assert chunked.samples == reference.samples == 96
-        assert chunked.yield_estimate == reference.yield_estimate
-        assert chunked.spec_yields == reference.spec_yields
-        for name, stats in reference.value_stats.items():
-            assert chunked.value_stats[name]["min"] == stats["min"]
-            assert chunked.value_stats[name]["max"] == stats["max"]
-            assert chunked.value_stats[name]["mean"] == pytest.approx(
-                stats["mean"], rel=1e-12
-            )
+        # Same per-instance streams: the adaptive run IS a fixed budget of
+        # its first `samples` instances.
+        assert fixed.stop_reason == "max_samples"
+        assert adaptive.yield_estimate == fixed.yield_estimate
+        assert adaptive.spec_yields["lock"] == fixed.spec_yields["lock"]
 
     def test_collapsed_cell_exhausts_its_cap(self, spec_100mhz_6bit, library):
         # The conventional slow-corner lock collapse: yield pinned near 0,
@@ -307,73 +287,72 @@ class TestAdaptiveClosedLoopYield:
         assert 0.0 <= amplitude["min"] <= amplitude["mean"] <= amplitude["max"]
         assert amplitude["count"] == adaptive.samples
 
-    def test_chunked_equals_one_shot(self, library):
-        spec = DesignSpec(clock_frequency_mhz=100.0, resolution_bits=5)
-        kwargs = dict(
-            conditions=OperatingConditions.typical(),
-            variation=VariationModel(seed=2),
-            component_variation=ComponentVariation(seed=2),
-            precision=0.0,
-            max_instances=48,
-            periods=120,
-            library=library,
-        )
-        one_shot = adaptive_closed_loop_yield(
-            "proposed", spec, chunk_size=48, **kwargs
-        )
-        chunked = adaptive_closed_loop_yield(
-            "proposed", spec, chunk_size=13, **kwargs
-        )
-        assert chunked.yield_estimate == one_shot.yield_estimate
-        assert chunked.spec_yields == one_shot.spec_yields
-        assert chunked.value_stats["error_v"]["max"] == (
-            one_shot.value_stats["error_v"]["max"]
-        )
+
+def _linearity_run(library, **budget):
+    return adaptive_linearity_yield(
+        "proposed",
+        DesignSpec(clock_frequency_mhz=100.0, resolution_bits=6),
+        OperatingConditions.fast(),
+        variation=VariationModel(seed=3),
+        error_limit_fraction=0.045,
+        library=library,
+        **budget,
+    )
 
 
-class TestClosedLoopYieldSharding:
-    SPEC = DesignSpec(clock_frequency_mhz=100.0, resolution_bits=5)
+def _closed_loop_run(library, **budget):
+    return adaptive_closed_loop_yield(
+        "proposed",
+        DesignSpec(clock_frequency_mhz=100.0, resolution_bits=5),
+        OperatingConditions.typical(),
+        variation=VariationModel(seed=2),
+        component_variation=ComponentVariation(seed=2),
+        periods=120,
+        library=library,
+        **budget,
+    )
 
-    def test_component_draw_cannot_be_sharded(self, library):
-        """sample_batch ignores first_instance, so every shard would reuse
-        shard 0's component spreads; the fixed-N path refuses instead."""
-        with pytest.raises(
-            ValueError, match=r"first_instance=4 .*adaptive_closed_loop_yield"
-        ):
-            closed_loop_yield(
-                "proposed",
-                self.SPEC,
-                OperatingConditions.typical(),
-                variation=VariationModel(seed=5),
-                component_variation=ComponentVariation(seed=5),
-                num_instances=4,
-                periods=40,
-                library=library,
-                first_instance=4,
+
+def _regulation_run(library, **budget):
+    return adaptive_regulation_yield(
+        BuckParameters(),
+        reference_v=0.9,
+        variation=ComponentVariation(seed=4),
+        periods=150,
+        **budget,
+    )
+
+
+class TestChunkInvariance:
+    """A fixed budget is one chunk at ``precision=0``; chunking never moves it."""
+
+    @pytest.mark.parametrize(
+        "run, budget",
+        [
+            (_linearity_run, 96),
+            (_closed_loop_run, 48),
+            (_regulation_run, 48),
+        ],
+        ids=["linearity", "closed_loop", "regulation"],
+    )
+    def test_one_chunk_equals_chunk_7(self, run, budget, library):
+        one_chunk = run(
+            library, precision=0.0, max_instances=budget, chunk_size=budget
+        )
+        chunked = run(library, precision=0.0, max_instances=budget, chunk_size=7)
+        assert chunked.samples == one_chunk.samples == budget
+        assert chunked.stop_reason == one_chunk.stop_reason == "max_samples"
+        assert chunked.yield_estimate == one_chunk.yield_estimate
+        assert (chunked.lower, chunked.upper) == (one_chunk.lower, one_chunk.upper)
+        assert chunked.spec_yields == one_chunk.spec_yields
+        assert chunked.spec_intervals == one_chunk.spec_intervals
+        for name, stats in one_chunk.value_stats.items():
+            assert chunked.value_stats[name]["count"] == budget
+            assert chunked.value_stats[name]["min"] == stats["min"]
+            assert chunked.value_stats[name]["max"] == stats["max"]
+            assert chunked.value_stats[name]["mean"] == pytest.approx(
+                stats["mean"], rel=1e-12
             )
-
-    def test_silicon_only_shards_tile_the_population(self, library):
-        def run(num_instances, first_instance):
-            return closed_loop_yield(
-                "proposed",
-                self.SPEC,
-                OperatingConditions.typical(),
-                variation=VariationModel(seed=5),
-                num_instances=num_instances,
-                periods=40,
-                library=library,
-                first_instance=first_instance,
-            )
-
-        whole = run(8, 0)
-        shards = [run(4, 0), run(4, 4)]
-        np.testing.assert_array_equal(
-            np.concatenate([shard.steady_state_voltages_v for shard in shards]),
-            whole.steady_state_voltages_v,
-        )
-        np.testing.assert_array_equal(
-            np.concatenate([shard.passes for shard in shards]), whole.passes
-        )
 
 
 class TestAdaptiveRegulationYield:

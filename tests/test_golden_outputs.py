@@ -26,9 +26,9 @@ from repro.experiments.runner import main as runner_main
 
 #: experiment id -> sha256 of its ``--json`` artifact at the pinned seed.
 GOLDEN_SHA256 = {
-    "fig15": "ec57c3b466e0a47a5adf0170255819f439c7266eba56bd55194a6cdeea8ae36c",
-    "fig15_mc": "134a20a6541c2c5307c8e6a7422ccf858f179bbef0c302bcc503fa48f8612098",
-    "fig50_51_mc": "a808eb11de7f21a23a867307c448a3a53ffd284cd08e48a1f2f2d14cee009f53",
+    "fig15": "62c2223e387b97883077b89f150006c76a0f9fd61f54afb7e423110f536488bd",
+    "fig15_mc": "b62f29b0e9ce0df788c6bde763ac3eb1bb221c85ca9f3c14b2368e20034a23f4",
+    "fig50_51_mc": "c5e5681abde70e34599df5435bd6ed37a9173b415bc07fe3581969d35b5ff34d",
     "fig15_rare": "1ed556d4619721acea08bc20a7f97fc7097b741865efa176d949b1c4fa9523c2",
 }
 

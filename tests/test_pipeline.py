@@ -1,8 +1,8 @@
 """Tests for the silicon-to-regulation stage function and its callers.
 
 The load-bearing property: :func:`regulate_ensemble`, reached through the
-fixed-N :func:`closed_loop_yield` or the chunked runner, must match
-composing the two engines by hand, instance by instance -- a scalar
+chunked runner, must match composing the two engines by hand, instance by
+instance -- a scalar
 :class:`CalibratedDelayLineDPWM` (cycle-accurate lock, per-word table) closed
 inside a scalar :class:`DigitallyControlledBuck`, run period by period.
 Bit-exact: identical duty-word decisions and identical output-voltage
@@ -30,7 +30,7 @@ from repro.core.yield_analysis import (
     ComponentVariation,
     LinearitySpec,
     RegulationSpec,
-    closed_loop_yield,
+    adaptive_closed_loop_yield,
 )
 from repro.dpwm.calibrated import CalibratedDelayLineDPWM
 from repro.pipeline import (
@@ -91,19 +91,17 @@ class TestFusedVersusHandComposed:
         variation = VariationModel(random_sigma=0.05, gradient_peak=0.01, seed=seed)
         components = ComponentVariation(seed=seed)
         periods = 40
-        result = closed_loop_yield(
+        result = ChunkedSiliconToRegulation(
             scheme,
             SPEC,
             conditions,
             variation=variation,
-            num_instances=3,
-            periods=periods,
             component_variation=components,
             library=LIBRARY,
-        ).pipeline_result
+        ).run_chunk(0, 3, periods=periods)
         words, voltages, duty_tables = _hand_composed(
             _fabricate(scheme, variation, 3),
-            components.sample_batch(NOMINAL, 3),
+            components.sample_instances(NOMINAL, 3),
             design,
             conditions,
             periods,
@@ -316,6 +314,21 @@ class TestChunkedSiliconToRegulation:
         assert result.num_instances == 3
         assert result.scheme == "proposed"
 
+    def test_silicon_only_shards_tile_the_population(self):
+        runner = ChunkedSiliconToRegulation(
+            "proposed", SPEC, variation=VariationModel(seed=5), library=LIBRARY
+        )
+        whole = runner.run_chunk(0, 8, periods=40)
+        shards = [runner.run_chunk(0, 4, periods=40), runner.run_chunk(4, 4, periods=40)]
+        np.testing.assert_array_equal(
+            np.concatenate([shard.steady_state_voltages_v() for shard in shards]),
+            whole.steady_state_voltages_v(),
+        )
+        np.testing.assert_array_equal(
+            np.concatenate([shard.calibration.locked for shard in shards]),
+            whole.calibration.locked,
+        )
+
     def test_mismatched_switching_frequency_rejected(self):
         nominal = BuckParameters(switching_frequency_hz=50e6)
         with pytest.raises(ValueError, match="one switching clock"):
@@ -324,84 +337,83 @@ class TestChunkedSiliconToRegulation:
             )
 
 
-class TestFixedNMatchesChunked:
+class TestFixedBudgetMatchesRunChunk:
     @pytest.mark.parametrize(
         "load",
         [None, SteppedLoad(light_ohm=2.0, heavy_ohm=0.9, step_up_period=25)],
         ids=["static", "stepped"],
     )
     @pytest.mark.parametrize("scheme", ["proposed", "conventional"])
-    def test_closed_loop_yield_equals_run_chunk(self, scheme, load):
-        """Without a component spread both paths fly the same population
-        through the one stage function, so they agree bit for bit."""
+    def test_fixed_budget_scores_run_chunk(self, scheme, load):
+        """A fixed budget (``precision=0``, one chunk) is ``run_chunk`` over
+        the same instances scored against both specs, bit for bit."""
         conditions = OperatingConditions.typical()
         variation = VariationModel(seed=8)
-        fixed = closed_loop_yield(
+        components = ComponentVariation(seed=8)
+        fixed = adaptive_closed_loop_yield(
             scheme,
             SPEC,
             conditions,
             variation=variation,
-            num_instances=5,
+            component_variation=components,
+            precision=0.0,
+            max_instances=5,
+            chunk_size=5,
             periods=60,
             load=load,
             library=LIBRARY,
-        ).pipeline_result
-        chunked = ChunkedSiliconToRegulation(
-            scheme, SPEC, conditions, variation=variation, load=load, library=LIBRARY
-        ).run_chunk(0, 5, periods=60)
-        for name in (
-            "output_voltages_v",
-            "inductor_currents_a",
-            "duty_words",
-            "duty_fractions",
-            "error_codes",
-            "load_resistances_ohm",
-        ):
-            np.testing.assert_array_equal(
-                getattr(fixed.regulation, name), getattr(chunked.regulation, name)
-            )
-        np.testing.assert_array_equal(
-            fixed.calibration.locked, chunked.calibration.locked
         )
-        np.testing.assert_array_equal(fixed.curves.delays_ps, chunked.curves.delays_ps)
+        chunk = ChunkedSiliconToRegulation(
+            scheme,
+            SPEC,
+            conditions,
+            variation=variation,
+            component_variation=components,
+            load=load,
+            library=LIBRARY,
+        ).run_chunk(0, 5, periods=60)
+        linearity = LinearitySpec().evaluate(chunk.calibration, chunk.curves)
+        regulation = RegulationSpec().evaluate(chunk.regulation, 0.9)
+        assert fixed.samples == 5
+        assert fixed.spec_yields == {
+            "closed_loop": float(np.mean(linearity & regulation)),
+            "linearity": float(np.mean(linearity)),
+            "regulation": float(np.mean(regulation)),
+            "lock": float(np.mean(chunk.calibration.locked)),
+        }
+        assert fixed.value_stats["error_v"]["max"] == float(
+            chunk.regulation_errors_v().max()
+        )
+        assert fixed.value_stats["limit_cycle_amplitude_v"]["max"] == float(
+            chunk.limit_cycle_amplitudes_v().max()
+        )
 
 
 class TestPipelineConstruction:
     def test_mismatched_switching_frequency_rejected(self):
         nominal = BuckParameters(switching_frequency_hz=50e6)
         with pytest.raises(ValueError, match="one switching clock"):
-            closed_loop_yield(
+            adaptive_closed_loop_yield(
                 "proposed",
                 SPEC,
                 OperatingConditions.typical(),
                 nominal=nominal,
-                num_instances=2,
+                max_instances=2,
                 library=LIBRARY,
             )
 
     def test_defaults_follow_the_spec_frequency(self):
-        result = closed_loop_yield(
-            "proposed",
-            SPEC,
-            OperatingConditions.typical(),
-            num_instances=2,
-            periods=20,
-            library=LIBRARY,
-        ).pipeline_result
+        result = ChunkedSiliconToRegulation(
+            "proposed", SPEC, library=LIBRARY
+        ).run_chunk(0, 2, periods=20)
         assert result.regulation.switching_period_s == pytest.approx(1e-8)
         assert result.regulation.num_variants == 2
         assert result.curves.delays_ps.shape[0] == 2
 
     def test_result_statistics_shapes(self):
-        result = closed_loop_yield(
-            "proposed",
-            SPEC,
-            OperatingConditions.typical(),
-            variation=VariationModel(seed=5),
-            num_instances=4,
-            periods=60,
-            library=LIBRARY,
-        ).pipeline_result
+        result = ChunkedSiliconToRegulation(
+            "proposed", SPEC, variation=VariationModel(seed=5), library=LIBRARY
+        ).run_chunk(0, 4, periods=60)
         assert result.num_instances == 4
         assert result.steady_state_voltages_v().shape == (4,)
         assert result.limit_cycle_amplitudes_v().shape == (4,)
@@ -506,42 +518,47 @@ class TestSpecFramework:
 
 class TestClosedLoopYield:
     def test_composes_linearity_and_regulation(self):
-        result = closed_loop_yield(
+        result = adaptive_closed_loop_yield(
             "proposed",
             SPEC,
             OperatingConditions.typical(),
             variation=VariationModel(seed=11),
-            num_instances=8,
+            precision=0.0,
+            max_instances=8,
+            chunk_size=8,
             periods=120,
             linearity_spec=LinearitySpec(error_limit_fraction=0.06),
             regulation_spec=RegulationSpec(tolerance_v=0.02),
             library=LIBRARY,
         )
-        np.testing.assert_array_equal(
-            result.passes, result.linearity_passes & result.regulation_passes
-        )
-        assert result.num_instances == 8
-        assert 0.0 <= result.closed_loop_yield <= 1.0
-        assert result.closed_loop_yield <= min(
-            result.linearity_yield, result.regulation_yield
-        )
-        assert result.pipeline_result.regulation.num_periods == 120
+        composed = result.yield_estimate
+        linearity = result.spec_yields["linearity"]
+        regulation = result.spec_yields["regulation"]
+        assert result.samples == 8
+        assert 0.0 <= composed <= 1.0
+        # An AND of two pass flags: bounded by each and by their overlap.
+        assert composed <= min(linearity, regulation)
+        assert composed >= linearity + regulation - 1.0
+        assert result.value_stats["steady_state_v"]["count"] == 8
 
     def test_unlocked_silicon_fails_the_composed_spec(self):
         # At the slow corner the conventional DLL saturates (fig37): the
         # loops still regulate, but require_lock fails the composed spec.
-        result = closed_loop_yield(
+        result = adaptive_closed_loop_yield(
             "conventional",
             DesignSpec(clock_frequency_mhz=100.0, resolution_bits=6),
             OperatingConditions.slow(),
             variation=VariationModel(seed=11),
-            num_instances=16,
+            precision=0.0,
+            max_instances=16,
+            chunk_size=16,
             periods=120,
             library=LIBRARY,
         )
-        assert result.lock_yield < 0.5
-        assert result.closed_loop_yield <= result.lock_yield
-        assert result.regulation_yield > result.closed_loop_yield
+        lock = result.spec_yields["lock"]
+        assert lock < 0.5
+        assert result.yield_estimate <= lock
+        assert result.spec_yields["regulation"] > result.yield_estimate
 
 
 class TestQuantizerFastPath:

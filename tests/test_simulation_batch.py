@@ -17,7 +17,7 @@ from repro.converter.load import (
     ReferenceStep,
     SteppedLoad,
 )
-from repro.core.yield_analysis import ComponentVariation, regulation_yield
+from repro.core.yield_analysis import ComponentVariation, adaptive_regulation_yield
 from repro.dpwm.calibrated import CalibratedDelayLineDPWM
 from repro.simulation.batch import (
     BatchBuckParameters,
@@ -491,20 +491,22 @@ class TestRegulationYield:
         assert batch.variant(2) == nominal
 
     def test_regulation_yield_nominal_fleet(self, nominal):
-        result = regulation_yield(
+        result = adaptive_regulation_yield(
             nominal,
             reference_v=0.9,
             variation=ComponentVariation(seed=7),
-            num_variants=64,
+            precision=0.0,
+            max_instances=64,
+            chunk_size=64,
             periods=250,
             tolerance_v=0.02,
         )
-        assert result.regulation_yield > 0.95
-        assert result.steady_state_voltages_v.shape == (64,)
-        assert result.worst_error_v < 0.05
+        assert result.yield_estimate > 0.95
+        assert result.value_stats["steady_state_v"]["count"] == 64
+        assert result.value_stats["error_v"]["max"] < 0.05
 
     def test_regulation_yield_validation(self, nominal):
         with pytest.raises(ValueError):
-            regulation_yield(nominal, reference_v=0.9, tolerance_v=0.0)
+            adaptive_regulation_yield(nominal, reference_v=0.9, tolerance_v=0.0)
         with pytest.raises(ValueError):
             ComponentVariation(inductance_sigma=-0.1)
