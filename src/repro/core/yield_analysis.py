@@ -43,10 +43,10 @@ statistic, each built on the streaming engine of :mod:`repro.mc`:
 
 Each estimator draws chunks until the confidence interval on its yield
 has half-width ``<= precision`` or ``max_instances`` samples are spent,
-and returns an :class:`AdaptiveYieldResult` (estimate, CI, samples drawn,
-stop reason).  A fixed budget of ``N`` instances is the same run at
-``precision=0.0, max_instances=N, chunk_size=N``: one chunk, no early
-stop.  Instance ``i`` draws from its own RNG streams, so a seed names one
+and returns an :class:`AdaptiveYieldResult` (estimate, 95 % Wilson CI,
+samples drawn, stop reason).  A fixed budget of ``N`` instances is the
+same run at ``precision=0.0, max_instances=N, chunk_size=N``: one chunk,
+no early stop.  Instance ``i`` draws from its own RNG streams, so a seed names one
 population whatever the budget or the chunking.
 
 Example -- the declarative specs score plain arrays, and the Monte-Carlo
@@ -969,7 +969,6 @@ class AdaptiveYieldResult:
         chunk_size: instances per drawn chunk.
         stop_reason: ``"precision"`` if the interval tightened to the
             target, ``"max_samples"`` if the cap ran out first.
-        method: interval method used (``"wilson"`` / ``"clopper_pearson"``).
         spec_yields: per-statistic yield estimates (e.g. ``"linearity"``,
             ``"regulation"``, ``"lock"``); the primary statistic is
             included.
@@ -988,7 +987,6 @@ class AdaptiveYieldResult:
     max_samples: int
     chunk_size: int
     stop_reason: str
-    method: str
     spec_yields: dict[str, float]
     spec_intervals: dict[str, tuple[float, float]]
     value_stats: dict[str, dict[str, float]]
@@ -1009,10 +1007,25 @@ class AdaptiveYieldResult:
         }
 
 
-def _adaptive_result(
-    scheme: str | None, sample_result: "AdaptiveSampleResult", primary: str
+def _adaptive_yield(
+    draw: "Callable[[int, int], SampleChunk]",
+    *,
+    primary: str,
+    scheme: str | None,
+    precision: float,
+    max_instances: int,
+    chunk_size: int,
 ) -> AdaptiveYieldResult:
-    """Fold an :class:`repro.mc.AdaptiveSampleResult` into the domain shape."""
+    """:func:`repro.mc.adaptive_sample` at its defaults, in the domain shape."""
+    from repro.mc import adaptive_sample
+
+    sample_result = adaptive_sample(
+        draw,
+        primary=primary,
+        precision=precision,
+        max_samples=max_instances,
+        chunk_size=chunk_size,
+    )
     interval = sample_result.intervals[primary]
     return AdaptiveYieldResult(
         scheme=scheme,
@@ -1025,7 +1038,6 @@ def _adaptive_result(
         max_samples=sample_result.max_samples,
         chunk_size=sample_result.chunk_size,
         stop_reason=sample_result.stop_reason,
-        method=sample_result.method,
         spec_yields=dict(sample_result.estimates),
         spec_intervals={
             name: (ci.lower, ci.upper)
@@ -1044,11 +1056,8 @@ def adaptive_linearity_yield(
     conditions: OperatingConditions,
     variation: VariationModel | None = None,
     precision: float = 0.02,
-    confidence: float = 0.95,
     max_instances: int = 4096,
     chunk_size: int = 64,
-    min_instances: int | None = None,
-    method: str = "wilson",
     dnl_limit_lsb: float | None = None,
     inl_limit_lsb: float | None = None,
     error_limit_fraction: float | None = None,
@@ -1069,7 +1078,6 @@ def adaptive_linearity_yield(
     so the sample stream -- and therefore the estimate -- is independent of
     the chunk size.
     """
-    from repro.mc import adaptive_sample
     from repro.pipeline import ChunkedFabricator
 
     resolved_spec = LinearitySpec(
@@ -1087,17 +1095,14 @@ def adaptive_linearity_yield(
         ensemble = fabricator.fabricate(count, first_instance=first_instance)
         return _linearity_chunk(resolved_spec, ensemble, conditions)
 
-    sample_result = adaptive_sample(
+    return _adaptive_yield(
         draw,
         primary="linearity",
+        scheme=scheme,
         precision=precision,
-        confidence=confidence,
-        max_samples=max_instances,
+        max_instances=max_instances,
         chunk_size=chunk_size,
-        min_samples=min_instances,
-        method=method,
     )
-    return _adaptive_result(scheme, sample_result, "linearity")
 
 
 def adaptive_closed_loop_yield(
@@ -1109,11 +1114,8 @@ def adaptive_closed_loop_yield(
     variation: VariationModel | None = None,
     component_variation: ComponentVariation | None = None,
     precision: float = 0.02,
-    confidence: float = 0.95,
     max_instances: int = 4096,
     chunk_size: int = 64,
-    min_instances: int | None = None,
-    method: str = "wilson",
     periods: int = 300,
     linearity_spec: LinearitySpec | None = None,
     regulation_spec: RegulationSpec | None = None,
@@ -1135,7 +1137,6 @@ def adaptive_closed_loop_yield(
     ride along.  The electrical spread of instance ``i`` comes from
     :meth:`ComponentVariation.sample_instances` (the chunk-stable stream).
     """
-    from repro.mc import adaptive_sample
     from repro.pipeline import ChunkedSiliconToRegulation
 
     resolved_linearity = linearity_spec or LinearitySpec()
@@ -1156,17 +1157,14 @@ def adaptive_closed_loop_yield(
         result = runner.run_chunk(first_instance, count, periods=periods)
         return _closed_loop_chunk(resolved_linearity, resolved_regulation, result)
 
-    sample_result = adaptive_sample(
+    return _adaptive_yield(
         draw,
         primary="closed_loop",
+        scheme=runner.scheme,
         precision=precision,
-        confidence=confidence,
-        max_samples=max_instances,
+        max_instances=max_instances,
         chunk_size=chunk_size,
-        min_samples=min_instances,
-        method=method,
     )
-    return _adaptive_result(runner.scheme, sample_result, "closed_loop")
 
 
 def adaptive_regulation_yield(
@@ -1174,11 +1172,8 @@ def adaptive_regulation_yield(
     reference_v: float,
     variation: ComponentVariation | None = None,
     precision: float = 0.02,
-    confidence: float = 0.95,
     max_instances: int = 4096,
     chunk_size: int = 64,
-    min_instances: int | None = None,
-    method: str = "wilson",
     periods: int = 300,
     tolerance_v: float = 0.02,
     dpwm_bits: int = 6,
@@ -1192,8 +1187,6 @@ def adaptive_regulation_yield(
     :class:`RegulationSpec`, until the interval on the regulation yield is
     tight enough or the cap runs out.
     """
-    from repro.mc import adaptive_sample
-
     spec = RegulationSpec(tolerance_v=tolerance_v)
     resolved_variation = variation or ComponentVariation()
 
@@ -1206,17 +1199,14 @@ def adaptive_regulation_yield(
         )
         return _regulation_chunk(spec, regulation, reference_v)
 
-    sample_result = adaptive_sample(
+    return _adaptive_yield(
         draw,
         primary="regulation",
+        scheme=None,
         precision=precision,
-        confidence=confidence,
-        max_samples=max_instances,
+        max_instances=max_instances,
         chunk_size=chunk_size,
-        min_samples=min_instances,
-        method=method,
     )
-    return _adaptive_result(None, sample_result, "regulation")
 
 
 @dataclass(frozen=True)
@@ -1313,10 +1303,8 @@ def rare_event_regulation_yield(
     periods: int = 160,
     settle_periods: int = 60,
     precision: float = 0.0,
-    confidence: float = 0.95,
     max_instances: int = 4096,
     chunk_size: int = 256,
-    min_ess: float = 32.0,
 ) -> RareEventYieldResult:
     """Estimate a rare load-step undershoot probability of the closed loop.
 
@@ -1358,11 +1346,8 @@ def rare_event_regulation_yield(
             from the dip measurement while the loop settles.
         precision: target CI half-width on the failure probability
             (0 runs the full budget).
-        confidence: two-sided confidence level.
         max_instances: hard sample cap.
         chunk_size: instances per vectorized chunk.
-        min_ess: effective-sample-size floor of the importance
-            estimator's stopping rule.
 
     Returns:
         a JSON/cache-able :class:`RareEventYieldResult`.
@@ -1437,7 +1422,6 @@ def rare_event_regulation_yield(
             draw_vanilla,
             primary="failure",
             precision=precision,
-            confidence=confidence,
             max_samples=max_instances,
             chunk_size=chunk_size,
         )
@@ -1458,10 +1442,8 @@ def rare_event_regulation_yield(
             draw_tilted,
             primary="failure",
             precision=precision,
-            confidence=confidence,
             max_samples=max_instances,
             chunk_size=chunk_size,
-            min_ess=min_ess,
         )
         mean_dip_v = sampled.value_moments["dip_v"].mean
         effective_sample_size = sampled.effective_sample_size
@@ -1492,7 +1474,6 @@ def rare_event_regulation_yield(
             strata,
             primary="failure",
             precision=precision,
-            confidence=confidence,
             max_samples=max_instances,
             chunk_size=chunk_size,
         )
@@ -1513,7 +1494,7 @@ def rare_event_regulation_yield(
         failure_probability=sampled.estimates["failure"],
         lower=interval.lower,
         upper=interval.upper,
-        confidence=confidence,
+        confidence=sampled.confidence,
         precision=precision,
         samples=sampled.trials,
         max_samples=max_instances,

@@ -11,12 +11,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 __all__ = [
     "ExperimentResult",
-    "accepts_adaptive",
-    "accepts_estimator",
-    "accepts_mission",
     "accepts_parameter",
-    "accepts_seed",
-    "accepts_sweep",
+    "adaptive_coordinates",
     "monte_carlo_budget",
     "registry",
     "register",
@@ -75,79 +71,53 @@ def accepts_parameter(experiment_id: str, name: str) -> bool:
     return name in inspect.signature(registry[experiment_id]).parameters
 
 
-def accepts_seed(experiment_id: str) -> bool:
-    """Whether an experiment's run function takes an RNG ``seed`` argument.
-
-    The Monte-Carlo experiments (``fig15``, ``fig15_mc``, ``fig50_51_mc``)
-    declare ``seed`` so one CLI flag can rethread their random draws; the
-    deterministic table/figure regenerations do not.
-    """
-    return accepts_parameter(experiment_id, "seed")
-
-
-def accepts_sweep(experiment_id: str) -> bool:
-    """Whether an experiment's run function takes a ``sweep`` orchestrator.
-
-    The grid experiments (``fig15``, ``fig15_mc``, ``fig50_51_mc``) declare
-    ``sweep`` so the CLI's ``--workers`` / ``--cache-dir`` flags can fan
-    their cells out across a worker pool and memoize them; the scalar
-    regenerations do not.
-    """
-    return accepts_parameter(experiment_id, "sweep")
-
-
-def accepts_adaptive(experiment_id: str) -> bool:
-    """Whether an experiment supports adaptive confidence-bounded sampling.
-
-    The Monte-Carlo experiments declare ``precision`` (and
-    ``max_instances``) so the CLI's ``--precision`` / ``--max-instances``
-    flags can replace their fixed per-cell instance counts with the
-    streaming sampler of :mod:`repro.mc`.
-    """
-    return accepts_parameter(experiment_id, "precision")
-
-
-def accepts_estimator(experiment_id: str) -> bool:
-    """Whether an experiment supports rare-event estimator selection.
-
-    The rare-event experiments (``fig15_rare``) declare ``estimator`` so
-    the CLI's ``--estimator`` / ``--tilt-shift`` / ``--tilt-scale`` flags
-    can pick between vanilla, stratified and importance sampling and
-    parameterize the importance tilt.
-    """
-    return accepts_parameter(experiment_id, "estimator")
-
-
-def accepts_mission(experiment_id: str) -> bool:
-    """Whether an experiment supports mission-profile parameterization.
-
-    The mission experiments (``fig15_mission``) declare ``mission_length``
-    (plus ``mission_seed`` and ``correlation``) so the CLI's
-    ``--mission-length`` / ``--mission-seed`` / ``--correlation`` flags can
-    reshape the randomized missions and the component-correlation preset.
-    """
-    return accepts_parameter(experiment_id, "mission_length")
-
-
 def monte_carlo_budget(
-    params: dict[str, Any], *, fixed_instances: int, max_instances: int
+    params: dict[str, Any], *, fixed_instances: int
 ) -> dict[str, Any]:
     """Estimator budget keywords of one Monte-Carlo sweep cell.
 
-    A cell with a ``precision`` coordinate samples adaptively up to its
-    ``max_instances`` coordinate (default ``max_instances``).  A cell
-    without one spends the fixed budget of ``fixed_instances``: the same
-    estimator at ``precision=0.0`` in a single chunk.
+    A cell with the ``precision`` / ``max_instances`` coordinates of
+    :func:`adaptive_coordinates` samples adaptively up to that cap.  A
+    cell without them spends the fixed budget of ``fixed_instances``: the
+    same estimator at ``precision=0.0`` in a single chunk.
     """
     if "precision" in params:
-        return {
-            "precision": params["precision"],
-            "max_instances": params.get("max_instances", max_instances),
-        }
+        return {key: params[key] for key in ("precision", "max_instances")}
     return {
         "precision": 0.0,
         "max_instances": fixed_instances,
         "chunk_size": fixed_instances,
+    }
+
+
+def adaptive_coordinates(
+    precision: float | None, max_instances: int | None, *, default_max_instances: int
+) -> dict[str, Any]:
+    """Budget coordinates a Monte-Carlo experiment writes into its cells.
+
+    None for the fixed budget; the target ``precision`` plus the sample
+    cap (``max_instances``, else ``default_max_instances``) for adaptive
+    sampling.  :func:`monte_carlo_budget` reads them back:
+
+    >>> fixed = adaptive_coordinates(None, None, default_max_instances=512)
+    >>> fixed, monte_carlo_budget(fixed, fixed_instances=128)
+    ({}, {'precision': 0.0, 'max_instances': 128, 'chunk_size': 128})
+    >>> adaptive = adaptive_coordinates(0.02, None, default_max_instances=512)
+    >>> adaptive == monte_carlo_budget(adaptive, fixed_instances=128)
+    True
+    >>> adaptive
+    {'precision': 0.02, 'max_instances': 512}
+
+    Raises:
+        ValueError: if ``max_instances`` is given without a ``precision``.
+    """
+    if precision is None:
+        if max_instances is not None:
+            raise ValueError("max_instances is only meaningful with a precision")
+        return {}
+    return {
+        "precision": precision,
+        "max_instances": max_instances or default_max_instances,
     }
 
 
@@ -166,35 +136,30 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run a registered experiment by id.
 
+    Every option that is given (not ``None``) reaches the experiment's
+    ``run`` when ``run`` declares a keyword of that name (see
+    :func:`accepts_parameter`); experiments that do not declare it ignore
+    it.
+
     Args:
         experiment_id: the registered id.
-        seed: optional RNG seed threaded into experiments that accept one
-            (see :func:`accepts_seed`); experiments without randomness
-            ignore it.
-        sweep: optional :class:`~repro.sweep.SweepOrchestrator` threaded
-            into experiments that accept one (see :func:`accepts_sweep`);
-            experiments without a parameter grid ignore it.
+        seed: optional RNG seed of the Monte-Carlo draws.
+        sweep: optional :class:`~repro.sweep.SweepOrchestrator` that fans
+            a grid experiment's cells out and caches them.
         precision: optional target confidence-interval half-width; switches
-            the Monte-Carlo experiments that accept it (see
-            :func:`accepts_adaptive`) from their fixed per-cell instance
+            the Monte-Carlo experiments from their fixed per-cell instance
             counts to the adaptive sampler of :mod:`repro.mc`.
         max_instances: optional hard per-cell sample cap for the adaptive
             sampler; only meaningful together with ``precision``.
         estimator: optional rare-event estimator name (``vanilla`` /
-            ``stratified`` / ``importance``) threaded into experiments
-            that accept one (see :func:`accepts_estimator`).
-        tilt_shift: optional scale on the importance tilt direction;
-            only reaches estimator-aware experiments.
+            ``stratified`` / ``importance``).
+        tilt_shift: optional scale on the importance tilt direction.
         tilt_scale: optional proposal sigma widening of the importance
-            tilt; only reaches estimator-aware experiments.
-        mission_length: optional mission length in switching periods,
-            threaded into experiments that accept missions (see
-            :func:`accepts_mission`).
-        mission_seed: optional seed of the per-instance mission draws;
-            only reaches mission-aware experiments.
+            tilt.
+        mission_length: optional mission length in switching periods.
+        mission_seed: optional seed of the per-instance mission draws.
         correlation: optional component-correlation preset name (see
-            :data:`repro.core.yield_analysis.CORRELATION_PRESETS`); only
-            reaches mission-aware experiments.
+            :data:`repro.core.yield_analysis.CORRELATION_PRESETS`).
 
     Raises:
         KeyError: if the id is unknown.
@@ -208,27 +173,22 @@ def run_experiment(
         ) from exc
     if max_instances is not None and precision is None:
         raise ValueError("max_instances is only meaningful with a precision")
-    kwargs: dict[str, Any] = {}
-    if seed is not None and accepts_seed(experiment_id):
-        kwargs["seed"] = seed
-    if sweep is not None and accepts_sweep(experiment_id):
-        kwargs["sweep"] = sweep
-    if precision is not None and accepts_adaptive(experiment_id):
-        kwargs["precision"] = precision
-        if max_instances is not None:
-            kwargs["max_instances"] = max_instances
-    if accepts_estimator(experiment_id):
-        if estimator is not None:
-            kwargs["estimator"] = estimator
-        if tilt_shift is not None:
-            kwargs["tilt_shift"] = tilt_shift
-        if tilt_scale is not None:
-            kwargs["tilt_scale"] = tilt_scale
-    if accepts_mission(experiment_id):
-        if mission_length is not None:
-            kwargs["mission_length"] = mission_length
-        if mission_seed is not None:
-            kwargs["mission_seed"] = mission_seed
-        if correlation is not None:
-            kwargs["correlation"] = correlation
-    return runner(**kwargs)
+    options = {
+        "seed": seed,
+        "sweep": sweep,
+        "precision": precision,
+        "max_instances": max_instances,
+        "estimator": estimator,
+        "tilt_shift": tilt_shift,
+        "tilt_scale": tilt_scale,
+        "mission_length": mission_length,
+        "mission_seed": mission_seed,
+        "correlation": correlation,
+    }
+    return runner(
+        **{
+            name: value
+            for name, value in options.items()
+            if value is not None and accepts_parameter(experiment_id, name)
+        }
+    )

@@ -41,7 +41,12 @@ from repro.core.yield_analysis import (
     adaptive_regulation_yield,
 )
 from repro.dpwm.calibrated import CalibratedDelayLineDPWM
-from repro.experiments.base import ExperimentResult, monte_carlo_budget, register
+from repro.experiments.base import (
+    ExperimentResult,
+    adaptive_coordinates,
+    monte_carlo_budget,
+    register,
+)
 from repro.simulation.batch import (
     BatchBuckParameters,
     BatchClosedLoop,
@@ -92,7 +97,6 @@ def run_cell(params: dict) -> dict:
     budget = monte_carlo_budget(
         params,
         fixed_instances=params.get("num_instances", NUM_MONTE_CARLO_VARIANTS),
-        max_instances=DEFAULT_MAX_INSTANCES,
     )
     if params["section"] == "component_mc":
         result = adaptive_regulation_yield(
@@ -217,8 +221,9 @@ def run(
         max_instances: per-section sample cap of the adaptive mode (the
             CLI's ``--max-instances`` flag); requires ``precision``.
     """
-    if max_instances is not None and precision is None:
-        raise ValueError("max_instances is only meaningful with a precision")
+    coordinates = adaptive_coordinates(
+        precision, max_instances, default_max_instances=DEFAULT_MAX_INSTANCES
+    )
     seed = DEFAULT_SEED if seed is None else seed
     library = intel32_like_library()
     spec = DesignSpec(clock_frequency_mhz=_FREQUENCY_MHZ, resolution_bits=6)
@@ -291,14 +296,13 @@ def run(
     # The two Monte-Carlo sections run as sweep cells: the 256-variant
     # component sweep and the fused silicon pipeline fan out (and cache)
     # independently when an orchestrator is threaded in.
-    cell_common = {"frequency_mhz": _FREQUENCY_MHZ, "seed": seed}
-    if precision is None:
-        cell_common["num_instances"] = NUM_MONTE_CARLO_VARIANTS
-    else:
-        # The adaptive cell's budget coordinates replace the fixed count
-        # (which the adaptive path never reads) in the cache key.
-        cell_common["precision"] = precision
-        cell_common["max_instances"] = max_instances or DEFAULT_MAX_INSTANCES
+    # The adaptive cell's budget coordinates replace the fixed count (which
+    # the adaptive path never reads) in the cache key.
+    cell_common = {
+        "frequency_mhz": _FREQUENCY_MHZ,
+        "seed": seed,
+        **(coordinates or {"num_instances": NUM_MONTE_CARLO_VARIANTS}),
+    }
     monte_carlo, silicon = sweep_map(
         run_cell,
         [

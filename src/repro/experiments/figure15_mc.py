@@ -43,7 +43,12 @@ from repro.core.yield_analysis import (
     RegulationSpec,
     adaptive_closed_loop_yield,
 )
-from repro.experiments.base import ExperimentResult, monte_carlo_budget, register
+from repro.experiments.base import (
+    ExperimentResult,
+    adaptive_coordinates,
+    monte_carlo_budget,
+    register,
+)
 from repro.sweep import ParameterGrid, SweepOrchestrator, sweep_map
 from repro.technology.corners import OperatingConditions, ProcessCorner
 from repro.technology.library import intel32_like_library
@@ -121,11 +126,7 @@ def run_cell(params: dict) -> dict:
         regulation_spec=REGULATION_SPEC,
         load=LOAD_SCENARIOS[params["load"]],
         library=intel32_like_library(),
-        **monte_carlo_budget(
-            params,
-            fixed_instances=NUM_INSTANCES,
-            max_instances=DEFAULT_MAX_INSTANCES,
-        ),
+        **monte_carlo_budget(params, fixed_instances=NUM_INSTANCES),
     )
     amplitude = result.value_stats["limit_cycle_amplitude_v"]
     return {
@@ -161,17 +162,10 @@ def run(
         max_instances: per-cell sample cap of the adaptive mode (the CLI's
             ``--max-instances`` flag); requires ``precision``.
     """
-    if max_instances is not None and precision is None:
-        raise ValueError("max_instances is only meaningful with a precision")
-    seed = DEFAULT_SEED if seed is None else seed
-    if precision is None:
-        cells = GRID.cells(seed=seed)
-    else:
-        cells = GRID.cells(
-            seed=seed,
-            precision=precision,
-            max_instances=max_instances or DEFAULT_MAX_INSTANCES,
-        )
+    coordinates = adaptive_coordinates(
+        precision, max_instances, default_max_instances=DEFAULT_MAX_INSTANCES
+    )
+    cells = GRID.cells(seed=DEFAULT_SEED if seed is None else seed, **coordinates)
     payloads = sweep_map(run_cell, cells, experiment_id="fig15_mc", sweep=sweep)
 
     data = {}
@@ -217,7 +211,7 @@ def run(
     else:
         budget = (
             f"adaptive to +/- {precision:g} CI half-width "
-            f"(cap {max_instances or DEFAULT_MAX_INSTANCES} instances/cell)"
+            f"(cap {coordinates['max_instances']} instances/cell)"
         )
     report = format_table(
         headers=headers,

@@ -203,14 +203,15 @@ def run(
             raise ValueError(
                 "tilt parameters only apply to the importance estimator"
             )
-    seed = DEFAULT_SEED if seed is None else seed
+    precision = DEFAULT_PRECISION if precision is None else precision
+    max_instances = (
+        DEFAULT_MAX_INSTANCES if max_instances is None else max_instances
+    )
     cells = GRID.cells(
-        seed=seed,
+        seed=DEFAULT_SEED if seed is None else seed,
         estimator=estimator,
-        precision=DEFAULT_PRECISION if precision is None else precision,
-        max_instances=(
-            DEFAULT_MAX_INSTANCES if max_instances is None else max_instances
-        ),
+        precision=precision,
+        max_instances=max_instances,
         tilt_shift=1.0 if tilt_shift is None else tilt_shift,
         tilt_scale=DEFAULT_TILT_SCALE if tilt_scale is None else tilt_scale,
     )
@@ -249,10 +250,7 @@ def run(
         title=(
             f"Figure 15 rare-event -- load-step dip below "
             f"{DIP_LIMIT_V * 1e3:.0f} mV "
-            f"(+/- {(DEFAULT_PRECISION if precision is None else precision):g} "
-            f"CI target, cap "
-            f"{DEFAULT_MAX_INSTANCES if max_instances is None else max_instances} "
-            f"instances/cell)"
+            f"(+/- {precision:g} CI target, cap {max_instances} instances/cell)"
         ),
     )
     return ExperimentResult(

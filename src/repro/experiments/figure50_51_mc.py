@@ -30,7 +30,12 @@ from __future__ import annotations
 from repro.analysis.reports import format_table
 from repro.core.design import DesignSpec
 from repro.core.yield_analysis import adaptive_linearity_yield
-from repro.experiments.base import ExperimentResult, monte_carlo_budget, register
+from repro.experiments.base import (
+    ExperimentResult,
+    adaptive_coordinates,
+    monte_carlo_budget,
+    register,
+)
 from repro.sweep import ParameterGrid, SweepOrchestrator, sweep_map
 from repro.technology.corners import OperatingConditions, ProcessCorner
 from repro.technology.library import intel32_like_library
@@ -99,11 +104,7 @@ def run_cell(params: dict) -> dict:
         inl_limit_lsb=INL_LIMIT_LSB,
         error_limit_fraction=ERROR_LIMIT_FRACTION,
         library=intel32_like_library(),
-        **monte_carlo_budget(
-            params,
-            fixed_instances=NUM_INSTANCES,
-            max_instances=DEFAULT_MAX_INSTANCES,
-        ),
+        **monte_carlo_budget(params, fixed_instances=NUM_INSTANCES),
     )
     stats = result.value_stats
     return {
@@ -140,17 +141,10 @@ def run(
         max_instances: per-cell sample cap of the adaptive mode (the CLI's
             ``--max-instances`` flag); requires ``precision``.
     """
-    if max_instances is not None and precision is None:
-        raise ValueError("max_instances is only meaningful with a precision")
-    seed = DEFAULT_SEED if seed is None else seed
-    if precision is None:
-        cells = GRID.cells(seed=seed)
-    else:
-        cells = GRID.cells(
-            seed=seed,
-            precision=precision,
-            max_instances=max_instances or DEFAULT_MAX_INSTANCES,
-        )
+    coordinates = adaptive_coordinates(
+        precision, max_instances, default_max_instances=DEFAULT_MAX_INSTANCES
+    )
+    cells = GRID.cells(seed=DEFAULT_SEED if seed is None else seed, **coordinates)
     payloads = sweep_map(run_cell, cells, experiment_id="fig50_51_mc", sweep=sweep)
 
     data = {}
@@ -193,7 +187,7 @@ def run(
     else:
         budget = (
             f"adaptive to +/- {precision:g} CI half-width "
-            f"(cap {max_instances or DEFAULT_MAX_INSTANCES} instances/cell)"
+            f"(cap {coordinates['max_instances']} instances/cell)"
         )
     report = format_table(
         headers=headers,

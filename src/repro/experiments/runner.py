@@ -38,16 +38,20 @@ import sys
 from collections.abc import Sequence
 
 from repro.experiments import registry, run_experiment
-from repro.experiments.base import (
-    accepts_adaptive,
-    accepts_estimator,
-    accepts_mission,
-    accepts_seed,
-    accepts_sweep,
-)
+from repro.experiments.base import accepts_parameter
 from repro.sweep import SweepConfig, SweepOrchestrator, jsonable
 
 __all__ = ["main"]
+
+#: Per group of run options: the flags' argparse destinations, the ``run``
+#: keyword that decides which experiments they reach, and their audience.
+_OPTION_AUDIENCES = (
+    ("seed", "seed", "Monte-Carlo"),
+    ("precision", "precision", "Monte-Carlo"),
+    ("estimator tilt_shift tilt_scale", "estimator", "rare-event"),
+    ("mission_length mission_seed correlation", "mission_length", "mission"),
+    ("workers cache_dir executor progress", "sweep", "grid"),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -312,64 +316,26 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"known experiments: {', '.join(sorted(registry))}", file=sys.stderr)
         return 2
 
-    if args.seed is not None:
-        ignoring = [name for name in selected if not accepts_seed(name)]
+    given: set[str] = set()
+    for group, parameter, audience in _OPTION_AUDIENCES:
+        dests = group.split()
+        if all(getattr(args, dest) == parser.get_default(dest) for dest in dests):
+            continue
+        given.add(parameter)
+        ignoring = [
+            name for name in selected if not accepts_parameter(name, parameter)
+        ]
         if ignoring:
+            flags = "/".join("--" + dest.replace("_", "-") for dest in dests)
+            verb = "reaches" if len(dests) == 1 else "reach"
             print(
-                f"--seed only reaches the Monte-Carlo experiments; ignored by: "
+                f"{flags} only {verb} the {audience} experiments; ignored by: "
                 f"{', '.join(ignoring)}",
                 file=sys.stderr,
             )
 
-    if args.precision is not None:
-        ignoring = [name for name in selected if not accepts_adaptive(name)]
-        if ignoring:
-            print(
-                f"--precision only reaches the Monte-Carlo experiments; "
-                f"ignored by: {', '.join(ignoring)}",
-                file=sys.stderr,
-            )
-
-    if (
-        args.estimator is not None
-        or args.tilt_shift is not None
-        or args.tilt_scale is not None
-    ):
-        ignoring = [name for name in selected if not accepts_estimator(name)]
-        if ignoring:
-            print(
-                "--estimator/--tilt-shift/--tilt-scale only reach the "
-                f"rare-event experiments; ignored by: {', '.join(ignoring)}",
-                file=sys.stderr,
-            )
-
-    if (
-        args.mission_length is not None
-        or args.mission_seed is not None
-        or args.correlation is not None
-    ):
-        ignoring = [name for name in selected if not accepts_mission(name)]
-        if ignoring:
-            print(
-                "--mission-length/--mission-seed/--correlation only reach "
-                f"the mission experiments; ignored by: {', '.join(ignoring)}",
-                file=sys.stderr,
-            )
-
     sweep = None
-    if (
-        args.workers > 1
-        or args.cache_dir is not None
-        or args.executor is not None
-        or args.progress
-    ):
-        ignoring = [name for name in selected if not accepts_sweep(name)]
-        if ignoring:
-            print(
-                "--workers/--cache-dir/--executor/--progress only reach the "
-                f"grid experiments; ignored by: {', '.join(ignoring)}",
-                file=sys.stderr,
-            )
+    if "sweep" in given:
         sweep = SweepOrchestrator(
             SweepConfig(
                 workers=args.workers,

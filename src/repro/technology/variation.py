@@ -93,11 +93,6 @@ class CorrelatedVariationModel:
             ) from error
         object.__setattr__(self, "_cholesky", cholesky)
 
-    @classmethod
-    def identity(cls, dimension: int) -> "CorrelatedVariationModel":
-        """The no-correlation model over ``dimension`` axes."""
-        return cls(matrix=np.eye(dimension))
-
     @property
     def dimension(self) -> int:
         return int(self.matrix.shape[0])
@@ -244,53 +239,6 @@ class VariationModel:
         )
         return batch.instance(0)
 
-    def sample_tilted(
-        self,
-        num_cells: int,
-        buffers_per_cell: int,
-        instance: int = 0,
-        *,
-        shift: float = 0.0,
-        sigma_scale: float = 1.0,
-    ) -> tuple[VariationSample, float]:
-        """Sample one instance from a tilted mismatch distribution.
-
-        Importance-sampling entry point: the per-buffer standard-normal
-        mismatch draw ``z`` is replaced by ``shift + sigma_scale * z``
-        (a mean shift in sigma units plus a variance inflation), pushing
-        fabricated instances toward the failure region.  The returned
-        log-likelihood ratio is ``log p(z') - log q(z')`` between the
-        nominal standard normal and the tilted distribution, summed over
-        all buffers -- exactly the correction factor self-normalized
-        importance sampling needs to reweight results back to the
-        nominal process.
-
-        Stream contract: instance ``i``'s underlying standard-normal
-        draw is the *same* draw :meth:`sample` consumes, so the identity
-        tilt (``shift=0, sigma_scale=1``) reproduces :meth:`sample`
-        bit-for-bit with a log-likelihood ratio of exactly zero.
-
-        Args:
-            num_cells / buffers_per_cell / instance: as in :meth:`sample`.
-            shift: mean shift of the mismatch draw, in units of the
-                standard-normal sigma (positive = slower buffers).
-            sigma_scale: multiplier on the mismatch sigma (must be > 0);
-                values > 1 widen the proposal, which keeps the weight
-                distribution well behaved.
-
-        Returns:
-            ``(sample, log_likelihood_ratio)``.
-        """
-        batch, log_lrs = self.sample_batch_tilted(
-            1,
-            num_cells,
-            buffers_per_cell,
-            first_instance=instance,
-            shift=shift,
-            sigma_scale=sigma_scale,
-        )
-        return batch.instance(0), float(log_lrs[0])
-
     def sample_batch(
         self,
         num_instances: int,
@@ -325,16 +273,21 @@ class VariationModel:
     ) -> tuple[BatchVariationSample, np.ndarray]:
         """Sample a tilted ensemble plus its per-instance log-likelihood ratios.
 
-        Instance ``i`` of the batch matches
-        ``sample_tilted(..., instance=first_instance + i, ...)`` exactly,
-        preserving the chunk-stable seeding contract for tilted draws.
+        Importance sampling: the per-buffer standard-normal mismatch ``z``
+        of :meth:`sample_batch` (same streams, so the identity tilt
+        reproduces it with zero ratios) becomes ``shift + sigma_scale * z``,
+        and each instance's ``log p(z') - log q(z')`` reweights it back to
+        the nominal process.
 
         Returns:
             ``(batch, log_likelihood_ratios)`` where the ratio array has
             shape ``(num_instances,)``.
         """
-        if sigma_scale <= 0.0:
-            raise ValueError(f"sigma_scale must be positive; got {sigma_scale}")
+        if not (math.isfinite(shift) and 0.0 < sigma_scale < math.inf):
+            raise ValueError(
+                "tilt needs a finite shift and a finite sigma_scale > 0; "
+                f"got shift={shift}, sigma_scale={sigma_scale}"
+            )
         z = self._mismatch_draws(
             num_instances, num_cells, buffers_per_cell, first_instance
         )

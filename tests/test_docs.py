@@ -24,6 +24,7 @@ import pytest
 import repro.converter.load
 import repro.core.ensemble
 import repro.core.yield_analysis
+import repro.experiments.base
 import repro.kernels.closed_loop
 import repro.mc
 import repro.pipeline
@@ -40,6 +41,7 @@ DOCTEST_MODULES = [
     repro.converter.load,
     repro.core.ensemble,
     repro.core.yield_analysis,
+    repro.experiments.base,
     repro.pipeline,
     repro.mc,
 ]

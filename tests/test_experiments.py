@@ -435,12 +435,12 @@ class TestRunnerCLI:
         assert "design_example" in captured.out
 
     def test_monte_carlo_experiments_declare_a_seed(self):
-        from repro.experiments.base import accepts_seed
+        from repro.experiments.base import accepts_parameter
 
         for experiment_id in ("fig15", "fig15_mc", "fig50_51_mc"):
-            assert accepts_seed(experiment_id), experiment_id
+            assert accepts_parameter(experiment_id, "seed"), experiment_id
         for experiment_id in ("table5", "design_example", "fig19"):
-            assert not accepts_seed(experiment_id), experiment_id
+            assert not accepts_parameter(experiment_id, "seed"), experiment_id
 
     def test_failing_experiment_reports_nonzero_without_traceback(
         self, capsys, monkeypatch
@@ -559,12 +559,126 @@ class TestRunnerCLI:
         assert "ignored by: design_example" in captured.err
 
     def test_monte_carlo_experiments_declare_adaptive_support(self):
-        from repro.experiments.base import accepts_adaptive
+        from repro.experiments.base import accepts_parameter
 
         for experiment_id in ("fig15", "fig15_mc", "fig50_51_mc"):
-            assert accepts_adaptive(experiment_id), experiment_id
+            assert accepts_parameter(experiment_id, "precision"), experiment_id
         for experiment_id in ("table5", "design_example", "fig19"):
-            assert not accepts_adaptive(experiment_id), experiment_id
+            assert not accepts_parameter(experiment_id, "precision"), experiment_id
+
+
+#: Every runner option: the ``run_experiment`` keyword, a valid value, the
+#: CLI arguments that set it and the ``run`` keyword it reaches.
+RUNNER_OPTIONS = [
+    ("seed", 5, ["--seed", "5"]),
+    ("sweep", None, ["--workers", "2"]),
+    ("sweep", None, ["--cache-dir", "{tmp}"]),
+    ("sweep", None, ["--executor", "serial"]),
+    ("sweep", None, ["--progress"]),
+    ("precision", 0.05, ["--precision", "0.05"]),
+    ("max_instances", 64, ["--precision", "0.05", "--max-instances", "64"]),
+    ("estimator", "vanilla", ["--estimator", "vanilla"]),
+    ("tilt_shift", 0.5, ["--tilt-shift", "0.5"]),
+    ("tilt_scale", 1.5, ["--tilt-scale", "1.5"]),
+    ("mission_length", 64, ["--mission-length", "64"]),
+    ("mission_seed", 3, ["--mission-seed", "3"]),
+    ("correlation", "passives", ["--correlation", "passives"]),
+]
+
+
+def _declares(experiment_id: str, name: str) -> bool:
+    import inspect
+
+    return name in inspect.signature(registry[experiment_id]).parameters
+
+
+class TestOptionForwarding:
+    """One path per runner option: forwarded exactly where ``run`` declares it."""
+
+    @pytest.mark.parametrize("experiment_id", sorted(registry))
+    @pytest.mark.parametrize(
+        "name, value", sorted({(name, value) for name, value, _ in RUNNER_OPTIONS})
+    )
+    def test_run_experiment_forwards_declared_options_only(
+        self, monkeypatch, experiment_id, name, value
+    ):
+        import inspect
+
+        from repro.sweep import SweepOrchestrator
+
+        received = {}
+
+        def recorder(**kwargs):
+            received.update(kwargs)
+            return ExperimentResult(experiment_id, "t", {}, "report")
+
+        recorder.__signature__ = inspect.signature(registry[experiment_id])
+        monkeypatch.setitem(registry, experiment_id, recorder)
+        given = {name: SweepOrchestrator() if name == "sweep" else value}
+        if name == "max_instances":
+            given["precision"] = 0.05
+        run_experiment(experiment_id, **given)
+        assert received == {
+            key: option
+            for key, option in given.items()
+            if _declares(experiment_id, key)
+        }
+
+    @pytest.mark.parametrize("name, value, argv", RUNNER_OPTIONS)
+    def test_cli_note_names_exactly_the_experiments_not_declaring_it(
+        self, capsys, monkeypatch, tmp_path, name, value, argv
+    ):
+        import repro.experiments.runner as runner
+
+        monkeypatch.setattr(
+            runner,
+            "run_experiment",
+            lambda experiment_id, **_: ExperimentResult(
+                experiment_id, "t", {}, "report"
+            ),
+        )
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert runner_main(["--all", *argv]) == 0
+        [note] = [
+            line
+            for line in capsys.readouterr().err.splitlines()
+            if "ignored by: " in line
+        ]
+        ignoring = note.split("ignored by: ")[1].split(", ")
+        assert ignoring == [
+            experiment_id
+            for experiment_id in sorted(registry)
+            if not _declares(experiment_id, name)
+        ]
+
+
+class TestBudgetCoordinates:
+    def test_fixed_budget_round_trips_to_one_full_chunk(self):
+        from repro.experiments.base import adaptive_coordinates, monte_carlo_budget
+
+        cell = adaptive_coordinates(None, None, default_max_instances=512)
+        assert cell == {}
+        assert monte_carlo_budget(cell, fixed_instances=128) == {
+            "precision": 0.0,
+            "max_instances": 128,
+            "chunk_size": 128,
+        }
+
+    @pytest.mark.parametrize("max_instances, expected", [(None, 512), (300, 300)])
+    def test_adaptive_budget_round_trips_its_coordinates(
+        self, max_instances, expected
+    ):
+        from repro.experiments.base import adaptive_coordinates, monte_carlo_budget
+
+        cell = adaptive_coordinates(0.02, max_instances, default_max_instances=512)
+        assert cell == {"precision": 0.02, "max_instances": expected}
+        assert monte_carlo_budget(cell, fixed_instances=128) == cell
+
+    def test_max_instances_without_precision_is_rejected(self):
+        from repro.experiments.base import adaptive_coordinates
+
+        with pytest.raises(ValueError, match="only meaningful with a precision"):
+            adaptive_coordinates(None, 300, default_max_instances=512)
 
 
 class TestAdaptiveExperiments:

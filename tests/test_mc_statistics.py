@@ -596,7 +596,10 @@ class TestChunkStableStreams:
         model = VariationModel(seed=13)
         for instance in (0, 7):
             vanilla = model.sample(12, 3, instance=instance)
-            tilted, log_lr = model.sample_tilted(12, 3, instance=instance)
+            batch, log_lrs = model.sample_batch_tilted(
+                1, 12, 3, first_instance=instance
+            )
+            tilted, log_lr = batch.instance(0), log_lrs[0]
             np.testing.assert_array_equal(
                 vanilla.multipliers, tilted.multipliers
             )

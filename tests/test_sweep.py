@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.base import accepts_sweep
+from repro.experiments.base import accepts_parameter
 from repro.sweep import (
     MISS,
     ParameterGrid,
@@ -338,9 +338,9 @@ class TestOrchestrator:
 class TestExperimentIntegration:
     def test_grid_experiments_declare_sweep(self):
         for experiment_id in ("fig15", "fig15_mc", "fig50_51_mc"):
-            assert accepts_sweep(experiment_id), experiment_id
+            assert accepts_parameter(experiment_id, "sweep"), experiment_id
         for experiment_id in ("table5", "design_example", "fig19"):
-            assert not accepts_sweep(experiment_id), experiment_id
+            assert not accepts_parameter(experiment_id, "sweep"), experiment_id
 
     def test_run_experiment_threads_orchestrator(self, monkeypatch):
         from repro.experiments import registry, run_experiment

@@ -89,9 +89,10 @@ class TestVariationModel:
 
     def test_sample_tilted_matches_inline_default_rng_reference(self):
         model = VariationModel(random_sigma=0.05, gradient_peak=0.01, seed=19)
-        sample, log_lr = model.sample_tilted(
-            10, 4, instance=6, shift=0.8, sigma_scale=1.25
+        batch, log_lrs = model.sample_batch_tilted(
+            1, 10, 4, first_instance=6, shift=0.8, sigma_scale=1.25
         )
+        sample, log_lr = batch.instance(0), log_lrs[0]
         rng = np.random.default_rng((model.seed, 6))
         z = rng.standard_normal(size=(10, 4))
         tilted = 0.8 + 1.25 * z
@@ -105,6 +106,20 @@ class TestVariationModel:
             - 0.5 * float((tilted * tilted).sum())
             + 40 * math.log(1.25)
         )
+
+    @pytest.mark.parametrize(
+        "tilt",
+        [
+            {"shift": math.nan},
+            {"shift": math.inf},
+            {"shift": -math.inf},
+            {"sigma_scale": math.nan},
+            {"sigma_scale": math.inf},
+        ],
+    )
+    def test_sample_batch_tilted_rejects_non_finite_tilts(self, tilt):
+        with pytest.raises(ValueError, match="finite"):
+            VariationModel(seed=3).sample_batch_tilted(2, 4, 2, **tilt)
 
     @pytest.mark.parametrize("num_cells, buffers", [(0, 1), (4, 0), (-1, 2)])
     def test_invalid_shapes_rejected(self, num_cells, buffers):
