@@ -27,10 +27,19 @@ Batch calibration is **closed-form**, not simulated:
   tuning level one step per update and stops at the first step whose total
   line delay reaches the clock period.  The tuning-level *schedule* (which
   cell is at which level after ``s`` steps) depends only on the
-  configuration, so the ensemble evaluates the total delay of every
-  ``(instance, step)`` pair with one gather into per-buffer prefix sums and
-  finds each instance's first crossing with an argmax -- the exact step the
-  scalar :class:`ShiftRegisterController` halts on, including the
+  configuration, so the ensemble evaluates a step's total delay for every
+  instance with one gather into per-buffer prefix sums and bisects each
+  instance's first crossing over the steps.  The bisection is exact
+  because a step's total never decreases as the step grows: the schedule
+  raises no cell's level back down (sequential and round-robin orders),
+  the multipliers are clipped to at least 0.2 so a longer branch is never
+  faster, and IEEE addition of non-negative terms is monotone.  It needs
+  ``ceil(log2(steps + 1))`` probes of one ``(instances, cells)`` tap
+  matrix each, never the whole ``(instances, steps, cells)`` tensor.  The
+  distributed order places its remainder non-nested, so some cell drops
+  a level on the way; its lock scans the steps in order instead.  Either
+  way the result is the exact step the scalar
+  :class:`ShiftRegisterController` halts on, including the
   saturated-at-maximum (``up_limit``) and already-over-long edge cases.
 
 Both locks and the transfer curves are bit-identical to the scalar paths
@@ -78,7 +87,7 @@ from repro.core.conventional import (
 from repro.core.mapper import MappingBlock
 from repro.core.proposed import ProposedDelayLine, ProposedDelayLineConfig
 from repro.kernels.ensemble import (
-    conventional_crossing,
+    conventional_lock,
     proposed_lock,
     proposed_transfer_delays,
 )
@@ -427,6 +436,7 @@ class ConventionalEnsemble(DelayLineEnsemble):
         # remainder placement).
         self._template = ConventionalDelayLine(config, library=self.library)
         self._schedule: np.ndarray | None = None
+        self._buffers_active: np.ndarray | None = None
 
     @classmethod
     def sample(
@@ -482,6 +492,14 @@ class ConventionalEnsemble(DelayLineEnsemble):
             )
         return self._schedule
 
+    def _active_buffers_schedule(self) -> np.ndarray:
+        """Active buffers per cell after every step, cached like the levels."""
+        if self._buffers_active is None:
+            self._buffers_active = (
+                self.levels_schedule() + 1
+            ) * self.config.buffers_per_element
+        return self._buffers_active
+
     def cell_delays_ps(
         self, levels: np.ndarray, conditions: OperatingConditions
     ) -> np.ndarray:
@@ -519,33 +537,24 @@ class ConventionalEnsemble(DelayLineEnsemble):
         config = self.config
         period = config.clock_period_ps
         unit = self.unit_delay_ps(conditions)
-        schedule = self.levels_schedule()  # (steps + 1, cells)
-        buffers_active = (schedule + 1) * config.buffers_per_element
         if self.batch is None:
-            cell_delays = buffers_active.astype(float) * unit
-            step_taps = np.cumsum(cell_delays, axis=1, out=cell_delays)
-            step_taps = np.broadcast_to(
-                step_taps, (self.num_instances, *step_taps.shape)
+            # The nominal line: every multiplier is one, so the prefix sum of
+            # the first k buffers is exactly k.
+            longest_branch = config.branches * config.buffers_per_element
+            prefix_sums = np.broadcast_to(
+                np.arange(1.0, longest_branch + 1.0),
+                (self.num_instances, config.num_cells, longest_branch),
             )
         else:
-            # One gather evaluates every (instance, step, cell) delay from
-            # the per-buffer prefix sums (leading axes broadcast: instances
-            # against the shared step schedule); the in-place cumulative sum
-            # along the cell axis then reproduces the scalar tap accumulation
-            # order bit-exactly without a second (instances, steps, cells)
-            # allocation.
-            cell_delays = active_branch_delays(
-                self.batch.multipliers[:, np.newaxis],
-                buffers_active[np.newaxis],
-                unit,
-            )
-            step_taps = np.cumsum(cell_delays, axis=2, out=cell_delays)
-        totals = step_taps[..., -1]  # (instances, steps + 1)
-        last_but_one = step_taps[..., -2]
+            prefix_sums = np.cumsum(self.batch.multipliers, axis=-1)
         # The controller halts at the first step whose total reaches the
         # period; when none does it saturates at the maximum step (up_limit).
-        steps, locked, total_at_stop = conventional_crossing(
-            totals, last_but_one, period, config.max_adjustment_steps
+        steps, locked, total_at_stop = conventional_lock(
+            prefix_sums,
+            self._active_buffers_schedule(),
+            unit,
+            period,
+            config.max_adjustment_steps,
         )
         lock_cycles = (
             self.synchronizer_latency_cycles + steps * self.cycles_per_update

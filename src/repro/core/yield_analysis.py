@@ -952,7 +952,7 @@ class AdaptiveYieldResult:
     """Outcome of a confidence-bounded adaptive Monte-Carlo yield run.
 
     The result reports *streaming* statistics: the sampler only ever holds
-    one chunk of instances in memory, so everything here is a scalar
+    one draw of instances in memory, so everything here is a scalar
     summary -- which also makes the whole object JSON-able and therefore
     directly cacheable by the sweep layer.
 

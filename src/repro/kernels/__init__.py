@@ -9,7 +9,8 @@ arrays out -- grouped by stage:
   (exact 2x2 stepper coefficients, coefficient gather, PID update, duty
   quantizer, state advance);
 * :mod:`repro.kernels.ensemble` -- calibration kernels (proposed lock
-  fixed point, transfer-curve matrix build, conventional first-crossing);
+  fixed point, transfer-curve matrix build, conventional first-crossing
+  bisection);
 * :mod:`repro.kernels.fabrication` -- variation-draw-to-delay kernels.
 
 The engines call these functions directly; there is one numpy

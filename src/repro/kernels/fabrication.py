@@ -17,6 +17,7 @@ import numpy.typing as npt
 
 __all__ = [
     "active_branch_delays",
+    "branch_delays_from_prefix",
     "cell_delays_from_multipliers",
     "duty_tables_from_delays",
 ]
@@ -51,7 +52,22 @@ def active_branch_delays(
     for every caller, so the scalar line and the ensemble engine are
     bit-identical by construction.
     """
-    prefix_sums = np.cumsum(multipliers, axis=-1)
+    return branch_delays_from_prefix(
+        np.cumsum(multipliers, axis=-1), buffers_active, unit_delay_ps
+    )
+
+
+def branch_delays_from_prefix(
+    prefix_sums: FloatArray, buffers_active: IntArray, unit_delay_ps: float
+) -> FloatArray:
+    """Active-branch delays from the multipliers' running sum along a branch.
+
+    ``prefix_sums`` is the ``(..., cells, buffers)`` cumulative sum of
+    :func:`active_branch_delays`; one gather of each cell's
+    ``buffers_active``-th entry, then the unit-delay multiply.  The one
+    definition of that operation order, shared with the conventional
+    lock's per-step tap evaluation.
+    """
     indices = (buffers_active - 1)[..., np.newaxis]
     return unit_delay_ps * np.take_along_axis(prefix_sums, indices, axis=-1)[..., 0]
 

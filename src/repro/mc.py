@@ -32,7 +32,10 @@ sample stream regardless of chunk size.  The repo's variation models
 honour this (see :meth:`repro.technology.variation.VariationModel.sample`
 and :meth:`repro.core.yield_analysis.ComponentVariation.sample_instances`),
 which is what makes chunked and one-shot adaptive runs bit-identical --
-hypothesis-tested in ``tests/test_mc.py``.
+hypothesis-tested in ``tests/test_mc.py``.  It is also what lets the
+engine fetch several chunks with one wide ``draw`` call (vectorized
+engines are cheaper per instance at a few hundred lanes) and still fold
+them one chunk at a time, with every result unchanged.
 
 Example -- a synthetic 97 %-yield process stops long before a 4096-sample
 cap once the 95 % Wilson interval is +/- 2 % tight:
@@ -69,7 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 import numpy.typing as npt
@@ -557,6 +560,83 @@ def _checked_chunk(
     return flags, streams
 
 
+#: Instances :func:`adaptive_sample` and :func:`importance_sample` aim to
+#: fetch per ``draw`` call.  The vectorized engines behind a draw cost
+#: several times more per instance at 64 lanes than at a few hundred, so
+#: the estimators draw whole multiples of ``chunk_size`` at once and fold
+#: them back one chunk at a time (see :func:`_chunk_slices`).
+_LANE_TARGET = 256
+
+
+def _resolve_min_samples(
+    min_samples: int | None, precision: float, max_samples: int, chunk_size: int
+) -> int:
+    """The stopping rule's sample floor: one chunk by default, and reachable."""
+    if min_samples is None:
+        return min(chunk_size, max_samples)
+    if min_samples < 1:
+        raise ValueError(f"min_samples must be >= 1; got {min_samples}")
+    if precision > 0.0 and min_samples > max_samples:
+        raise ValueError(
+            f"min_samples={min_samples} exceeds max_samples={max_samples}, so "
+            f"the precision target {precision} could never stop the run"
+        )
+    return min_samples
+
+
+def _chunk_slices(
+    draw: Callable[[int, int], SampleChunk | WeightedSampleChunk],
+    *,
+    primary: str,
+    chunk_size: int,
+    max_samples: int,
+) -> Iterator[
+    tuple[
+        dict[str, npt.NDArray[np.bool_]],
+        dict[str, npt.NDArray[np.float64]],
+        npt.NDArray[np.float64] | None,
+    ]
+]:
+    """The chunks of a run in fold order, fetched by speculative wide draws.
+
+    Each ``draw`` call covers ``chunk_size * max(1, _LANE_TARGET //
+    chunk_size)`` instances, clipped to the cap, and is validated once.
+    Its arrays are then sliced back to the boundaries a one-chunk-per-call
+    run draws, the clipped final chunk included, and yielded as
+    ``(flags, streams, log_weights)`` one chunk at a time.  The
+    chunk-invariance contract makes instance ``i``'s outputs a pure
+    function of ``i``, so a consumer folding these slices gets the
+    one-chunk-per-call result bit for bit; instances of a wide draw still
+    unread when the consumer stops are discarded.  ``log_weights`` is the
+    slice of a :class:`WeightedSampleChunk`'s per-instance log-weights,
+    ``None`` for a plain :class:`SampleChunk`.
+    """
+    width = chunk_size * max(1, _LANE_TARGET // chunk_size)
+    seen: tuple[set[str], set[str]] | None = None
+    first = 0
+    while first < max_samples:
+        count = min(width, max_samples - first)
+        chunk = draw(first, count)
+        flags, streams = _checked_chunk(chunk, count, primary, seen)
+        seen = (set(flags), set(streams))
+        log_weights = None
+        if isinstance(chunk, WeightedSampleChunk):
+            log_weights = np.asarray(chunk.log_weights, dtype=float)
+            if log_weights.shape != (count,):
+                raise ValueError(
+                    f"log_weights has shape {log_weights.shape}; "
+                    f"expected ({count},)"
+                )
+        for start in range(0, count, chunk_size):
+            part = slice(start, start + chunk_size)
+            yield (
+                {name: passed[part] for name, passed in flags.items()},
+                {name: stream[part] for name, stream in streams.items()},
+                None if log_weights is None else log_weights[part],
+            )
+        first += count
+
+
 def adaptive_sample(
     draw: Callable[[int, int], SampleChunk],
     *,
@@ -575,7 +655,10 @@ def adaptive_sample(
             :class:`SampleChunk` covering instances ``first_instance ..
             first_instance + count - 1``.  It must derive instance ``i``'s
             randomness from a per-instance stream so the sample stream is
-            independent of the chunking.
+            independent of the chunking.  One call may cover several
+            chunks (up to ``max(chunk_size, 256)`` instances); the chunks
+            are still folded one at a time, and instances drawn past the
+            stop are discarded.
         primary: name of the pass statistic the stopping rule watches.
         precision: target half-width of the primary confidence interval;
             ``0.0`` disables early stopping (the run always exhausts the
@@ -583,10 +666,12 @@ def adaptive_sample(
         confidence: two-sided confidence level of all intervals.
         max_samples: hard cap on total instances; the final chunk is
             clipped so the cap is met exactly.
-        chunk_size: instances per chunk.
+        chunk_size: instances per chunk, the granularity of the stopping
+            rule.
         min_samples: instances required before the stopping rule may fire
             (defaults to one chunk); prevents a lucky first handful of
-            passes from stopping a run that has seen nothing yet.
+            passes from stopping a run that has seen nothing yet.  With a
+            ``precision``, it must not exceed ``max_samples``.
         method: interval method, ``"wilson"`` or ``"clopper_pearson"``.
 
     Returns:
@@ -594,10 +679,7 @@ def adaptive_sample(
         sample budget, the quantity the adaptive engine exists to shrink.
     """
     _check_budget(precision, max_samples, chunk_size, confidence)
-    if min_samples is None:
-        min_samples = min(chunk_size, max_samples)
-    if min_samples < 1:
-        raise ValueError(f"min_samples must be >= 1; got {min_samples}")
+    min_samples = _resolve_min_samples(min_samples, precision, max_samples, chunk_size)
     interval_of = interval_function(method)
 
     successes: dict[str, int] = {}
@@ -605,19 +687,14 @@ def adaptive_sample(
     trials = 0
     chunks = 0
     stop_reason = "max_samples"
-    while trials < max_samples:
-        count = min(chunk_size, max_samples - trials)
-        flags, streams = _checked_chunk(
-            draw(trials, count),
-            count,
-            primary,
-            (set(successes), set(moments)) if chunks else None,
-        )
+    for flags, streams, _ in _chunk_slices(
+        draw, primary=primary, chunk_size=chunk_size, max_samples=max_samples
+    ):
         for name, passed in flags.items():
             successes[name] = successes.get(name, 0) + int(passed.sum())
         for name, stream in streams.items():
             moments.setdefault(name, RunningMoments()).extend(stream)
-        trials += count
+        trials += len(flags[primary])
         chunks += 1
         if trials >= min_samples and precision > 0.0:
             interval = interval_of(successes[primary], trials, confidence)
@@ -908,16 +985,19 @@ def importance_sample(
     Args:
         draw: chunk function mapping ``(first_instance, count)`` to a
             :class:`WeightedSampleChunk`.  Same chunk-stable seeding
-            contract as :func:`adaptive_sample`: instance ``i``'s draw
-            (and therefore its weight) must not depend on the chunking.
+            contract and wide draws as :func:`adaptive_sample`: instance
+            ``i``'s draw (and therefore its weight) must not depend on the
+            chunking.
         primary: name of the pass statistic the stopping rule watches.
         precision: target half-width of the primary interval; ``0.0``
             disables early stopping.
         confidence: two-sided confidence level of all intervals.
         max_samples: hard cap on total instances.
-        chunk_size: instances per chunk.
+        chunk_size: instances per chunk, the granularity of the stopping
+            rule.
         min_samples: instances required before the stopping rule may fire
-            (defaults to one chunk).
+            (defaults to one chunk; with a ``precision``, at most
+            ``max_samples``).
         min_ess: effective-sample-size floor the stopping rule additionally
             requires; has no effect on the cap.
 
@@ -928,10 +1008,7 @@ def importance_sample(
     _check_budget(precision, max_samples, chunk_size, confidence)
     if min_ess < 0:
         raise ValueError(f"min_ess must be non-negative; got {min_ess}")
-    if min_samples is None:
-        min_samples = min(chunk_size, max_samples)
-    if min_samples < 1:
-        raise ValueError(f"min_samples must be >= 1; got {min_samples}")
+    min_samples = _resolve_min_samples(min_samples, precision, max_samples, chunk_size)
 
     weighted: dict[str, WeightedRunningMoments] = {}
     value_moments: dict[str, WeightedRunningMoments] = {}
@@ -939,19 +1016,13 @@ def importance_sample(
     trials = 0
     chunks = 0
     stop_reason = "max_samples"
-    while trials < max_samples:
-        count = min(chunk_size, max_samples - trials)
-        chunk = draw(trials, count)
-        flags, streams = _checked_chunk(
-            chunk,
-            count,
-            primary,
-            (set(weighted), set(value_moments)) if chunks else None,
-        )
-        log_weights = np.asarray(chunk.log_weights, dtype=float)
-        if log_weights.shape != (count,):
-            raise ValueError(
-                f"log_weights has shape {log_weights.shape}; expected ({count},)"
+    for flags, streams, log_weights in _chunk_slices(
+        draw, primary=primary, chunk_size=chunk_size, max_samples=max_samples
+    ):
+        if log_weights is None:
+            raise TypeError(
+                "importance sampling needs WeightedSampleChunk draws "
+                "carrying log_weights"
             )
         for name, passed in flags.items():
             weighted.setdefault(name, WeightedRunningMoments()).extend(
@@ -962,7 +1033,7 @@ def importance_sample(
                 stream, log_weights
             )
         log_weight_moments.extend(log_weights)
-        trials += count
+        trials += len(flags[primary])
         chunks += 1
         if trials >= min_samples and precision > 0.0:
             stat = weighted[primary]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.mc
 from repro.converter.buck import BuckParameters
 from repro.core.design import DesignSpec, design_proposed
 from repro.core.yield_analysis import (
@@ -335,10 +336,13 @@ class TestChunkInvariance:
         ],
         ids=["linearity", "closed_loop", "regulation"],
     )
-    def test_one_chunk_equals_chunk_7(self, run, budget, library):
+    def test_one_chunk_equals_chunk_7(self, run, budget, library, monkeypatch):
         one_chunk = run(
             library, precision=0.0, max_instances=budget, chunk_size=budget
         )
+        # A lane target of one makes every 7-instance chunk its own draw,
+        # so the real scorers see the chunk boundaries.
+        monkeypatch.setattr(repro.mc, "_LANE_TARGET", 1)
         chunked = run(library, precision=0.0, max_instances=budget, chunk_size=7)
         assert chunked.samples == one_chunk.samples == budget
         assert chunked.stop_reason == one_chunk.stop_reason == "max_samples"

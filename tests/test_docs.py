@@ -26,6 +26,7 @@ import repro.core.ensemble
 import repro.core.yield_analysis
 import repro.experiments.base
 import repro.kernels.closed_loop
+import repro.kernels.ensemble
 import repro.mc
 import repro.pipeline
 import repro.simulation.batch
@@ -38,6 +39,7 @@ DOCS = REPO_ROOT / "docs"
 DOCTEST_MODULES = [
     repro.simulation.batch,
     repro.kernels.closed_loop,
+    repro.kernels.ensemble,
     repro.converter.load,
     repro.core.ensemble,
     repro.core.yield_analysis,

@@ -246,22 +246,58 @@ class TestKernelEquivalence:
                 assert result[i, j] == expected
 
     @KERNEL_SETTINGS
-    @given(data=st.data())
-    def test_conventional_crossing(self, data):
-        totals = data.draw(increasing_taps())
-        instances, steps_plus_one = totals.shape
-        max_steps = steps_plus_one - 1
-        margin = data.draw(
-            float_matrix(instances, steps_plus_one, elements=positive)
+    @given(data=st.data(), monotone=st.booleans())
+    def test_conventional_crossing(self, data, monotone):
+        instances = data.draw(st.integers(1, 4))
+        cells = data.draw(st.integers(2, 5))
+        buffers = data.draw(st.integers(1, 6))
+        multipliers = np.stack(
+            [
+                data.draw(float_matrix(cells, buffers, elements=positive))
+                for _ in range(instances)
+            ]
         )
-        last_but_one = totals - margin
+        steps_plus_one = data.draw(st.integers(1, 12))
+        schedule = np.asarray(
+            data.draw(
+                st.lists(
+                    st.lists(
+                        st.integers(1, buffers), min_size=cells, max_size=cells
+                    ),
+                    min_size=steps_plus_one,
+                    max_size=steps_plus_one,
+                )
+            ),
+            dtype=np.int64,
+        )
+        if monotone:
+            # Non-decreasing per cell: the bisection branch.
+            schedule = np.maximum.accumulate(schedule, axis=0)
+        max_steps = steps_plus_one - 1
+        unit = data.draw(positive)
+        prefix_sums = np.cumsum(multipliers, axis=-1)
+        totals = np.empty((instances, steps_plus_one))
+        last_but_one = np.empty((instances, steps_plus_one))
+        for i in range(instances):
+            for step in range(steps_plus_one):
+                tap = 0.0
+                for j in range(cells):
+                    if j == cells - 1:
+                        last_but_one[i, step] = tap
+                    tap += unit * prefix_sums[i, j, schedule[step, j] - 1]
+                totals[i, step] = tap
         period = data.draw(
             st.floats(min_value=float(totals.min()) * 0.5,
                       max_value=float(totals.max()) * 1.5)
         )
-        steps, locked, total_at_stop = ensemble.conventional_crossing(
-            totals, last_but_one, period, max_steps
-        )
+        # Small scan blocks split a non-monotone schedule's scan over
+        # several evaluations, with instances leaving it as they cross.
+        scan_block = data.draw(st.sampled_from([1, 7, 40, 16384]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ensemble, "_SCAN_BLOCK_ELEMENTS", scan_block)
+            steps, locked, total_at_stop = ensemble.conventional_lock(
+                prefix_sums, schedule, unit, period, max_steps
+            )
         for i in range(instances):
             reaching = [j for j in range(steps_plus_one) if totals[i, j] >= period]
             expected_step = reaching[0] if reaching else max_steps

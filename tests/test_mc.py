@@ -20,13 +20,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.mc
 from repro.mc import (
     AdaptiveSampleResult,
     ConfidenceInterval,
     RunningMoments,
     SampleChunk,
+    WeightedSampleChunk,
     adaptive_sample,
     clopper_pearson_interval,
+    importance_sample,
     interval_function,
     normal_ppf,
     wilson_interval,
@@ -258,7 +261,8 @@ class TestAdaptiveSample:
     def test_chunk_size_never_changes_the_sample_stream(self, chunk_size):
         # Run to a fixed cap with early stopping disabled: every chunking
         # must see exactly the same instances and therefore the same
-        # successes and value moments.
+        # successes and value moments.  A lane target of one makes every
+        # chunk its own draw call, so the chunk boundaries reach ``draw``.
         reference = adaptive_sample(
             _bernoulli_draw(seed=4, pass_rate=0.9),
             primary="yield",
@@ -266,13 +270,26 @@ class TestAdaptiveSample:
             chunk_size=160,
             max_samples=160,
         )
-        chunked = adaptive_sample(
-            _bernoulli_draw(seed=4, pass_rate=0.9),
-            primary="yield",
-            precision=0.0,
-            chunk_size=chunk_size,
-            max_samples=160,
-        )
+        bernoulli = _bernoulli_draw(seed=4, pass_rate=0.9)
+        calls: list[tuple[int, int]] = []
+
+        def logged_draw(first_instance: int, count: int) -> SampleChunk:
+            calls.append((first_instance, count))
+            return bernoulli(first_instance, count)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(repro.mc, "_LANE_TARGET", 1)
+            chunked = adaptive_sample(
+                logged_draw,
+                primary="yield",
+                precision=0.0,
+                chunk_size=chunk_size,
+                max_samples=160,
+            )
+        assert calls == [
+            (first, min(chunk_size, 160 - first))
+            for first in range(0, 160, chunk_size)
+        ]
         assert chunked.trials == reference.trials == 160
         assert chunked.successes == reference.successes
         assert chunked.estimates == reference.estimates
@@ -354,10 +371,11 @@ class TestAdaptiveSample:
                 passes={"yield": np.ones(count, dtype=bool), name: np.ones(count, dtype=bool)}
             )
 
+        # The cap spans more than one wide draw, so a second draw happens.
         with pytest.raises(ValueError, match="changed mid-run"):
             adaptive_sample(
                 draw, primary="yield", precision=0.0, chunk_size=8,
-                max_samples=64,
+                max_samples=1024,
             )
 
     def test_changing_value_streams_mid_run_is_an_error(self):
@@ -372,7 +390,7 @@ class TestAdaptiveSample:
         with pytest.raises(ValueError, match="value streams changed mid-run"):
             adaptive_sample(
                 draw, primary="yield", precision=0.0, chunk_size=8,
-                max_samples=64,
+                max_samples=1024,
             )
 
     @pytest.mark.parametrize(
@@ -383,6 +401,7 @@ class TestAdaptiveSample:
             {"precision": 0.1, "chunk_size": 0},
             {"precision": 0.1, "confidence": 1.0},
             {"precision": 0.1, "min_samples": 0},
+            {"precision": 0.1, "min_samples": 65, "max_samples": 64},
         ],
     )
     def test_rejects_bad_configuration(self, kwargs):
@@ -390,3 +409,206 @@ class TestAdaptiveSample:
             adaptive_sample(
                 _bernoulli_draw(seed=7, pass_rate=1.0), primary="yield", **kwargs
             )
+
+    @pytest.mark.parametrize("engine", [adaptive_sample, importance_sample])
+    def test_unreachable_min_samples_is_an_error(self, engine):
+        # A floor above the cap would silently drop the precision target
+        # and spend the whole cap; only fixed-budget runs may ignore it.
+        draw = _CountingDraw()
+        with pytest.raises(ValueError, match="min_samples=65 exceeds max_samples=64"):
+            engine(
+                draw, primary="yield", precision=0.1, min_samples=65,
+                max_samples=64,
+            )
+        assert draw.calls == []
+        fixed = engine(
+            draw, primary="yield", precision=0.0, min_samples=65, max_samples=64
+        )
+        assert fixed.trials == 64
+
+
+class _CountingDraw:
+    """A chunk-invariant draw that records every ``(first, count)`` call.
+
+    Instance ``i``'s flag, value and log-weight are closed-form functions
+    of ``i`` alone, returned in fresh arrays like a real engine's, so any
+    chunking sees the same stream.  ``pass_rate`` sets the share of
+    passing instances; ``weight_spread`` the log-weight amplitude (a wide
+    spread keeps the effective sample size low).
+    """
+
+    def __init__(self, pass_rate: float = 0.9, weight_spread: float = 0.5):
+        self.pass_rate = pass_rate
+        self.weight_spread = weight_spread
+        self.calls: list[tuple[int, int]] = []
+
+    def __call__(self, first_instance: int, count: int) -> WeightedSampleChunk:
+        self.calls.append((first_instance, count))
+        index = np.arange(first_instance, first_instance + count, dtype=float)
+        uniform = (index * 0.6180339887498949) % 1.0
+        return WeightedSampleChunk(
+            passes={"yield": uniform < self.pass_rate, "odd": index % 2 == 1},
+            log_weights=self.weight_spread * np.sin(index * 0.7),
+            values={"uniform": uniform, "wave": np.cos(index * 0.31) + 2.0},
+        )
+
+
+def _run_both_ways(monkeypatch, engine, **kwargs):
+    """``engine`` with one chunk per draw call, then with the wide draws."""
+    narrow_draw = _CountingDraw(**kwargs.pop("draw_options", {}))
+    wide_draw = _CountingDraw(
+        narrow_draw.pass_rate, narrow_draw.weight_spread
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(repro.mc, "_LANE_TARGET", 1)
+        narrow = engine(narrow_draw, primary="yield", **kwargs)
+    wide = engine(wide_draw, primary="yield", **kwargs)
+    return narrow, wide, narrow_draw.calls, wide_draw.calls
+
+
+def _state(result) -> dict:
+    """Every field of an estimator result, accumulators by their state."""
+    state = {}
+    for name, value in vars(result).items():
+        if isinstance(value, dict):
+            value = {
+                key: vars(item) if hasattr(item, "__dict__") else item
+                for key, item in value.items()
+            }
+        elif isinstance(value, RunningMoments):
+            value = vars(value)
+        state[name] = value
+    return state
+
+
+def _assert_identical(narrow, wide) -> None:
+    narrow_state, wide_state = _state(narrow), _state(wide)
+    assert narrow_state.keys() == wide_state.keys()
+    for name in narrow_state:
+        # Exact equality: a float that moved by one ulp fails here.
+        assert repr(narrow_state[name]) == repr(wide_state[name]), name
+
+
+#: (engine, engine keywords, stop reason, trials, narrow calls, wide calls).
+WIDE_DRAW_CASES = [
+    pytest.param(
+        adaptive_sample,
+        {"precision": 0.012, "chunk_size": 64, "max_samples": 4096,
+         "draw_options": {"pass_rate": 0.99}},
+        "precision", 384, 6, 2,
+        id="adaptive-precision-stop",
+    ),
+    pytest.param(
+        adaptive_sample,
+        {"precision": 0.001, "chunk_size": 24, "max_samples": 1000},
+        "max_samples", 1000, 42, 5,
+        id="adaptive-cap-stop-ragged",
+    ),
+    pytest.param(
+        adaptive_sample,
+        {"precision": 0.2, "chunk_size": 8, "max_samples": 512,
+         "min_samples": 100, "draw_options": {"pass_rate": 1.0}},
+        "precision", 104, 13, 1,
+        id="adaptive-min-samples-over-chunks",
+    ),
+    pytest.param(
+        adaptive_sample,
+        {"precision": 0.0, "chunk_size": 300, "max_samples": 1000},
+        "max_samples", 1000, 4, 4,
+        id="adaptive-chunk-above-lane-target",
+    ),
+    pytest.param(
+        importance_sample,
+        {"precision": 0.02, "chunk_size": 64, "max_samples": 2048},
+        "precision", 1152, 18, 5,
+        id="importance-precision-stop",
+    ),
+    pytest.param(
+        importance_sample,
+        {"precision": 0.001, "chunk_size": 40, "max_samples": 1010},
+        "max_samples", 1010, 26, 5,
+        id="importance-cap-stop-ragged",
+    ),
+    pytest.param(
+        importance_sample,
+        {"precision": 0.2, "chunk_size": 32, "max_samples": 2048,
+         "min_ess": 600.0, "draw_options": {"weight_spread": 2.0}},
+        "precision", 1312, 41, 6,
+        id="importance-ess-guard",
+    ),
+    pytest.param(
+        importance_sample,
+        {"precision": 0.2, "chunk_size": 32, "max_samples": 2048,
+         "min_ess": 0.0, "draw_options": {"weight_spread": 2.0}},
+        "precision", 32, 1, 1,
+        id="importance-without-ess-guard",
+    ),
+    pytest.param(
+        importance_sample,
+        {"precision": 0.0, "chunk_size": 257, "max_samples": 600},
+        "max_samples", 600, 3, 3,
+        id="importance-chunk-above-lane-target",
+    ),
+]
+
+
+class TestWideDraws:
+    """Fetching several chunks per ``draw`` call changes no result."""
+
+    @pytest.mark.parametrize(
+        "engine, kwargs, stop_reason, trials, narrow_calls, wide_calls",
+        WIDE_DRAW_CASES,
+    )
+    def test_wide_draws_match_one_chunk_per_call(
+        self, monkeypatch, engine, kwargs, stop_reason, trials, narrow_calls,
+        wide_calls,
+    ):
+        chunk_size = kwargs["chunk_size"]
+        max_samples = kwargs["max_samples"]
+        narrow, wide, narrow_log, wide_log = _run_both_ways(
+            monkeypatch, engine, **kwargs
+        )
+        _assert_identical(narrow, wide)
+        assert (wide.stop_reason, wide.trials) == (stop_reason, trials)
+        assert wide.chunks == math.ceil(trials / chunk_size)
+        # One call per chunk at a lane target of one, on chunk boundaries
+        # with the final chunk clipped to the cap ...
+        assert narrow_log == [
+            (first, min(chunk_size, max_samples - first))
+            for first in range(0, trials, chunk_size)
+        ]
+        assert len(narrow_log) == narrow_calls
+        # ... and whole multiples of the chunk per call by default.
+        width = chunk_size * max(1, repro.mc._LANE_TARGET // chunk_size)
+        assert wide_log == [
+            (first, min(width, max_samples - first))
+            for first in range(0, trials, width)
+        ]
+        assert len(wide_log) == wide_calls
+
+    @given(
+        chunk_size=st.integers(1, 300),
+        max_samples=st.integers(1, 1200),
+        precision=st.sampled_from([0.0, 0.01, 0.04, 0.15]),
+        min_fraction=st.one_of(st.none(), st.floats(0.0, 1.0)),
+        weighted=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_budget_matches_one_chunk_per_call(
+        self, chunk_size, max_samples, precision, min_fraction, weighted
+    ):
+        kwargs = {
+            "precision": precision,
+            "chunk_size": chunk_size,
+            "max_samples": max_samples,
+        }
+        if min_fraction is not None:
+            kwargs["min_samples"] = max(1, round(min_fraction * max_samples))
+        engine = importance_sample if weighted else adaptive_sample
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            narrow, wide, _, wide_log = _run_both_ways(
+                monkeypatch, engine, **kwargs
+            )
+        _assert_identical(narrow, wide)
+        width = chunk_size * max(1, repro.mc._LANE_TARGET // chunk_size)
+        assert len(wide_log) == math.ceil(wide.trials / width)

@@ -236,6 +236,15 @@ class TestImportanceSampling:
                 max_samples=64,
                 min_ess=-1.0,
             )
+        with pytest.raises(TypeError, match="WeightedSampleChunk"):
+            importance_sample(
+                lambda first, count: SampleChunk(
+                    passes={"tail": np.zeros(count, dtype=bool)}
+                ),
+                primary="tail",
+                precision=0.0,
+                max_samples=64,
+            )
 
 
 def _stratified_tail_strata(cutoff: float) -> list[Stratum]:
