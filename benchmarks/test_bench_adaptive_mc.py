@@ -81,7 +81,7 @@ def test_bench_adaptive_budget_reduction_on_a_high_yield_cell():
         **_cell_kwargs(OperatingConditions.slow()),
     )
 
-    budget_fraction = adaptive.samples / NUM_INSTANCES
+    budget_fraction = adaptive.trials / NUM_INSTANCES
     report = {
         "workload": (
             "fig50_51_mc cell: proposed scheme, fast corner, "
@@ -89,16 +89,16 @@ def test_bench_adaptive_budget_reduction_on_a_high_yield_cell():
         ),
         "fixed_instances": NUM_INSTANCES,
         "fixed_seconds": fixed_seconds,
-        "fixed_yield": fixed.yield_estimate,
-        "adaptive_samples": adaptive.samples,
+        "fixed_yield": fixed.estimate,
+        "adaptive_samples": adaptive.trials,
         "adaptive_seconds": adaptive_seconds,
-        "adaptive_yield": adaptive.yield_estimate,
-        "adaptive_ci": [adaptive.lower, adaptive.upper],
+        "adaptive_yield": adaptive.estimate,
+        "adaptive_ci": [adaptive.interval.lower, adaptive.interval.upper],
         "adaptive_stop_reason": adaptive.stop_reason,
         "budget_fraction": budget_fraction,
-        "budget_reduction_x": NUM_INSTANCES / adaptive.samples,
-        "marginal_cell_samples": marginal.samples,
-        "marginal_cell_yield": marginal.yield_estimate,
+        "budget_reduction_x": NUM_INSTANCES / adaptive.trials,
+        "marginal_cell_samples": marginal.trials,
+        "marginal_cell_yield": marginal.estimate,
     }
 
     # The headline gate: < 25 % of the fixed budget (>= 4x reduction).
@@ -107,9 +107,11 @@ def test_bench_adaptive_budget_reduction_on_a_high_yield_cell():
 
     # Statistical sanity: the tight interval really brackets the answer
     # the full fixed budget converges to.
-    assert adaptive.half_width <= PRECISION, report
-    assert adaptive.lower <= fixed.yield_estimate <= adaptive.upper, report
+    assert adaptive.interval.half_width <= PRECISION, report
+    assert (
+        adaptive.interval.lower <= fixed.estimate <= adaptive.interval.upper
+    ), report
 
     # The saved budget is concentration, not starvation: the marginal
     # slow-corner cell spends strictly more than the pinned fast cell.
-    assert marginal.samples > adaptive.samples, report
+    assert marginal.trials > adaptive.trials, report

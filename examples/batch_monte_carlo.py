@@ -72,19 +72,20 @@ def main() -> None:
         dpwm_bits=8,
         **fixed_budget,
     )
-    steady_state = result.value_stats["steady_state_v"]
+    steady_state = result.moments["steady_state_v"]
+    interval = result.interval
     print(
         format_table(
             headers=["Metric", "Value"],
             rows=[
-                ["Variants", str(result.samples)],
-                ["Regulation yield (+/- 20 mV)", f"{result.yield_estimate:.3f}"],
-                ["95 % CI on the yield", f"[{result.lower:.3f}, {result.upper:.3f}]"],
-                ["Steady-state Vout mean (mV)", f"{steady_state['mean'] * 1e3:.2f}"],
-                ["Steady-state Vout std (mV)", f"{steady_state['std'] * 1e3:.2f}"],
+                ["Variants", str(result.trials)],
+                ["Regulation yield (+/- 20 mV)", f"{result.estimate:.3f}"],
+                ["95 % CI on the yield", f"[{interval.lower:.3f}, {interval.upper:.3f}]"],
+                ["Steady-state Vout mean (mV)", f"{steady_state.mean * 1e3:.2f}"],
+                ["Steady-state Vout std (mV)", f"{steady_state.std() * 1e3:.2f}"],
                 [
                     "Worst deviation from Vref (mV)",
-                    f"{result.value_stats['error_v']['max'] * 1e3:.2f}",
+                    f"{result.moments['error_v'].maximum * 1e3:.2f}",
                 ],
             ],
             title=(
@@ -152,20 +153,21 @@ def main() -> None:
         regulation_spec=RegulationSpec(tolerance_v=0.02),
         **fixed_budget,
     )
-    amplitude = silicon.value_stats["limit_cycle_amplitude_v"]
+    amplitude = silicon.moments["limit_cycle_amplitude_v"]
+    interval = silicon.interval
     print()
     print(
         format_table(
             headers=["Metric", "Value"],
             rows=[
-                ["Fabricated instances", str(silicon.samples)],
-                ["Closed-loop yield", f"{silicon.yield_estimate:.3f}"],
-                ["95 % CI on the yield", f"[{silicon.lower:.3f}, {silicon.upper:.3f}]"],
-                ["Linearity yield", f"{silicon.spec_yields['linearity']:.3f}"],
-                ["Regulation yield", f"{silicon.spec_yields['regulation']:.3f}"],
+                ["Fabricated instances", str(silicon.trials)],
+                ["Closed-loop yield", f"{silicon.estimate:.3f}"],
+                ["95 % CI on the yield", f"[{interval.lower:.3f}, {interval.upper:.3f}]"],
+                ["Linearity yield", f"{silicon.estimates['linearity']:.3f}"],
+                ["Regulation yield", f"{silicon.estimates['regulation']:.3f}"],
                 [
                     "Worst limit-cycle amplitude (mV)",
-                    f"{amplitude['max'] * 1e3:.2f}",
+                    f"{amplitude.maximum * 1e3:.2f}",
                 ],
             ],
             title=(

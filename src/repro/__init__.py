@@ -22,9 +22,9 @@ Package map
 * :mod:`repro.pipeline` -- the fused silicon-to-regulation Monte-Carlo
   pipeline: variation -> calibration -> DPWM duty tables -> batch
   closed-loop regulation, with no per-instance Python loops.
-* :mod:`repro.mc` -- streaming adaptive Monte-Carlo: confidence intervals
-  on yields (Wilson / Clopper-Pearson), Welford running moments, and a
-  chunked sampler that stops when the interval is tight enough.
+* :mod:`repro.mc` -- streaming adaptive Monte-Carlo: 95 % Wilson
+  intervals on yields, Welford running moments, and a chunked sampler
+  that stops when the interval is tight enough.
 * :mod:`repro.analysis` -- linearity/power/efficiency metrics and report
   rendering.
 * :mod:`repro.experiments` -- one harness per paper table/figure plus a CLI

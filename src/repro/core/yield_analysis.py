@@ -41,13 +41,15 @@ statistic, each built on the streaming engine of :mod:`repro.mc`:
   single Monte-Carlo number: a chip only ships when its delay line is
   linear enough *and* the loop it serves regulates cleanly.
 
-Each estimator draws chunks until the confidence interval on its yield
+Each estimator draws chunks until the 95 % Wilson interval on its yield
 has half-width ``<= precision`` or ``max_instances`` samples are spent,
-and returns an :class:`AdaptiveYieldResult` (estimate, 95 % Wilson CI,
-samples drawn, stop reason).  A fixed budget of ``N`` instances is the
-same run at ``precision=0.0, max_instances=N, chunk_size=N``: one chunk,
-no early stop.  Instance ``i`` draws from its own RNG streams, so a seed names one
-population whatever the budget or the chunking.
+and returns :func:`repro.mc.adaptive_sample`'s own
+:class:`~repro.mc.AdaptiveSampleResult` (per-statistic estimates and
+intervals, streaming value moments, samples drawn, stop reason).  A
+fixed budget of ``N`` instances is the same run at ``precision=0.0,
+max_instances=N, chunk_size=N``: one chunk, no early stop.  Instance
+``i`` draws from its own RNG streams, so a seed names one population
+whatever the budget or the chunking.
 
 Example -- the declarative specs score plain arrays, and the Monte-Carlo
 estimators run whole seeded fleets in one vectorized pass:
@@ -66,7 +68,7 @@ estimators run whole seeded fleets in one vectorized pass:
     >>> fleet = adaptive_regulation_yield(BuckParameters(), reference_v=0.9,
     ...     variation=ComponentVariation(seed=3), precision=0.0,
     ...     max_instances=8, chunk_size=8, periods=200)
-    >>> fleet.yield_estimate, fleet.samples, fleet.stop_reason
+    >>> fleet.estimate, fleet.trials, fleet.stop_reason
     (1.0, 8, 'max_samples')
 """
 
@@ -118,7 +120,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pipeline imports us)
 __all__ = [
     "YieldModel",
     "YieldPoint",
-    "AdaptiveYieldResult",
     "CORRELATION_PRESETS",
     "ComponentStratification",
     "ComponentTilt",
@@ -542,8 +543,11 @@ class ComponentVariation:
             "resistance_sigma",
             "input_voltage_sigma",
         ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be non-negative and finite; got {value}"
+                )
 
     def sample_batch(
         self, nominal: BuckParameters, num_variants: int
@@ -735,6 +739,12 @@ class ComponentVariation:
         )
 
 
+def _check_limit(name: str, limit: float | None) -> None:
+    """A spec limit is ``None`` (unchecked) or finite and positive."""
+    if limit is not None and not 0.0 < limit < math.inf:
+        raise ValueError(f"{name} must be positive and finite; got {limit}")
+
+
 @dataclass(frozen=True)
 class LinearitySpec:
     """Declarative pass/fail specification for a calibrated delay line.
@@ -757,9 +767,7 @@ class LinearitySpec:
 
     def __post_init__(self) -> None:
         for name in ("dnl_limit_lsb", "inl_limit_lsb", "error_limit_fraction"):
-            limit = getattr(self, name)
-            if limit is not None and limit <= 0:
-                raise ValueError(f"{name} must be positive")
+            _check_limit(name, getattr(self, name))
 
     def passes(
         self,
@@ -817,10 +825,8 @@ class RegulationSpec:
     tail_fraction: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.tolerance_v <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.ripple_limit_v is not None and self.ripple_limit_v <= 0:
-            raise ValueError("ripple_limit_v must be positive")
+        _check_limit("tolerance_v", self.tolerance_v)
+        _check_limit("ripple_limit_v", self.ripple_limit_v)
         if not 0.0 < self.tail_fraction <= 1.0:
             raise ValueError("tail_fraction must be in (0, 1]")
 
@@ -947,109 +953,6 @@ def _closed_loop_chunk(
     )
 
 
-@dataclass(frozen=True)
-class AdaptiveYieldResult:
-    """Outcome of a confidence-bounded adaptive Monte-Carlo yield run.
-
-    The result reports *streaming* statistics: the sampler only ever holds
-    one draw of instances in memory, so everything here is a scalar
-    summary -- which also makes the whole object JSON-able and therefore
-    directly cacheable by the sweep layer.
-
-    Attributes:
-        scheme: ``"proposed"`` / ``"conventional"`` (``None`` for the
-            component-only regulation sweep).
-        yield_estimate: maximum-likelihood estimate of the primary yield
-            (passes / samples).
-        lower / upper: confidence-interval bounds on the primary yield.
-        confidence: two-sided confidence level of all intervals.
-        precision: the requested half-width target.
-        samples: instances actually drawn -- the spent sample budget.
-        max_samples: the hard cap the run was allowed.
-        chunk_size: instances per drawn chunk.
-        stop_reason: ``"precision"`` if the interval tightened to the
-            target, ``"max_samples"`` if the cap ran out first.
-        spec_yields: per-statistic yield estimates (e.g. ``"linearity"``,
-            ``"regulation"``, ``"lock"``); the primary statistic is
-            included.
-        spec_intervals: per-statistic ``(lower, upper)`` interval bounds.
-        value_stats: per-metric streaming summaries (``mean`` / ``std`` /
-            ``min`` / ``max`` / ``count``), e.g. the limit-cycle amplitude.
-    """
-
-    scheme: str | None
-    yield_estimate: float
-    lower: float
-    upper: float
-    confidence: float
-    precision: float
-    samples: int
-    max_samples: int
-    chunk_size: int
-    stop_reason: str
-    spec_yields: dict[str, float]
-    spec_intervals: dict[str, tuple[float, float]]
-    value_stats: dict[str, dict[str, float]]
-
-    @property
-    def half_width(self) -> float:
-        """Realized half-width of the primary confidence interval."""
-        return 0.5 * (self.upper - self.lower)
-
-    def interval_summary(self) -> dict[str, object]:
-        """The primary interval and the spent budget as JSON scalars."""
-        return {
-            "ci_lower": self.lower,
-            "ci_upper": self.upper,
-            "confidence": self.confidence,
-            "samples": self.samples,
-            "stop_reason": self.stop_reason,
-        }
-
-
-def _adaptive_yield(
-    draw: "Callable[[int, int], SampleChunk]",
-    *,
-    primary: str,
-    scheme: str | None,
-    precision: float,
-    max_instances: int,
-    chunk_size: int,
-) -> AdaptiveYieldResult:
-    """:func:`repro.mc.adaptive_sample` at its defaults, in the domain shape."""
-    from repro.mc import adaptive_sample
-
-    sample_result = adaptive_sample(
-        draw,
-        primary=primary,
-        precision=precision,
-        max_samples=max_instances,
-        chunk_size=chunk_size,
-    )
-    interval = sample_result.intervals[primary]
-    return AdaptiveYieldResult(
-        scheme=scheme,
-        yield_estimate=sample_result.estimates[primary],
-        lower=interval.lower,
-        upper=interval.upper,
-        confidence=sample_result.confidence,
-        precision=sample_result.precision,
-        samples=sample_result.trials,
-        max_samples=sample_result.max_samples,
-        chunk_size=sample_result.chunk_size,
-        stop_reason=sample_result.stop_reason,
-        spec_yields=dict(sample_result.estimates),
-        spec_intervals={
-            name: (ci.lower, ci.upper)
-            for name, ci in sample_result.intervals.items()
-        },
-        value_stats={
-            name: moments.summary()
-            for name, moments in sample_result.moments.items()
-        },
-    )
-
-
 def adaptive_linearity_yield(
     scheme: str,
     spec: DesignSpec,
@@ -1064,7 +967,7 @@ def adaptive_linearity_yield(
     require_monotonic: bool = True,
     require_lock: bool = True,
     library: TechnologyLibrary | None = None,
-) -> AdaptiveYieldResult:
+) -> "AdaptiveSampleResult":
     """Monte-Carlo linearity yield: sample until the CI is tight.
 
     An instance "yields" when it meets the :class:`LinearitySpec` built from
@@ -1078,6 +981,7 @@ def adaptive_linearity_yield(
     so the sample stream -- and therefore the estimate -- is independent of
     the chunk size.
     """
+    from repro.mc import adaptive_sample
     from repro.pipeline import ChunkedFabricator
 
     resolved_spec = LinearitySpec(
@@ -1095,12 +999,11 @@ def adaptive_linearity_yield(
         ensemble = fabricator.fabricate(count, first_instance=first_instance)
         return _linearity_chunk(resolved_spec, ensemble, conditions)
 
-    return _adaptive_yield(
+    return adaptive_sample(
         draw,
         primary="linearity",
-        scheme=scheme,
         precision=precision,
-        max_instances=max_instances,
+        max_samples=max_instances,
         chunk_size=chunk_size,
     )
 
@@ -1121,7 +1024,7 @@ def adaptive_closed_loop_yield(
     regulation_spec: RegulationSpec | None = None,
     load: LoadProfile | None = None,
     library: TechnologyLibrary | None = None,
-) -> AdaptiveYieldResult:
+) -> "AdaptiveSampleResult":
     """Monte-Carlo silicon-to-regulation yield: linearity AND regulation.
 
     An instance "yields" when it meets both the :class:`LinearitySpec` (its
@@ -1137,6 +1040,7 @@ def adaptive_closed_loop_yield(
     ride along.  The electrical spread of instance ``i`` comes from
     :meth:`ComponentVariation.sample_instances` (the chunk-stable stream).
     """
+    from repro.mc import adaptive_sample
     from repro.pipeline import ChunkedSiliconToRegulation
 
     resolved_linearity = linearity_spec or LinearitySpec()
@@ -1157,12 +1061,11 @@ def adaptive_closed_loop_yield(
         result = runner.run_chunk(first_instance, count, periods=periods)
         return _closed_loop_chunk(resolved_linearity, resolved_regulation, result)
 
-    return _adaptive_yield(
+    return adaptive_sample(
         draw,
         primary="closed_loop",
-        scheme=runner.scheme,
         precision=precision,
-        max_instances=max_instances,
+        max_samples=max_instances,
         chunk_size=chunk_size,
     )
 
@@ -1178,7 +1081,7 @@ def adaptive_regulation_yield(
     tolerance_v: float = 0.02,
     dpwm_bits: int = 6,
     load: LoadProfile | None = None,
-) -> AdaptiveYieldResult:
+) -> "AdaptiveSampleResult":
     """Monte-Carlo regulation yield under component spread only.
 
     Each chunk draws its electrical spreads from
@@ -1187,6 +1090,8 @@ def adaptive_regulation_yield(
     :class:`RegulationSpec`, until the interval on the regulation yield is
     tight enough or the cap runs out.
     """
+    from repro.mc import adaptive_sample
+
     spec = RegulationSpec(tolerance_v=tolerance_v)
     resolved_variation = variation or ComponentVariation()
 
@@ -1199,12 +1104,11 @@ def adaptive_regulation_yield(
         )
         return _regulation_chunk(spec, regulation, reference_v)
 
-    return _adaptive_yield(
+    return adaptive_sample(
         draw,
         primary="regulation",
-        scheme=None,
         precision=precision,
-        max_instances=max_instances,
+        max_samples=max_instances,
         chunk_size=chunk_size,
     )
 
@@ -1214,10 +1118,9 @@ class RareEventYieldResult:
     """Outcome of a rare-event (ppm-regime) regulation-failure estimate.
 
     Everything is a scalar (or a tuple of JSON-able dicts), so the result
-    serializes straight into the sweep cache -- same design as
-    :class:`AdaptiveYieldResult`, but framed around the *failure*
-    probability: in the ppm regime the failure rate is the number with
-    signal in it, and the yield is just its complement.
+    serializes straight into the sweep cache.  It is framed around the
+    *failure* probability: in the ppm regime the failure rate is the
+    number with signal in it, and the yield is just its complement.
 
     Attributes:
         estimator: ``"vanilla"`` / ``"stratified"`` / ``"importance"``.
@@ -1538,21 +1441,13 @@ class MissionSpec:
     tail_fraction: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.tolerance_v <= 0:
-            raise ValueError(f"tolerance_v must be positive; got {self.tolerance_v}")
+        _check_limit("tolerance_v", self.tolerance_v)
         if not 0.0 < self.tail_fraction <= 1.0:
             raise ValueError(
                 f"tail_fraction must lie in (0, 1]; got {self.tail_fraction}"
             )
-        if self.dip_limit_v is not None and self.dip_limit_v <= 0:
-            raise ValueError(
-                f"dip_limit_v must be positive when given; got {self.dip_limit_v}"
-            )
-        if self.ripple_limit_v is not None and self.ripple_limit_v <= 0:
-            raise ValueError(
-                "ripple_limit_v must be positive when given; got "
-                f"{self.ripple_limit_v}"
-            )
+        _check_limit("dip_limit_v", self.dip_limit_v)
+        _check_limit("ripple_limit_v", self.ripple_limit_v)
 
     def window_passes(
         self, voltages: npt.NDArray[np.float64], reference_v: float

@@ -107,12 +107,13 @@ def run_cell(params: dict) -> dict:
             tolerance_v=0.02,
             **budget,
         )
+        steady_state = result.moments["steady_state_v"]
         return {
-            "regulation_yield": result.yield_estimate,
-            "mean_steady_state_v": result.value_stats["steady_state_v"]["mean"],
-            "std_steady_state_v": result.value_stats["steady_state_v"]["std"],
-            "worst_error_v": result.value_stats["error_v"]["max"],
-            "worst_ripple_v": result.value_stats["ripple_v"]["max"],
+            "regulation_yield": result.estimate,
+            "mean_steady_state_v": steady_state.mean,
+            "std_steady_state_v": steady_state.std(),
+            "worst_error_v": result.moments["error_v"].maximum,
+            "worst_ripple_v": result.moments["ripple_v"].maximum,
             **result.interval_summary(),
         }
     if params["section"] == "silicon_mc":
@@ -133,13 +134,13 @@ def run_cell(params: dict) -> dict:
             **budget,
         )
         return {
-            "closed_loop_yield": result.yield_estimate,
-            "linearity_yield": result.spec_yields["linearity"],
-            "regulation_yield": result.spec_yields["regulation"],
-            "lock_yield": result.spec_yields["lock"],
-            "worst_error_v": result.value_stats["error_v"]["max"],
+            "closed_loop_yield": result.estimate,
+            "linearity_yield": result.estimates["linearity"],
+            "regulation_yield": result.estimates["regulation"],
+            "lock_yield": result.estimates["lock"],
+            "worst_error_v": result.moments["error_v"].maximum,
             "worst_limit_cycle_amplitude_v": (
-                result.value_stats["limit_cycle_amplitude_v"]["max"]
+                result.moments["limit_cycle_amplitude_v"].maximum
             ),
             **result.interval_summary(),
         }

@@ -128,15 +128,15 @@ def run_cell(params: dict) -> dict:
         library=intel32_like_library(),
         **monte_carlo_budget(params, fixed_instances=NUM_INSTANCES),
     )
-    amplitude = result.value_stats["limit_cycle_amplitude_v"]
+    amplitude = result.moments["limit_cycle_amplitude_v"]
     return {
-        "closed_loop_yield": result.yield_estimate,
-        "linearity_yield": result.spec_yields["linearity"],
-        "regulation_yield": result.spec_yields["regulation"],
-        "lock_yield": result.spec_yields["lock"],
-        "worst_error_v": result.value_stats["error_v"]["max"],
-        "mean_limit_cycle_amplitude_v": amplitude["mean"],
-        "worst_limit_cycle_amplitude_v": amplitude["max"],
+        "closed_loop_yield": result.estimate,
+        "linearity_yield": result.estimates["linearity"],
+        "regulation_yield": result.estimates["regulation"],
+        "lock_yield": result.estimates["lock"],
+        "worst_error_v": result.moments["error_v"].maximum,
+        "mean_limit_cycle_amplitude_v": amplitude.mean,
+        "worst_limit_cycle_amplitude_v": amplitude.maximum,
         **result.interval_summary(),
     }
 

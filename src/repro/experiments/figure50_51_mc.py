@@ -106,16 +106,16 @@ def run_cell(params: dict) -> dict:
         library=intel32_like_library(),
         **monte_carlo_budget(params, fixed_instances=NUM_INSTANCES),
     )
-    stats = result.value_stats
+    stats = result.moments
     return {
-        "linearity_yield": result.yield_estimate,
-        "lock_yield": result.spec_yields["lock"],
-        "monotonic_fraction": result.spec_yields["monotonic"],
-        "mean_max_dnl_lsb": stats["max_dnl_lsb"]["mean"],
-        "mean_max_inl_lsb": stats["max_inl_lsb"]["mean"],
-        "worst_max_inl_lsb": stats["max_inl_lsb"]["max"],
-        "mean_rms_inl_lsb": stats["rms_inl_lsb"]["mean"],
-        "worst_error_fraction": stats["error_fraction"]["max"],
+        "linearity_yield": result.estimate,
+        "lock_yield": result.estimates["lock"],
+        "monotonic_fraction": result.estimates["monotonic"],
+        "mean_max_dnl_lsb": stats["max_dnl_lsb"].mean,
+        "mean_max_inl_lsb": stats["max_inl_lsb"].mean,
+        "worst_max_inl_lsb": stats["max_inl_lsb"].maximum,
+        "mean_rms_inl_lsb": stats["rms_inl_lsb"].mean,
+        "worst_error_fraction": stats["error_fraction"].maximum,
         **result.interval_summary(),
     }
 

@@ -11,11 +11,10 @@ enough (or a hard sample cap is hit).
 The pieces are deliberately generic -- nothing here knows about delay
 lines or buck converters:
 
-* :func:`wilson_interval` / :func:`clopper_pearson_interval` -- binomial
-  confidence intervals on a yield.  Wilson is the default (tight, well
-  behaved at the 0 %/100 % edges); Clopper-Pearson is the conservative
-  exact alternative.  Both are implemented on the standard library alone
-  (no scipy at runtime) and cross-checked against scipy in the test suite.
+* :func:`wilson_interval` -- the binomial confidence interval on a yield
+  (tight, well behaved at the 0 %/100 % edges), implemented on the
+  standard library alone.  Every engine reports its intervals at the
+  two-sided level :data:`CONFIDENCE` (95 %).
 * :class:`RunningMoments` -- streaming mean/variance via Welford's
   algorithm with Chan's parallel merge for whole-chunk updates, plus
   running min/max.  Continuous statistics (limit-cycle amplitude, INL)
@@ -72,12 +71,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
 __all__ = [
+    "CONFIDENCE",
+    "MIN_ESS",
     "AdaptiveSampleResult",
     "ConfidenceInterval",
     "ImportanceSampleResult",
@@ -89,9 +90,7 @@ __all__ = [
     "WeightedRunningMoments",
     "WeightedSampleChunk",
     "adaptive_sample",
-    "clopper_pearson_interval",
     "importance_sample",
-    "interval_function",
     "normal_cdf",
     "normal_ppf",
     "stratified_sample",
@@ -102,6 +101,10 @@ __all__ = [
 # --------------------------------------------------------------------------
 # Confidence intervals on a binomial proportion (standard library only).
 # --------------------------------------------------------------------------
+
+#: Two-sided confidence level of every interval the estimators report and
+#: of the half-width their stopping rules compare with ``precision``.
+CONFIDENCE = 0.95
 
 
 @dataclass(frozen=True)
@@ -193,11 +196,11 @@ def _validate_counts(successes: int, trials: int, confidence: float) -> None:
 
 
 def wilson_interval(
-    successes: int, trials: int, confidence: float = 0.95
+    successes: int, trials: int, confidence: float = CONFIDENCE
 ) -> ConfidenceInterval:
     """Wilson score interval on a binomial proportion.
 
-    The default interval of the adaptive engine: unlike the normal
+    The interval of the adaptive engine: unlike the normal
     (Wald) approximation it never collapses to zero width at 0 %/100 %
     observed yield, so "all passed so far" still carries honest
     uncertainty -- exactly the regime high-yield cells live in.
@@ -220,120 +223,6 @@ def wilson_interval(
         upper=1.0 if successes == trials else min(1.0, center + margin),
         confidence=confidence,
     )
-
-
-def _log_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    """Continued fraction for the regularized incomplete beta (NR's betacf)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 200):
-        m2 = 2 * m
-        numerator = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + numerator / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        numerator = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + numerator / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            return h
-    return h  # pragma: no cover - 200 iterations always converge for our a, b
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """The regularized incomplete beta function I_x(a, b) (the Beta CDF)."""
-    if a <= 0 or b <= 0:
-        raise ValueError("shape parameters must be positive")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    log_front = (
-        a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b)
-    )
-    front = math.exp(log_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
-
-
-def _beta_quantile(probability: float, a: float, b: float) -> float:
-    """Inverse Beta CDF by bisection (monotone, so always converges)."""
-    if not 0.0 < probability < 1.0:
-        raise ValueError(f"probability must be in (0, 1); got {probability}")
-    low, high = 0.0, 1.0
-    for _ in range(100):
-        mid = 0.5 * (low + high)
-        if regularized_incomplete_beta(a, b, mid) < probability:
-            low = mid
-        else:
-            high = mid
-    return 0.5 * (low + high)
-
-
-def clopper_pearson_interval(
-    successes: int, trials: int, confidence: float = 0.95
-) -> ConfidenceInterval:
-    """Clopper-Pearson ("exact") interval on a binomial proportion.
-
-    Guaranteed coverage at the cost of width -- the conservative choice
-    when a yield number feeds a ship/no-ship decision.  The Beta quantiles
-    are computed from the regularized incomplete beta function, so no
-    scipy is needed at runtime.
-    """
-    _validate_counts(successes, trials, confidence)
-    alpha = 1.0 - confidence
-    lower = (
-        0.0
-        if successes == 0
-        else _beta_quantile(0.5 * alpha, successes, trials - successes + 1)
-    )
-    upper = (
-        1.0
-        if successes == trials
-        else _beta_quantile(1.0 - 0.5 * alpha, successes + 1, trials - successes)
-    )
-    return ConfidenceInterval(lower=lower, upper=upper, confidence=confidence)
-
-
-#: Named interval methods the adaptive engine accepts.
-_INTERVAL_METHODS: dict[str, Callable[[int, int, float], ConfidenceInterval]] = {
-    "wilson": wilson_interval,
-    "clopper_pearson": clopper_pearson_interval,
-}
-
-
-def interval_function(method: str) -> Callable[[int, int, float], ConfidenceInterval]:
-    """Resolve an interval method name (``"wilson"``/``"clopper_pearson"``)."""
-    try:
-        return _INTERVAL_METHODS[method]
-    except KeyError:
-        known = ", ".join(sorted(_INTERVAL_METHODS))
-        raise ValueError(
-            f"unknown interval method {method!r}; known methods: {known}"
-        ) from None
 
 
 # --------------------------------------------------------------------------
@@ -464,10 +353,9 @@ class AdaptiveSampleResult:
         successes: per-statistic success counts.
         estimates: per-statistic maximum-likelihood yields
             (``successes / trials``).
-        intervals: per-statistic confidence intervals (same method and
-            confidence for all).
+        intervals: per-statistic Wilson intervals at :data:`CONFIDENCE`.
         moments: per-metric streaming moments.
-        precision / confidence / method / max_samples / chunk_size: the
+        precision / confidence / max_samples / chunk_size: the
             configuration the run used.
     """
 
@@ -481,7 +369,6 @@ class AdaptiveSampleResult:
     moments: dict[str, RunningMoments]
     precision: float
     confidence: float
-    method: str
     max_samples: int
     chunk_size: int
 
@@ -495,19 +382,27 @@ class AdaptiveSampleResult:
         """The primary statistic's confidence interval."""
         return self.intervals[self.primary]
 
+    def interval_summary(self) -> dict[str, object]:
+        """The primary interval and the spent budget as JSON scalars."""
+        return {
+            "ci_lower": self.interval.lower,
+            "ci_upper": self.interval.upper,
+            "confidence": self.confidence,
+            "samples": self.trials,
+            "stop_reason": self.stop_reason,
+        }
 
-def _check_budget(
-    precision: float, max_samples: int, chunk_size: int, confidence: float
-) -> None:
+
+def _check_budget(precision: float, max_samples: int, chunk_size: int) -> None:
     """Validate the budget arguments every estimator shares."""
-    if precision < 0:
-        raise ValueError(f"precision must be non-negative; got {precision}")
+    if not 0.0 <= precision < math.inf:
+        raise ValueError(
+            f"precision must be non-negative and finite; got {precision}"
+        )
     if max_samples < 1:
         raise ValueError(f"max_samples must be >= 1; got {max_samples}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1; got {chunk_size}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1); got {confidence}")
 
 
 def _checked_chunk(
@@ -568,22 +463,6 @@ def _checked_chunk(
 _LANE_TARGET = 256
 
 
-def _resolve_min_samples(
-    min_samples: int | None, precision: float, max_samples: int, chunk_size: int
-) -> int:
-    """The stopping rule's sample floor: one chunk by default, and reachable."""
-    if min_samples is None:
-        return min(chunk_size, max_samples)
-    if min_samples < 1:
-        raise ValueError(f"min_samples must be >= 1; got {min_samples}")
-    if precision > 0.0 and min_samples > max_samples:
-        raise ValueError(
-            f"min_samples={min_samples} exceeds max_samples={max_samples}, so "
-            f"the precision target {precision} could never stop the run"
-        )
-    return min_samples
-
-
 def _chunk_slices(
     draw: Callable[[int, int], SampleChunk | WeightedSampleChunk],
     *,
@@ -642,11 +521,8 @@ def adaptive_sample(
     *,
     primary: str,
     precision: float,
-    confidence: float = 0.95,
     max_samples: int = 4096,
     chunk_size: int = 64,
-    min_samples: int | None = None,
-    method: str = "wilson",
 ) -> AdaptiveSampleResult:
     """Draw chunks until the primary yield's confidence interval is tight.
 
@@ -660,28 +536,20 @@ def adaptive_sample(
             are still folded one at a time, and instances drawn past the
             stop are discarded.
         primary: name of the pass statistic the stopping rule watches.
-        precision: target half-width of the primary confidence interval;
-            ``0.0`` disables early stopping (the run always exhausts the
-            cap -- useful for chunk-invariance testing).
-        confidence: two-sided confidence level of all intervals.
+        precision: target half-width of the primary Wilson interval at
+            :data:`CONFIDENCE`; ``0.0`` disables early stopping (the run
+            always exhausts the cap -- useful for chunk-invariance
+            testing).
         max_samples: hard cap on total instances; the final chunk is
             clipped so the cap is met exactly.
         chunk_size: instances per chunk, the granularity of the stopping
             rule.
-        min_samples: instances required before the stopping rule may fire
-            (defaults to one chunk); prevents a lucky first handful of
-            passes from stopping a run that has seen nothing yet.  With a
-            ``precision``, it must not exceed ``max_samples``.
-        method: interval method, ``"wilson"`` or ``"clopper_pearson"``.
 
     Returns:
         an :class:`AdaptiveSampleResult`; ``result.trials`` is the spent
         sample budget, the quantity the adaptive engine exists to shrink.
     """
-    _check_budget(precision, max_samples, chunk_size, confidence)
-    min_samples = _resolve_min_samples(min_samples, precision, max_samples, chunk_size)
-    interval_of = interval_function(method)
-
+    _check_budget(precision, max_samples, chunk_size)
     successes: dict[str, int] = {}
     moments: dict[str, RunningMoments] = {}
     trials = 0
@@ -696,11 +564,12 @@ def adaptive_sample(
             moments.setdefault(name, RunningMoments()).extend(stream)
         trials += len(flags[primary])
         chunks += 1
-        if trials >= min_samples and precision > 0.0:
-            interval = interval_of(successes[primary], trials, confidence)
-            if interval.half_width <= precision:
-                stop_reason = "precision"
-                break
+        if (
+            precision > 0.0
+            and wilson_interval(successes[primary], trials).half_width <= precision
+        ):
+            stop_reason = "precision"
+            break
 
     return AdaptiveSampleResult(
         primary=primary,
@@ -710,13 +579,12 @@ def adaptive_sample(
         successes=dict(successes),
         estimates={name: count / trials for name, count in successes.items()},
         intervals={
-            name: interval_of(count, trials, confidence)
+            name: wilson_interval(count, trials)
             for name, count in successes.items()
         },
         moments=moments,
         precision=precision,
-        confidence=confidence,
-        method=method,
+        confidence=CONFIDENCE,
         max_samples=max_samples,
         chunk_size=chunk_size,
     )
@@ -841,7 +709,7 @@ class WeightedRunningMoments:
         variance = self.variance_of_mean()
         return math.sqrt(variance) if not math.isnan(variance) else math.nan
 
-    def interval(self, confidence: float = 0.95) -> ConfidenceInterval:
+    def interval(self, confidence: float = CONFIDENCE) -> ConfidenceInterval:
         """Normal-approximation interval on the weighted mean of pass flags.
 
         Meaningful when the values are 0/1 indicators (the mean is then a
@@ -915,17 +783,14 @@ class ImportanceSampleResult:
         trials: total instances drawn (from the tilted distribution).
         chunks: number of chunks drawn.
         stop_reason: ``"precision"`` (interval tight enough *and* the
-            effective sample size cleared ``min_ess``) or
+            effective sample size cleared :data:`MIN_ESS`) or
             ``"max_samples"``.
         estimates: per-statistic self-normalized probability estimates.
         intervals: per-statistic delta-method normal intervals.
         effective_sample_size: Kish ESS of the final weight stream.
         weighted: per-statistic weighted accumulators (full precision).
         value_moments: per-metric weighted accumulators.
-        log_weight_moments: unweighted moments of the log-likelihood
-            ratios -- the tilt-diagnostic stream (a large spread here is
-            the signature of an overdone tilt).
-        precision / confidence / min_ess / max_samples / chunk_size: the
+        precision / confidence / max_samples / chunk_size: the
             configuration the run used.
     """
 
@@ -938,10 +803,8 @@ class ImportanceSampleResult:
     effective_sample_size: float
     weighted: dict[str, WeightedRunningMoments]
     value_moments: dict[str, WeightedRunningMoments]
-    log_weight_moments: RunningMoments
     precision: float
     confidence: float
-    min_ess: float
     max_samples: int
     chunk_size: int
 
@@ -956,16 +819,19 @@ class ImportanceSampleResult:
         return self.intervals[self.primary]
 
 
+#: Kish effective-sample-size floor of :func:`importance_sample`'s stopping
+#: rule: a tight-looking reweighted interval stops the run only once the
+#: weights are worth at least this many unweighted samples.
+MIN_ESS = 32.0
+
+
 def importance_sample(
     draw: Callable[[int, int], WeightedSampleChunk],
     *,
     primary: str,
     precision: float,
-    confidence: float = 0.95,
     max_samples: int = 4096,
     chunk_size: int = 64,
-    min_samples: int | None = None,
-    min_ess: float = 32.0,
 ) -> ImportanceSampleResult:
     """Draw tilted chunks until the reweighted interval is tight and trusted.
 
@@ -975,7 +841,7 @@ def importance_sample(
     nominal distribution; the engine folds the reweighted pass flags into
     :class:`WeightedRunningMoments` and stops once the delta-method
     interval on the primary estimate has half-width ``<= precision`` --
-    but only after the effective sample size has cleared ``min_ess``.
+    but only after the effective sample size has cleared :data:`MIN_ESS`.
     The ESS guard is what makes the stopping rule honest: early in a
     strongly tilted run a handful of draws can carry nearly all the
     weight, the delta-method variance is then a wild underestimate, and
@@ -989,30 +855,20 @@ def importance_sample(
             ``i``'s draw (and therefore its weight) must not depend on the
             chunking.
         primary: name of the pass statistic the stopping rule watches.
-        precision: target half-width of the primary interval; ``0.0``
-            disables early stopping.
-        confidence: two-sided confidence level of all intervals.
+        precision: target half-width of the primary interval at
+            :data:`CONFIDENCE`; ``0.0`` disables early stopping.
         max_samples: hard cap on total instances.
         chunk_size: instances per chunk, the granularity of the stopping
             rule.
-        min_samples: instances required before the stopping rule may fire
-            (defaults to one chunk; with a ``precision``, at most
-            ``max_samples``).
-        min_ess: effective-sample-size floor the stopping rule additionally
-            requires; has no effect on the cap.
 
     Returns:
         an :class:`ImportanceSampleResult`; ``result.trials`` is the spent
         (tilted) sample budget.
     """
-    _check_budget(precision, max_samples, chunk_size, confidence)
-    if min_ess < 0:
-        raise ValueError(f"min_ess must be non-negative; got {min_ess}")
-    min_samples = _resolve_min_samples(min_samples, precision, max_samples, chunk_size)
+    _check_budget(precision, max_samples, chunk_size)
 
     weighted: dict[str, WeightedRunningMoments] = {}
     value_moments: dict[str, WeightedRunningMoments] = {}
-    log_weight_moments = RunningMoments()
     trials = 0
     chunks = 0
     stop_reason = "max_samples"
@@ -1032,18 +888,16 @@ def importance_sample(
             value_moments.setdefault(name, WeightedRunningMoments()).extend(
                 stream, log_weights
             )
-        log_weight_moments.extend(log_weights)
         trials += len(flags[primary])
         chunks += 1
-        if trials >= min_samples and precision > 0.0:
-            stat = weighted[primary]
-            interval = stat.interval(confidence)
-            if (
-                interval.half_width <= precision
-                and stat.effective_sample_size() >= min_ess
-            ):
-                stop_reason = "precision"
-                break
+        stat = weighted[primary]
+        if (
+            precision > 0.0
+            and stat.interval().half_width <= precision
+            and stat.effective_sample_size() >= MIN_ESS
+        ):
+            stop_reason = "precision"
+            break
 
     return ImportanceSampleResult(
         primary=primary,
@@ -1051,16 +905,12 @@ def importance_sample(
         chunks=chunks,
         stop_reason=stop_reason,
         estimates={name: stat.mean for name, stat in weighted.items()},
-        intervals={
-            name: stat.interval(confidence) for name, stat in weighted.items()
-        },
+        intervals={name: stat.interval() for name, stat in weighted.items()},
         effective_sample_size=weighted[primary].effective_sample_size(),
         weighted=weighted,
         value_moments=value_moments,
-        log_weight_moments=log_weight_moments,
         precision=precision,
-        confidence=confidence,
-        min_ess=min_ess,
+        confidence=CONFIDENCE,
         max_samples=max_samples,
         chunk_size=chunk_size,
     )
@@ -1174,22 +1024,21 @@ def stratified_sample(
     *,
     primary: str,
     precision: float,
-    confidence: float = 0.95,
     max_samples: int = 4096,
     chunk_size: int = 64,
-    min_samples_per_stratum: int | None = None,
 ) -> StratifiedSampleResult:
     """Allocate chunks across strata by Neyman allocation until the CI is tight.
 
     The stratified sibling of :func:`adaptive_sample`: the variation space
     is partitioned into caller-declared strata of known probability mass,
     each with its own conditional sampler.  After an exploration pass that
-    gives every stratum ``min_samples_per_stratum`` draws, each subsequent
-    chunk goes to the stratum where it buys the largest reduction of the
-    post-stratified variance -- the greedy chunked form of Neyman's
-    ``n_h proportional to W_h * s_h`` allocation, driven by the running
-    (Laplace-smoothed) per-stratum moments.  The run stops when the
-    normal interval on the post-stratified primary estimate has
+    gives every stratum one chunk of draws (clipped to an equal share of
+    the cap), each subsequent chunk goes to the stratum where it buys the
+    largest reduction of the post-stratified variance -- the greedy
+    chunked form of Neyman's ``n_h proportional to W_h * s_h``
+    allocation, driven by the running (Laplace-smoothed) per-stratum
+    moments.  The run stops when the normal interval at
+    :data:`CONFIDENCE` on the post-stratified primary estimate has
     half-width ``<= precision`` or the cap is spent.
 
     Args:
@@ -1201,13 +1050,9 @@ def stratified_sample(
             rule watch.
         precision: target half-width of the primary interval; ``0.0``
             disables early stopping.
-        confidence: two-sided confidence level of all intervals.
         max_samples: hard cap on total instances (must cover at least one
             draw per stratum).
         chunk_size: instances per chunk.
-        min_samples_per_stratum: exploration floor per stratum before the
-            Neyman allocation and the stopping rule take over (defaults
-            to one chunk, clipped to an equal share of the cap).
 
     Returns:
         a :class:`StratifiedSampleResult`; ``result.trials`` is the spent
@@ -1228,15 +1073,12 @@ def stratified_sample(
             f"max_samples must cover at least one draw per stratum; "
             f"got {max_samples} for {len(strata)} strata"
         )
-    _check_budget(precision, max_samples, chunk_size, confidence)
-    if min_samples_per_stratum is None:
-        min_samples_per_stratum = min(chunk_size, max_samples // len(strata))
-    if min_samples_per_stratum < 1:
-        raise ValueError(
-            f"min_samples_per_stratum must be >= 1; got {min_samples_per_stratum}"
-        )
+    _check_budget(precision, max_samples, chunk_size)
+    # The exploration floor every stratum reaches before the Neyman
+    # allocation and the stopping rule take over; at least one draw.
+    floor = min(chunk_size, max_samples // len(strata))
 
-    z = normal_ppf(0.5 * (1.0 + confidence))
+    z = normal_ppf(0.5 * (1.0 + CONFIDENCE))
     trials_h = [0 for _ in strata]
     successes_h: list[dict[str, int]] = [{} for _ in strata]
     moments_h: list[dict[str, RunningMoments]] = [{} for _ in strata]
@@ -1264,34 +1106,25 @@ def stratified_sample(
         trials += count
         chunks += 1
 
-    def primary_half_width() -> float:
+    def post_stratified(name: str) -> tuple[float, float]:
+        """Estimate and interval half-width of one statistic (all explored)."""
+        estimate = 0.0
         variance = 0.0
         for index, stratum in enumerate(strata):
-            if trials_h[index] == 0:
-                return math.inf
+            successes = successes_h[index].get(name, 0)
+            estimate += stratum.weight * successes / trials_h[index]
             variance += (
                 stratum.weight
                 * stratum.weight
-                * _smoothed_stratum_variance(
-                    successes_h[index].get(primary, 0), trials_h[index]
-                )
+                * _smoothed_stratum_variance(successes, trials_h[index])
                 / trials_h[index]
             )
-        return z * math.sqrt(variance)
+        return estimate, z * math.sqrt(variance)
 
     explored = False
     while trials < max_samples:
-        budget = max_samples - trials
-        if not explored:
-            index = min(range(len(strata)), key=lambda h: trials_h[h])
-            if trials_h[index] >= min_samples_per_stratum:
-                explored = True
-                continue
-            count = min(
-                chunk_size, budget, min_samples_per_stratum - trials_h[index]
-            )
-        else:
-            count = min(chunk_size, budget)
+        if explored:
+            count = min(chunk_size, max_samples - trials)
 
             def variance_drop(h: int) -> float:
                 spread = _smoothed_stratum_variance(
@@ -1302,50 +1135,29 @@ def stratified_sample(
                 return weight * weight * spread * (1.0 / n - 1.0 / (n + count))
 
             index = max(range(len(strata)), key=variance_drop)
+        else:
+            index = min(range(len(strata)), key=lambda h: trials_h[h])
+            count = min(chunk_size, max_samples - trials, floor - trials_h[index])
         fold(index, count)
+        explored = explored or min(trials_h) >= floor
         if (
             explored
             and precision > 0.0
-            and min(trials_h) >= min_samples_per_stratum
-            and primary_half_width() <= precision
+            and post_stratified(primary)[1] <= precision
         ):
             stop_reason = "precision"
             break
-        if not explored and min(trials_h) >= min_samples_per_stratum:
-            explored = True
-            if precision > 0.0 and primary_half_width() <= precision:
-                stop_reason = "precision"
-                break
 
     stat_names, value_names = seen or ({primary}, set())
     estimates: dict[str, float] = {}
     intervals: dict[str, ConfidenceInterval] = {}
     for name in sorted(stat_names):
-        estimate = 0.0
-        variance = 0.0
-        for index, stratum in enumerate(strata):
-            if trials_h[index] == 0:
-                raise RuntimeError(
-                    f"stratum {stratum.name!r} received no samples; "
-                    "raise max_samples"
-                )
-            estimate += (
-                stratum.weight * successes_h[index].get(name, 0) / trials_h[index]
-            )
-            variance += (
-                stratum.weight
-                * stratum.weight
-                * _smoothed_stratum_variance(
-                    successes_h[index].get(name, 0), trials_h[index]
-                )
-                / trials_h[index]
-            )
-        half_width = z * math.sqrt(variance)
+        estimate, half_width = post_stratified(name)
         estimates[name] = estimate
         intervals[name] = ConfidenceInterval(
             lower=max(0.0, estimate - half_width),
             upper=min(1.0, estimate + half_width),
-            confidence=confidence,
+            confidence=CONFIDENCE,
         )
 
     value_means: dict[str, float] = {}
@@ -1373,7 +1185,7 @@ def stratified_sample(
         ),
         value_means=value_means,
         precision=precision,
-        confidence=confidence,
+        confidence=CONFIDENCE,
         max_samples=max_samples,
         chunk_size=chunk_size,
     )

@@ -208,10 +208,12 @@ class VariationModel:
     seed: int = 2012
 
     def __post_init__(self) -> None:
-        if self.random_sigma < 0:
-            raise ValueError("random_sigma must be non-negative")
-        if self.gradient_peak < 0:
-            raise ValueError("gradient_peak must be non-negative")
+        for name in ("random_sigma", "gradient_peak"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be non-negative and finite; got {value}"
+                )
 
     @classmethod
     def ideal(cls) -> "VariationModel":

@@ -336,8 +336,8 @@ class TestLinearityYield:
             error_limit_fraction=0.05,
             library=LIBRARY,
         )
-        assert result.samples == 32
-        assert 0.0 <= result.yield_estimate <= 1.0
+        assert result.trials == 32
+        assert 0.0 <= result.estimate <= 1.0
         # The estimate is the pass fraction of the same 32 instances,
         # scored by hand against the same spec.
         ensemble = ChunkedFabricator(
@@ -354,9 +354,9 @@ class TestLinearityYield:
             & calibration.locked
         )
         np.testing.assert_array_equal(passes, expected)
-        assert result.yield_estimate == float(np.mean(passes))
-        assert result.spec_yields["lock"] == float(np.mean(calibration.locked))
-        assert result.value_stats["max_inl_lsb"]["max"] == float(
+        assert result.estimate == float(np.mean(passes))
+        assert result.estimates["lock"] == float(np.mean(calibration.locked))
+        assert result.moments["max_inl_lsb"].maximum == float(
             curves.metrics().max_inl_lsb.max()
         )
 
@@ -386,5 +386,5 @@ class TestLinearityYield:
             chunk_size=64,
             library=LIBRARY,
         )
-        assert result.spec_yields["lock"] < 0.2
-        assert result.yield_estimate <= result.spec_yields["lock"]
+        assert result.estimates["lock"] < 0.2
+        assert result.estimate <= result.estimates["lock"]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,9 @@ from repro.converter.buck import BuckParameters
 from repro.core.design import DesignSpec, design_proposed
 from repro.core.yield_analysis import (
     ComponentVariation,
+    LinearitySpec,
+    MissionSpec,
+    RegulationSpec,
     YieldModel,
     adaptive_closed_loop_yield,
     adaptive_linearity_yield,
@@ -209,6 +214,38 @@ class TestComponentVariationSampleInstances:
             ComponentVariation().sample_instances(BuckParameters(), 0)
 
 
+#: Every spread and limit a spec or variation model checks on construction.
+NON_FINITE_FIELDS = [
+    (ComponentVariation, "inductance_sigma"),
+    (ComponentVariation, "capacitance_sigma"),
+    (ComponentVariation, "resistance_sigma"),
+    (ComponentVariation, "input_voltage_sigma"),
+    (VariationModel, "random_sigma"),
+    (VariationModel, "gradient_peak"),
+    (RegulationSpec, "tolerance_v"),
+    (RegulationSpec, "ripple_limit_v"),
+    (LinearitySpec, "dnl_limit_lsb"),
+    (LinearitySpec, "inl_limit_lsb"),
+    (LinearitySpec, "error_limit_fraction"),
+    (MissionSpec, "tolerance_v"),
+    (MissionSpec, "dip_limit_v"),
+    (MissionSpec, "ripple_limit_v"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "cls, name",
+    NON_FINITE_FIELDS,
+    ids=[f"{cls.__name__}.{name}" for cls, name in NON_FINITE_FIELDS],
+)
+def test_non_finite_spreads_and_limits_are_rejected(cls, name, value):
+    # A NaN spread used to draw NaN parameters, and a NaN limit to fail
+    # (or an infinite one to pass) every instance, without a word.
+    with pytest.raises(ValueError, match=name):
+        cls(**{name: value})
+
+
 class TestAdaptiveLinearityYield:
     def test_high_yield_cell_stops_early_and_brackets_the_fixed_estimate(
         self, spec_100mhz_6bit, library
@@ -226,20 +263,20 @@ class TestAdaptiveLinearityYield:
             "proposed", precision=0.02, max_instances=1000, **kwargs
         )
         assert adaptive.stop_reason == "precision"
-        assert adaptive.samples < 250  # >= 4x below the fixed 1000 budget
-        assert adaptive.half_width <= 0.02
+        assert adaptive.trials < 250  # >= 4x below the fixed 1000 budget
+        assert adaptive.interval.half_width <= 0.02
         fixed = adaptive_linearity_yield(
             "proposed",
             precision=0.0,
-            max_instances=adaptive.samples,
-            chunk_size=adaptive.samples,
+            max_instances=adaptive.trials,
+            chunk_size=adaptive.trials,
             **kwargs,
         )
         # Same per-instance streams: the adaptive run IS a fixed budget of
-        # its first `samples` instances.
+        # its first `trials` instances.
         assert fixed.stop_reason == "max_samples"
-        assert adaptive.yield_estimate == fixed.yield_estimate
-        assert adaptive.spec_yields["lock"] == fixed.spec_yields["lock"]
+        assert adaptive.estimate == fixed.estimate
+        assert adaptive.estimates["lock"] == fixed.estimates["lock"]
 
     def test_collapsed_cell_exhausts_its_cap(self, spec_100mhz_6bit, library):
         # The conventional slow-corner lock collapse: yield pinned near 0,
@@ -256,8 +293,8 @@ class TestAdaptiveLinearityYield:
             library=library,
         )
         assert adaptive.stop_reason == "max_samples"
-        assert adaptive.samples == 192
-        assert adaptive.yield_estimate < 0.2
+        assert adaptive.trials == 192
+        assert adaptive.estimate < 0.2
 
 
 class TestAdaptiveClosedLoopYield:
@@ -275,18 +312,18 @@ class TestAdaptiveClosedLoopYield:
             periods=150,
             library=library,
         )
-        assert set(adaptive.spec_yields) == {
+        assert set(adaptive.estimates) == {
             "closed_loop",
             "linearity",
             "regulation",
             "lock",
         }
         # The composed yield can never beat its component specs.
-        assert adaptive.yield_estimate <= adaptive.spec_yields["linearity"]
-        assert adaptive.yield_estimate <= adaptive.spec_yields["regulation"]
-        amplitude = adaptive.value_stats["limit_cycle_amplitude_v"]
-        assert 0.0 <= amplitude["min"] <= amplitude["mean"] <= amplitude["max"]
-        assert amplitude["count"] == adaptive.samples
+        assert adaptive.estimate <= adaptive.estimates["linearity"]
+        assert adaptive.estimate <= adaptive.estimates["regulation"]
+        amplitude = adaptive.moments["limit_cycle_amplitude_v"]
+        assert 0.0 <= amplitude.minimum <= amplitude.mean <= amplitude.maximum
+        assert amplitude.count == adaptive.trials
 
 
 def _linearity_run(library, **budget):
@@ -344,18 +381,18 @@ class TestChunkInvariance:
         # so the real scorers see the chunk boundaries.
         monkeypatch.setattr(repro.mc, "_LANE_TARGET", 1)
         chunked = run(library, precision=0.0, max_instances=budget, chunk_size=7)
-        assert chunked.samples == one_chunk.samples == budget
+        assert chunked.trials == one_chunk.trials == budget
         assert chunked.stop_reason == one_chunk.stop_reason == "max_samples"
-        assert chunked.yield_estimate == one_chunk.yield_estimate
-        assert (chunked.lower, chunked.upper) == (one_chunk.lower, one_chunk.upper)
-        assert chunked.spec_yields == one_chunk.spec_yields
-        assert chunked.spec_intervals == one_chunk.spec_intervals
-        for name, stats in one_chunk.value_stats.items():
-            assert chunked.value_stats[name]["count"] == budget
-            assert chunked.value_stats[name]["min"] == stats["min"]
-            assert chunked.value_stats[name]["max"] == stats["max"]
-            assert chunked.value_stats[name]["mean"] == pytest.approx(
-                stats["mean"], rel=1e-12
+        assert chunked.estimate == one_chunk.estimate
+        assert chunked.interval == one_chunk.interval
+        assert chunked.estimates == one_chunk.estimates
+        assert chunked.intervals == one_chunk.intervals
+        for name, stats in one_chunk.moments.items():
+            assert chunked.moments[name].count == budget
+            assert chunked.moments[name].minimum == stats.minimum
+            assert chunked.moments[name].maximum == stats.maximum
+            assert chunked.moments[name].mean == pytest.approx(
+                stats.mean, rel=1e-12
             )
 
 
@@ -370,15 +407,19 @@ class TestAdaptiveRegulationYield:
             chunk_size=32,
             periods=150,
         )
-        assert adaptive.scheme is None
-        assert 0.0 <= adaptive.yield_estimate <= 1.0
-        assert adaptive.lower <= adaptive.yield_estimate <= adaptive.upper
-        assert adaptive.value_stats["error_v"]["max"] >= 0.0
+        assert adaptive.primary == "regulation"
+        assert 0.0 <= adaptive.estimate <= 1.0
+        assert (
+            adaptive.interval.lower
+            <= adaptive.estimate
+            <= adaptive.interval.upper
+        )
+        assert adaptive.moments["error_v"].maximum >= 0.0
 
-    def test_result_is_json_scalar_only(self):
+    def test_interval_summary_is_json_scalar_only(self):
         # The sweep cache stores cell payloads as canonical JSON; the
-        # adaptive result must survive the round trip unchanged.
-        import dataclasses
+        # interval summary every adaptive payload carries must survive the
+        # round trip unchanged, keys in payload order.
         import json
 
         adaptive = adaptive_regulation_yield(
@@ -390,5 +431,10 @@ class TestAdaptiveRegulationYield:
             chunk_size=32,
             periods=100,
         )
-        canonical = json.loads(json.dumps(dataclasses.asdict(adaptive)))
-        assert json.loads(json.dumps(canonical)) == canonical
+        summary = adaptive.interval_summary()
+        assert list(summary) == [
+            "ci_lower", "ci_upper", "confidence", "samples", "stop_reason"
+        ]
+        assert json.loads(json.dumps(summary)) == summary
+        assert summary["samples"] == adaptive.trials
+        assert summary["confidence"] == 0.95

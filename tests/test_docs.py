@@ -116,7 +116,7 @@ def test_monte_carlo_guide_covers_the_adaptive_contract():
         "--precision",
         "--max-instances",
         "Wilson",
-        "Clopper-Pearson",
+        "95 % Wilson",
         "chunk",
         "seed",
     ):

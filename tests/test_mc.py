@@ -27,11 +27,11 @@ from repro.mc import (
     RunningMoments,
     SampleChunk,
     WeightedSampleChunk,
+    Stratum,
     adaptive_sample,
-    clopper_pearson_interval,
     importance_sample,
-    interval_function,
     normal_ppf,
+    stratified_sample,
     wilson_interval,
 )
 
@@ -67,26 +67,8 @@ class TestIntervals:
         assert interval.lower == pytest.approx(0.96428, abs=1e-4)
         assert interval.upper == pytest.approx(0.99725, abs=1e-4)
 
-    def test_clopper_pearson_matches_scipy(self):
-        stats = pytest.importorskip("scipy.stats")
-        for successes, trials in [(0, 10), (1, 10), (5, 10), (9, 10), (10, 10),
-                                  (198, 200), (17, 1000), (999, 1000)]:
-            interval = clopper_pearson_interval(successes, trials)
-            alpha = 0.05
-            expected_lower = (
-                0.0 if successes == 0
-                else stats.beta.ppf(alpha / 2, successes, trials - successes + 1)
-            )
-            expected_upper = (
-                1.0 if successes == trials
-                else stats.beta.ppf(1 - alpha / 2, successes + 1, trials - successes)
-            )
-            assert interval.lower == pytest.approx(expected_lower, abs=1e-9)
-            assert interval.upper == pytest.approx(expected_upper, abs=1e-9)
-
-    @pytest.mark.parametrize("method", ["wilson", "clopper_pearson"])
-    def test_all_passed_still_carries_uncertainty(self, method):
-        interval = interval_function(method)(100, 100, 0.95)
+    def test_all_passed_still_carries_uncertainty(self):
+        interval = wilson_interval(100, 100, 0.95)
         assert interval.upper == 1.0
         assert interval.lower < 1.0
         assert interval.half_width > 0.0
@@ -95,37 +77,25 @@ class TestIntervals:
         trials=st.integers(min_value=1, max_value=5000),
         fraction=st.floats(min_value=0.0, max_value=1.0),
         confidence=st.floats(min_value=0.5, max_value=0.999),
-        method=st.sampled_from(["wilson", "clopper_pearson"]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_interval_brackets_the_estimate(
-        self, trials, fraction, confidence, method
-    ):
+    def test_interval_brackets_the_estimate(self, trials, fraction, confidence):
         successes = round(fraction * trials)
-        interval = interval_function(method)(successes, trials, confidence)
+        interval = wilson_interval(successes, trials, confidence)
         assert 0.0 <= interval.lower <= successes / trials <= interval.upper <= 1.0
 
     @given(
         trials=st.integers(min_value=4, max_value=2000),
         fraction=st.floats(min_value=0.0, max_value=1.0),
-        method=st.sampled_from(["wilson", "clopper_pearson"]),
     )
     @settings(max_examples=100, deadline=None)
-    def test_more_samples_never_widen_the_interval(self, trials, fraction, method):
+    def test_more_samples_never_widen_the_interval(self, trials, fraction):
         # Scale (successes, trials) by 4 at the same observed proportion:
         # the interval must tighten (or stay equal).
         successes = round(fraction * trials)
-        small = interval_function(method)(successes, trials, 0.95)
-        large = interval_function(method)(4 * successes, 4 * trials, 0.95)
+        small = wilson_interval(successes, trials, 0.95)
+        large = wilson_interval(4 * successes, 4 * trials, 0.95)
         assert large.half_width <= small.half_width + 1e-12
-
-    def test_clopper_pearson_is_wider_than_wilson_in_the_interior(self):
-        # Clopper-Pearson guarantees coverage by paying width; away from
-        # the 0 %/100 % boundaries its interval is the wider of the two.
-        for successes, trials in [(50, 64), (120, 128), (500, 1000)]:
-            wilson = wilson_interval(successes, trials)
-            exact = clopper_pearson_interval(successes, trials)
-            assert exact.half_width >= wilson.half_width
 
     @pytest.mark.parametrize(
         "successes, trials", [(-1, 10), (11, 10), (0, 0), (1, -5)]
@@ -133,10 +103,6 @@ class TestIntervals:
     def test_rejects_bad_counts(self, successes, trials):
         with pytest.raises(ValueError):
             wilson_interval(successes, trials)
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown interval method"):
-            interval_function("wald")
 
     def test_confidence_interval_validates_bounds(self):
         with pytest.raises(ValueError):
@@ -216,6 +182,11 @@ def _bernoulli_draw(seed: int, pass_rate: float):
         )
 
     return draw
+
+
+def _one_stratum(draw, **kwargs):
+    """:func:`stratified_sample` over a single stratum holding all the mass."""
+    return stratified_sample([Stratum(name="all", weight=1.0, draw=draw)], **kwargs)
 
 
 class TestAdaptiveSample:
@@ -303,20 +274,6 @@ class TestAdaptiveSample:
             reference.moments["uniform"].maximum
         )
 
-    def test_min_samples_holds_off_the_stopping_rule(self):
-        # With everything passing, one 8-sample chunk would not satisfy a
-        # 0.2 half-width at 95 %, but 8 chunks would; min_samples forces
-        # the engine to keep drawing regardless.
-        result = adaptive_sample(
-            _bernoulli_draw(seed=5, pass_rate=1.0),
-            primary="yield",
-            precision=0.2,
-            chunk_size=8,
-            max_samples=512,
-            min_samples=64,
-        )
-        assert result.trials >= 64
-
     def test_secondary_statistics_ride_along(self):
         def draw(first_instance: int, count: int) -> SampleChunk:
             flags = np.ones(count, dtype=bool)
@@ -331,20 +288,6 @@ class TestAdaptiveSample:
         assert result.estimates["secondary"] == 0.0
         assert result.intervals["secondary"].lower == 0.0
         assert result.intervals["secondary"].upper < 1.0
-
-    def test_clopper_pearson_method_is_honoured(self):
-        wilson = adaptive_sample(
-            _bernoulli_draw(seed=6, pass_rate=1.0),
-            primary="yield", precision=0.02, chunk_size=64, max_samples=4096,
-        )
-        exact = adaptive_sample(
-            _bernoulli_draw(seed=6, pass_rate=1.0),
-            primary="yield", precision=0.02, chunk_size=64, max_samples=4096,
-            method="clopper_pearson",
-        )
-        # The conservative interval needs more samples for the same target.
-        assert exact.trials >= wilson.trials
-        assert exact.method == "clopper_pearson"
 
     def test_missing_primary_statistic_is_an_error(self):
         def draw(first_instance: int, count: int) -> SampleChunk:
@@ -394,37 +337,27 @@ class TestAdaptiveSample:
             )
 
     @pytest.mark.parametrize(
+        "engine",
+        [adaptive_sample, importance_sample, _one_stratum],
+        ids=["adaptive", "importance", "stratified"],
+    )
+    @pytest.mark.parametrize(
         "kwargs",
         [
             {"precision": -0.1},
+            {"precision": math.nan},
+            {"precision": math.inf},
             {"precision": 0.1, "max_samples": 0},
             {"precision": 0.1, "chunk_size": 0},
-            {"precision": 0.1, "confidence": 1.0},
-            {"precision": 0.1, "min_samples": 0},
-            {"precision": 0.1, "min_samples": 65, "max_samples": 64},
         ],
     )
-    def test_rejects_bad_configuration(self, kwargs):
-        with pytest.raises(ValueError):
-            adaptive_sample(
-                _bernoulli_draw(seed=7, pass_rate=1.0), primary="yield", **kwargs
-            )
-
-    @pytest.mark.parametrize("engine", [adaptive_sample, importance_sample])
-    def test_unreachable_min_samples_is_an_error(self, engine):
-        # A floor above the cap would silently drop the precision target
-        # and spend the whole cap; only fixed-budget runs may ignore it.
+    def test_rejects_bad_configuration(self, engine, kwargs):
+        # Refused before the first draw: a NaN precision used to pass the
+        # budget check and silently spend the whole cap.
         draw = _CountingDraw()
-        with pytest.raises(ValueError, match="min_samples=65 exceeds max_samples=64"):
-            engine(
-                draw, primary="yield", precision=0.1, min_samples=65,
-                max_samples=64,
-            )
+        with pytest.raises(ValueError):
+            engine(draw, primary="yield", **kwargs)
         assert draw.calls == []
-        fixed = engine(
-            draw, primary="yield", precision=0.0, min_samples=65, max_samples=64
-        )
-        assert fixed.trials == 64
 
 
 class _CountingDraw:
@@ -506,10 +439,10 @@ WIDE_DRAW_CASES = [
     ),
     pytest.param(
         adaptive_sample,
-        {"precision": 0.2, "chunk_size": 8, "max_samples": 512,
-         "min_samples": 100, "draw_options": {"pass_rate": 1.0}},
-        "precision", 104, 13, 1,
-        id="adaptive-min-samples-over-chunks",
+        {"precision": 0.05, "chunk_size": 8, "max_samples": 512,
+         "draw_options": {"pass_rate": 1.0}},
+        "precision", 40, 5, 1,
+        id="adaptive-stop-inside-one-wide-draw",
     ),
     pytest.param(
         adaptive_sample,
@@ -531,17 +464,17 @@ WIDE_DRAW_CASES = [
     ),
     pytest.param(
         importance_sample,
-        {"precision": 0.2, "chunk_size": 32, "max_samples": 2048,
-         "min_ess": 600.0, "draw_options": {"weight_spread": 2.0}},
-        "precision", 1312, 41, 6,
+        {"precision": 0.2, "chunk_size": 16, "max_samples": 2048,
+         "draw_options": {"weight_spread": 2.0}},
+        "precision", 80, 5, 1,
         id="importance-ess-guard",
     ),
     pytest.param(
         importance_sample,
         {"precision": 0.2, "chunk_size": 32, "max_samples": 2048,
-         "min_ess": 0.0, "draw_options": {"weight_spread": 2.0}},
-        "precision", 32, 1, 1,
-        id="importance-without-ess-guard",
+         "draw_options": {"weight_spread": 2.0}},
+        "precision", 96, 3, 1,
+        id="importance-ess-guard-at-floor-chunk",
     ),
     pytest.param(
         importance_sample,
@@ -571,6 +504,9 @@ class TestWideDraws:
         _assert_identical(narrow, wide)
         assert (wide.stop_reason, wide.trials) == (stop_reason, trials)
         assert wide.chunks == math.ceil(trials / chunk_size)
+        if engine is importance_sample and stop_reason == "precision":
+            # The precision stop waits for the effective-sample-size floor.
+            assert wide.effective_sample_size >= repro.mc.MIN_ESS
         # One call per chunk at a lane target of one, on chunk boundaries
         # with the final chunk clipped to the cap ...
         assert narrow_log == [
@@ -590,20 +526,17 @@ class TestWideDraws:
         chunk_size=st.integers(1, 300),
         max_samples=st.integers(1, 1200),
         precision=st.sampled_from([0.0, 0.01, 0.04, 0.15]),
-        min_fraction=st.one_of(st.none(), st.floats(0.0, 1.0)),
         weighted=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
     def test_any_budget_matches_one_chunk_per_call(
-        self, chunk_size, max_samples, precision, min_fraction, weighted
+        self, chunk_size, max_samples, precision, weighted
     ):
         kwargs = {
             "precision": precision,
             "chunk_size": chunk_size,
             "max_samples": max_samples,
         }
-        if min_fraction is not None:
-            kwargs["min_samples"] = max(1, round(min_fraction * max_samples))
         engine = importance_sample if weighted else adaptive_sample
         with pytest.MonkeyPatch.context() as monkeypatch:
             narrow, wide, _, wide_log = _run_both_ways(

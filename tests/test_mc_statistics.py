@@ -3,10 +3,9 @@
 Three layers of checks, all seeded and deterministic:
 
 * **Interval coverage** -- over thousands of Bernoulli replications, the
-  Wilson and Clopper-Pearson intervals must achieve at least
-  nominal - 2 % empirical coverage from the coin-flip regime down to the
-  ppm regime (p = 1e-5 over a million trials exercises the
-  ``_beta_quantile`` bisection next to x -> 0).
+  Wilson interval must achieve at least nominal - 2 % empirical coverage
+  from the coin-flip regime down to the ppm regime (p = 1e-5 over a
+  million trials).
 * **Estimator correctness** -- the self-normalized importance-sampling
   and post-stratified estimates must agree with analytic truth on a
   closed-form toy problem (the normal tail probability P(Z > c)), and
@@ -43,11 +42,12 @@ from repro.mc import (
     Stratum,
     WeightedRunningMoments,
     WeightedSampleChunk,
+    MIN_ESS,
     importance_sample,
-    interval_function,
     normal_cdf,
     normal_ppf,
     stratified_sample,
+    wilson_interval,
 )
 from repro.technology.variation import CorrelatedVariationModel, VariationModel
 
@@ -66,18 +66,15 @@ COVERAGE_CASES = [
 REPLICATIONS = 2000
 CONFIDENCE = 0.95
 #: Empirical coverage floor: nominal minus two points of Monte-Carlo and
-#: approximation slack (Wilson is approximate; Clopper-Pearson should sit
-#: clearly above nominal).
+#: approximation slack (Wilson is approximate).
 COVERAGE_FLOOR = CONFIDENCE - 0.02
 
 
 class TestIntervalCoverage:
-    @pytest.mark.parametrize("method", ["wilson", "clopper_pearson"])
     @pytest.mark.parametrize(("probability", "trials"), COVERAGE_CASES)
     def test_empirical_coverage_meets_nominal(
-        self, method: str, probability: float, trials: int
+        self, probability: float, trials: int
     ) -> None:
-        interval = interval_function(method)
         rng = np.random.default_rng((20260808, trials))
         successes = rng.binomial(trials, probability, size=REPLICATIONS)
         # Few distinct success counts occur, so memoize the interval per
@@ -87,20 +84,10 @@ class TestIntervalCoverage:
         for count in successes:
             bounds = cache.get(int(count))
             if bounds is None:
-                bounds = interval(int(count), trials, CONFIDENCE)
+                bounds = wilson_interval(int(count), trials, CONFIDENCE)
                 cache[int(count)] = bounds
             covered += bounds.contains(probability)
         assert covered / REPLICATIONS >= COVERAGE_FLOOR
-
-    def test_clopper_pearson_is_wider_than_wilson_in_ppm_regime(self) -> None:
-        # The exact interval is conservative: never narrower overall than
-        # the approximate one.  Spot-check the ppm regime where the beta
-        # quantile bisection runs next to x -> 0.
-        wilson = interval_function("wilson")(3, 1_000_000, CONFIDENCE)
-        exact = interval_function("clopper_pearson")(3, 1_000_000, CONFIDENCE)
-        assert exact.lower <= wilson.lower
-        assert (exact.upper - exact.lower) >= (wilson.upper - wilson.lower)
-        assert 0.0 < exact.lower < 3e-6 < exact.upper < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -157,26 +144,35 @@ class TestImportanceSampling:
         )
 
     def test_ess_guard_blocks_premature_precision_stop(self) -> None:
-        # A single chunk satisfies the (loose) precision target, but the
-        # ESS floor forces the run onward.
-        loose = importance_sample(
+        # A chunk smaller than the ESS floor satisfies the (loose)
+        # precision target on its own, but its weights are non-uniform, so
+        # its ESS is below its size and the floor forces the run onward --
+        # exactly until the first chunk that lifts the ESS over the floor.
+        chunk_size = 16
+        assert chunk_size < MIN_ESS
+        guarded = importance_sample(
             _tilted_tail_draw,
             primary="tail",
             precision=0.5,
             max_samples=512,
-            chunk_size=64,
-            min_ess=400.0,
+            chunk_size=chunk_size,
         )
-        assert loose.trials > 64
-        without_guard = importance_sample(
-            _tilted_tail_draw,
-            primary="tail",
-            precision=0.5,
-            max_samples=512,
-            chunk_size=64,
-            min_ess=0.0,
+        assert guarded.stop_reason == "precision"
+        assert guarded.trials > chunk_size
+        assert guarded.effective_sample_size >= MIN_ESS
+
+        def prefix(count: int) -> WeightedRunningMoments:
+            chunk = _tilted_tail_draw(0, count)
+            stat = WeightedRunningMoments()
+            stat.extend(chunk.passes["tail"].astype(float), chunk.log_weights)
+            return stat
+
+        first_chunk = prefix(chunk_size)
+        assert first_chunk.interval().half_width <= 0.5
+        assert first_chunk.effective_sample_size() < MIN_ESS
+        assert (
+            prefix(guarded.trials - chunk_size).effective_sample_size() < MIN_ESS
         )
-        assert without_guard.trials == 64
 
     @given(chunk_size=st.integers(min_value=1, max_value=97))
     @settings(max_examples=25, deadline=None)
@@ -227,14 +223,6 @@ class TestImportanceSampling:
                 primary="tail",
                 precision=0.0,
                 max_samples=64,
-            )
-        with pytest.raises(ValueError, match="min_ess"):
-            importance_sample(
-                _tilted_tail_draw,
-                primary="tail",
-                precision=0.0,
-                max_samples=64,
-                min_ess=-1.0,
             )
         with pytest.raises(TypeError, match="WeightedSampleChunk"):
             importance_sample(
@@ -305,7 +293,6 @@ class TestStratifiedSampling:
             precision=0.0,
             max_samples=4000,
             chunk_size=50,
-            min_samples_per_stratum=50,
         )
         by_name = {row.name: row for row in result.strata}
         # s1 = (2, 3] straddles the cutoff, so it carries the within-stratum

@@ -374,17 +374,17 @@ class TestFixedBudgetMatchesRunChunk:
         ).run_chunk(0, 5, periods=60)
         linearity = LinearitySpec().evaluate(chunk.calibration, chunk.curves)
         regulation = RegulationSpec().evaluate(chunk.regulation, 0.9)
-        assert fixed.samples == 5
-        assert fixed.spec_yields == {
+        assert fixed.trials == 5
+        assert fixed.estimates == {
             "closed_loop": float(np.mean(linearity & regulation)),
             "linearity": float(np.mean(linearity)),
             "regulation": float(np.mean(regulation)),
             "lock": float(np.mean(chunk.calibration.locked)),
         }
-        assert fixed.value_stats["error_v"]["max"] == float(
+        assert fixed.moments["error_v"].maximum == float(
             chunk.regulation_errors_v().max()
         )
-        assert fixed.value_stats["limit_cycle_amplitude_v"]["max"] == float(
+        assert fixed.moments["limit_cycle_amplitude_v"].maximum == float(
             chunk.limit_cycle_amplitudes_v().max()
         )
 
@@ -531,15 +531,15 @@ class TestClosedLoopYield:
             regulation_spec=RegulationSpec(tolerance_v=0.02),
             library=LIBRARY,
         )
-        composed = result.yield_estimate
-        linearity = result.spec_yields["linearity"]
-        regulation = result.spec_yields["regulation"]
-        assert result.samples == 8
+        composed = result.estimate
+        linearity = result.estimates["linearity"]
+        regulation = result.estimates["regulation"]
+        assert result.trials == 8
         assert 0.0 <= composed <= 1.0
         # An AND of two pass flags: bounded by each and by their overlap.
         assert composed <= min(linearity, regulation)
         assert composed >= linearity + regulation - 1.0
-        assert result.value_stats["steady_state_v"]["count"] == 8
+        assert result.moments["steady_state_v"].count == 8
 
     def test_unlocked_silicon_fails_the_composed_spec(self):
         # At the slow corner the conventional DLL saturates (fig37): the
@@ -555,10 +555,10 @@ class TestClosedLoopYield:
             periods=120,
             library=LIBRARY,
         )
-        lock = result.spec_yields["lock"]
+        lock = result.estimates["lock"]
         assert lock < 0.5
-        assert result.yield_estimate <= lock
-        assert result.spec_yields["regulation"] > result.yield_estimate
+        assert result.estimate <= lock
+        assert result.estimates["regulation"] > result.estimate
 
 
 class TestQuantizerFastPath:

@@ -501,9 +501,9 @@ class TestRegulationYield:
             periods=250,
             tolerance_v=0.02,
         )
-        assert result.yield_estimate > 0.95
-        assert result.value_stats["steady_state_v"]["count"] == 64
-        assert result.value_stats["error_v"]["max"] < 0.05
+        assert result.estimate > 0.95
+        assert result.moments["steady_state_v"].count == 64
+        assert result.moments["error_v"].maximum < 0.05
 
     def test_regulation_yield_validation(self, nominal):
         with pytest.raises(ValueError):
