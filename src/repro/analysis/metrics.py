@@ -17,6 +17,7 @@ converter substrate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -146,23 +147,75 @@ def linearity_metrics(values: np.ndarray, lsb: float | None = None) -> Linearity
     )
 
 
-@dataclass(frozen=True)
 class BatchLinearityMetrics:
     """Summary linearity metrics of a batch of transfer curves.
 
     Every attribute is an array with one entry per curve (instance), computed
-    in one vectorized pass over the ``(instances, words)`` curve matrix.
+    in one vectorized pass over the ``(instances, words)`` curve matrix the
+    first time it is read, then kept.  A pass/fail rule that reads only
+    monotonicity never pays for the INL matrix or the per-curve sort behind
+    ``distinct_levels``.  The endpoint LSB is checked up front, so a
+    degenerate (flat) curve raises at construction whichever metric is read.
+
+    Example -- two five-word curves, the second with one backward step:
+
+        >>> import numpy as np
+        >>> metrics = BatchLinearityMetrics(
+        ...     np.array([[0.0, 1.0, 2.0, 3.0, 4.0],
+        ...               [0.0, 1.5, 1.0, 3.0, 4.0]]))
+        >>> metrics.monotonic
+        array([ True, False])
+        >>> metrics.max_dnl_lsb
+        array([0. , 1.5])
+        >>> metrics.max_inl_lsb
+        array([0., 1.])
+        >>> metrics.distinct_levels
+        array([5, 5])
+        >>> metrics.instance(1).monotonic
+        False
     """
 
-    max_dnl_lsb: np.ndarray
-    max_inl_lsb: np.ndarray
-    rms_inl_lsb: np.ndarray
-    monotonic: np.ndarray
-    distinct_levels: np.ndarray
+    def __init__(
+        self, values: np.ndarray, lsb: float | np.ndarray | None = None
+    ) -> None:
+        self._values = _validate_curve(np.atleast_2d(np.asarray(values, dtype=float)))
+        self._lsb = _endpoint_lsb(self._values, lsb)
 
     @property
     def num_instances(self) -> int:
-        return int(self.max_dnl_lsb.shape[0])
+        return int(self._values.shape[0])
+
+    @cached_property
+    def max_dnl_lsb(self) -> np.ndarray:
+        """Worst-case |DNL| per curve."""
+        dnl = differential_nonlinearity(self._values, self._lsb)
+        return np.max(np.abs(dnl), axis=-1)
+
+    @cached_property
+    def _inl_summary(self) -> tuple[np.ndarray, np.ndarray]:
+        """Worst-case |INL| and RMS INL per curve, from one INL matrix."""
+        inl = integral_nonlinearity(self._values, self._lsb)
+        return np.max(np.abs(inl), axis=-1), np.sqrt(np.mean(inl**2, axis=-1))
+
+    @property
+    def max_inl_lsb(self) -> np.ndarray:
+        """Worst-case |INL| per curve."""
+        return self._inl_summary[0]
+
+    @property
+    def rms_inl_lsb(self) -> np.ndarray:
+        """RMS INL per curve."""
+        return self._inl_summary[1]
+
+    @cached_property
+    def monotonic(self) -> np.ndarray:
+        """Whether each curve never decreases."""
+        return np.asarray(is_monotonic(self._values))
+
+    @cached_property
+    def distinct_levels(self) -> np.ndarray:
+        """Number of distinct output values per curve."""
+        return np.asarray(distinct_level_counts(self._values))
 
     def instance(self, index: int) -> LinearityMetrics:
         """The scalar metrics of one curve of the batch."""
@@ -178,17 +231,12 @@ class BatchLinearityMetrics:
 def batch_linearity_metrics(
     values: np.ndarray, lsb: float | np.ndarray | None = None
 ) -> BatchLinearityMetrics:
-    """Summary linearity metrics of an ``(instances, words)`` curve batch."""
-    values = _validate_curve(np.atleast_2d(np.asarray(values, dtype=float)))
-    dnl = differential_nonlinearity(values, lsb)
-    inl = integral_nonlinearity(values, lsb)
-    return BatchLinearityMetrics(
-        max_dnl_lsb=np.max(np.abs(dnl), axis=-1),
-        max_inl_lsb=np.max(np.abs(inl), axis=-1),
-        rms_inl_lsb=np.sqrt(np.mean(inl**2, axis=-1)),
-        monotonic=is_monotonic(values),
-        distinct_levels=distinct_level_counts(values),
-    )
+    """Summary linearity metrics of an ``(instances, words)`` curve batch.
+
+    Each metric is computed when it is first read (see
+    :class:`BatchLinearityMetrics`).
+    """
+    return BatchLinearityMetrics(values, lsb)
 
 
 def duty_cycle_error(achieved: float, requested: float) -> float:

@@ -161,17 +161,14 @@ def compare_schemes(
     proposed_ensemble = ProposedEnsemble.from_line(proposed_line)
     conventional_ensemble = ConventionalEnsemble.from_line(conventional_line)
 
-    proposed_lock = proposed_ensemble.lock(conditions)
-    conventional_lock = conventional_ensemble.lock(conditions)
+    proposed_lock, proposed_curves = proposed_ensemble.calibrate(conditions)
+    conventional_lock, conventional_curves = conventional_ensemble.calibrate(
+        conditions
+    )
     proposed_calibration = proposed_lock.result(0)
     conventional_calibration = conventional_lock.result(0)
-
-    proposed_curve = proposed_ensemble.transfer_curves(
-        conditions, calibration=proposed_lock
-    ).curve(0)
-    conventional_curve = conventional_ensemble.transfer_curves(
-        conditions, calibration=conventional_lock
-    ).curve(0)
+    proposed_curve = proposed_curves.curve(0)
+    conventional_curve = conventional_curves.curve(0)
 
     return SchemeComparison(
         spec=spec,

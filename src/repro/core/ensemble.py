@@ -48,6 +48,16 @@ same axes); ``tests/test_core_ensemble.py`` asserts the equivalence
 property-based, and ``benchmarks/test_bench_linearity_engine.py`` gates the
 speedup.
 
+The lock and the curves read the same reduction of the multiplier stack
+along its buffer axis: the proposed scheme's tap matrix, the conventional
+scheme's branch prefix sums.  :meth:`DelayLineEnsemble.calibrate` -- the
+calibration step of the pipeline and the yield estimators -- builds it
+once and hands it to both, and drops it when they return; a bare
+:meth:`~ProposedEnsemble.lock` or ``transfer_curves`` call builds its own.
+The conventional tuning-level schedule depends only on the frozen
+configuration, so every ensemble of one configuration shares one
+read-only copy.
+
 Example -- fabricate four post-APR instances of the designed 100 MHz
 proposed line, lock them closed-form at the slow corner and extract every
 transfer curve in one pass:
@@ -69,10 +79,17 @@ transfer curve in one pass:
     (4, 255)
     >>> curves.metrics().monotonic
     array([ True,  True,  True,  True])
+
+``calibrate`` is the same lock and sweep from one shared tap matrix:
+
+    >>> _, shared_curves = ensemble.calibrate(OperatingConditions.slow())
+    >>> bool((shared_curves.delays_ps == curves.delays_ps).all())
+    True
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -92,7 +109,8 @@ from repro.kernels.ensemble import (
     proposed_transfer_delays,
 )
 from repro.kernels.fabrication import (
-    active_branch_delays,
+    branch_delays_from_prefix,
+    branch_prefix_sums,
     cell_delays_from_multipliers,
 )
 from repro.technology.corners import OperatingConditions
@@ -193,7 +211,7 @@ class EnsembleTransferCurves:
         return int(self.delays_ps.shape[0])
 
     def metrics(self) -> BatchLinearityMetrics:
-        """Per-instance DNL/INL/monotonicity metrics, vectorized."""
+        """Per-instance DNL/INL/monotonicity metrics, each computed when read."""
         return batch_linearity_metrics(self.delays_ps)
 
     def max_error_ps(self) -> np.ndarray:
@@ -261,6 +279,18 @@ class DelayLineEnsemble:
     def unit_delay_ps(self, conditions: OperatingConditions) -> float:
         """Nominal per-buffer delay at the operating point."""
         return self.library.buffer_delay_ps(conditions)
+
+    def calibrate(
+        self, conditions: OperatingConditions
+    ) -> tuple[EnsembleCalibration, EnsembleTransferCurves]:
+        """Lock every instance and sweep its transfer curve at ``conditions``.
+
+        Equal to ``lock(conditions)`` followed by
+        ``transfer_curves(conditions, calibration=...)``, but both read one
+        reduction of the multipliers along the buffer axis, built here and
+        released on return.
+        """
+        raise NotImplementedError
 
 
 class ProposedEnsemble(DelayLineEnsemble):
@@ -336,10 +366,26 @@ class ProposedEnsemble(DelayLineEnsemble):
         """``(instances, num_cells)`` cumulative tap-delay matrix."""
         return np.cumsum(self.cell_delays_ps(conditions), axis=1)
 
-    def lock(self, conditions: OperatingConditions) -> EnsembleCalibration:
-        """Closed-form batch lock of every instance (see the module docstring)."""
-        config = self.config
+    def calibrate(
+        self, conditions: OperatingConditions
+    ) -> tuple[EnsembleCalibration, EnsembleTransferCurves]:
+        """Lock and sweep every instance from one tap matrix (see the base)."""
         taps = self.tap_delays_ps(conditions)
+        calibration = self.lock(conditions, taps=taps)
+        curves = self.transfer_curves(conditions, calibration=calibration, taps=taps)
+        return calibration, curves
+
+    def lock(
+        self, conditions: OperatingConditions, taps: np.ndarray | None = None
+    ) -> EnsembleCalibration:
+        """Closed-form batch lock of every instance (see the module docstring).
+
+        ``taps`` is this ensemble's :meth:`tap_delays_ps` at ``conditions``
+        when the caller already holds it; it is built here otherwise.
+        """
+        config = self.config
+        if taps is None:
+            taps = self.tap_delays_ps(conditions)
         half = config.clock_period_ps / 2.0
         # Tap delays increase strictly along the line, so the count of taps
         # at or below the half period is the fixed point the scalar up/down
@@ -360,6 +406,7 @@ class ProposedEnsemble(DelayLineEnsemble):
         conditions: OperatingConditions,
         calibration: EnsembleCalibration | None = None,
         tap_sel: np.ndarray | None = None,
+        taps: np.ndarray | None = None,
     ) -> EnsembleTransferCurves:
         """``(instances, words)`` post-calibration transfer-curve matrix.
 
@@ -368,10 +415,14 @@ class ProposedEnsemble(DelayLineEnsemble):
             calibration: a previous :meth:`lock` result to reuse.
             tap_sel: explicit per-instance locked cell counts (overrides
                 ``calibration``); calibrated on the fly when both are omitted.
+            taps: this ensemble's :meth:`tap_delays_ps` at ``conditions``,
+                when the caller already holds it.
         """
+        if taps is None:
+            taps = self.tap_delays_ps(conditions)
         if tap_sel is None:
             if calibration is None:
-                calibration = self.lock(conditions)
+                calibration = self.lock(conditions, taps=taps)
             tap_sel = calibration.control_state
         tap_sel = np.asarray(tap_sel, dtype=int)
         if tap_sel.shape != (self.num_instances,):
@@ -380,7 +431,6 @@ class ProposedEnsemble(DelayLineEnsemble):
             )
         if np.any(tap_sel < 1) or np.any(tap_sel > self.config.num_cells):
             raise ValueError("tap_sel out of range [1, num_cells]")
-        taps = self.tap_delays_ps(conditions)
         words = np.arange(1, self.mapper.max_word + 1)
         # The mapping block, vectorized over (instances, words): integer
         # multiply, right shift, clamp to the last tap.
@@ -430,13 +480,6 @@ class ConventionalEnsemble(DelayLineEnsemble):
             num_instances,
         )
         self.config = config
-        # A nominal template line provides the tuning-level bookkeeping, so
-        # the level schedule is computed by the exact code the scalar
-        # controller uses (including the DISTRIBUTED order's non-nested
-        # remainder placement).
-        self._template = ConventionalDelayLine(config, library=self.library)
-        self._schedule: np.ndarray | None = None
-        self._buffers_active: np.ndarray | None = None
 
     @classmethod
     def sample(
@@ -481,33 +524,43 @@ class ConventionalEnsemble(DelayLineEnsemble):
     def levels_schedule(self) -> np.ndarray:
         """Tuning levels after every step: ``(max_steps + 1, num_cells)``.
 
-        The schedule depends only on the (immutable) configuration, never on
-        the variation, so it is computed once, shared by all instances and
-        reused between the lock and the transfer curves.
+        The schedule depends only on the frozen configuration, never on the
+        variation, so every ensemble of one configuration shares one
+        read-only copy (see :func:`_tuning_schedule`).
         """
-        if self._schedule is None:
-            steps = range(self.config.max_adjustment_steps + 1)
-            self._schedule = np.stack(
-                [self._template.levels_for_steps(s) for s in steps]
-            )
-        return self._schedule
+        return _tuning_schedule(self.config)[0]
 
-    def _active_buffers_schedule(self) -> np.ndarray:
-        """Active buffers per cell after every step, cached like the levels."""
-        if self._buffers_active is None:
-            self._buffers_active = (
-                self.levels_schedule() + 1
-            ) * self.config.buffers_per_element
-        return self._buffers_active
+    def prefix_sums(self) -> np.ndarray:
+        """``(instances, num_cells, longest_branch)`` branch prefix sums.
+
+        The unit-free running sum of every cell's multipliers along its
+        longest branch (:func:`~repro.kernels.fabrication.branch_prefix_sums`;
+        ``1, 2, 3, ...`` on the nominal line).  The lock and the transfer
+        curves gather each active branch's delay from it at any operating
+        point.
+        """
+        if self.batch is None:
+            # The nominal line: every multiplier is one, so the prefix sum of
+            # the first k buffers is exactly k.
+            longest_branch = self.config.branches * self.config.buffers_per_element
+            return np.broadcast_to(
+                np.arange(1.0, longest_branch + 1.0),
+                (self.num_instances, self.config.num_cells, longest_branch),
+            )
+        return branch_prefix_sums(self.batch.multipliers)
 
     def cell_delays_ps(
-        self, levels: np.ndarray, conditions: OperatingConditions
+        self,
+        levels: np.ndarray,
+        conditions: OperatingConditions,
+        prefix_sums: np.ndarray | None = None,
     ) -> np.ndarray:
         """Per-cell delay matrix for per-instance tuning levels.
 
         ``levels`` may be one shared ``(num_cells,)`` vector or a per-instance
         ``(instances, num_cells)`` matrix; the result is always
-        ``(instances, num_cells)``.
+        ``(instances, num_cells)``.  ``prefix_sums`` is this ensemble's
+        :meth:`prefix_sums` when the caller already holds it.
         """
         config = self.config
         levels = np.asarray(levels, dtype=int)
@@ -520,38 +573,55 @@ class ConventionalEnsemble(DelayLineEnsemble):
             )
         if np.any(levels < 0) or np.any(levels >= config.branches):
             raise ValueError("tuning level out of range")
-        unit = self.unit_delay_ps(conditions)
-        buffers_active = (levels + 1) * config.buffers_per_element
-        if self.batch is None:
-            return buffers_active.astype(float) * unit
-        return active_branch_delays(self.batch.multipliers, buffers_active, unit)
+        if prefix_sums is None:
+            prefix_sums = self.prefix_sums()
+        return branch_delays_from_prefix(
+            prefix_sums,
+            (levels + 1) * config.buffers_per_element,
+            self.unit_delay_ps(conditions),
+        )
 
     def tap_delays_ps(
-        self, levels: np.ndarray, conditions: OperatingConditions
+        self,
+        levels: np.ndarray,
+        conditions: OperatingConditions,
+        prefix_sums: np.ndarray | None = None,
     ) -> np.ndarray:
         """Cumulative tap-delay matrix for per-instance tuning levels."""
-        return np.cumsum(self.cell_delays_ps(levels, conditions), axis=1)
+        delays = self.cell_delays_ps(levels, conditions, prefix_sums)
+        return np.cumsum(delays, axis=1)
 
-    def lock(self, conditions: OperatingConditions) -> EnsembleCalibration:
-        """Batch first-crossing lock of every instance (see module docstring)."""
+    def calibrate(
+        self, conditions: OperatingConditions
+    ) -> tuple[EnsembleCalibration, EnsembleTransferCurves]:
+        """Lock and sweep every instance from one prefix-sum stack (see the base)."""
+        prefix_sums = self.prefix_sums()
+        calibration = self.lock(conditions, prefix_sums=prefix_sums)
+        curves = self.transfer_curves(
+            conditions, calibration=calibration, prefix_sums=prefix_sums
+        )
+        return calibration, curves
+
+    def lock(
+        self,
+        conditions: OperatingConditions,
+        prefix_sums: np.ndarray | None = None,
+    ) -> EnsembleCalibration:
+        """Batch first-crossing lock of every instance (see module docstring).
+
+        ``prefix_sums`` is this ensemble's :meth:`prefix_sums` when the
+        caller already holds it; it is built here otherwise.
+        """
         config = self.config
         period = config.clock_period_ps
         unit = self.unit_delay_ps(conditions)
-        if self.batch is None:
-            # The nominal line: every multiplier is one, so the prefix sum of
-            # the first k buffers is exactly k.
-            longest_branch = config.branches * config.buffers_per_element
-            prefix_sums = np.broadcast_to(
-                np.arange(1.0, longest_branch + 1.0),
-                (self.num_instances, config.num_cells, longest_branch),
-            )
-        else:
-            prefix_sums = np.cumsum(self.batch.multipliers, axis=-1)
+        if prefix_sums is None:
+            prefix_sums = self.prefix_sums()
         # The controller halts at the first step whose total reaches the
         # period; when none does it saturates at the maximum step (up_limit).
         steps, locked, total_at_stop = conventional_lock(
             prefix_sums,
-            self._active_buffers_schedule(),
+            _tuning_schedule(config)[1],
             unit,
             period,
             config.max_adjustment_steps,
@@ -573,6 +643,7 @@ class ConventionalEnsemble(DelayLineEnsemble):
         conditions: OperatingConditions,
         calibration: EnsembleCalibration | None = None,
         levels: np.ndarray | None = None,
+        prefix_sums: np.ndarray | None = None,
     ) -> EnsembleTransferCurves:
         """``(instances, words)`` post-calibration transfer-curve matrix.
 
@@ -582,12 +653,16 @@ class ConventionalEnsemble(DelayLineEnsemble):
             levels: explicit tuning levels, shared ``(num_cells,)`` or
                 per-instance ``(instances, num_cells)`` (overrides
                 ``calibration``); calibrated on the fly when both are omitted.
+            prefix_sums: this ensemble's :meth:`prefix_sums`, when the
+                caller already holds it.
         """
+        if prefix_sums is None:
+            prefix_sums = self.prefix_sums()
         if levels is None:
             if calibration is None:
-                calibration = self.lock(conditions)
+                calibration = self.lock(conditions, prefix_sums=prefix_sums)
             levels = self.levels_schedule()[calibration.control_state]
-        taps = self.tap_delays_ps(levels, conditions)
+        taps = self.tap_delays_ps(levels, conditions, prefix_sums)
         words = np.arange(1, self.config.num_cells)
         delays = taps[:, words - 1]
         period = self.config.clock_period_ps
@@ -599,3 +674,26 @@ class ConventionalEnsemble(DelayLineEnsemble):
             ideal_delays_ps=ideal,
             clock_period_ps=period,
         )
+
+
+@functools.lru_cache(maxsize=8)
+def _tuning_schedule(
+    config: ConventionalDelayLineConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tuning levels and active buffers after every step.
+
+    Both are ``(max_adjustment_steps + 1, num_cells)``.  The levels come
+    from the scalar line's own bookkeeping,
+    :meth:`~repro.core.conventional.ConventionalDelayLine.levels_for_steps`
+    (including the distributed order's non-nested remainder placement),
+    which reads nothing but the frozen configuration; so they are built
+    once per configuration and shared by every ensemble of it.
+    """
+    line = ConventionalDelayLine(config)
+    levels = np.stack(
+        [line.levels_for_steps(s) for s in range(config.max_adjustment_steps + 1)]
+    )
+    buffers_active = (levels + 1) * config.buffers_per_element
+    levels.setflags(write=False)
+    buffers_active.setflags(write=False)
+    return levels, buffers_active

@@ -902,8 +902,7 @@ def _linearity_chunk(
     """Lock and sweep a fabricated ensemble; score it against ``spec``."""
     from repro.mc import SampleChunk
 
-    calibration = ensemble.lock(conditions)
-    curves = ensemble.transfer_curves(conditions, calibration=calibration)
+    calibration, curves = ensemble.calibrate(conditions)
     metrics = curves.metrics()
     error_fractions = curves.max_error_fraction_of_period()
     return SampleChunk(

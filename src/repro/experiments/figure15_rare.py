@@ -118,8 +118,7 @@ def _duty_levels(corner: str) -> "BatchQuantizer":
     ensemble = ChunkedFabricator(
         "proposed", spec, library=intel32_like_library()
     ).fabricate(1)
-    calibration = ensemble.lock(conditions)
-    curves = ensemble.transfer_curves(conditions, calibration=calibration)
+    _, curves = ensemble.calibrate(conditions)
     return BatchQuantizer.from_ensemble(curves)
 
 

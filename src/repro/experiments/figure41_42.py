@@ -49,9 +49,8 @@ def run() -> ExperimentResult:
     ):
         config = design.build_line(library=library, tuning_order=order).config
         ensemble = ConventionalEnsemble.sample(config, 1, variation, library=library)
-        calibration = ensemble.lock(conditions)
+        calibration, curves = ensemble.calibrate(conditions)
         levels = ensemble.levels_schedule()[int(calibration.control_state[0])]
-        curves = ensemble.transfer_curves(conditions, calibration=calibration)
         metrics = curves.metrics().instance(0)
         max_error_fraction = float(curves.max_error_fraction_of_period()[0])
         scenarios[order.value] = {

@@ -50,8 +50,7 @@ def _run_corner(
         ensemble = ProposedEnsemble.sample(
             config, 1, variation, library=library, first_instance=int(frequency)
         )
-        calibration = ensemble.lock(conditions)
-        batch_curves = ensemble.transfer_curves(conditions, calibration=calibration)
+        calibration, batch_curves = ensemble.calibrate(conditions)
         curve = batch_curves.curve(0)
         metrics = batch_curves.metrics().instance(0)
         curves[frequency] = {

@@ -18,6 +18,7 @@ import numpy.typing as npt
 __all__ = [
     "active_branch_delays",
     "branch_delays_from_prefix",
+    "branch_prefix_sums",
     "cell_delays_from_multipliers",
     "duty_tables_from_delays",
 ]
@@ -53,8 +54,30 @@ def active_branch_delays(
     bit-identical by construction.
     """
     return branch_delays_from_prefix(
-        np.cumsum(multipliers, axis=-1), buffers_active, unit_delay_ps
+        branch_prefix_sums(multipliers), buffers_active, unit_delay_ps
     )
+
+
+def branch_prefix_sums(multipliers: FloatArray) -> FloatArray:
+    """Running sum of the per-buffer multipliers along every cell's branch.
+
+    The unit-free ``(..., cells, buffers)`` reduction a conventional
+    line's delays are gathered from: entry ``k`` of a cell is the summed
+    mismatch of its first ``k + 1`` buffers.  It does not depend on the
+    operating point, so one fleet builds it once and both its lock and
+    its transfer curves gather from it.
+
+    Example -- one cell of three buffers; its one-, two- and three-buffer
+    branches:
+
+        >>> import numpy as np
+        >>> prefix_sums = branch_prefix_sums(np.array([[1.0, 0.5, 2.0]]))
+        >>> prefix_sums
+        array([[1. , 1.5, 3.5]])
+        >>> branch_delays_from_prefix(prefix_sums, np.array([2]), 10.0)
+        array([15.])
+    """
+    return np.cumsum(multipliers, axis=-1)
 
 
 def branch_delays_from_prefix(
@@ -62,8 +85,8 @@ def branch_delays_from_prefix(
 ) -> FloatArray:
     """Active-branch delays from the multipliers' running sum along a branch.
 
-    ``prefix_sums`` is the ``(..., cells, buffers)`` cumulative sum of
-    :func:`active_branch_delays`; one gather of each cell's
+    ``prefix_sums`` is the ``(..., cells, buffers)`` output of
+    :func:`branch_prefix_sums`; one gather of each cell's
     ``buffers_active``-th entry, then the unit-delay multiply.  The one
     definition of that operation order, shared with the conventional
     lock's per-step tap evaluation.

@@ -283,10 +283,7 @@ def regulate_ensemble(
             if temperature is not None
             else conditions
         )
-        epoch_calibration = ensemble.lock(epoch_conditions)
-        epoch_curves = ensemble.transfer_curves(
-            epoch_conditions, calibration=epoch_calibration
-        )
+        epoch_calibration, epoch_curves = ensemble.calibrate(epoch_conditions)
         locks.append((epoch_calibration, epoch_curves))
         epoch_parameters = (
             derating.derate(parameters, temperature)

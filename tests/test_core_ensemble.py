@@ -248,13 +248,14 @@ class TestConventionalEnsembleEquivalence:
             assert bool(calibration.locked[i]) == scalar.locked
             assert int(calibration.lock_cycles[i]) == scalar.lock_cycles
 
-    def test_levels_schedule_matches_scalar_bookkeeping(self):
+    @pytest.mark.parametrize("order", list(TuningOrder), ids=lambda o: o.value)
+    def test_levels_schedule_matches_scalar_bookkeeping(self, order):
         config = ConventionalDelayLineConfig(
             num_cells=8,
             branches=4,
             buffers_per_element=1,
             clock_period_ps=3000.0,
-            tuning_order=TuningOrder.DISTRIBUTED,
+            tuning_order=order,
         )
         ensemble = ConventionalEnsemble(config, library=LIBRARY)
         line = ConventionalDelayLine(config, library=LIBRARY)
@@ -264,6 +265,12 @@ class TestConventionalEnsembleEquivalence:
             np.testing.assert_array_equal(
                 schedule[steps], line.levels_for_steps(steps)
             )
+        # One read-only copy per configuration, shared by its ensembles.
+        other = ConventionalEnsemble(config, library=LIBRARY, num_instances=3)
+        assert other.levels_schedule() is schedule
+        assert not schedule.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            schedule[0, 0] = 1
 
     def test_oversized_variation_sample_accepted_like_the_scalar_line(self):
         # The scalar line accepts samples wider than the longest branch
@@ -293,6 +300,69 @@ class TestConventionalEnsembleEquivalence:
         bad[0] = 3
         with pytest.raises(ValueError, match="out of range"):
             ensemble.cell_delays_ps(bad, conditions)
+
+
+def _fleet(scheme: str):
+    """A mismatched 5-bit, 100 MHz fleet of eight instances of either scheme."""
+    spec = DesignSpec(100.0, 5)
+    model = VariationModel(random_sigma=0.05, gradient_peak=0.01, seed=21)
+    if scheme == "proposed":
+        config = design_proposed(spec, LIBRARY).build_line(library=LIBRARY).config
+        return ProposedEnsemble.sample(config, 8, model, library=LIBRARY)
+    config = design_conventional(spec, LIBRARY).build_line(library=LIBRARY).config
+    return ConventionalEnsemble.sample(config, 8, model, library=LIBRARY)
+
+
+#: The buffer-axis reduction of each scheme, as ``repro.core.ensemble``
+#: looks it up: the proposed cell sums, the conventional prefix sums.
+REDUCTIONS = {
+    "proposed": "cell_delays_from_multipliers",
+    "conventional": "branch_prefix_sums",
+}
+
+
+class TestSharedCalibration:
+    @pytest.mark.parametrize("corner", list(ProcessCorner), ids=lambda c: c.name)
+    @pytest.mark.parametrize("scheme", ["proposed", "conventional"])
+    def test_calibrate_equals_lock_then_curves(self, scheme, corner):
+        conditions = OperatingConditions(corner=corner)
+        ensemble = _fleet(scheme)
+        calibration, curves = ensemble.calibrate(conditions)
+        plain_calibration = ensemble.lock(conditions)
+        plain_curves = ensemble.transfer_curves(
+            conditions, calibration=plain_calibration
+        )
+        for name in ("control_state", "locked", "lock_cycles", "locked_delay_ps"):
+            np.testing.assert_array_equal(
+                getattr(calibration, name), getattr(plain_calibration, name)
+            )
+        assert calibration.target_ps == plain_calibration.target_ps
+        np.testing.assert_array_equal(curves.delays_ps, plain_curves.delays_ps)
+        np.testing.assert_array_equal(curves.input_words, plain_curves.input_words)
+        np.testing.assert_array_equal(
+            curves.ideal_delays_ps, plain_curves.ideal_delays_ps
+        )
+
+    @pytest.mark.parametrize("scheme", ["proposed", "conventional"])
+    def test_one_buffer_axis_reduction_per_calibration(self, scheme, monkeypatch):
+        import repro.core.ensemble as module
+
+        calls = []
+        reduction = getattr(module, REDUCTIONS[scheme])
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return reduction(*args, **kwargs)
+
+        monkeypatch.setattr(module, REDUCTIONS[scheme], counted)
+        ensemble = _fleet(scheme)
+        conditions = OperatingConditions.typical()
+        ensemble.calibrate(conditions)
+        assert len(calls) == 1
+        # A bare lock and a bare curve sweep each build their own.
+        calibration = ensemble.lock(conditions)
+        ensemble.transfer_curves(conditions, calibration=calibration)
+        assert len(calls) == 3
 
 
 class TestBatchMetrics:

@@ -3,15 +3,24 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.analysis.metrics
 import repro.mc
+from repro.analysis.metrics import (
+    differential_nonlinearity,
+    distinct_level_counts,
+    integral_nonlinearity,
+    is_monotonic,
+)
 from repro.converter.buck import BuckParameters
 from repro.core.design import DesignSpec, design_proposed
+from repro.core.ensemble import EnsembleCalibration, EnsembleTransferCurves
 from repro.core.yield_analysis import (
     ComponentVariation,
     LinearitySpec,
@@ -244,6 +253,118 @@ def test_non_finite_spreads_and_limits_are_rejected(cls, name, value):
     # (or an infinite one to pass) every instance, without a word.
     with pytest.raises(ValueError, match=name):
         cls(**{name: value})
+
+
+def _synthetic_fleet() -> tuple[EnsembleCalibration, EnsembleTransferCurves]:
+    """Forty curves of 32 words: some non-monotonic, some unlocked."""
+    rng = np.random.default_rng(2012)
+    steps = rng.uniform(0.2, 2.0, size=(40, 32))
+    steps[rng.uniform(size=40) < 0.3, 10] = -0.5
+    delays = np.cumsum(steps, axis=1)
+    words = np.arange(1, 33)
+    locked = rng.uniform(size=40) < 0.8
+    calibration = EnsembleCalibration(
+        scheme="proposed",
+        control_state=np.full(40, 16),
+        locked=locked,
+        lock_cycles=np.full(40, 18),
+        locked_delay_ps=delays[:, 15],
+        target_ps=16.0,
+    )
+    curves = EnsembleTransferCurves(
+        scheme="proposed",
+        input_words=words,
+        delays_ps=delays,
+        ideal_delays_ps=words * 1.0,
+        clock_period_ps=32.0,
+    )
+    return calibration, curves
+
+
+def _eager_metrics(delays: np.ndarray) -> SimpleNamespace:
+    """Every batch metric, computed up front from the metric functions."""
+    dnl = differential_nonlinearity(delays)
+    inl = integral_nonlinearity(delays)
+    return SimpleNamespace(
+        max_dnl_lsb=np.max(np.abs(dnl), axis=-1),
+        max_inl_lsb=np.max(np.abs(inl), axis=-1),
+        rms_inl_lsb=np.sqrt(np.mean(inl**2, axis=-1)),
+        monotonic=is_monotonic(delays),
+        distinct_levels=distinct_level_counts(delays),
+    )
+
+
+#: A limit as a quantile of its metric over the synthetic fleet (so every
+#: drawn limit splits the fleet), or ``None`` for an unchecked limit.
+quantiles = st.none() | st.floats(min_value=0.0, max_value=1.0)
+
+
+class TestLazyLinearityScoring:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dnl=quantiles,
+        inl=quantiles,
+        error=quantiles,
+        require_monotonic=st.booleans(),
+        require_lock=st.booleans(),
+    )
+    def test_evaluate_equals_eager_passes(
+        self, dnl, inl, error, require_monotonic, require_lock
+    ):
+        calibration, curves = _synthetic_fleet()
+        eager = _eager_metrics(curves.delays_ps)
+        errors = curves.max_error_fraction_of_period()
+
+        def limit(quantile, metric):
+            return None if quantile is None else float(np.quantile(metric, quantile))
+
+        spec = LinearitySpec(
+            dnl_limit_lsb=limit(dnl, eager.max_dnl_lsb),
+            inl_limit_lsb=limit(inl, eager.max_inl_lsb),
+            error_limit_fraction=limit(error, errors),
+            require_monotonic=require_monotonic,
+            require_lock=require_lock,
+        )
+        expected = spec.passes(eager, calibration.locked, errors)
+        np.testing.assert_array_equal(spec.evaluate(calibration, curves), expected)
+        lazy = curves.metrics()
+        for name in vars(eager):
+            np.testing.assert_array_equal(getattr(lazy, name), getattr(eager, name))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        error=quantiles,
+        require_monotonic=st.booleans(),
+        require_lock=st.booleans(),
+    )
+    def test_unread_metrics_are_never_computed(
+        self, error, require_monotonic, require_lock
+    ):
+        calibration, curves = _synthetic_fleet()
+        errors = curves.max_error_fraction_of_period()
+        spec = LinearitySpec(
+            error_limit_fraction=(
+                None if error is None else float(np.quantile(errors, error))
+            ),
+            require_monotonic=require_monotonic,
+            require_lock=require_lock,
+        )
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("computed a metric the spec does not read")
+
+        with pytest.MonkeyPatch.context() as patch:
+            for name in (
+                "differential_nonlinearity",
+                "integral_nonlinearity",
+                "distinct_level_counts",
+            ):
+                patch.setattr(repro.analysis.metrics, name, unexpected)
+            passes = spec.evaluate(calibration, curves)
+        expected = spec.passes(
+            _eager_metrics(curves.delays_ps), calibration.locked, errors
+        )
+        np.testing.assert_array_equal(passes, expected)
 
 
 class TestAdaptiveLinearityYield:

@@ -21,12 +21,14 @@ from pathlib import Path
 
 import pytest
 
+import repro.analysis.metrics
 import repro.converter.load
 import repro.core.ensemble
 import repro.core.yield_analysis
 import repro.experiments.base
 import repro.kernels.closed_loop
 import repro.kernels.ensemble
+import repro.kernels.fabrication
 import repro.mc
 import repro.pipeline
 import repro.simulation.batch
@@ -40,6 +42,8 @@ DOCTEST_MODULES = [
     repro.simulation.batch,
     repro.kernels.closed_loop,
     repro.kernels.ensemble,
+    repro.kernels.fabrication,
+    repro.analysis.metrics,
     repro.converter.load,
     repro.core.ensemble,
     repro.core.yield_analysis,
