@@ -3,7 +3,7 @@
 The workload is a synthetic 300-cell grid (ten times the 30 cells of the
 real Monte-Carlo experiments) of deterministic numpy busy-work, sized so
 the paper-scale grids of the roadmap ("10-100x of today's 30 cells") are
-what is actually measured.  Four gates (see ``docs/sweeps.md``):
+what is actually measured.  Three gates (see ``docs/sweeps.md``):
 
 * **Unordered beats ordered under a straggler** -- one cell is injected
   with ~150x the work; the ``process-pool`` executor's
@@ -11,19 +11,16 @@ what is actually measured.  Four gates (see ``docs/sweeps.md``):
   ``imap``-with-``chunksize=1`` drain of the same grid, because the
   ordered consumer cannot normalize-and-store a single payload until the
   straggler (dispatched first) completes.
-* **Cooperation scales** -- two independent ``shared-cache`` invocations
-  pointed at one cache directory must drain the grid >= 1.5x faster than
-  one invocation.
 * **Resume is nearly free** -- a warm re-run against the populated cache
   must cost < 5 % of the cold run.
-* **Bit-identity everywhere** -- serial, ordered-pool, unordered-pool
-  and shared-cache payloads agree byte for byte on the synthetic grid,
-  and all three named executors reproduce the plain-serial ``--json``
-  payloads of the real ``fig15_mc`` / ``fig50_51_mc`` experiments.
+* **Bit-identity everywhere** -- serial, ordered-pool and unordered-pool
+  payloads agree byte for byte on the synthetic grid, as do the cold and
+  warm ``serial`` runs of the resume gate, and both named executors
+  reproduce the plain-serial ``--json`` payloads of the real
+  ``fig15_mc`` / ``fig50_51_mc`` experiments.
 
-The timing gates scale with the machine: straggler and cooperation need
-real concurrency and only bind on >= 2 cpus (identity and the warm-resume
-gate always bind).
+The straggler gate needs real concurrency and only binds on >= 2 cpus
+(identity and the warm-resume gate always bind).
 """
 
 from __future__ import annotations
@@ -31,10 +28,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -49,8 +43,6 @@ from repro.sweep import (
     sweep_map,
 )
 from repro.sweep.executors import _call_indexed
-
-SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 #: Ten times the 30 cells of the real Monte-Carlo grid experiments.
 N_CELLS = 300
@@ -114,53 +106,6 @@ def _ordered_pool_drain(cells, experiment_id, cache_dir, workers) -> list:
     return payloads
 
 
-COOPERATION_SCRIPT = """
-import sys
-
-import numpy as np
-
-from repro.sweep import ParameterGrid, SweepConfig, SweepOrchestrator
-
-CACHE_DIR = sys.argv[1]
-N_CELLS, WORK = int(sys.argv[2]), int(sys.argv[3])
-
-
-def bench_cell(params):
-    arr = np.linspace(0.0, 1.0, 4096) + (params["x"] % 97) / 97.0
-    for _ in range(params["work"]):
-        arr = np.sin(arr) + 0.1
-    return {"x": params["x"], "series": arr[: params["series"]].tolist()}
-
-
-cells = ParameterGrid(x=tuple(range(N_CELLS))).cells(seed=0, work=WORK, series=32)
-config = SweepConfig(
-    cache_dir=CACHE_DIR, executor="shared-cache", poll_interval_s=0.01
-)
-with SweepOrchestrator(config) as sweep:
-    sweep.map_cells(bench_cell, cells, experiment_id="coop")
-"""
-
-
-def _cooperative_run(tmp_path, cache_dir, n_workers) -> float:
-    """Wall seconds for ``n_workers`` invocations to drain one fresh grid."""
-    script_path = tmp_path / "coop_worker.py"
-    script_path.write_text(COOPERATION_SCRIPT)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-    start = time.perf_counter()
-    workers = [
-        subprocess.Popen(
-            [sys.executable, str(script_path), str(cache_dir), str(N_CELLS), "700"],
-            env=env,
-        )
-        for _ in range(n_workers)
-    ]
-    for worker in workers:
-        if worker.wait(timeout=600.0) != 0:
-            raise RuntimeError("cooperative sweep worker failed")
-    return time.perf_counter() - start
-
-
 def _run_real_experiments(sweep=None) -> str:
     """Canonical JSON of the real MC grid experiments' --json payloads."""
     collected = {}
@@ -203,20 +148,20 @@ def test_bench_distributed_sweep(tmp_path):
         )
         unordered_seconds = time.perf_counter() - start
 
-    # --- shared-cache: in-process identity + warm resume ------------------
+    # --- serial: cold run, then a warm resume against its cache -----------
     resume_cells = GRID.cells(seed=0, work=WORK, series=32)
     resume_reference = sweep_map(bench_cell, resume_cells, experiment_id="resume")
     resume_cache = tmp_path / "resume"
     with SweepOrchestrator(
-        SweepConfig(cache_dir=resume_cache, executor="shared-cache")
+        SweepConfig(cache_dir=resume_cache, executor="serial")
     ) as sweep:
         start = time.perf_counter()
-        shared_payloads = sweep.map_cells(
+        cold_payloads = sweep.map_cells(
             bench_cell, resume_cells, experiment_id="resume"
         )
         cold_seconds = time.perf_counter() - start
     with SweepOrchestrator(
-        SweepConfig(cache_dir=resume_cache, executor="shared-cache")
+        SweepConfig(cache_dir=resume_cache, executor="serial")
     ) as warm_sweep:
         start = time.perf_counter()
         warm_payloads = warm_sweep.map_cells(
@@ -225,15 +170,10 @@ def test_bench_distributed_sweep(tmp_path):
         warm_seconds = time.perf_counter() - start
     warm_fraction = warm_seconds / cold_seconds
 
-    # --- cooperation: one worker vs two against fresh caches --------------
-    solo_seconds = _cooperative_run(tmp_path, tmp_path / "coop-solo", 1)
-    duo_seconds = _cooperative_run(tmp_path, tmp_path / "coop-duo", 2)
-    cooperation_speedup = solo_seconds / duo_seconds
-
     # --- real experiments: every executor vs the plain serial baseline ----
     real_baseline = _run_real_experiments()
     real_results = {}
-    for executor in ("serial", "process-pool", "shared-cache"):
+    for executor in ("serial", "process-pool"):
         with SweepOrchestrator(
             SweepConfig(
                 workers=pool_workers,
@@ -249,7 +189,7 @@ def test_bench_distributed_sweep(tmp_path):
         == canonical_json(unordered_payloads)
     ) and (
         canonical_json(resume_reference)
-        == canonical_json(shared_payloads)
+        == canonical_json(cold_payloads)
         == canonical_json(warm_payloads)
     )
     real_identical = all(
@@ -275,13 +215,4 @@ def test_bench_distributed_sweep(tmp_path):
         assert unordered_seconds <= ordered_seconds * 1.05, (
             f"unordered drain {unordered_seconds:.2f}s vs ordered "
             f"{ordered_seconds:.2f}s on {cpus} cpus"
-        )
-
-    # Acceptance 4 (needs real concurrency): two cooperating workers beat
-    # one by >= 1.5x.
-    if cpus >= 2:
-        assert cooperation_speedup >= 1.5, (
-            f"two shared-cache workers only {cooperation_speedup:.2f}x one "
-            f"({solo_seconds:.2f}s solo, {duo_seconds:.2f}s duo) on "
-            f"{cpus} cpus"
         )

@@ -7,19 +7,15 @@ Usage::
     repro-experiments --all --workers 8 --cache-dir .sweep-cache
     repro-experiments fig50_51_mc --json results.json
     repro-experiments fig50_51_mc --precision 0.02 --max-instances 4000
-    repro-experiments fig15_mc --executor shared-cache --cache-dir /shared \\
-        --progress
 
 ``--workers`` fans the grid experiments' sweep cells out across a
 ``multiprocessing`` pool and ``--cache-dir`` memoizes each cell's payload
 in an on-disk content-addressed cache (see :mod:`repro.sweep`), so
 ``--all`` saturates the machine on a cold run and warm re-runs are
 near-instant -- with bit-identical ``--json`` output either way.
-``--executor`` picks the execution strategy explicitly (``serial``,
-``process-pool`` or ``shared-cache``); under ``shared-cache`` any number
-of independent invocations pointed at the same ``--cache-dir``
-cooperatively drain one grid, claiming cells idempotently, and a killed
-run resumes with zero recomputation (see ``docs/sweeps.md``).
+``--executor`` picks the execution strategy explicitly (``serial`` or
+``process-pool``); a killed run restarted against the same
+``--cache-dir`` resumes with zero recomputation (see ``docs/sweeps.md``).
 ``--progress`` streams cells done/total, the hit/computed split,
 cells/sec and an ETA to stderr while the sweep runs.
 ``--precision`` switches the Monte-Carlo experiments from their fixed
@@ -176,10 +172,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--executor",
         metavar="NAME",
         help="sweep execution strategy (see docs/sweeps.md): 'serial' "
-        "(in-process loop), 'process-pool' (one box, all --workers cores, "
-        "unordered fan-out) or 'shared-cache' (cooperating invocations "
-        "claim cells idempotently through --cache-dir, which it requires); "
-        "default: process-pool when --workers > 1, serial otherwise",
+        "(in-process loop) or 'process-pool' (one box, all --workers "
+        "cores, unordered fan-out); default: process-pool when "
+        "--workers > 1, serial otherwise",
     )
     parser.add_argument(
         "--progress",
@@ -227,13 +222,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(
                 f"unknown --executor {args.executor!r}; available: "
                 f"{', '.join(EXECUTOR_NAMES)}",
-                file=sys.stderr,
-            )
-            return 2
-        if args.executor == "shared-cache" and args.cache_dir is None:
-            print(
-                "--executor shared-cache coordinates workers through the "
-                "result cache; it requires --cache-dir",
                 file=sys.stderr,
             )
             return 2

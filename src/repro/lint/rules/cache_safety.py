@@ -1,4 +1,4 @@
-"""Sweep cache safety: picklable cells, JSON-scalar dicts, atomic claims.
+"""Sweep cache safety: picklable cells, JSON-scalar dicts.
 
 The sweep executors (:mod:`repro.sweep.executors`) dispatch cache misses
 to worker processes -- the cell function pickles *by reference*, so it
@@ -7,25 +7,16 @@ dispatch time (and only when more than one worker is configured, which is
 exactly when nobody is looking).  Cell dicts are content-addressed through
 canonical JSON, so axis values and cell extras must be JSON scalars
 (``str``/``int``/``float``/``bool``/``None``); richer objects belong
-*inside* the cell function, reconstructed from scalar coordinates.  And
-the shared-cache executor's crash safety rests on claim files only ever
-being *published* atomically -- written to a private temporary name, then
-linked or renamed into place -- so no code may open a claim path for
-writing directly.
+*inside* the cell function, reconstructed from scalar coordinates.
 
-Three checks:
+Two checks:
 
 * the function handed to ``sweep_map(...)`` / ``.map_cells(...)`` /
   ``.run_missing(...)`` (the executor-layer worker entry point) must not
   be a ``lambda`` or a function defined in a nested scope of the same file;
 * literal axis values in ``ParameterGrid(...)`` calls and literal keyword
   values in ``.cells(...)`` calls on module-level grids must be JSON
-  scalars;
-* a write to a claim file (``open(..., "w")`` / ``.write_text(...)`` /
-  ``.write_bytes(...)`` on a path mentioning ``claim``) must live inside
-  the designated atomic helper (a function whose name contains
-  ``atomic``), which is the tmp+rename/tmp+link implementation everything
-  else must call.
+  scalars.
 """
 
 from __future__ import annotations
@@ -122,80 +113,9 @@ def _non_scalar_literals(value: ast.expr) -> Iterator[ast.expr]:
         yield value
 
 
-def _mentions_claim(value: ast.expr) -> bool:
-    """Whether a path expression visibly refers to a claim file."""
-    for sub in ast.walk(value):
-        if (
-            isinstance(sub, ast.Constant)
-            and isinstance(sub.value, str)
-            and "claim" in sub.value.lower()
-        ):
-            return True
-        if isinstance(sub, ast.Name) and "claim" in sub.id.lower():
-            return True
-        if isinstance(sub, ast.Attribute) and "claim" in sub.attr.lower():
-            return True
-    return False
-
-
-def _open_mode(node: ast.Call) -> str:
-    """The literal mode string of an ``open(...)`` call (default ``"r"``)."""
-    mode = "r"
-    if len(node.args) >= 2:
-        arg = node.args[1]
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            mode = arg.value
-    for keyword in node.keywords:
-        if (
-            keyword.arg == "mode"
-            and isinstance(keyword.value, ast.Constant)
-            and isinstance(keyword.value.value, str)
-        ):
-            mode = keyword.value.value
-    return mode
-
-
-def _claim_write_path(node: ast.Call) -> ast.expr | None:
-    """The claim-path expression of a direct claim-file write, if any."""
-    if (
-        isinstance(node.func, ast.Name)
-        and node.func.id == "open"
-        and node.args
-        and any(flag in _open_mode(node) for flag in "wxa+")
-        and _mentions_claim(node.args[0])
-    ):
-        return node.args[0]
-    if (
-        isinstance(node.func, ast.Attribute)
-        and node.func.attr in {"write_text", "write_bytes"}
-        and _mentions_claim(node.func.value)
-    ):
-        return node.func.value
-    return None
-
-
-def _calls_with_enclosing(
-    tree: ast.Module,
-) -> Iterator[tuple[ast.Call, tuple[str, ...]]]:
-    """Every call node paired with the names of its enclosing functions."""
-
-    def visit(
-        node: ast.AST, stack: tuple[str, ...]
-    ) -> Iterator[tuple[ast.Call, tuple[str, ...]]]:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            stack = stack + (node.name,)
-        if isinstance(node, ast.Call):
-            yield node, stack
-        for child in ast.iter_child_nodes(node):
-            yield from visit(child, stack)
-
-    yield from visit(tree, ())
-
-
 @rule(
     RULE,
-    "sweep cell functions must be module-level; cell dicts JSON-scalar; "
-    "claim writes atomic",
+    "sweep cell functions must be module-level; cell dicts JSON-scalar",
     scopes=("src",),
 )
 def check(source: SourceFile) -> Iterator[Violation]:
@@ -266,16 +186,3 @@ def check(source: SourceFile) -> Iterator[Violation]:
                         "dict and must be str/int/float/bool/None",
                     )
 
-    for call, enclosing in _calls_with_enclosing(tree):
-        if _claim_write_path(call) is None:
-            continue
-        if any("atomic" in name.lower() for name in enclosing):
-            continue
-        yield source.violation(
-            call,
-            RULE,
-            "claim-file write bypasses the atomic publish helper; claims "
-            "must be written to a private temporary name and linked or "
-            "renamed into place (put the write in a function whose name "
-            "marks it atomic, e.g. _claim_write_atomic)",
-        )

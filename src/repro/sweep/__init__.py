@@ -16,12 +16,8 @@ scales *across* cells:
   hands the misses to a pluggable executor and re-assembles cell order;
   serial, parallel, cold and warm runs produce bit-identical payloads.
 * :mod:`repro.sweep.executors` -- the pluggable execution strategies:
-  ``serial`` (in-process loop), ``process-pool`` (one box, all cores, fed
-  through ``imap_unordered`` so stragglers never head-of-line-block) and
-  ``shared-cache`` (multi-process/multi-host: workers claim cells
-  idempotently through atomic claim files in the result cache, so N
-  independent invocations cooperatively drain one grid and a crash loses
-  at most the in-flight cells).
+  ``serial`` (in-process loop) and ``process-pool`` (one box, all cores,
+  fed through ``imap_unordered`` so stragglers never head-of-line-block).
 * :class:`~repro.sweep.progress.ProgressReporter` -- the ``--progress``
   stderr stream: cells done/total, hit/computed split, cells/sec, ETA.
 
@@ -52,12 +48,9 @@ from repro.sweep.cache import (
 )
 from repro.sweep.executors import (
     EXECUTOR_NAMES,
-    CellResult,
     Executor,
     ProcessPoolExecutor,
     SerialExecutor,
-    SharedCacheExecutor,
-    WorkItem,
     make_executor,
     pool_chunksize,
 )
@@ -68,17 +61,14 @@ from repro.sweep.progress import ProgressReporter
 __all__ = [
     "EXECUTOR_NAMES",
     "MISS",
-    "CellResult",
     "Executor",
     "ParameterGrid",
     "ProcessPoolExecutor",
     "ProgressReporter",
     "ResultCache",
     "SerialExecutor",
-    "SharedCacheExecutor",
     "SweepConfig",
     "SweepOrchestrator",
-    "WorkItem",
     "canonical_json",
     "cell_key",
     "code_fingerprint",

@@ -16,18 +16,6 @@ corrupted, truncated or tampered with is discarded (and deleted) so the
 orchestrator transparently recomputes it.  Writes go through a temporary
 file plus :func:`os.replace`, so a crashed or concurrent writer can never
 leave a half-written entry behind.
-
-Beyond memoization, the cache doubles as the **coordination point** of the
-``shared-cache`` sweep executor (:mod:`repro.sweep.executors`): independent
-worker processes -- possibly on different hosts sharing one filesystem --
-claim cells idempotently through atomic *claim files* next to the entries
-(:meth:`ResultCache.try_claim` / :meth:`ResultCache.release_claim`).  A
-claim is advisory and crash-safe: losing a worker loses at most its
-in-flight claims, which expire by age (or immediately, when the claiming
-process is provably dead on the same host) and are then stolen by a
-surviving worker through the same tmp+rename path.  Because cell payloads
-are pure functions of their parameters and entry writes are atomic, a
-double-compute during a claim race is wasted work, never wrong data.
 """
 
 from __future__ import annotations
@@ -35,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import platform
 import tempfile
 from dataclasses import asdict, is_dataclass
 from functools import lru_cache
@@ -239,147 +226,6 @@ class ResultCache:
             except OSError:
                 pass
             raise
-
-    def claim_path(self, experiment_id: str, key: str) -> Path:
-        """Where the claim file for a cell key lives (whether or not it exists)."""
-        return self.root / experiment_id / f"{key}.claim"
-
-    def try_claim(
-        self,
-        experiment_id: str,
-        key: str,
-        *,
-        owner: str,
-        ttl_seconds: float = 900.0,
-    ) -> bool:
-        """Attempt to claim a cell for computation; ``True`` on success.
-
-        The claim protocol is what lets N independent workers drain one
-        grid against a shared cache without a coordinator:
-
-        * Acquisition is an atomic create-if-absent (:func:`os.link` from a
-          private temporary file), so exactly one of any number of
-          concurrent claimants wins a free cell.
-        * A claim held by someone else blocks -- unless it is *stale*: its
-          file age exceeds ``ttl_seconds``, its holder is a provably-dead
-          process on this host, or its content is unreadable.  Stale claims
-          are stolen by atomically replacing the file (tmp+rename) and then
-          re-reading it: concurrent stealers all replace, but only the one
-          whose ``owner`` token survives in the file proceeds.
-
-        Claims are advisory.  The worst a race can cost is a duplicate
-        computation of a pure cell -- entry writes are atomic and
-        content-addressed, so correctness never depends on mutual
-        exclusion, only throughput does.
-        """
-        path = self.claim_path(experiment_id, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp_name = self._claim_write_atomic(path, owner)
-        try:
-            try:
-                os.link(tmp_name, path)
-                return True
-            except FileExistsError:
-                pass
-            if not self._claim_is_stale(path, ttl_seconds):
-                return False
-            # Steal: tmp+rename replaces atomically; last replacer wins and
-            # every loser sees the winner's token on the re-read below.
-            os.replace(tmp_name, path)
-            tmp_name = None
-        finally:
-            if tmp_name is not None:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:  # pragma: no cover - already gone
-                    pass
-        try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return False
-        return isinstance(entry, dict) and entry.get("owner") == owner
-
-    def release_claim(self, experiment_id: str, key: str, *, owner: str) -> None:
-        """Drop a claim this owner holds (a stolen/foreign claim is left alone)."""
-        path = self.claim_path(experiment_id, key)
-        try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return
-        if isinstance(entry, dict) and entry.get("owner") == owner:
-            self._discard(path)
-
-    @staticmethod
-    def _claim_write_atomic(path: Path, owner: str) -> str:
-        """Write a claim document to a private temporary file, return its name.
-
-        All claim-file content passes through here before an atomic
-        :func:`os.link` (acquire) or :func:`os.replace` (steal) publishes
-        it -- a claim is never written in place, so readers can never see a
-        torn one.  The document records the owner token plus the host and
-        pid of the claimant, which is what lets :meth:`_claim_is_stale`
-        expire claims of crashed processes immediately instead of waiting
-        out the TTL.
-        """
-        handle = tempfile.NamedTemporaryFile(
-            mode="w",
-            encoding="utf-8",
-            dir=path.parent,
-            prefix=f".{path.stem}.",
-            suffix=".tmp",
-            delete=False,
-        )
-        with handle:
-            json.dump(
-                {"owner": owner, "host": platform.node(), "pid": os.getpid()},
-                handle,
-            )
-        return handle.name
-
-    def _claim_is_stale(self, path: Path, ttl_seconds: float) -> bool:
-        """Whether an existing claim no longer protects its cell."""
-        try:
-            age_reference = path.stat().st_mtime
-        except OSError:
-            return True  # released between our link attempt and now
-        try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return True  # unreadable claims protect nothing
-        if not isinstance(entry, dict):
-            return True
-        pid = entry.get("pid")
-        if (
-            entry.get("host") == platform.node()
-            and isinstance(pid, int)
-            and not self._pid_alive(pid)
-        ):
-            return True
-        # Age against the *filesystem's* clock, not this process's wall
-        # clock: claim mtimes are stamped by whichever host wrote them, so
-        # comparing them to a freshly-stamped local mtime is immune to
-        # clock skew between cooperating hosts (and keeps cell results
-        # independent of any wall-clock read).
-        return self._filesystem_now(path.parent) - age_reference > ttl_seconds
-
-    @staticmethod
-    def _pid_alive(pid: int) -> bool:
-        if pid <= 0:
-            return False
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        except OSError:  # e.g. EPERM: alive but owned by someone else
-            return True
-        return True
-
-    @staticmethod
-    def _filesystem_now(directory: Path) -> float:
-        """The filesystem's current time, read off a throwaway file's mtime."""
-        handle = tempfile.NamedTemporaryFile(dir=directory, suffix=".now")
-        with handle:
-            return os.fstat(handle.fileno()).st_mtime
 
     def prune(self, fingerprint: str | None = None) -> int:
         """Delete entries not written by the given code fingerprint.

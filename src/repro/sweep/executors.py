@@ -4,12 +4,12 @@ The orchestrator (:mod:`repro.sweep.orchestrator`) decides *which* cells
 need computing (everything the cache cannot answer) and *what* happens to
 each payload (canonical-JSON normalization, cache stores, progress
 accounting).  This module owns the *how*: an :class:`Executor` receives the
-missing cells as index-tagged :class:`WorkItem` objects and streams back
-:class:`CellResult` objects **in completion order** -- the orchestrator
+missing cells as index-tagged ``(index, params)`` pairs and streams back
+``(index, payload)`` pairs **in completion order** -- the orchestrator
 re-assembles cell order, so a slow cell never head-of-line-blocks the
 bookkeeping (or the progress stream) of fast ones.
 
-Three executors ship, selected by name through
+Two executors ship, selected by name through
 ``SweepConfig(executor=...)`` / the CLI's ``--executor``:
 
 * ``serial`` -- the plain in-process loop.  No pool start-up cost, trivial
@@ -18,18 +18,10 @@ Three executors ship, selected by name through
   ``imap_unordered`` with a cost-aware chunk size
   (:func:`pool_chunksize`): one box, all cores, results surface the moment
   any worker finishes.
-* ``shared-cache`` -- multi-process *and* multi-host: the content-addressed
-  :class:`~repro.sweep.cache.ResultCache` is the coordination point.
-  Workers claim cells idempotently via atomic claim files
-  (:meth:`~repro.sweep.cache.ResultCache.try_claim`), compute what they
-  win, store before releasing, and drain peers' finished cells straight
-  from the cache.  N independent invocations pointed at one cache
-  directory cooperatively drain one grid; a crashed worker loses at most
-  its in-flight cells, whose claims expire and are stolen.
 
 Every executor computes cells as pure functions of their parameter dicts,
-so all of them -- and any interleaving of cooperating workers -- produce
-bit-identical payloads (gated in ``benchmarks/test_bench_distributed_sweep.py``).
+so both produce bit-identical payloads (gated in
+``benchmarks/test_bench_distributed_sweep.py``).
 
 Worker entry points (the cell function handed to an executor) must be
 module-level picklable, exactly as for :func:`~repro.sweep.orchestrator.sweep_map`
@@ -38,27 +30,16 @@ module-level picklable, exactly as for :func:`~repro.sweep.orchestrator.sweep_ma
 
 from __future__ import annotations
 
-import json
 import multiprocessing
-import os
-import platform
-import time
-from collections import deque
-from dataclasses import dataclass
 from multiprocessing import pool
 from multiprocessing.context import BaseContext
 from typing import Any, Callable, Iterator, Protocol, Sequence
 
-from repro.sweep.cache import MISS, ResultCache, canonical_json
-
 __all__ = [
     "EXECUTOR_NAMES",
-    "CellResult",
     "Executor",
     "ProcessPoolExecutor",
     "SerialExecutor",
-    "SharedCacheExecutor",
-    "WorkItem",
     "make_executor",
     "pool_chunksize",
 ]
@@ -71,61 +52,20 @@ CellPayload = dict[str, Any]
 CellFunction = Callable[[CellParams], CellPayload]
 
 #: The executor names ``SweepConfig`` / ``--executor`` accept.
-EXECUTOR_NAMES = ("serial", "process-pool", "shared-cache")
-
-#: Provenance labels on :class:`CellResult`.
-COMPUTED = "computed"  #: raw payload; the orchestrator normalizes + stores it
-STORED = "stored"  #: normalized and already stored by the executor itself
-FROM_CACHE = "cache"  #: normalized payload drained from a cooperating worker
-
-
-@dataclass(frozen=True)
-class WorkItem:
-    """One missing cell: its position in the sweep, parameters and key.
-
-    Attributes:
-        index: the cell's position in the orchestrator's cell list --
-            results stream back unordered, so every item carries its slot.
-        params: the cell's JSON-scalar parameter dict.
-        key: the cell's content address in the result cache
-            (:func:`~repro.sweep.cache.cell_key`).
-    """
-
-    index: int
-    params: CellParams
-    key: str
-
-
-@dataclass(frozen=True)
-class CellResult:
-    """One finished cell, tagged with where its payload came from.
-
-    Attributes:
-        index: the originating :class:`WorkItem` index.
-        payload: the cell payload.  Raw (straight from the cell function)
-            when ``provenance`` is ``"computed"``; already canonical-JSON
-            normalized for ``"stored"`` and ``"cache"``.
-        provenance: ``"computed"`` (this executor ran the cell; the
-            orchestrator still normalizes and stores it), ``"stored"``
-            (the executor normalized and stored it itself, as the
-            shared-cache executor must before releasing a claim) or
-            ``"cache"`` (drained from a cooperating worker's store).
-    """
-
-    index: int
-    payload: Any
-    provenance: str
+EXECUTOR_NAMES = ("serial", "process-pool")
 
 
 class Executor(Protocol):
     """The contract the orchestrator programs against.
 
-    ``run_missing`` receives the cache-miss cells and yields one
-    :class:`CellResult` per item **in completion order**; the caller owns
-    re-ordering.  ``close`` shuts resources down gracefully (in-flight
-    work finishes); ``abort`` tears them down immediately (in-flight work
-    is killed) -- the distinction the orchestrator's context-manager exit
-    vs. explicit :meth:`~repro.sweep.orchestrator.SweepOrchestrator.abort`
+    ``run_missing`` receives the cache-miss cells as ``(index, params)``
+    pairs -- ``index`` is the cell's slot in the orchestrator's cell list
+    -- and yields one raw ``(index, payload)`` pair per item **in
+    completion order**; the caller owns re-ordering, normalization and
+    storing.  ``close`` shuts resources down gracefully (in-flight work
+    finishes); ``abort`` tears them down immediately (in-flight work is
+    killed) -- the distinction the orchestrator's context-manager exit vs.
+    explicit :meth:`~repro.sweep.orchestrator.SweepOrchestrator.abort`
     relies on.
     """
 
@@ -134,10 +74,8 @@ class Executor(Protocol):
     def run_missing(
         self,
         func: CellFunction,
-        items: Sequence[WorkItem],
-        *,
-        experiment_id: str,
-    ) -> Iterator[CellResult]: ...  # pragma: no cover - protocol
+        items: Sequence[tuple[int, CellParams]],
+    ) -> Iterator[tuple[int, CellPayload]]: ...  # pragma: no cover - protocol
 
     def close(self) -> None: ...  # pragma: no cover - protocol
 
@@ -183,12 +121,10 @@ class SerialExecutor:
     def run_missing(
         self,
         func: CellFunction,
-        items: Sequence[WorkItem],
-        *,
-        experiment_id: str,
-    ) -> Iterator[CellResult]:
-        for item in items:
-            yield CellResult(item.index, func(item.params), COMPUTED)
+        items: Sequence[tuple[int, CellParams]],
+    ) -> Iterator[tuple[int, CellPayload]]:
+        for index, params in items:
+            yield index, func(params)
 
     def close(self) -> None:
         """Nothing to shut down."""
@@ -219,22 +155,19 @@ class ProcessPoolExecutor:
     def run_missing(
         self,
         func: CellFunction,
-        items: Sequence[WorkItem],
-        *,
-        experiment_id: str,
-    ) -> Iterator[CellResult]:
+        items: Sequence[tuple[int, CellParams]],
+    ) -> Iterator[tuple[int, CellPayload]]:
         if self.workers == 1 or len(items) == 1:
             # A pool cannot beat the in-process loop here; skip its
             # start-up cost (and keep single-cell dispatch debuggable).
-            for item in items:
-                yield CellResult(item.index, func(item.params), COMPUTED)
+            for index, params in items:
+                yield index, func(params)
             return
-        work = [(func, item.index, item.params) for item in items]
+        work = [(func, index, params) for index, params in items]
         chunksize = pool_chunksize(len(work), self.workers)
-        for index, payload in self._pool_instance().imap_unordered(
+        yield from self._pool_instance().imap_unordered(
             _call_indexed, work, chunksize=chunksize
-        ):
-            yield CellResult(index, payload, COMPUTED)
+        )
 
     def _pool_instance(self) -> pool.Pool:
         if self._pool is None:
@@ -265,143 +198,18 @@ class ProcessPoolExecutor:
             self._pool = None
 
 
-class SharedCacheExecutor:
-    """Cooperating workers draining one grid through one result cache.
-
-    Each invocation walks the missing cells in rounds.  Per cell it
-    (1) checks the cache -- a cooperating worker may have finished it,
-    (2) otherwise tries to claim it; a won claim is re-checked against the
-    cache (a peer may have stored and released since the miss) and only a
-    still-missing cell is computed, normalized and stored by *this*
-    worker before the claim is released,
-    (3) otherwise (someone else holds a fresh claim) re-queues the cell
-    for a later round.  A round that makes no progress sleeps
-    ``poll_interval_s`` before re-polling, so blocked workers cost almost
-    nothing while a peer grinds through a long cell.
-
-    Crash safety is inherited from the claim protocol
-    (:meth:`~repro.sweep.cache.ResultCache.try_claim`): a dead worker's
-    claims expire (immediately when its pid is provably gone on this host,
-    after ``claim_ttl_s`` otherwise) and its cells are stolen; the store
-    happens *before* the release, so a released claim always means the
-    payload is readable.  Everything else -- bit-identity, idempotence --
-    follows from cells being pure functions of their parameters.
-    """
-
-    name = "shared-cache"
-
-    def __init__(
-        self,
-        cache: ResultCache,
-        *,
-        claim_ttl_s: float = 900.0,
-        poll_interval_s: float = 0.05,
-    ) -> None:
-        if claim_ttl_s <= 0.0:
-            raise ValueError("claim_ttl_s must be > 0")
-        if poll_interval_s <= 0.0:
-            raise ValueError("poll_interval_s must be > 0")
-        self.cache = cache
-        self.claim_ttl_s = claim_ttl_s
-        self.poll_interval_s = poll_interval_s
-        #: Owner token on this worker's claims; host+pid is unique among
-        #: live cooperating workers (and is how peers detect our death).
-        self.owner = f"{platform.node()}:{os.getpid()}"
-        #: Cells this executor computed itself vs. drained from peers.
-        self.claimed_count = 0
-        self.drained_count = 0
-
-    def run_missing(
-        self,
-        func: CellFunction,
-        items: Sequence[WorkItem],
-        *,
-        experiment_id: str,
-    ) -> Iterator[CellResult]:
-        pending = deque(items)
-        while pending:
-            progressed = False
-            for _ in range(len(pending)):
-                item = pending.popleft()
-                cached = self.cache.load(experiment_id, item.key)
-                if cached is not MISS:
-                    self.drained_count += 1
-                    progressed = True
-                    yield CellResult(item.index, cached, FROM_CACHE)
-                    continue
-                if self.cache.try_claim(
-                    experiment_id,
-                    item.key,
-                    owner=self.owner,
-                    ttl_seconds=self.claim_ttl_s,
-                ):
-                    try:
-                        # Re-check under the claim: a peer may have stored
-                        # the cell between our miss above and its release
-                        # (stores happen before releases, so a post-claim
-                        # load is authoritative).
-                        cached = self.cache.load(experiment_id, item.key)
-                        if cached is not MISS:
-                            self.drained_count += 1
-                            progressed = True
-                            yield CellResult(item.index, cached, FROM_CACHE)
-                            continue
-                        payload = json.loads(canonical_json(func(item.params)))
-                        self.cache.store(
-                            experiment_id, item.key, payload, params=item.params
-                        )
-                    finally:
-                        self.cache.release_claim(
-                            experiment_id, item.key, owner=self.owner
-                        )
-                    self.claimed_count += 1
-                    progressed = True
-                    yield CellResult(item.index, payload, STORED)
-                else:
-                    pending.append(item)
-            if pending and not progressed:
-                time.sleep(self.poll_interval_s)
-
-    def close(self) -> None:
-        """Nothing held between calls; claims are released per cell."""
-
-    def abort(self) -> None:
-        """Nothing to tear down; unfinished claims expire on their own."""
-
-
-def make_executor(
-    name: str,
-    *,
-    workers: int,
-    cache: ResultCache | None,
-    claim_ttl_s: float = 900.0,
-    poll_interval_s: float = 0.05,
-) -> Executor:
+def make_executor(name: str, *, workers: int) -> Executor:
     """Construct a named executor (the ``SweepConfig`` -> executor factory).
 
     Args:
         name: one of :data:`EXECUTOR_NAMES`.
-        workers: pool width for ``process-pool``; the other executors
-            compute in-process (``shared-cache`` scales by *invocations*,
-            not threads -- point more processes at the same cache dir).
-        cache: the shared result cache; required by ``shared-cache``.
-        claim_ttl_s: age after which a ``shared-cache`` claim may be stolen.
-        poll_interval_s: sleep between no-progress polling rounds of
-            ``shared-cache``.
+        workers: pool width for ``process-pool``; ``serial`` computes
+            in-process.
     """
     if name == "serial":
         return SerialExecutor()
     if name == "process-pool":
         return ProcessPoolExecutor(workers)
-    if name == "shared-cache":
-        if cache is None:
-            raise ValueError(
-                "the shared-cache executor coordinates through the result "
-                "cache; configure cache_dir"
-            )
-        return SharedCacheExecutor(
-            cache, claim_ttl_s=claim_ttl_s, poll_interval_s=poll_interval_s
-        )
     raise ValueError(
         f"unknown executor {name!r}; available: {', '.join(EXECUTOR_NAMES)}"
     )

@@ -8,11 +8,11 @@ accelerations layered transparently on top of the plain serial loop:
   configured, each cell is looked up by its content address first and only
   misses are computed (then stored for the next run).
 * **Fan-out** -- cache misses are handed to a pluggable
-  :class:`~repro.sweep.executors.Executor` (``serial``, ``process-pool``
-  or ``shared-cache``; see :mod:`repro.sweep.executors`).  Cells are pure
+  :class:`~repro.sweep.executors.Executor` (``serial`` or
+  ``process-pool``; see :mod:`repro.sweep.executors`).  Cells are pure
   functions of their parameters (every RNG is seeded from the cell dict),
-  so every executor -- and any interleaving of cooperating workers -- is
-  bit-deterministic: all of them produce identical payloads.
+  so every executor is bit-deterministic: all of them produce identical
+  payloads.
 * **Progress** -- with ``SweepConfig(progress=True)`` (the CLI's
   ``--progress``), a :class:`~repro.sweep.progress.ProgressReporter`
   streams cells done/total, the hit/computed split, cells/sec and an ETA
@@ -29,11 +29,10 @@ each result back by its index, so :meth:`SweepOrchestrator.map_cells`
 still returns payloads in cell order.
 
 Resumability is a contract, not an accident: a killed sweep restarted
-against the same cache recomputes zero completed cells, because every
-payload is stored the moment it exists (by the orchestrator, or -- under
-the shared-cache executor -- by the worker itself before it releases the
-cell's claim).  ``tests/test_sweep_executors.py`` kills a mid-grid sweep
-with SIGKILL and asserts exactly this.
+against the same cache recomputes zero completed cells, because the
+orchestrator stores every payload the moment it arrives from the
+executor.  ``tests/test_sweep_executors.py`` kills a mid-grid sweep with
+SIGKILL and asserts exactly this.
 """
 
 from __future__ import annotations
@@ -44,14 +43,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, TextIO
 
 from repro.sweep.cache import MISS, ResultCache, canonical_json, cell_key
-from repro.sweep.executors import (
-    COMPUTED,
-    EXECUTOR_NAMES,
-    FROM_CACHE,
-    Executor,
-    WorkItem,
-    make_executor,
-)
+from repro.sweep.executors import EXECUTOR_NAMES, Executor, make_executor
 from repro.sweep.progress import ProgressReporter
 
 __all__ = ["SweepConfig", "SweepOrchestrator", "sweep_map"]
@@ -70,7 +62,7 @@ class SweepConfig:
         workers: worker processes for the ``process-pool`` executor; 1
             computes in-process.
         cache_dir: root of the on-disk result cache; ``None`` disables
-            memoization (and rules out the ``shared-cache`` executor).
+            memoization.
         executor: executor name (see
             :data:`~repro.sweep.executors.EXECUTOR_NAMES`); ``None``
             selects automatically -- ``process-pool`` when more than one
@@ -81,10 +73,6 @@ class SweepConfig:
         progress_interval_s: throttle between progress lines.
         progress_stream: where progress lines go; ``None`` means stderr
             (tests inject a buffer here).
-        claim_ttl_s: age after which a ``shared-cache`` claim counts as
-            abandoned and may be stolen.
-        poll_interval_s: sleep between no-progress polling rounds of the
-            ``shared-cache`` executor.
     """
 
     workers: int = 1
@@ -93,8 +81,6 @@ class SweepConfig:
     progress: bool = False
     progress_interval_s: float = 1.0
     progress_stream: TextIO | None = None
-    claim_ttl_s: float = 900.0
-    poll_interval_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -104,15 +90,6 @@ class SweepConfig:
                 f"unknown executor {self.executor!r}; available: "
                 f"{', '.join(EXECUTOR_NAMES)}"
             )
-        if self.executor == "shared-cache" and self.cache_dir is None:
-            raise ValueError(
-                "the shared-cache executor coordinates through the result "
-                "cache; configure cache_dir"
-            )
-        if self.claim_ttl_s <= 0.0:
-            raise ValueError("claim_ttl_s must be > 0")
-        if self.poll_interval_s <= 0.0:
-            raise ValueError("poll_interval_s must be > 0")
         if self.progress_interval_s < 0.0:
             raise ValueError("progress_interval_s must be >= 0")
 
@@ -158,11 +135,6 @@ class SweepOrchestrator:
             cells: parameter dicts; each must canonicalize to JSON (see
                 :func:`~repro.sweep.cache.cell_key`).
             experiment_id: namespace for the cache keys.
-
-        ``hits``/``misses`` count against this process's *initial* cache
-        scan; a cell another shared-cache worker computes mid-sweep stays
-        a miss here (it was dispatched) but reaches the progress stream as
-        a hit (it cost this process nothing to obtain).
         """
         cells = [dict(cell) for cell in cells]
         keys = [cell_key(experiment_id, cell) for cell in cells]
@@ -177,7 +149,7 @@ class SweepOrchestrator:
             if self.config.progress
             else None
         )
-        missing: list[WorkItem] = []
+        missing: list[tuple[int, CellParams]] = []
         for index, key in enumerate(keys):
             cached = (
                 self.cache.load(experiment_id, key) if self.cache is not None else MISS
@@ -188,32 +160,22 @@ class SweepOrchestrator:
                 if progress is not None:
                     progress.cell_done(hit=True)
             else:
-                missing.append(WorkItem(index, cells[index], key))
+                missing.append((index, cells[index]))
                 self.misses += 1
         if missing:
             executor = self._executor_instance()
-            for result in executor.run_missing(
-                func, missing, experiment_id=experiment_id
-            ):
-                if result.provenance == COMPUTED:
-                    # One canonical round trip makes fresh payloads
-                    # indistinguishable from cached ones (bit-identical
-                    # floats, string keys, no numpy types).
-                    payload = json.loads(canonical_json(result.payload))
-                    if self.cache is not None:
-                        self.cache.store(
-                            experiment_id,
-                            keys[result.index],
-                            payload,
-                            params=cells[result.index],
-                        )
-                else:
-                    # "stored" / "cache": normalized (and persisted) by the
-                    # executor already.
-                    payload = result.payload
-                payloads[result.index] = payload
+            for index, raw in executor.run_missing(func, missing):
+                # One canonical round trip makes fresh payloads
+                # indistinguishable from cached ones (bit-identical floats,
+                # string keys, no numpy types).
+                payload = json.loads(canonical_json(raw))
+                if self.cache is not None:
+                    self.cache.store(
+                        experiment_id, keys[index], payload, params=cells[index]
+                    )
+                payloads[index] = payload
                 if progress is not None:
-                    progress.cell_done(hit=result.provenance == FROM_CACHE)
+                    progress.cell_done(hit=False)
         if progress is not None:
             progress.finish()
         return payloads
@@ -221,11 +183,7 @@ class SweepOrchestrator:
     def _executor_instance(self) -> Executor:
         if self._executor is None:
             self._executor = make_executor(
-                self.config.executor_name,
-                workers=self.config.workers,
-                cache=self.cache,
-                claim_ttl_s=self.config.claim_ttl_s,
-                poll_interval_s=self.config.poll_interval_s,
+                self.config.executor_name, workers=self.config.workers
             )
         return self._executor
 

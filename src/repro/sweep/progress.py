@@ -12,9 +12,7 @@ Field semantics (this format is a documented contract, see
 ``docs/sweeps.md``):
 
 * ``done/total`` -- cells resolved so far out of the sweep's cell count;
-* ``hit`` -- cells answered by the cache (the orchestrator's own cache
-  scan plus, under the shared-cache executor, cells drained from
-  cooperating workers);
+* ``hit`` -- cells answered by the orchestrator's cache scan;
 * ``computed`` -- cells this process actually ran;
 * ``cells/s`` -- completion rate over the sweep so far (hits included:
   the number answers "how fast is this grid draining", not "how fast is

@@ -236,15 +236,23 @@ CACHE_RUN_MISSING_LAMBDA = """
         return list(executor.run_missing(lambda cell: cell, items))
 """
 
-CACHE_CLAIM_OPEN_WRITE = """
-    def publish(cache_dir, key, owner):
-        with open(cache_dir / (key + ".claim"), "w") as handle:
-            handle.write(owner)
+CACHE_RUN_MISSING_NESTED = """
+    def drain(executor, items):
+        def cell_function(params):
+            return params
+        return list(executor.run_missing(cell_function, items))
 """
 
-CACHE_CLAIM_WRITE_TEXT = """
-    def publish(claim_path, owner):
-        claim_path.write_text(owner)
+CACHE_MAP_CELLS_LAMBDA = """
+    def run(orchestrator, cells):
+        return orchestrator.map_cells(lambda cell: cell, cells, experiment_id="e")
+"""
+
+CACHE_FUNC_KEYWORD_LAMBDA = """
+    from repro.sweep import sweep_map
+
+    def run(cells):
+        return sweep_map(func=lambda cell: cell, cells=cells, experiment_id="e")
 """
 
 CACHE_OK = """
@@ -259,14 +267,6 @@ CACHE_OK = """
         return sweep_map(cell_function, GRID.cells(seed=0), orchestrator)
 """
 
-CACHE_CLAIM_OK = """
-    def _claim_write_atomic(claim_path, owner):
-        claim_path.write_text(owner)
-
-    def inspect(claim_path):
-        return claim_path.read_text()
-"""
-
 
 @pytest.mark.parametrize(
     "code",
@@ -276,8 +276,9 @@ CACHE_CLAIM_OK = """
         CACHE_NON_SCALAR_AXIS,
         CACHE_NON_SCALAR_EXTRA,
         CACHE_RUN_MISSING_LAMBDA,
-        CACHE_CLAIM_OPEN_WRITE,
-        CACHE_CLAIM_WRITE_TEXT,
+        CACHE_RUN_MISSING_NESTED,
+        CACHE_MAP_CELLS_LAMBDA,
+        CACHE_FUNC_KEYWORD_LAMBDA,
     ],
     ids=[
         "lambda",
@@ -285,8 +286,9 @@ CACHE_CLAIM_OK = """
         "non-scalar-axis",
         "non-scalar-extra",
         "run-missing-lambda",
-        "claim-open-write",
-        "claim-write-text",
+        "run-missing-nested",
+        "map-cells-lambda",
+        "func-keyword-lambda",
     ],
 )
 def test_cache_safety_flags(code):
@@ -295,10 +297,6 @@ def test_cache_safety_flags(code):
 
 def test_cache_safety_accepts_module_level_scalar_cells():
     assert lint_src(CACHE_OK) == []
-
-
-def test_cache_safety_accepts_claim_writes_in_atomic_helper():
-    assert lint_src(CACHE_CLAIM_OK) == []
 
 
 # ---------------------------------------------------------------------------

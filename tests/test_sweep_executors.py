@@ -1,28 +1,28 @@
-"""Tests for the pluggable sweep executors, claiming and resumability.
+"""Tests for the pluggable sweep executors and resumability.
 
 The contracts gated here (see ``docs/sweeps.md``):
 
-* every executor -- serial, process-pool, shared-cache -- produces
-  bit-identical payloads;
+* both executors -- serial and process-pool -- produce bit-identical
+  payloads;
 * the process-pool executor streams results in completion order, so a
   straggler cell does not head-of-line-block the cells behind it;
+* executors take ``(index, params)`` items and yield ``(index, payload)``
+  pairs; the orchestrator slots them back in cell order, hands only
+  cache misses to the executor, and stores each payload before the next
+  cell runs;
 * normal shutdown is graceful (``close``/``join``: in-flight cells
   finish); only an explicit ``abort`` terminates the pool;
-* shared-cache claims are idempotent, owner-scoped, and stealable when
-  stale (by TTL, by dead pid on the same host, or when unreadable);
-* **resumability**: a SIGKILLed shared-cache sweep restarted against the
-  same cache recomputes zero completed cells;
-* two cooperating shared-cache workers drain one grid with each cell
-  computed exactly once;
+* **resumability**: a SIGKILLed serial sweep restarted against the same
+  cache recomputes zero completed cells;
 * the ``--progress`` stream follows its documented line format.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
-import platform
 import re
 import signal
 import subprocess
@@ -34,21 +34,21 @@ import pytest
 
 from repro.experiments.runner import main as runner_main
 from repro.sweep import (
+    EXECUTOR_NAMES,
     MISS,
     ProcessPoolExecutor,
     ProgressReporter,
     ResultCache,
     SerialExecutor,
-    SharedCacheExecutor,
     SweepConfig,
     SweepOrchestrator,
-    WorkItem,
     canonical_json,
     cell_key,
     make_executor,
     pool_chunksize,
     sweep_map,
 )
+from repro.sweep.executors import _call_indexed
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -67,20 +67,9 @@ def straggler_cell(params: dict) -> dict:
     return {"x": params["x"]}
 
 
-#: Set by the resumability test before its in-process re-run.
-MARKER_DIR = {"path": ""}
-
-
 def marking_cell(params: dict) -> dict:
-    Path(MARKER_DIR["path"], f"x{params['x']}.pid{os.getpid()}").touch()
+    Path(params["marker_dir"], f"x{params['x']}.pid{os.getpid()}").touch()
     return {"value": params["x"] * 3}
-
-
-def _work_items(cells: list[dict], experiment_id: str) -> list[WorkItem]:
-    return [
-        WorkItem(index, cell, cell_key(experiment_id, cell))
-        for index, cell in enumerate(cells)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -94,52 +83,65 @@ class TestSweepConfig:
     def test_auto_selects_process_pool_for_many_workers(self):
         assert SweepConfig(workers=4).executor_name == "process-pool"
 
-    def test_explicit_executor_wins_over_auto(self, tmp_path):
-        config = SweepConfig(workers=4, cache_dir=tmp_path, executor="shared-cache")
-        assert config.executor_name == "shared-cache"
+    def test_explicit_executor_wins_over_auto(self):
+        assert SweepConfig(workers=4, executor="serial").executor_name == "serial"
+        assert (
+            SweepConfig(workers=1, executor="process-pool").executor_name
+            == "process-pool"
+        )
 
-    def test_rejects_unknown_executor(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            SweepConfig(executor="gpu")
-
-    def test_shared_cache_requires_cache_dir(self):
-        with pytest.raises(ValueError, match="cache_dir"):
-            SweepConfig(executor="shared-cache")
+    @pytest.mark.parametrize("name", ["gpu", "shared-cache"])
+    def test_rejects_unknown_executor(self, name):
+        with pytest.raises(
+            ValueError, match="unknown executor.*available: serial, process-pool$"
+        ):
+            SweepConfig(executor=name)
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"claim_ttl_s": 0.0},
-            {"poll_interval_s": 0.0},
-            {"progress_interval_s": -1.0},
-        ],
-        ids=["claim-ttl", "poll-interval", "progress-interval"],
+        "kwargs", [{"progress_interval_s": -1.0}], ids=["progress-interval"]
     )
     def test_rejects_non_positive_timings(self, kwargs):
         with pytest.raises(ValueError):
             SweepConfig(**kwargs)
 
-    def test_factory_builds_each_named_executor(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert isinstance(
-            make_executor("serial", workers=1, cache=None), SerialExecutor
-        )
-        assert isinstance(
-            make_executor("process-pool", workers=2, cache=None),
-            ProcessPoolExecutor,
-        )
-        assert isinstance(
-            make_executor("shared-cache", workers=1, cache=cache),
-            SharedCacheExecutor,
-        )
+    def test_accepts_zero_progress_interval(self):
+        # 0 is the documented "stream every cell" setting, not an error.
+        assert SweepConfig(progress_interval_s=0.0).progress_interval_s == 0.0
 
-    def test_factory_rejects_shared_cache_without_cache(self):
-        with pytest.raises(ValueError, match="cache"):
-            make_executor("shared-cache", workers=1, cache=None)
+    def test_settable_fields(self):
+        assert [field.name for field in dataclasses.fields(SweepConfig)] == [
+            "workers",
+            "cache_dir",
+            "executor",
+            "progress",
+            "progress_interval_s",
+            "progress_stream",
+        ]
+
+    @pytest.mark.parametrize("knob", ["claim_ttl_s", "poll_interval_s"])
+    def test_removed_timing_knobs_are_rejected(self, knob):
+        with pytest.raises(TypeError):
+            SweepConfig(**{knob: 1.0})
+
+    def test_factory_builds_each_named_executor(self):
+        assert isinstance(make_executor("serial", workers=1), SerialExecutor)
+        assert isinstance(
+            make_executor("process-pool", workers=2), ProcessPoolExecutor
+        )
 
     def test_factory_rejects_unknown_name(self):
         with pytest.raises(ValueError, match="unknown executor"):
-            make_executor("threads", workers=1, cache=None)
+            make_executor("threads", workers=1)
+
+    def test_factory_rejects_the_removed_shared_cache_name(self):
+        with pytest.raises(
+            ValueError, match="unknown executor.*available: serial, process-pool$"
+        ):
+            make_executor("shared-cache", workers=1)
+
+    def test_factory_takes_no_cache(self):
+        with pytest.raises(TypeError):
+            make_executor("serial", workers=1, cache=None)  # type: ignore[call-arg]
 
 
 class TestPoolChunksize:
@@ -176,14 +178,6 @@ class TestExecutorIdentity:
             pooled = sweep.map_cells(value_cell, self.CELLS, experiment_id="ident")
         assert canonical_json(pooled) == canonical_json(reference)
 
-    def test_shared_cache_is_bit_identical_to_serial(self, tmp_path):
-        reference = self._reference()
-        with SweepOrchestrator(
-            SweepConfig(cache_dir=tmp_path, executor="shared-cache")
-        ) as sweep:
-            shared = sweep.map_cells(value_cell, self.CELLS, experiment_id="ident")
-        assert canonical_json(shared) == canonical_json(reference)
-
     def test_explicit_serial_matches_default_path(self, tmp_path):
         reference = self._reference()
         with SweepOrchestrator(
@@ -201,27 +195,210 @@ class TestUnorderedCompletion:
         cells = [{"x": value} for value in range(6)]
         executor = ProcessPoolExecutor(workers=2)
         try:
-            results = list(
-                executor.run_missing(
-                    straggler_cell, _work_items(cells, "order"), experiment_id="order"
+            order = [
+                index
+                for index, _ in executor.run_missing(
+                    straggler_cell, list(enumerate(cells))
                 )
-            )
+            ]
         finally:
             executor.close()
-        assert sorted(result.index for result in results) == list(range(6))
-        assert results[0].index != 0
-        assert results[-1].index == 0
+        assert sorted(order) == list(range(6))
+        assert order[0] != 0
+        assert order[-1] == 0
 
     def test_single_worker_short_circuits_in_order(self):
         cells = [{"x": value} for value in range(3)]
         executor = ProcessPoolExecutor(workers=1)
-        results = list(
-            executor.run_missing(
-                value_cell, _work_items(cells, "inline"), experiment_id="inline"
-            )
-        )
+        results = list(executor.run_missing(value_cell, list(enumerate(cells))))
         executor.close()
-        assert [result.index for result in results] == [0, 1, 2]
+        assert [index for index, _ in results] == [0, 1, 2]
+
+
+# ---------------------------------------------------------------------------
+# the executor contract: (index, params) in, (index, payload) out
+
+
+class TestExecutorContract:
+    ITEMS = [(7, {"x": 7}), (3, {"x": 3}), (11, {"x": 11}), (0, {"x": 0})]
+
+    def test_executor_names(self):
+        assert EXECUTOR_NAMES == ("serial", "process-pool")
+
+    def test_call_indexed_echoes_the_index(self):
+        assert _call_indexed((value_cell, 5, {"x": 2})) == (5, value_cell({"x": 2}))
+
+    def test_serial_echoes_sparse_indices_in_order(self):
+        results = list(SerialExecutor().run_missing(value_cell, self.ITEMS))
+        assert results == [(index, value_cell(params)) for index, params in self.ITEMS]
+
+    def test_process_pool_echoes_sparse_indices(self):
+        executor = ProcessPoolExecutor(workers=2)
+        try:
+            results = dict(executor.run_missing(value_cell, self.ITEMS))
+        finally:
+            executor.close()
+        assert results == {index: value_cell(params) for index, params in self.ITEMS}
+
+    @pytest.mark.parametrize("name", EXECUTOR_NAMES)
+    def test_no_items_yield_nothing(self, name):
+        executor = make_executor(name, workers=2)
+        try:
+            assert list(executor.run_missing(value_cell, [])) == []
+        finally:
+            executor.close()
+
+    def test_single_item_starts_no_pool(self):
+        executor = ProcessPoolExecutor(workers=2)
+        assert list(executor.run_missing(value_cell, [(4, {"x": 4})])) == [
+            (4, value_cell({"x": 4}))
+        ]
+        assert executor._pool is None
+
+    def test_pool_is_reused_across_calls(self):
+        executor = ProcessPoolExecutor(workers=2)
+        try:
+            list(executor.run_missing(value_cell, self.ITEMS))
+            first_pool = executor._pool
+            list(executor.run_missing(value_cell, self.ITEMS))
+            assert first_pool is not None
+            assert executor._pool is first_pool
+        finally:
+            executor.close()
+        assert executor._pool is None
+
+    def test_process_pool_rejects_zero_workers(self):
+        with pytest.raises(ValueError, match="workers"):
+            ProcessPoolExecutor(workers=0)
+
+
+class ReversingExecutor:
+    """Computes in-process but yields in reverse order, recording items."""
+
+    name = "reversing"
+
+    def __init__(self):
+        self.items = []
+
+    def run_missing(self, func, items):
+        self.items = list(items)
+        for index, params in reversed(self.items):
+            yield index, func(params)
+
+    def close(self):
+        pass
+
+    def abort(self):
+        pass
+
+
+class StoreCheckingExecutor:
+    """Yields cells one by one, checking each is stored before the next runs."""
+
+    name = "store-checking"
+
+    def __init__(self, cache, experiment_id):
+        self.cache = cache
+        self.experiment_id = experiment_id
+        self.stored_before_next = []
+
+    def run_missing(self, func, items):
+        previous = None
+        for index, params in items:
+            if previous is not None:
+                key = cell_key(self.experiment_id, previous)
+                self.stored_before_next.append(
+                    self.cache.load(self.experiment_id, key) is not MISS
+                )
+            yield index, func(params)
+            previous = params
+
+    def close(self):
+        pass
+
+    def abort(self):
+        pass
+
+
+class TestOrchestratorStoring:
+    CELLS = [{"x": value, "seed": 0} for value in range(5)]
+
+    @pytest.mark.parametrize("name", EXECUTOR_NAMES)
+    def test_every_computed_cell_is_stored(self, tmp_path, name):
+        config = SweepConfig(workers=2, cache_dir=tmp_path, executor=name)
+        with SweepOrchestrator(config) as sweep:
+            payloads = sweep.map_cells(value_cell, self.CELLS, experiment_id="st")
+        cache = ResultCache(tmp_path)
+        stored = [cache.load("st", cell_key("st", cell)) for cell in self.CELLS]
+        assert canonical_json(stored) == canonical_json(payloads)
+        assert len(list(tmp_path.glob("st/*.json"))) == len(self.CELLS)
+
+    @pytest.mark.parametrize("name", EXECUTOR_NAMES)
+    def test_computed_cells_reach_progress_as_misses(self, tmp_path, name):
+        stream = io.StringIO()
+        config = SweepConfig(
+            workers=2,
+            cache_dir=tmp_path,
+            executor=name,
+            progress=True,
+            progress_interval_s=0.0,
+            progress_stream=stream,
+        )
+        with SweepOrchestrator(config) as sweep:
+            sweep.map_cells(value_cell, self.CELLS, experiment_id="st")
+        assert (sweep.hits, sweep.misses) == (0, len(self.CELLS))
+        assert stream.getvalue().splitlines()[-1].startswith(
+            "sweep st: 5/5 cells (0 hit, 5 computed)"
+        )
+
+    def test_each_payload_is_stored_before_the_next_cell_runs(self, tmp_path):
+        sweep = SweepOrchestrator(SweepConfig(cache_dir=tmp_path))
+        checker = StoreCheckingExecutor(sweep.cache, "st")
+        sweep._executor = checker
+        sweep.map_cells(value_cell, self.CELLS, experiment_id="st")
+        assert checker.stored_before_next == [True] * (len(self.CELLS) - 1)
+
+    def test_only_missing_cells_reach_the_executor(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        for index in (1, 3):
+            cell = self.CELLS[index]
+            cache.store("st", cell_key("st", cell), value_cell(cell), params=cell)
+        sweep = SweepOrchestrator(SweepConfig(cache_dir=tmp_path))
+        recorder = ReversingExecutor()
+        sweep._executor = recorder
+        payloads = sweep.map_cells(value_cell, self.CELLS, experiment_id="st")
+        assert [index for index, _ in recorder.items] == [0, 2, 4]
+        assert (sweep.hits, sweep.misses) == (2, 3)
+        reference = sweep_map(value_cell, self.CELLS, experiment_id="st")
+        assert canonical_json(payloads) == canonical_json(reference)
+
+    def test_results_slot_back_in_cell_order(self):
+        sweep = SweepOrchestrator()
+        sweep._executor = ReversingExecutor()
+        payloads = sweep.map_cells(value_cell, self.CELLS, experiment_id="st")
+        assert payloads == [json_round_trip(value_cell(cell)) for cell in self.CELLS]
+
+    def test_without_cache_every_cell_is_a_miss(self):
+        with SweepOrchestrator() as sweep:
+            sweep.map_cells(value_cell, self.CELLS, experiment_id="st")
+            sweep.map_cells(value_cell, self.CELLS, experiment_id="st")
+        assert (sweep.hits, sweep.misses) == (0, 2 * len(self.CELLS))
+
+    def test_leftover_claim_files_do_not_disturb_a_sweep(self, tmp_path):
+        # Caches written by older versions may still hold ``*.claim``
+        # files; a sweep neither reads nor needs them.
+        leftover = tmp_path / "st" / f"{cell_key('st', self.CELLS[0])}.claim"
+        leftover.parent.mkdir(parents=True)
+        leftover.write_text("otherhost:1:0.0")
+        with SweepOrchestrator(SweepConfig(cache_dir=tmp_path)) as sweep:
+            payloads = sweep.map_cells(value_cell, self.CELLS, experiment_id="st")
+        assert sweep.misses == len(self.CELLS)
+        reference = sweep_map(value_cell, self.CELLS, experiment_id="st")
+        assert canonical_json(payloads) == canonical_json(reference)
+
+
+def json_round_trip(payload: dict) -> dict:
+    return json.loads(canonical_json(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +425,7 @@ class RecordingExecutor:
     def __init__(self):
         self.calls = []
 
-    def run_missing(self, func, items, *, experiment_id):
+    def run_missing(self, func, items):
         return iter(())
 
     def close(self):
@@ -303,122 +480,6 @@ class TestShutdown:
 
 
 # ---------------------------------------------------------------------------
-# the claim protocol
-
-
-class TestClaims:
-    KEY = "0" * 64
-
-    def test_acquire_then_foreign_claim_blocks(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert cache.try_claim("fig", self.KEY, owner="alice")
-        assert not cache.try_claim("fig", self.KEY, owner="bob")
-
-    def test_release_is_owner_scoped(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert cache.try_claim("fig", self.KEY, owner="alice")
-        cache.release_claim("fig", self.KEY, owner="bob")
-        assert cache.claim_path("fig", self.KEY).exists()
-        cache.release_claim("fig", self.KEY, owner="alice")
-        assert not cache.claim_path("fig", self.KEY).exists()
-        assert cache.try_claim("fig", self.KEY, owner="bob")
-
-    def test_claiming_leaves_no_temporaries(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.try_claim("fig", self.KEY, owner="alice")
-        cache.try_claim("fig", self.KEY, owner="bob")  # loses, must clean up
-        names = [path.name for path in (tmp_path / "fig").iterdir()]
-        assert names == [f"{self.KEY}.claim"]
-
-    def test_expired_claim_is_stolen(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert cache.try_claim("fig", self.KEY, owner="alice", ttl_seconds=60.0)
-        path = cache.claim_path("fig", self.KEY)
-        # Pretend the claim is from another host (so the pid probe cannot
-        # short-circuit) and backdate it past the TTL.
-        path.write_text(
-            json.dumps({"owner": "alice", "host": "elsewhere", "pid": 12345})
-        )
-        stale = path.stat().st_mtime - 120.0
-        os.utime(path, (stale, stale))
-        assert cache.try_claim("fig", self.KEY, owner="bob", ttl_seconds=60.0)
-        entry = json.loads(path.read_text())
-        assert entry["owner"] == "bob"
-
-    def test_fresh_foreign_host_claim_blocks(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        path = cache.claim_path("fig", self.KEY)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps({"owner": "remote", "host": "elsewhere", "pid": 12345})
-        )
-        assert not cache.try_claim("fig", self.KEY, owner="bob", ttl_seconds=60.0)
-
-    def test_dead_pid_claim_is_stolen_immediately(self, tmp_path):
-        # A claim made on *this* host by a process that no longer exists
-        # is reclaimed without waiting out the TTL -- the path a SIGKILLed
-        # worker's cells come back through.
-        probe = subprocess.run(
-            [sys.executable, "-c", "import os; print(os.getpid())"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        dead_pid = int(probe.stdout)
-        cache = ResultCache(tmp_path)
-        path = cache.claim_path("fig", self.KEY)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(
-                {"owner": "ghost", "host": platform.node(), "pid": dead_pid}
-            )
-        )
-        assert cache.try_claim(
-            "fig", self.KEY, owner="bob", ttl_seconds=10**6
-        )
-
-    def test_corrupt_claim_is_stolen(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        path = cache.claim_path("fig", self.KEY)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(b"\x00 not json")
-        assert cache.try_claim("fig", self.KEY, owner="bob", ttl_seconds=10**6)
-
-    def test_executor_releases_claims_after_computing(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cells = [{"x": value, "seed": 0} for value in range(3)]
-        executor = SharedCacheExecutor(cache)
-        results = list(
-            executor.run_missing(
-                value_cell, _work_items(cells, "claims"), experiment_id="claims"
-            )
-        )
-        assert executor.claimed_count == 3
-        assert executor.drained_count == 0
-        assert len(results) == 3
-        assert not list(tmp_path.glob("*/*.claim"))
-
-    def test_executor_drains_peer_results_from_cache(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cells = [{"x": value, "seed": 0} for value in range(3)]
-        items = _work_items(cells, "drain")
-        # A "peer" has already finished cell 1.
-        peer_payload = json.loads(canonical_json(value_cell(cells[1])))
-        cache.store("drain", items[1].key, peer_payload, params=cells[1])
-        executor = SharedCacheExecutor(cache)
-        results = {
-            result.index: result
-            for result in executor.run_missing(
-                value_cell, items, experiment_id="drain"
-            )
-        }
-        assert executor.claimed_count == 2
-        assert executor.drained_count == 1
-        assert results[1].provenance == "cache"
-        assert results[1].payload == peer_payload
-
-
-# ---------------------------------------------------------------------------
 # resumability: SIGKILL mid-grid, restart, zero recomputation
 
 RESUME_SCRIPT = """
@@ -435,12 +496,12 @@ PER_CELL_S = float(sys.argv[3])
 
 def marking_cell(params):
     time.sleep(PER_CELL_S)
-    Path(MARKER_DIR, f"x{params['x']}.pid{os.getpid()}").touch()
+    Path(params["marker_dir"], f"x{params['x']}.pid{os.getpid()}").touch()
     return {"value": params["x"] * 3}
 
 
-cells = [{"x": value, "seed": 0} for value in range(8)]
-config = SweepConfig(cache_dir=CACHE_DIR, executor="shared-cache")
+cells = [{"x": value, "seed": 0, "marker_dir": MARKER_DIR} for value in range(8)]
+config = SweepConfig(cache_dir=CACHE_DIR, executor="serial")
 with SweepOrchestrator(config) as sweep:
     sweep.map_cells(marking_cell, cells, experiment_id="resume")
 """
@@ -468,7 +529,10 @@ class TestResumability:
         cache_dir = tmp_path / "cache"
         marker_dir = tmp_path / "markers"
         marker_dir.mkdir()
-        cells = [{"x": value, "seed": 0} for value in range(8)]
+        cells = [
+            {"x": value, "seed": 0, "marker_dir": str(marker_dir)}
+            for value in range(8)
+        ]
         keys = [cell_key("resume", cell) for cell in cells]
 
         worker = _spawn_worker(
@@ -497,8 +561,7 @@ class TestResumability:
         markers_before = set(marker_dir.iterdir())
 
         # Restart against the same cache, in-process this time.
-        MARKER_DIR["path"] = str(marker_dir)
-        config = SweepConfig(cache_dir=cache_dir, executor="shared-cache")
+        config = SweepConfig(cache_dir=cache_dir, executor="serial")
         with SweepOrchestrator(config) as sweep:
             resumed = sweep.map_cells(marking_cell, cells, experiment_id="resume")
 
@@ -510,8 +573,6 @@ class TestResumability:
         # And the resumed payloads are bit-identical to a pristine serial run.
         reference = [{"value": cell["x"] * 3} for cell in cells]
         assert canonical_json(resumed) == canonical_json(reference)
-        # The killed worker's orphaned claim was reclaimed, not leaked.
-        assert not list(cache_dir.glob("resume/*.claim"))
         # A second warm pass touches nothing at all.
         markers_after = set(marker_dir.iterdir())
         with SweepOrchestrator(config) as warm_sweep:
@@ -523,94 +584,6 @@ class TestResumability:
 
 def _marker_values_of(paths) -> set[int]:
     return {int(path.name.split(".")[0][1:]) for path in paths}
-
-
-# ---------------------------------------------------------------------------
-# cooperation: two workers, one grid, each cell computed exactly once
-
-COOPERATE_SCRIPT = """
-import os
-import sys
-import time
-from pathlib import Path
-
-from repro.sweep import SweepConfig, SweepOrchestrator
-
-CACHE_DIR, MARKER_DIR = sys.argv[1], sys.argv[2]
-PER_CELL_S = float(sys.argv[3])
-
-
-def marking_cell(params):
-    time.sleep(PER_CELL_S)
-    Path(MARKER_DIR, f"x{params['x']}.pid{os.getpid()}").touch()
-    return {"value": params["x"] * 3}
-
-
-cells = [{"x": value, "seed": 0} for value in range(10)]
-config = SweepConfig(
-    cache_dir=CACHE_DIR, executor="shared-cache", poll_interval_s=0.01
-)
-with SweepOrchestrator(config) as sweep:
-    sweep.map_cells(marking_cell, cells, experiment_id="coop")
-"""
-
-
-class TestCooperation:
-    def test_two_workers_drain_one_grid_exactly_once(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        marker_dir = tmp_path / "markers"
-        marker_dir.mkdir()
-        cells = [{"x": value, "seed": 0} for value in range(10)]
-
-        workers = [
-            _spawn_worker(
-                tmp_path,
-                f"coop_worker_{index}.py",
-                COOPERATE_SCRIPT,
-                cache_dir,
-                marker_dir,
-                0.2,
-            )
-            for index in range(2)
-        ]
-        for worker in workers:
-            assert worker.wait(timeout=120.0) == 0
-
-        # Every cell landed in the cache, and the claim protocol made the
-        # split disjoint: exactly one compute marker per cell.
-        markers = sorted(path.name for path in marker_dir.iterdir())
-        assert len(markers) == len(cells)
-        assert _marker_values(marker_dir) == {cell["x"] for cell in cells}
-        pids = {name.split(".pid")[1] for name in markers}
-        assert len(pids) == 2, "both workers should have won cells"
-
-        # The drained grid reads back bit-identical to the serial reference.
-        config = SweepConfig(cache_dir=cache_dir, executor="serial")
-        with SweepOrchestrator(config) as sweep:
-            payloads = sweep.map_cells(marking_cell, cells, experiment_id="coop")
-        assert sweep.hits == len(cells)
-        reference = [{"value": cell["x"] * 3} for cell in cells]
-        assert canonical_json(payloads) == canonical_json(reference)
-
-    def test_sweep_completes_despite_stale_foreign_claim(self, tmp_path):
-        # A crashed remote worker left a claim behind; the TTL path steals
-        # it and the sweep still drains the whole grid.
-        cache = ResultCache(tmp_path)
-        cells = [{"x": value, "seed": 0} for value in range(4)]
-        items = _work_items(cells, "stale")
-        claim = cache.claim_path("stale", items[2].key)
-        claim.parent.mkdir(parents=True, exist_ok=True)
-        claim.write_text(
-            json.dumps({"owner": "remote", "host": "elsewhere", "pid": 12345})
-        )
-        backdated = claim.stat().st_mtime - 10.0
-        os.utime(claim, (backdated, backdated))
-        executor = SharedCacheExecutor(cache, claim_ttl_s=1.0, poll_interval_s=0.01)
-        results = list(
-            executor.run_missing(value_cell, items, experiment_id="stale")
-        )
-        assert sorted(result.index for result in results) == [0, 1, 2, 3]
-        assert executor.claimed_count == 4
 
 
 # ---------------------------------------------------------------------------
@@ -690,10 +663,16 @@ class TestProgressReporter:
 
 
 class TestRunnerFlags:
-    def test_unknown_executor_is_a_usage_error(self, capsys):
-        assert runner_main(["fig50_51_mc", "--executor", "bogus"]) == 2
+    @pytest.mark.parametrize("name", ["bogus", "shared-cache"])
+    def test_unknown_executor_is_a_usage_error(self, name, capsys):
+        assert runner_main(["fig50_51_mc", "--executor", name]) == 2
         assert "unknown --executor" in capsys.readouterr().err
 
-    def test_shared_cache_requires_cache_dir_flag(self, capsys):
-        assert runner_main(["fig50_51_mc", "--executor", "shared-cache"]) == 2
-        assert "--cache-dir" in capsys.readouterr().err
+    @pytest.mark.parametrize("name", EXECUTOR_NAMES)
+    def test_named_executors_pass_validation(self, name, capsys):
+        # An unknown experiment id is only reported after the executor
+        # name has been accepted.
+        assert runner_main(["no_such_experiment", "--executor", name]) == 2
+        err = capsys.readouterr().err
+        assert "unknown --executor" not in err
+        assert "unknown experiments: no_such_experiment" in err
