@@ -13,6 +13,10 @@ leaked into the default path (fix the regression).  JSON key order is
 deterministic (insertion order), floats round-trip via ``repr``, and every
 experiment seeds its RNGs, so the byte stream is stable across runs and
 machines for a given numpy generation.
+
+The default ``fig15_rare`` run reaches only the importance engine, so the
+vanilla and stratified engines carry pins of their own, taken under CLI
+options small enough to run in about a second each.
 """
 
 from __future__ import annotations
@@ -33,17 +37,44 @@ GOLDEN_SHA256 = {
 }
 
 
+#: ``fig15_rare`` options that reach one rare-event engine -> sha256 of the
+#: ``--json`` artifact they produce.
+RARE_ENGINE_SHA256 = {
+    "vanilla": "ca187398e3aa7c38c6b3190e748b9c07f2c6bfe6b30e105adb3bb7a7155aab46",
+    "stratified": "e5c655035004dbe782e01418facdb9828802c390f1dd3fbe0f47116a9cbb2ef7",
+}
+RARE_ENGINE_OPTIONS = ("--precision", "5e-5", "--max-instances", "2048")
+
+
+def _artifact_sha256(
+    argv: list[str], tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> str:
+    artifact = tmp_path / "artifact.json"
+    assert runner_main([*argv, "--json", str(artifact)]) == 0
+    capsys.readouterr()  # The table report is not under test here.
+    return hashlib.sha256(artifact.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("experiment_id", sorted(GOLDEN_SHA256))
 def test_json_artifact_is_byte_identical(
     experiment_id: str, tmp_path: Path, capsys: pytest.CaptureFixture[str]
 ) -> None:
-    artifact = tmp_path / f"{experiment_id}.json"
-    assert runner_main([experiment_id, "--json", str(artifact)]) == 0
-    capsys.readouterr()  # The table report is not under test here.
-    digest = hashlib.sha256(artifact.read_bytes()).hexdigest()
+    digest = _artifact_sha256([experiment_id], tmp_path, capsys)
     assert digest == GOLDEN_SHA256[experiment_id], (
         f"{experiment_id} --json output drifted: sha256 {digest} != pinned "
         f"{GOLDEN_SHA256[experiment_id]}. If the behavioural change is "
         "intentional, update GOLDEN_SHA256; otherwise new machinery has "
         "leaked into the default path."
+    )
+
+
+@pytest.mark.parametrize("estimator", sorted(RARE_ENGINE_SHA256))
+def test_rare_event_engine_artifact_is_byte_identical(
+    estimator: str, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    argv = ["fig15_rare", "--estimator", estimator, *RARE_ENGINE_OPTIONS]
+    digest = _artifact_sha256(argv, tmp_path, capsys)
+    assert digest == RARE_ENGINE_SHA256[estimator], (
+        f"{' '.join(argv)} --json output drifted: sha256 {digest} != "
+        f"pinned {RARE_ENGINE_SHA256[estimator]}."
     )
