@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 
 from repro.core.design import DesignSpec
-from repro.core.yield_analysis import adaptive_linearity_yield
+from repro.core.yield_analysis import LinearitySpec, adaptive_linearity_yield
 from repro.experiments.figure50_51_mc import (
     DNL_LIMIT_LSB,
     ERROR_LIMIT_FRACTION,
@@ -45,9 +45,11 @@ def _cell_kwargs(corner: OperatingConditions) -> dict:
         variation=VariationModel(
             random_sigma=0.04, gradient_peak=0.015, seed=SEED
         ),
-        dnl_limit_lsb=DNL_LIMIT_LSB,
-        inl_limit_lsb=INL_LIMIT_LSB,
-        error_limit_fraction=ERROR_LIMIT_FRACTION,
+        linearity_spec=LinearitySpec(
+            dnl_limit_lsb=DNL_LIMIT_LSB,
+            inl_limit_lsb=INL_LIMIT_LSB,
+            error_limit_fraction=ERROR_LIMIT_FRACTION,
+        ),
         library=intel32_like_library(),
     )
 

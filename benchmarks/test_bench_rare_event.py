@@ -42,17 +42,16 @@ VANILLA_CAP = 262_144
 IMPORTANCE_CAP = 32_768
 
 
-def _run(estimator: str, *, max_instances: int, chunk_size: int, tilt=None):
-    quantizer = _duty_levels("slow")
+def _run(*, max_instances: int, chunk_size: int, tilt=None):
+    """Vanilla adaptive sampling, or importance sampling given a ``tilt``."""
     return rare_event_regulation_yield(
         BuckParameters(switching_frequency_hz=FREQUENCY_MHZ * 1e6),
         REFERENCE_V,
         dip_limit_v=DIP_LIMIT_V,
+        quantizer=_duty_levels("slow"),
         variation=ComponentVariation(seed=SEED),
-        estimator=estimator,
         tilt=tilt,
         load=LOAD,
-        quantizer_levels=quantizer.levels[0],
         periods=PERIODS,
         settle_periods=SETTLE_PERIODS,
         precision=PRECISION,
@@ -66,12 +65,11 @@ def test_bench_importance_budget_reduction_on_ppm_cell():
     # precision target.  It doubles as the budget baseline and as the
     # unbiased estimate the importance interval must bracket.
     start = time.perf_counter()
-    vanilla = _run("vanilla", max_instances=VANILLA_CAP, chunk_size=4096)
+    vanilla = _run(max_instances=VANILLA_CAP, chunk_size=4096)
     vanilla_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
     importance = _run(
-        "importance",
         max_instances=IMPORTANCE_CAP,
         chunk_size=2048,
         tilt=ComponentTilt(
@@ -82,40 +80,48 @@ def test_bench_importance_budget_reduction_on_ppm_cell():
     )
     importance_seconds = time.perf_counter() - start
 
-    budget_fraction = importance.samples / vanilla.samples
+    budget_fraction = importance.trials / vanilla.trials
     report = {
         "workload": (
             "fig15_rare slow-corner cell, dip limit "
             f"{DIP_LIMIT_V} V, precision {PRECISION}"
         ),
-        "vanilla_samples": vanilla.samples,
+        "vanilla_samples": vanilla.trials,
         "vanilla_seconds": vanilla_seconds,
-        "vanilla_failure_ppm": vanilla.failure_probability * 1e6,
-        "vanilla_ci_ppm": [vanilla.lower * 1e6, vanilla.upper * 1e6],
+        "vanilla_failure_ppm": vanilla.estimate * 1e6,
+        "vanilla_ci_ppm": [
+            vanilla.interval.lower * 1e6,
+            vanilla.interval.upper * 1e6,
+        ],
         "vanilla_stop_reason": vanilla.stop_reason,
-        "importance_samples": importance.samples,
+        "importance_samples": importance.trials,
         "importance_seconds": importance_seconds,
-        "importance_failure_ppm": importance.failure_probability * 1e6,
-        "importance_ci_ppm": [importance.lower * 1e6, importance.upper * 1e6],
+        "importance_failure_ppm": importance.estimate * 1e6,
+        "importance_ci_ppm": [
+            importance.interval.lower * 1e6,
+            importance.interval.upper * 1e6,
+        ],
         "importance_stop_reason": importance.stop_reason,
         "importance_ess": importance.effective_sample_size,
         "budget_fraction": budget_fraction,
-        "budget_reduction_x": vanilla.samples / importance.samples,
+        "budget_reduction_x": vanilla.trials / importance.trials,
     }
 
     # The headline gate: same precision, <= 10 % of the vanilla budget.
     assert importance.stop_reason == "precision", report
-    assert importance.half_width <= PRECISION, report
+    assert importance.interval.half_width <= PRECISION, report
     assert budget_fraction <= 0.10, report
 
     # Statistical sanity: the cheap interval brackets the brute-force
     # estimate, and the two estimates agree within their summed widths.
-    assert importance.lower <= vanilla.failure_probability <= importance.upper, (
-        report
-    )
-    assert abs(
-        importance.failure_probability - vanilla.failure_probability
-    ) <= importance.half_width + vanilla.half_width, report
+    assert (
+        importance.interval.lower
+        <= vanilla.estimate
+        <= importance.interval.upper
+    ), report
+    assert abs(importance.estimate - vanilla.estimate) <= (
+        importance.interval.half_width + vanilla.interval.half_width
+    ), report
 
     # The weight stream is healthy, not a handful of dominant draws.
     assert importance.effective_sample_size is not None

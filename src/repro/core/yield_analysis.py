@@ -127,7 +127,6 @@ __all__ = [
     "LinearitySpec",
     "MissionSpec",
     "MissionYieldResult",
-    "RareEventYieldResult",
     "RegulationSpec",
     "adaptive_closed_loop_yield",
     "adaptive_linearity_yield",
@@ -427,19 +426,6 @@ class ComponentTilt:
         return np.array(
             [getattr(self, f"{axis}_shift") for axis in _COMPONENT_AXES]
         )
-
-    def is_identity(self) -> bool:
-        """True when the tilt leaves the nominal distribution untouched."""
-        return not self.shifts().any() and math.isclose(self.sigma_scale, 1.0)
-
-    def summary(self) -> dict[str, float]:
-        """JSON-able record of the tilt configuration."""
-        record = {
-            f"{axis}_shift": float(getattr(self, f"{axis}_shift"))
-            for axis in _COMPONENT_AXES
-        }
-        record["sigma_scale"] = float(self.sigma_scale)
-        return record
 
 
 @dataclass(frozen=True)
@@ -860,18 +846,15 @@ def _component_fleet(
     periods: int,
     *,
     load: LoadProfile | None,
-    dpwm_bits: int,
-    quantizer: "BatchQuantizer | None" = None,
+    quantizer: "BatchQuantizer",
 ) -> "BatchRegulationResult":
     """Regulate a component-varied fleet around one shared DPWM.
 
     The fleet of the component-only regulation estimators: every variant
-    gets ``quantizer`` (an ideal ``dpwm_bits``-bit DPWM by default).
+    gets the shared ``quantizer``.
     """
-    from repro.simulation.batch import BatchClosedLoop, BatchQuantizer
+    from repro.simulation.batch import BatchClosedLoop
 
-    if quantizer is None:
-        quantizer = BatchQuantizer.ideal(dpwm_bits, parameters.num_variants)
     loop = BatchClosedLoop(parameters, quantizer, reference_v=reference_v, load=load)
     return loop.run(periods)
 
@@ -960,18 +943,14 @@ def adaptive_linearity_yield(
     precision: float = 0.02,
     max_instances: int = 4096,
     chunk_size: int = 64,
-    dnl_limit_lsb: float | None = None,
-    inl_limit_lsb: float | None = None,
-    error_limit_fraction: float | None = None,
-    require_monotonic: bool = True,
-    require_lock: bool = True,
+    linearity_spec: LinearitySpec | None = None,
     library: TechnologyLibrary | None = None,
 ) -> "AdaptiveSampleResult":
     """Monte-Carlo linearity yield: sample until the CI is tight.
 
-    An instance "yields" when it meets the :class:`LinearitySpec` built from
-    the limit arguments (lock if required, DNL/INL/deviation limits,
-    monotonicity if required); see that class for the unit conventions.
+    An instance "yields" when it meets ``linearity_spec`` (by default a
+    locked, monotonic line with no DNL/INL/deviation limit); see
+    :class:`LinearitySpec` for the unit conventions.
     The scheme is designed once (:class:`repro.pipeline.ChunkedFabricator`),
     then post-APR chunks are fabricated, calibrated and scored until the
     confidence interval on the linearity yield has half-width
@@ -983,13 +962,7 @@ def adaptive_linearity_yield(
     from repro.mc import adaptive_sample
     from repro.pipeline import ChunkedFabricator
 
-    resolved_spec = LinearitySpec(
-        dnl_limit_lsb=dnl_limit_lsb,
-        inl_limit_lsb=inl_limit_lsb,
-        error_limit_fraction=error_limit_fraction,
-        require_monotonic=require_monotonic,
-        require_lock=require_lock,
-    )
+    resolved_spec = linearity_spec or LinearitySpec()
     fabricator = ChunkedFabricator(
         scheme, spec, variation=variation or VariationModel(), library=library
     )
@@ -1090,16 +1063,18 @@ def adaptive_regulation_yield(
     tight enough or the cap runs out.
     """
     from repro.mc import adaptive_sample
+    from repro.simulation.batch import BatchQuantizer
 
     spec = RegulationSpec(tolerance_v=tolerance_v)
     resolved_variation = variation or ComponentVariation()
+    quantizer = BatchQuantizer.ideal(dpwm_bits, 1)
 
     def draw(first_instance: int, count: int) -> "SampleChunk":
         parameters = resolved_variation.sample_instances(
             nominal, count, first_instance=first_instance
         )
         regulation = _component_fleet(
-            parameters, reference_v, periods, load=load, dpwm_bits=dpwm_bits
+            parameters, reference_v, periods, load=load, quantizer=quantizer
         )
         return _regulation_chunk(spec, regulation, reference_v)
 
@@ -1112,147 +1087,38 @@ def adaptive_regulation_yield(
     )
 
 
-@dataclass(frozen=True)
-class RareEventYieldResult:
-    """Outcome of a rare-event (ppm-regime) regulation-failure estimate.
-
-    Everything is a scalar (or a tuple of JSON-able dicts), so the result
-    serializes straight into the sweep cache.  It is framed around the
-    *failure* probability: in the ppm regime the failure rate is the
-    number with signal in it, and the yield is just its complement.
-
-    Attributes:
-        estimator: ``"vanilla"`` / ``"stratified"`` / ``"importance"``.
-        failure_probability: estimated probability that the load-step dip
-            undershoots the limit.
-        lower / upper: confidence-interval bounds on the failure
-            probability.
-        confidence: two-sided confidence level.
-        precision: the requested half-width target (0 = fixed budget).
-        samples: instances actually drawn -- the spent sample budget.
-        max_samples / chunk_size: the sampling configuration.
-        stop_reason: ``"precision"`` or ``"max_samples"``.
-        dip_limit_v: the undershoot threshold defining failure.
-        mean_dip_v: estimated nominal-population mean of the worst dip
-            (reweighted for the importance estimator, post-stratified for
-            the stratified one).
-        effective_sample_size: Kish ESS of the weight stream (importance
-            estimator only).
-        strata: per-stratum detail rows (stratified estimator only).
-    """
-
-    estimator: str
-    failure_probability: float
-    lower: float
-    upper: float
-    confidence: float
-    precision: float
-    samples: int
-    max_samples: int
-    chunk_size: int
-    stop_reason: str
-    dip_limit_v: float
-    mean_dip_v: float
-    effective_sample_size: float | None = None
-    strata: tuple[dict[str, float | int | str], ...] | None = None
-
-    @property
-    def half_width(self) -> float:
-        """Realized half-width of the failure-probability interval."""
-        return 0.5 * (self.upper - self.lower)
-
-    @property
-    def yield_estimate(self) -> float:
-        """The complementary yield, ``1 - failure_probability``."""
-        return 1.0 - self.failure_probability
-
-    def summary(self) -> dict[str, object]:
-        """Flat JSON-able record of the run (cacheable by the sweep layer)."""
-        record: dict[str, object] = {
-            "estimator": self.estimator,
-            "failure_probability": self.failure_probability,
-            "lower": self.lower,
-            "upper": self.upper,
-            "half_width": self.half_width,
-            "confidence": self.confidence,
-            "precision": self.precision,
-            "samples": self.samples,
-            "max_samples": self.max_samples,
-            "chunk_size": self.chunk_size,
-            "stop_reason": self.stop_reason,
-            "dip_limit_v": self.dip_limit_v,
-            "mean_dip_v": self.mean_dip_v,
-        }
-        if self.effective_sample_size is not None:
-            record["effective_sample_size"] = self.effective_sample_size
-        if self.strata is not None:
-            record["strata"] = [dict(row) for row in self.strata]
-        return record
-
-
 def rare_event_regulation_yield(
     nominal: BuckParameters,
     reference_v: float,
     *,
     dip_limit_v: float,
+    quantizer: "BatchQuantizer",
     variation: ComponentVariation | None = None,
-    estimator: str = "importance",
     tilt: ComponentTilt | None = None,
     stratification: ComponentStratification | None = None,
     load: LoadProfile | None = None,
-    quantizer_levels: npt.ArrayLike | None = None,
-    dpwm_bits: int = 6,
     periods: int = 160,
     settle_periods: int = 60,
     precision: float = 0.0,
     max_instances: int = 4096,
     chunk_size: int = 256,
-) -> RareEventYieldResult:
+) -> "AdaptiveSampleResult | ImportanceSampleResult | StratifiedSampleResult":
     """Estimate a rare load-step undershoot probability of the closed loop.
 
-    The rare-event sibling of :func:`adaptive_regulation_yield`.  A
-    variant *fails* when its output voltage dips below ``dip_limit_v`` at
-    any period after ``settle_periods`` -- the transient undershoot of a
-    load step, which at a guard-banded limit is a ppm-regime event that
-    vanilla adaptive sampling cannot resolve within any sane budget.
-    Three estimators share the identical vectorized fleet simulation and
-    differ only in how they draw the component spreads:
+    The rare-event sibling of :func:`adaptive_regulation_yield`: every
+    chunk closes a component-varied fleet around the one shared
+    ``quantizer`` and steps it with ``load``.  A variant *fails* when its
+    output dips below ``dip_limit_v`` at any period after
+    ``settle_periods``, so the pass statistic is ``"failure"`` and the
+    per-variant worst dip streams as ``"dip_v"``.
 
-    * ``"vanilla"`` -- :meth:`ComponentVariation.sample_instances` +
-      :func:`repro.mc.adaptive_sample` (Wilson stopping).  The honest
-      brute-force baseline.
-    * ``"stratified"`` -- sigma-shell strata on one component axis
-      (:class:`ComponentStratification`), Neyman-allocated chunks via
-      :func:`repro.mc.stratified_sample`.
-    * ``"importance"`` -- mean-shift/sigma-scale tilted draws
-      (:class:`ComponentTilt`), self-normalized reweighting with an
-      ESS-guarded stopping rule via :func:`repro.mc.importance_sample`.
-
-    Args:
-        nominal: the nominal converter design.
-        reference_v: regulation reference voltage.
-        dip_limit_v: undershoot threshold defining failure (must sit
-            below ``reference_v``).
-        variation: component spread model (default spreads when omitted).
-        estimator: which estimator to run (see above).
-        tilt: tilt configuration; only meaningful for ``"importance"``
-            (defaults to the identity tilt -- valid but variance-free of
-            benefit, so callers normally pass a real tilt).
-        stratification: shell partition; only meaningful for
-            ``"stratified"`` (defaults to the capacitance shells).
-        load: load profile the fleet is stepped with.
-        quantizer_levels: one DPWM duty table shared by the whole fleet
-            (e.g. from a calibrated fabricated instance); falls back to an
-            ideal ``dpwm_bits``-bit quantizer.
-        periods / settle_periods: run length and the periods excluded
-            from the dip measurement while the loop settles.
-        precision: target CI half-width on the failure probability
-            (0 runs the full budget).
-        max_instances: hard sample cap.
-        chunk_size: instances per vectorized chunk.
-
-    Returns:
-        a JSON/cache-able :class:`RareEventYieldResult`.
+    The draw object picks the :mod:`repro.mc` engine, and the engine's own
+    result comes back: a ``tilt`` (:class:`ComponentTilt`) runs
+    :func:`~repro.mc.importance_sample` over tilted, reweighted draws; a
+    ``stratification`` (:class:`ComponentStratification`) runs
+    :func:`~repro.mc.stratified_sample` over its sigma shells; neither
+    runs :func:`~repro.mc.adaptive_sample`, the brute-force baseline.
+    Passing both raises :class:`ValueError`.
     """
     from repro.mc import (
         SampleChunk,
@@ -1262,13 +1128,7 @@ def rare_event_regulation_yield(
         importance_sample,
         stratified_sample,
     )
-    from repro.simulation.batch import BatchQuantizer
 
-    estimators = ("vanilla", "stratified", "importance")
-    if estimator not in estimators:
-        raise ValueError(
-            f"estimator must be one of {estimators}; got {estimator!r}"
-        )
     if not 0.0 < dip_limit_v < reference_v:
         raise ValueError(
             f"dip_limit_v must be in (0, reference_v); got {dip_limit_v}"
@@ -1277,83 +1137,38 @@ def rare_event_regulation_yield(
         raise ValueError(
             f"settle_periods must be in [0, periods); got {settle_periods}"
         )
-    if tilt is not None and estimator != "importance":
-        raise ValueError("tilt only applies to the importance estimator")
-    if stratification is not None and estimator != "stratified":
-        raise ValueError(
-            "stratification only applies to the stratified estimator"
-        )
+    if tilt is not None and stratification is not None:
+        raise ValueError("pass a tilt or a stratification, not both")
     resolved_variation = variation or ComponentVariation()
-    levels_row = (
-        None
-        if quantizer_levels is None
-        else np.atleast_2d(np.asarray(quantizer_levels, dtype=float))
-    )
 
     def simulate(parameters: "BatchBuckParameters") -> SampleChunk:
         """Run one fleet chunk and score per-instance dip failures."""
         regulation = _component_fleet(
-            parameters,
-            reference_v,
-            periods,
-            load=load,
-            dpwm_bits=dpwm_bits,
-            quantizer=(
-                None
-                if levels_row is None
-                else BatchQuantizer(levels_row, num_variants=parameters.num_variants)
-            ),
+            parameters, reference_v, periods, load=load, quantizer=quantizer
         )
         dips = regulation.output_voltages_v[settle_periods:].min(axis=0)
         return SampleChunk(
             passes={"failure": dips < dip_limit_v}, values={"dip_v": dips}
         )
 
-    sampled: AdaptiveSampleResult | ImportanceSampleResult | StratifiedSampleResult
-    effective_sample_size: float | None = None
-    strata_rows: tuple[dict[str, float | int | str], ...] | None = None
-    if estimator == "vanilla":
-        def draw_vanilla(first_instance: int, count: int) -> SampleChunk:
-            return simulate(
-                resolved_variation.sample_instances(
-                    nominal, count, first_instance=first_instance
-                )
-            )
-
-        sampled = adaptive_sample(
-            draw_vanilla,
-            primary="failure",
-            precision=precision,
-            max_samples=max_instances,
-            chunk_size=chunk_size,
-        )
-        mean_dip_v = sampled.moments["dip_v"].mean
-    elif estimator == "importance":
-        resolved_tilt = tilt or ComponentTilt()
-
+    if tilt is not None:
         def draw_tilted(first_instance: int, count: int) -> WeightedSampleChunk:
             parameters, log_weights = resolved_variation.sample_instances_tilted(
-                nominal, count, first_instance=first_instance, tilt=resolved_tilt
+                nominal, count, first_instance=first_instance, tilt=tilt
             )
             chunk = simulate(parameters)
             return WeightedSampleChunk(
                 passes=chunk.passes, log_weights=log_weights, values=chunk.values
             )
 
-        sampled = importance_sample(
+        return importance_sample(
             draw_tilted,
             primary="failure",
             precision=precision,
             max_samples=max_instances,
             chunk_size=chunk_size,
         )
-        mean_dip_v = sampled.value_moments["dip_v"].mean
-        effective_sample_size = sampled.effective_sample_size
-    else:
-        resolved_strat = stratification or ComponentStratification()
-        weights = resolved_strat.weights()
-        names = resolved_strat.names()
-
+    if stratification is not None:
         def stratum_draw(index: int) -> "Callable[[int, int], SampleChunk]":
             def draw_stratum(first_instance: int, count: int) -> SampleChunk:
                 return simulate(
@@ -1362,50 +1177,38 @@ def rare_event_regulation_yield(
                         count,
                         index,
                         first_instance=first_instance,
-                        stratification=resolved_strat,
+                        stratification=stratification,
                     )
                 )
 
             return draw_stratum
 
-        strata = tuple(
-            Stratum(name=names[h], weight=weights[h], draw=stratum_draw(h))
-            for h in range(resolved_strat.num_strata)
-        )
-        sampled = stratified_sample(
-            strata,
+        return stratified_sample(
+            [
+                Stratum(name=name, weight=weight, draw=stratum_draw(index))
+                for index, (name, weight) in enumerate(
+                    zip(stratification.names(), stratification.weights())
+                )
+            ],
             primary="failure",
             precision=precision,
             max_samples=max_instances,
             chunk_size=chunk_size,
         )
-        mean_dip_v = sampled.value_means["dip_v"]
-        strata_rows = tuple(
-            {
-                "name": row.name,
-                "weight": row.weight,
-                "trials": row.trials,
-                "failures": row.successes.get("failure", 0),
-                "failure_rate": row.estimate("failure"),
-            }
-            for row in sampled.strata
+
+    def draw(first_instance: int, count: int) -> SampleChunk:
+        return simulate(
+            resolved_variation.sample_instances(
+                nominal, count, first_instance=first_instance
+            )
         )
-    interval = sampled.intervals["failure"]
-    return RareEventYieldResult(
-        estimator=estimator,
-        failure_probability=sampled.estimates["failure"],
-        lower=interval.lower,
-        upper=interval.upper,
-        confidence=sampled.confidence,
+
+    return adaptive_sample(
+        draw,
+        primary="failure",
         precision=precision,
-        samples=sampled.trials,
         max_samples=max_instances,
         chunk_size=chunk_size,
-        stop_reason=sampled.stop_reason,
-        dip_limit_v=dip_limit_v,
-        mean_dip_v=mean_dip_v,
-        effective_sample_size=effective_sample_size,
-        strata=strata_rows,
     )
 
 

@@ -130,6 +130,8 @@ def run_cell(params: dict) -> dict:
     orchestrator can pickle it into workers and content-address the
     result -- estimator and tilt variants never collide in the cache.
     """
+    from repro.mc import ImportanceSampleResult, StratifiedSampleResult
+
     estimator = params["estimator"]
     tilt = None
     stratification = None
@@ -141,28 +143,61 @@ def run_cell(params: dict) -> dict:
         )
     elif estimator == "stratified":
         stratification = ComponentStratification()
-    quantizer = _duty_levels(params["corner"])
     result = rare_event_regulation_yield(
         BuckParameters(switching_frequency_hz=FREQUENCY_MHZ * 1e6),
         REFERENCE_V,
         dip_limit_v=DIP_LIMIT_V,
+        quantizer=_duty_levels(params["corner"]),
         variation=ComponentVariation(seed=params["seed"]),
-        estimator=estimator,
         tilt=tilt,
         stratification=stratification,
         load=LOAD,
-        quantizer_levels=quantizer.levels[0],
         periods=PERIODS,
         settle_periods=SETTLE_PERIODS,
         precision=params["precision"],
         max_instances=params["max_instances"],
         chunk_size=min(CHUNK_SIZE, params["max_instances"]),
     )
-    payload = result.summary()
-    payload["failure_ppm"] = result.failure_probability * 1e6
-    payload["ci_lower_ppm"] = result.lower * 1e6
-    payload["ci_upper_ppm"] = result.upper * 1e6
-    return payload
+    # The engine-specific fields: the weighted or post-stratified mean dip,
+    # and the weight-stream ESS or the per-stratum rows.
+    detail: dict[str, object] = {}
+    if isinstance(result, ImportanceSampleResult):
+        mean_dip_v = result.value_moments["dip_v"].mean
+        detail["effective_sample_size"] = result.effective_sample_size
+    elif isinstance(result, StratifiedSampleResult):
+        mean_dip_v = result.value_means["dip_v"]
+        detail["strata"] = [
+            {
+                "name": row.name,
+                "weight": row.weight,
+                "trials": row.trials,
+                "failures": row.successes.get("failure", 0),
+                "failure_rate": row.estimate("failure"),
+            }
+            for row in result.strata
+        ]
+    else:
+        mean_dip_v = result.moments["dip_v"].mean
+    interval = result.interval
+    return {
+        "estimator": estimator,
+        "failure_probability": result.estimate,
+        "lower": interval.lower,
+        "upper": interval.upper,
+        "half_width": interval.half_width,
+        "confidence": result.confidence,
+        "precision": result.precision,
+        "samples": result.trials,
+        "max_samples": result.max_samples,
+        "chunk_size": result.chunk_size,
+        "stop_reason": result.stop_reason,
+        "dip_limit_v": DIP_LIMIT_V,
+        "mean_dip_v": mean_dip_v,
+        **detail,
+        "failure_ppm": result.estimate * 1e6,
+        "ci_lower_ppm": interval.lower * 1e6,
+        "ci_upper_ppm": interval.upper * 1e6,
+    }
 
 
 @register("fig15_rare")

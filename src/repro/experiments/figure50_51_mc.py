@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from repro.analysis.reports import format_table
 from repro.core.design import DesignSpec
-from repro.core.yield_analysis import adaptive_linearity_yield
+from repro.core.yield_analysis import LinearitySpec, adaptive_linearity_yield
 from repro.experiments.base import (
     ExperimentResult,
     adaptive_coordinates,
@@ -100,9 +100,11 @@ def run_cell(params: dict) -> dict:
         variation=VariationModel(
             random_sigma=0.04, gradient_peak=0.015, seed=params["seed"]
         ),
-        dnl_limit_lsb=DNL_LIMIT_LSB,
-        inl_limit_lsb=INL_LIMIT_LSB,
-        error_limit_fraction=ERROR_LIMIT_FRACTION,
+        linearity_spec=LinearitySpec(
+            dnl_limit_lsb=DNL_LIMIT_LSB,
+            inl_limit_lsb=INL_LIMIT_LSB,
+            error_limit_fraction=ERROR_LIMIT_FRACTION,
+        ),
         library=intel32_like_library(),
         **monte_carlo_budget(params, fixed_instances=NUM_INSTANCES),
     )

@@ -403,7 +403,7 @@ class TestLinearityYield:
             precision=0.0,
             max_instances=32,
             chunk_size=32,
-            error_limit_fraction=0.05,
+            linearity_spec=LinearitySpec(error_limit_fraction=0.05),
             library=LIBRARY,
         )
         assert result.trials == 32
@@ -437,7 +437,11 @@ class TestLinearityYield:
             adaptive_linearity_yield("hybrid", spec, conditions, max_instances=2)
         with pytest.raises(ValueError, match="must be positive"):
             adaptive_linearity_yield(
-                "proposed", spec, conditions, max_instances=2, dnl_limit_lsb=0.0
+                "proposed",
+                spec,
+                conditions,
+                max_instances=2,
+                linearity_spec=LinearitySpec(dnl_limit_lsb=0.0),
             )
         with pytest.raises(ValueError):
             adaptive_linearity_yield("proposed", spec, conditions, max_instances=0)

@@ -377,7 +377,7 @@ class TestAdaptiveLinearityYield:
             variation=VariationModel(
                 random_sigma=0.04, gradient_peak=0.015, seed=5
             ),
-            error_limit_fraction=0.045,
+            linearity_spec=LinearitySpec(error_limit_fraction=0.045),
             library=library,
         )
         adaptive = adaptive_linearity_yield(
@@ -453,7 +453,7 @@ def _linearity_run(library, **budget):
         DesignSpec(clock_frequency_mhz=100.0, resolution_bits=6),
         OperatingConditions.fast(),
         variation=VariationModel(seed=3),
-        error_limit_fraction=0.045,
+        linearity_spec=LinearitySpec(error_limit_fraction=0.045),
         library=library,
         **budget,
     )

@@ -23,6 +23,7 @@ import pytest
 
 import repro.analysis.metrics
 import repro.converter.load
+import repro.converter.missions
 import repro.core.ensemble
 import repro.core.yield_analysis
 import repro.experiments.base
@@ -32,6 +33,7 @@ import repro.kernels.fabrication
 import repro.mc
 import repro.pipeline
 import repro.simulation.batch
+import repro.streams
 from repro.lint.rules import drift
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -45,10 +47,12 @@ DOCTEST_MODULES = [
     repro.kernels.fabrication,
     repro.analysis.metrics,
     repro.converter.load,
+    repro.converter.missions,
     repro.core.ensemble,
     repro.core.yield_analysis,
     repro.experiments.base,
     repro.pipeline,
+    repro.streams,
     repro.mc,
 ]
 

@@ -37,9 +37,12 @@ from repro.core.yield_analysis import (
     rare_event_regulation_yield,
 )
 from repro.mc import (
+    AdaptiveSampleResult,
+    ImportanceSampleResult,
     RunningMoments,
     SampleChunk,
     Stratum,
+    StratifiedSampleResult,
     WeightedRunningMoments,
     WeightedSampleChunk,
     MIN_ESS,
@@ -49,6 +52,7 @@ from repro.mc import (
     stratified_sample,
     wilson_interval,
 )
+from repro.simulation.batch import BatchQuantizer
 from repro.technology.variation import CorrelatedVariationModel, VariationModel
 
 # ---------------------------------------------------------------------------
@@ -707,47 +711,67 @@ class TestChunkStableStreams:
             ComponentStratification(axis="nonsense")
         with pytest.raises(ValueError, match="increasing"):
             ComponentStratification(boundaries=(1.0, 1.0))
-        assert ComponentTilt().is_identity()
-        assert not TILT.is_identity()
 
 
 # ---------------------------------------------------------------------------
-# The domain wrapper's validation (no simulation involved).
+# The domain wrapper: its validation, and the engine each draw object picks.
 # ---------------------------------------------------------------------------
+
+#: The shared DPWM of the wrapper tests: one ideal 6-bit duty table.
+QUANTIZER = BatchQuantizer.ideal(6, 1)
 
 
 class TestRareEventWrapperValidation:
     def test_rejects_bad_configurations(self) -> None:
-        kwargs = dict(dip_limit_v=0.6, variation=VARIATION, max_instances=16)
-        with pytest.raises(ValueError, match="estimator"):
-            rare_event_regulation_yield(
-                NOMINAL, 0.9, estimator="bogus", **kwargs
-            )
-        with pytest.raises(ValueError, match="tilt"):
-            rare_event_regulation_yield(
-                NOMINAL, 0.9, estimator="vanilla", tilt=TILT, **kwargs
-            )
-        with pytest.raises(ValueError, match="stratification"):
+        kwargs = dict(quantizer=QUANTIZER, variation=VARIATION)
+        with pytest.raises(ValueError, match="tilt or a stratification"):
             rare_event_regulation_yield(
                 NOMINAL,
                 0.9,
-                estimator="importance",
+                dip_limit_v=0.6,
+                tilt=TILT,
                 stratification=STRATIFICATION,
                 **kwargs,
             )
         with pytest.raises(ValueError, match="dip_limit_v"):
-            rare_event_regulation_yield(
-                NOMINAL, 0.9, dip_limit_v=1.5, variation=VARIATION
-            )
+            rare_event_regulation_yield(NOMINAL, 0.9, dip_limit_v=1.5, **kwargs)
         with pytest.raises(ValueError, match="settle_periods"):
             rare_event_regulation_yield(
                 NOMINAL,
                 0.9,
                 dip_limit_v=0.6,
-                variation=VARIATION,
                 periods=100,
                 settle_periods=100,
+                **kwargs,
             )
+
+    @pytest.mark.parametrize(
+        ("draw_object", "engine_result"),
+        [
+            ({}, AdaptiveSampleResult),
+            ({"tilt": TILT}, ImportanceSampleResult),
+            ({"stratification": STRATIFICATION}, StratifiedSampleResult),
+        ],
+        ids=["vanilla", "tilt", "stratification"],
+    )
+    def test_draw_object_picks_the_engine(
+        self, draw_object: dict, engine_result: type
+    ) -> None:
+        result = rare_event_regulation_yield(
+            NOMINAL,
+            0.9,
+            dip_limit_v=0.6,
+            quantizer=QUANTIZER,
+            variation=VARIATION,
+            periods=40,
+            settle_periods=10,
+            max_instances=16,
+            chunk_size=8,
+            **draw_object,
+        )
+        assert type(result) is engine_result
+        assert result.primary == "failure"
+        assert result.trials == 16
 
 
 # ---------------------------------------------------------------------------

@@ -656,6 +656,8 @@ class TestProgressReporter:
             sweep.map_cells(value_cell, cells, experiment_id="fig")
         warm_lines = warm_stream.getvalue().splitlines()
         assert warm_lines[-1].startswith("sweep fig: 3/3 cells (3 hit, 0 computed)")
+        # Hits count toward the rate, so an all-hit sweep reports a number.
+        assert re.search(r", \d+\.\d cells/s, ETA 0\.0s$", warm_lines[-1])
 
 
 # ---------------------------------------------------------------------------
