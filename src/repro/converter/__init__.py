@@ -15,8 +15,8 @@ topologies the paper compares in chapter 2:
 * :mod:`repro.converter.compensator` -- discrete PID compensator producing
   the duty command.
 * :mod:`repro.converter.load` -- load profiles (static, stepped, ramp,
-  pulse-train, random-burst) plus reference-step and line-transient
-  scenarios for transient-response studies.
+  pulse-train, random-burst), the only scenario channel: the loops
+  regulate a fixed reference from a fixed input rail.
 * :mod:`repro.converter.missions` -- mission profiles: seeded,
   chunk-invariant composition of the load primitives into long randomized
   workload missions.
@@ -39,11 +39,9 @@ from repro.converter.linear_regulator import (
 )
 from repro.converter.load import (
     ConstantLoad,
-    LineTransient,
     PulseTrainLoad,
     RampLoad,
     RandomBurstLoad,
-    ReferenceStep,
     SteppedLoad,
 )
 from repro.converter.missions import (
@@ -63,7 +61,6 @@ __all__ = [
     "DigitallyControlledBuck",
     "LinearRegulator",
     "LinearRegulatorType",
-    "LineTransient",
     "MissionGenerator",
     "MissionProfile",
     "MissionSegment",
@@ -72,7 +69,6 @@ __all__ = [
     "PulseTrainLoad",
     "RampLoad",
     "RandomBurstLoad",
-    "ReferenceStep",
     "RegulationTrace",
     "SteppedLoad",
     "SwitchedCapacitorConverter",

@@ -382,20 +382,12 @@ class BuckPowerStage:
         self.state.inductor_current_a = ad11 * current + ad12 * voltage + m11 * drive
         self.state.output_voltage_v = ad21 * current + ad22 * voltage + m21 * drive
 
-    def run_period(
-        self,
-        duty: float,
-        load_resistance_ohm: float,
-        source_voltage_v: float | None = None,
-    ) -> BuckState:
+    def run_period(self, duty: float, load_resistance_ohm: float) -> BuckState:
         """Advance the converter by one switching period at a given duty.
 
         Args:
             duty: fraction of the period the high-side switch is on (0..1).
             load_resistance_ohm: load seen at the output during this period.
-            source_voltage_v: input voltage during this period; defaults to
-                the nominal ``input_voltage_v`` (override it to model line
-                transients).
 
         Returns:
             the state at the end of the period (also kept internally).
@@ -405,15 +397,11 @@ class BuckPowerStage:
         if load_resistance_ohm <= 0:
             raise ValueError("load resistance must be positive")
         params = self.parameters
-        if source_voltage_v is None:
-            source_voltage_v = params.input_voltage_v
-        elif source_voltage_v < 0:
-            raise ValueError("source voltage must be non-negative")
         period = params.switching_period_s
         on_time = duty * period
         off_time = period - on_time
         step = self._step_exact if self.method == "exact" else self._integrate
-        step(source_voltage_v, load_resistance_ohm, on_time)
+        step(params.input_voltage_v, load_resistance_ohm, on_time)
         step(0.0, load_resistance_ohm, off_time)
         return self.state
 

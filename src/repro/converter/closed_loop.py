@@ -12,6 +12,26 @@ The DPWM can be any object exposing ``duty_word_for`` / ``duty_fraction`` /
 proposed line, the calibrated conventional line, or an ideal quantizer -- the
 basis of the regulation examples and of the resolution experiments (paper
 eq. 12: output-voltage resolution = Vg / 2**n_DPWM).
+
+The loop regulates a fixed ``reference_v`` from the fixed input rail
+``parameters.input_voltage_v``; the load profile is its only per-period
+scenario.
+
+Example -- a scalar loop regulating 1.8 V down to 0.9 V behind an ideal
+8-bit DPWM, and the batch engine lifted from it (before either runs, so
+both start from the same state) reproducing its duty words exactly:
+
+    >>> from repro.converter.buck import BuckParameters
+    >>> from repro.simulation.batch import from_closed_loops
+    >>> loop = DigitallyControlledBuck(
+    ...     BuckParameters(input_voltage_v=1.8), IdealDPWM(bits=8),
+    ...     reference_v=0.9)
+    >>> batch = from_closed_loops([loop])
+    >>> trace = loop.run(300)
+    >>> round(trace.steady_state_voltage_v(), 2)
+    0.9
+    >>> batch.run(300).duty_words[:, 0].tolist() == trace.duty_words
+    True
 """
 
 from __future__ import annotations
@@ -21,42 +41,12 @@ from typing import Protocol
 
 import numpy as np
 
-import numpy.typing as npt
-
 from repro.converter.adc import WindowedADC
 from repro.converter.buck import BuckParameters, BuckPowerStage
 from repro.converter.compensator import PIDCompensator
-from repro.converter.load import (
-    ConstantLoad,
-    LoadProfile,
-    ReferenceProfile,
-    SourceProfile,
-)
+from repro.converter.load import ConstantLoad, LoadProfile
 
 __all__ = ["DutyQuantizer", "IdealDPWM", "RegulationTrace", "DigitallyControlledBuck"]
-
-
-def validate_reference_profile(
-    reference_profile: object, input_voltage_v: float | npt.ArrayLike
-) -> None:
-    """Reject reference profiles that peak above the input voltage.
-
-    Shared by the scalar loop and the batch engine.  ``input_voltage_v`` may
-    be a scalar or a per-variant array; profiles without a
-    ``max_reference_v`` attribute (custom duck-typed ones) are accepted
-    as-is.
-
-    Raises:
-        ValueError: if the profile's peak exceeds any input voltage.
-    """
-    max_reference = getattr(reference_profile, "max_reference_v", None)
-    if max_reference is not None and np.any(
-        np.asarray(max_reference) > np.asarray(input_voltage_v)
-    ):
-        raise ValueError(
-            f"reference profile peaks at {max_reference} V, above the input "
-            "voltage"
-        )
 
 
 def steady_state_tail(voltages: np.ndarray, tail_fraction: float) -> np.ndarray:
@@ -191,19 +181,11 @@ class DigitallyControlledBuck:
         compensator: PIDCompensator | None = None,
         load: LoadProfile | None = None,
         start_at_reference: bool = True,
-        reference_profile: ReferenceProfile | None = None,
-        source_profile: SourceProfile | None = None,
         stepper: str = "exact",
     ) -> None:
         """Assemble the loop.
 
         Args:
-            reference_profile: optional object with ``reference_at(period)``
-                (e.g. :class:`~repro.converter.load.ReferenceStep`)
-                overriding the constant ``reference_v`` per period.
-            source_profile: optional object with ``voltage_at(period)``
-                (e.g. :class:`~repro.converter.load.LineTransient`) driving
-                the input rail per period instead of the nominal value.
             stepper: power-stage integration method, ``"exact"`` (default)
                 or ``"euler"`` (the seed fixed-step integrator).
         """
@@ -211,23 +193,12 @@ class DigitallyControlledBuck:
             raise ValueError(
                 "reference voltage must be positive and below the input voltage"
             )
-        if reference_profile is not None:
-            validate_reference_profile(reference_profile, parameters.input_voltage_v)
         self.parameters = parameters
         self.dpwm = dpwm
         self.reference_v = reference_v
-        self.reference_profile = reference_profile
-        self.source_profile = source_profile
         self.adc = adc or WindowedADC()
-        # The operating point at period 0 follows the profile when one is
-        # given (e.g. a ReferenceStep that begins below reference_v).
-        initial_reference = (
-            reference_profile.reference_at(0)
-            if reference_profile is not None
-            else reference_v
-        )
         self.compensator = compensator or PIDCompensator(
-            initial_duty=initial_reference / parameters.input_voltage_v
+            initial_duty=reference_v / parameters.input_voltage_v
         )
         self.load = load or ConstantLoad(resistance_ohm=1.0)
         self.power_stage = BuckPowerStage(parameters, method=stepper)
@@ -236,9 +207,11 @@ class DigitallyControlledBuck:
             # load transients rather than the cold-start charge-up; pass
             # ``start_at_reference=False`` to study the start-up itself.
             initial_load = self.load.resistance_at(0)
+            if initial_load <= 0:
+                raise ValueError("load resistance must be positive in period 0")
             self.power_stage.reset(
-                output_voltage_v=initial_reference,
-                inductor_current_a=initial_reference / initial_load,
+                output_voltage_v=reference_v,
+                inductor_current_a=reference_v / initial_load,
             )
         else:
             self.power_stage.reset(output_voltage_v=0.0, inductor_current_a=0.0)
@@ -249,26 +222,15 @@ class DigitallyControlledBuck:
             raise ValueError("periods must be >= 1")
         trace = RegulationTrace()
         period_s = self.parameters.switching_period_s
+        reference = self.reference_v
         for index in range(periods):
             measured = self.power_stage.state.output_voltage_v
-            reference = (
-                self.reference_profile.reference_at(index)
-                if self.reference_profile is not None
-                else self.reference_v
-            )
             error_code = self.adc.quantize_error(reference, measured)
             duty_command = self.compensator.update(error_code)
             duty_word = self.dpwm.duty_word_for(duty_command)
             duty = self.dpwm.duty_fraction(duty_word)
             load_resistance = self.load.resistance_at(index)
-            source_voltage = (
-                self.source_profile.voltage_at(index)
-                if self.source_profile is not None
-                else None
-            )
-            state = self.power_stage.run_period(
-                duty, load_resistance, source_voltage_v=source_voltage
-            )
+            state = self.power_stage.run_period(duty, load_resistance)
             trace.times_s.append((index + 1) * period_s)
             trace.output_voltages_v.append(state.output_voltage_v)
             trace.inductor_currents_a.append(state.inductor_current_a)

@@ -6,9 +6,9 @@ resistance seen by the buck output as a function of the switching-period
 index.  Beyond the constant and single-step loads, the module models the
 realistic core workloads the closed loop has to survive -- current ramps
 (DVFS-style activity ramps), periodic pulse trains (a duty-cycled
-accelerator) and seeded random bursts (interrupt-driven activity) -- plus
-the two non-load disturbances of regulator bring-up: reference steps (DVS
-voltage transitions) and line transients (input-rail droop).
+accelerator) and seeded random bursts (interrupt-driven activity).  The
+load is the only scenario channel: the loops regulate a fixed reference
+from a fixed input rail, as in the paper's Figure 15.
 """
 
 from __future__ import annotations
@@ -21,15 +21,11 @@ import numpy as np
 __all__ = [
     "load_schedule",
     "LoadProfile",
-    "ReferenceProfile",
-    "SourceProfile",
     "ConstantLoad",
     "SteppedLoad",
     "RampLoad",
     "PulseTrainLoad",
     "RandomBurstLoad",
-    "ReferenceStep",
-    "LineTransient",
 ]
 
 
@@ -63,20 +59,6 @@ def load_schedule(load: LoadProfile, start: int, count: int) -> np.ndarray:
     return np.array(
         [load.resistance_at(start + offset) for offset in range(count)], dtype=float
     )
-
-
-class ReferenceProfile(Protocol):
-    """What the closed loops need from a reference-voltage scenario."""
-
-    def reference_at(self, period_index: int) -> float:  # pragma: no cover
-        ...
-
-
-class SourceProfile(Protocol):
-    """What the closed loops need from an input-rail scenario."""
-
-    def voltage_at(self, period_index: int) -> float:  # pragma: no cover
-        ...
 
 
 @dataclass(frozen=True)
@@ -296,66 +278,3 @@ class RandomBurstLoad:
             raise ValueError("period index must be non-negative")
         heavy = self._heavy_mask[_period_indices(start, count) % self.horizon_periods]
         return np.where(heavy, self.heavy_ohm, self.light_ohm)
-
-
-@dataclass(frozen=True)
-class ReferenceStep:
-    """A reference voltage that steps at a given period (a DVS transition).
-
-    Attributes:
-        initial_v: reference before ``step_period``.
-        final_v: reference from ``step_period`` onwards.
-        step_period: period index of the transition.
-    """
-
-    initial_v: float
-    final_v: float
-    step_period: int
-
-    def __post_init__(self) -> None:
-        if self.initial_v <= 0 or self.final_v <= 0:
-            raise ValueError("reference voltages must be positive")
-        if self.step_period < 0:
-            raise ValueError("step_period must be non-negative")
-
-    @property
-    def max_reference_v(self) -> float:
-        return max(self.initial_v, self.final_v)
-
-    def reference_at(self, period_index: int) -> float:
-        """Reference voltage during the given switching period."""
-        return self.final_v if period_index >= self.step_period else self.initial_v
-
-
-@dataclass(frozen=True)
-class LineTransient:
-    """An input-voltage disturbance (the rail droops, then recovers).
-
-    Attributes:
-        nominal_v: input voltage outside the disturbance window.
-        disturbed_v: input voltage inside ``[start_period, end_period)``.
-        start_period / end_period: disturbance window in period indices.
-    """
-
-    nominal_v: float
-    disturbed_v: float
-    start_period: int
-    end_period: int
-
-    def __post_init__(self) -> None:
-        if self.nominal_v <= 0 or self.disturbed_v <= 0:
-            raise ValueError("input voltages must be positive")
-        if self.start_period < 0:
-            raise ValueError("start_period must be non-negative")
-        if self.end_period <= self.start_period:
-            raise ValueError("end_period must come after start_period")
-
-    @property
-    def min_voltage_v(self) -> float:
-        return min(self.nominal_v, self.disturbed_v)
-
-    def voltage_at(self, period_index: int) -> float:
-        """Input voltage during the given switching period."""
-        if self.start_period <= period_index < self.end_period:
-            return self.disturbed_v
-        return self.nominal_v

@@ -1,4 +1,4 @@
-"""Mission profiles: composable long-horizon load/reference/source scenarios.
+"""Mission profiles: composable long-horizon load scenarios.
 
 The load primitives of :mod:`repro.converter.load` each model *one* workload
 event -- a step, a ramp, a pulse train, a random burst.  Real regulators are
@@ -7,12 +7,11 @@ follow each other in randomized order while the environment drifts.  This
 module provides the composition layer:
 
 * :class:`MissionSegment` -- one leg of a mission: a duration in switching
-  periods plus the load / reference / source scenario active during it.
-* :class:`MissionProfile` -- a chain of segments that itself implements all
-  three per-period scenario protocols (``resistance_at`` /
-  ``reference_at`` / ``voltage_at``), so anything that accepts a
-  :class:`~repro.converter.load.LoadProfile` accepts a mission.  Each
-  segment's scenario is evaluated with the *segment-local* period index,
+  periods plus the load active during it.
+* :class:`MissionProfile` -- a chain of loads that itself implements the
+  load protocol (``resistance_at`` / ``resistances``), so anything that
+  accepts a :class:`~repro.converter.load.LoadProfile` accepts a mission.
+  Each segment's load is evaluated with the *segment-local* period index,
   which makes composition exact: the composed mission is bit-identical to
   running its segments back-to-back (see :class:`OffsetLoad` for the
   back-to-back side of that equivalence).
@@ -54,8 +53,6 @@ from repro.converter.load import (
     PulseTrainLoad,
     RampLoad,
     RandomBurstLoad,
-    ReferenceProfile,
-    SourceProfile,
     load_schedule,
 )
 from repro.streams import instance_streams
@@ -77,25 +74,17 @@ MISSION_STREAM_TAG = 0x6D697373  # "miss"
 
 @dataclass(frozen=True)
 class MissionSegment:
-    """One leg of a mission: a duration plus the scenarios active during it.
+    """One leg of a mission: a duration plus the load active during it.
 
     Attributes:
         duration_periods: length of the leg in switching periods (>= 1; a
             zero-duration segment has no period to own and is rejected).
         load: load scenario evaluated with the segment-local period index;
             ``None`` falls back to the mission's default load.
-        reference: reference-voltage scenario for the leg (e.g. a
-            :class:`~repro.converter.load.ReferenceStep`); ``None`` falls
-            back to the mission's constant default reference.
-        source: input-rail scenario for the leg (e.g. a
-            :class:`~repro.converter.load.LineTransient`); ``None`` falls
-            back to the mission's constant default source voltage.
     """
 
     duration_periods: int
     load: LoadProfile | None = None
-    reference: ReferenceProfile | None = None
-    source: SourceProfile | None = None
 
     def __post_init__(self) -> None:
         if self.duration_periods < 1:
@@ -107,14 +96,13 @@ class MissionSegment:
 
 @dataclass(frozen=True)
 class MissionProfile:
-    """A chain of mission segments, itself usable as all three scenarios.
+    """A chain of mission segments, itself usable as a load profile.
 
-    The profile implements ``resistance_at`` / ``reference_at`` /
-    ``voltage_at``, so a mission drops into every slot a single primitive
-    fits -- :class:`~repro.simulation.batch.BatchClosedLoop` loads,
+    The profile implements ``resistance_at`` / ``resistances``, so a
+    mission drops into every slot a single load primitive fits -- :class:`~repro.simulation.batch.BatchClosedLoop` loads,
     pipeline runs, yield estimators.  Period ``t`` belongs to the segment
     whose half-open window ``[start, start + duration)`` contains it, and
-    the segment's scenario is evaluated at the *local* index
+    the segment's load is evaluated at the *local* index
     ``t - start`` -- which is exactly what running the segments
     back-to-back would evaluate, making composition bit-exact.  Periods
     beyond the last segment's end keep evaluating the last segment with a
@@ -124,17 +112,10 @@ class MissionProfile:
     Attributes:
         segments: the legs, in order (must be non-empty).
         default_load: load for segments that declare none.
-        default_reference_v: constant reference for segments without a
-            reference scenario; ``None`` means the mission has no
-            reference channel (callers then must not ask for one).
-        default_source_v: constant input voltage for segments without a
-            source scenario; ``None`` likewise disables the channel.
     """
 
     segments: tuple[MissionSegment, ...]
     default_load: LoadProfile = ConstantLoad(resistance_ohm=1.0)
-    default_reference_v: float | None = None
-    default_source_v: float | None = None
     _starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -230,30 +211,6 @@ class MissionProfile:
                 load, low - segment_start, high - low
             )
         return schedule
-
-    def reference_at(self, period_index: int) -> float:
-        """Reference voltage during the given (mission-global) period."""
-        segment, local = self._locate(period_index)
-        if segment.reference is not None:
-            return segment.reference.reference_at(local)
-        if self.default_reference_v is None:
-            raise ValueError(
-                "mission has no reference channel: the segment declares no "
-                "reference scenario and no default_reference_v was given"
-            )
-        return self.default_reference_v
-
-    def voltage_at(self, period_index: int) -> float:
-        """Input-rail voltage during the given (mission-global) period."""
-        segment, local = self._locate(period_index)
-        if segment.source is not None:
-            return segment.source.voltage_at(local)
-        if self.default_source_v is None:
-            raise ValueError(
-                "mission has no source channel: the segment declares no "
-                "source scenario and no default_source_v was given"
-            )
-        return self.default_source_v
 
 
 @dataclass(frozen=True)

@@ -68,14 +68,15 @@ def proposed_transfer_delays(
     Applies the mapping block's eq.-18 multiply/shift/clamp as one
     vectorized integer expression over ``(instances, words)`` and gathers
     each selected tap's cumulative delay; a mapped selection of zero is
-    the no-delay word.
+    the no-delay word, read from a leading zero column of the tap matrix.
     """
     cal_sel = np.minimum(
         (words[np.newaxis, :] * tap_sel[:, np.newaxis]) >> shift_amount,
         num_cells - 1,
     )
-    delays = np.take_along_axis(taps, np.maximum(cal_sel - 1, 0), axis=1)
-    return np.where(cal_sel == 0, 0.0, delays)
+    padded = np.zeros((taps.shape[0], taps.shape[1] + 1), dtype=taps.dtype)
+    padded[:, 1:] = taps
+    return np.take_along_axis(padded, cal_sel, axis=1)
 
 
 def _step_taps(

@@ -242,8 +242,8 @@ def regulate_ensemble(
     to ``reference_v`` for ``periods`` switching periods.
 
     The fleet flies either one shared ``load`` or per-instance ``missions``
-    (one :class:`~repro.converter.missions.MissionProfile` per instance,
-    load channel only); passing both raises a ``ValueError``.
+    (one :class:`~repro.converter.missions.MissionProfile` per instance);
+    passing both raises a ``ValueError``.
     ``temperature_trace`` makes the run non-isothermal: the run is split at
     the trace's epoch boundaries, the ensemble is re-locked at each
     epoch's temperature through the corner model (so the DPWM duty tables
@@ -407,28 +407,12 @@ class ChunkedSiliconToRegulation:
         instance) in place of the runner's shared ``load``; giving both
         raises a ``ValueError``.  ``temperature_trace`` / ``thermal`` make
         the run non-isothermal; see :func:`regulate_ensemble`.
-
-        Only a mission's *load* channel is applied: the fleet regulates to
-        ``reference_v`` from the nominal input rail.  A mission that sets a
-        reference or source channel (a segment ``reference``/``source``
-        scenario, ``default_reference_v`` or ``default_source_v``) raises a
-        ``ValueError`` naming the instance and the channel rather than
-        being flown without it.
         """
         mission_list = (
             resolve_missions(missions, num_instances, first_instance)
             if missions is not None
             else None
         )
-        for offset, mission in enumerate(mission_list or ()):
-            channel = _unapplied_channel(mission)
-            if channel is not None:
-                raise ValueError(
-                    f"the mission of instance {first_instance + offset} sets "
-                    f"a {channel}, but run_chunk applies only mission loads "
-                    "(the fleet regulates to reference_v from the nominal "
-                    "input rail); drop the channel from the mission"
-                )
         ensemble = self.fabricator.fabricate(
             num_instances, first_instance=first_instance
         )
@@ -456,22 +440,4 @@ class ChunkedSiliconToRegulation:
             first_instance=first_instance,
             correlation=self.correlation,
         )
-
-
-def _unapplied_channel(mission: MissionProfile) -> str | None:
-    """The first reference or source channel a mission sets, if any.
-
-    :meth:`ChunkedSiliconToRegulation.run_chunk` flies only the load
-    channel of a mission, so any of these would be silently ignored.
-    """
-    if mission.default_reference_v is not None:
-        return "reference channel (default_reference_v)"
-    if mission.default_source_v is not None:
-        return "source channel (default_source_v)"
-    for index, segment in enumerate(mission.segments):
-        if segment.reference is not None:
-            return f"reference channel (segment {index} reference scenario)"
-        if segment.source is not None:
-            return f"source channel (segment {index} source scenario)"
-    return None
 

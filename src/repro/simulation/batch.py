@@ -24,10 +24,10 @@ them simultaneously:
   run (the cross-validation path: the batch engine reproduces the scalar
   exact-stepper loop bit-for-bit on the control decisions).
 
-Per-period quantities (reference, input voltage, load resistance) follow the
-same scenario objects as the scalar loop (:mod:`repro.converter.load`), so
-reference steps, line transients, ramps, pulse trains and random bursts all
-work unchanged on whole fleets.
+The load resistance is the one per-period quantity: it follows the same
+load profiles as the scalar loop (:mod:`repro.converter.load`), so steps,
+ramps, pulse trains, random bursts and missions all work unchanged on whole
+fleets, while the reference and the input rail are fixed for the run.
 
 Example -- a three-variant fleet regulating 1.8 V down to 0.9 V behind an
 ideal 6-bit DPWM, advanced 200 switching periods in one vectorized run:
@@ -69,13 +69,10 @@ from repro.converter.closed_loop import (
     DutyQuantizer,
     RegulationTrace,
     steady_state_tail,
-    validate_reference_profile,
 )
 from repro.converter.load import (
     ConstantLoad,
     LoadProfile,
-    ReferenceProfile,
-    SourceProfile,
     load_schedule,
 )
 from repro.kernels.closed_loop import (
@@ -603,8 +600,6 @@ class BatchClosedLoop:
         load: LoadProfile | None = None,
         loads: Sequence[LoadProfile] | None = None,
         start_at_reference: bool = True,
-        reference_profile: ReferenceProfile | None = None,
-        source_profile: SourceProfile | None = None,
     ) -> None:
         """Assemble the batch loop.
 
@@ -620,8 +615,6 @@ class BatchClosedLoop:
             loads: alternatively, one profile per variant.
             start_at_reference: start at the operating point (as the scalar
                 loop does) rather than from a cold start.
-            reference_profile / source_profile: shared per-period scenario
-                objects (see :mod:`repro.converter.load`).
         """
         num_variants = parameters.num_variants
         if quantizer.num_variants not in (1, num_variants):
@@ -638,18 +631,7 @@ class BatchClosedLoop:
             raise ValueError(
                 "reference voltages must be positive and below the input voltage"
             )
-        if reference_profile is not None:
-            validate_reference_profile(reference_profile, parameters.input_voltage_v)
         self.adc = adc or WindowedADC()
-        # The operating point at period 0 follows the profile when one is
-        # given (e.g. a ReferenceStep that begins below reference_v).
-        initial_reference = (
-            _as_variant_array(
-                reference_profile.reference_at(0), num_variants, "reference_at(0)"
-            )
-            if reference_profile is not None
-            else self.reference_v
-        )
         if compensator is not None and compensator.num_variants != num_variants:
             raise ValueError(
                 f"compensator covers {compensator.num_variants} variants, "
@@ -657,7 +639,7 @@ class BatchClosedLoop:
             )
         self.compensator = compensator or BatchCompensator(
             num_variants,
-            initial_duty=initial_reference / parameters.input_voltage_v,
+            initial_duty=self.reference_v / parameters.input_voltage_v,
         )
         if load is not None and loads is not None:
             raise ValueError("pass either a shared load or per-variant loads")
@@ -678,12 +660,10 @@ class BatchClosedLoop:
             loads_static = getattr(self._shared_load, "is_static", False)
         self._loads_static = bool(loads_static)
         self._static_resistances: np.ndarray | None = None
-        self.reference_profile = reference_profile
-        self.source_profile = source_profile
         if start_at_reference:
             initial_load = self._load_schedule(np.empty((1, num_variants)))[0]
-            self.output_voltage_v = initial_reference.copy()
-            self.inductor_current_a = initial_reference / initial_load
+            self.output_voltage_v = self.reference_v.copy()
+            self.inductor_current_a = self.reference_v / initial_load
         else:
             self.output_voltage_v = np.zeros(num_variants)
             self.inductor_current_a = np.zeros(num_variants)
@@ -731,9 +711,9 @@ class BatchClosedLoop:
     def run(self, periods: int) -> BatchRegulationResult:
         """Run the closed loop for a number of switching periods.
 
-        Everything fixed for the run -- the drive and reference when no
-        profile varies them, the quantizer's rows and word counts, the
-        variant rows -- is resolved before the first period, and each
+        Everything fixed for the run -- the drive, the reference, the
+        quantizer's rows and word counts, the variant rows -- is resolved
+        before the first period, and each
         period's ADC codes, duty words, achieved duties and state are
         written straight into the result's arrays.
         """
@@ -757,15 +737,14 @@ class BatchClosedLoop:
         compensator = self.compensator
         levels = self.quantizer.levels
         quantizer_rows, word_counts = self.quantizer.word_lookup(num_variants)
-        reference: npt.ArrayLike = self.reference_v
+        reference = self.reference_v
         drive = params.input_voltage_v / params.inductance_h
         step_buffer = np.empty((num_variants, 12))
         # Transition coefficients are memoized per (load fingerprint, duty
         # word) in one table per load level (see _LoadCoefficientTable):
         # whole-fleet dithering costs one gather per period instead of two
-        # vectorized matrix exponentials.  The source voltage is deliberately
-        # absent from the key: the cached Ad / M coefficients do not depend
-        # on it, and the drive term is applied outside the cache.
+        # vectorized matrix exponentials.  The drive term is applied outside
+        # the cache.
         load_tables: dict[bytes, _LoadCoefficientTable] = {}
         max_words = int(self.quantizer.num_words.max())
         variant_rows = np.arange(num_variants)
@@ -806,11 +785,7 @@ class BatchClosedLoop:
                     yield PlantTerms._make(row_terms)
 
         one_shot_terms = block_terms()
-        reference_profile = self.reference_profile
-        source_profile = self.source_profile
         for index in range(periods):
-            if reference_profile is not None:
-                reference = reference_profile.reference_at(index)
             codes = adc.quantize_error_array(reference, voltage, out=codes_out[index])
             commands = compensator.update(codes)
             words, duties = quantize_duty(
@@ -820,8 +795,6 @@ class BatchClosedLoop:
                 word_counts,
                 out=(words_out[index], duties_out[index]),
             )
-            if source_profile is not None:
-                drive = source_profile.voltage_at(index) / params.inductance_h
             if not recurs[index]:
                 step = period_coefficients(
                     next(one_shot_terms),
@@ -841,7 +814,7 @@ class BatchClosedLoop:
                 step = table.coefficients(
                     words, duties, levels, period_s, variant_rows
                 )
-            # On interval with the switch node at the source voltage, then
+            # On interval with the switch node at the input voltage, then
             # the drive-free off interval, in one kernel call.
             current, voltage = apply_period_step(
                 step, current, voltage, drive, out=(currents[index], voltages[index])
@@ -862,9 +835,9 @@ class BatchClosedLoop:
 def from_closed_loops(loops: Sequence[DigitallyControlledBuck]) -> BatchClosedLoop:
     """Lift scalar :class:`DigitallyControlledBuck` loops into one batch.
 
-    The loops must share the ADC configuration and scenario objects (their
-    per-variant parameters, DPWMs, compensator gains, references, loads and
-    current power-stage states all carry over).  The returned batch starts
+    The loops must share the ADC configuration (their per-variant
+    parameters, DPWMs, compensator gains, references, loads and current
+    power-stage states all carry over).  The returned batch starts
     from the loops' present state, so ``from_closed_loops(loops).run(p)``
     parallels ``[loop.run(p) for loop in loops]``.
     """
@@ -880,14 +853,6 @@ def from_closed_loops(loops: Sequence[DigitallyControlledBuck]) -> BatchClosedLo
     adcs = {loop.adc for loop in loops}
     if len(adcs) != 1:
         raise ValueError("all loops must share one ADC configuration")
-    reference_profile = loops[0].reference_profile
-    source_profile = loops[0].source_profile
-    if any(
-        loop.reference_profile != reference_profile
-        or loop.source_profile != source_profile
-        for loop in loops[1:]
-    ):
-        raise ValueError("all loops must share the reference and source profiles")
     parameters = BatchBuckParameters.from_parameters([loop.parameters for loop in loops])
     quantizer = BatchQuantizer.from_quantizers([loop.dpwm for loop in loops])
     compensator = BatchCompensator(
@@ -911,8 +876,6 @@ def from_closed_loops(loops: Sequence[DigitallyControlledBuck]) -> BatchClosedLo
         compensator=compensator,
         load=shared_load,
         loads=loads,
-        reference_profile=reference_profile,
-        source_profile=source_profile,
         start_at_reference=False,
     )
     batch.output_voltage_v = np.array(

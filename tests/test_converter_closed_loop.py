@@ -11,14 +11,19 @@ from repro.converter.closed_loop import (
     IdealDPWM,
     RegulationTrace,
 )
-from repro.converter.load import (
-    ConstantLoad,
-    LineTransient,
-    ReferenceStep,
-    SteppedLoad,
-)
+from repro.converter.load import ConstantLoad, SteppedLoad
 from repro.dpwm.calibrated import CalibratedDelayLineDPWM
 from repro.technology.corners import OperatingConditions
+
+
+class _FixedLoad:
+    """A duck-typed load that skips ConstantLoad's positivity check."""
+
+    def __init__(self, resistance_ohm: float) -> None:
+        self.resistance_ohm = resistance_ohm
+
+    def resistance_at(self, period_index: int) -> float:
+        return self.resistance_ohm
 
 
 @pytest.fixture(scope="module")
@@ -99,9 +104,48 @@ class TestClosedLoopWithIdealDPWM:
     def test_validation(self, params):
         with pytest.raises(ValueError):
             DigitallyControlledBuck(params, IdealDPWM(bits=8), reference_v=2.5)
+        # A non-positive initial load is rejected at construction, as the
+        # batch engine rejects it, instead of dividing by zero or starting
+        # from a negative current.
+        for resistance_ohm in (0.0, -1.0):
+            with pytest.raises(ValueError, match="load resistance must be positive"):
+                DigitallyControlledBuck(
+                    params,
+                    IdealDPWM(bits=8),
+                    reference_v=0.9,
+                    load=_FixedLoad(resistance_ohm),
+                )
         loop = DigitallyControlledBuck(params, IdealDPWM(bits=8), reference_v=0.9)
         with pytest.raises(ValueError):
             loop.run(0)
+
+    @pytest.mark.parametrize("reference_v", [-5.0, 2.5])
+    def test_reference_out_of_range_rejected(self, params, reference_v):
+        with pytest.raises(ValueError, match="reference voltage"):
+            DigitallyControlledBuck(params, IdealDPWM(bits=8), reference_v=reference_v)
+
+    def test_start_at_reference_starts_at_reference_v(self, params):
+        loop = DigitallyControlledBuck(
+            params, IdealDPWM(bits=8), reference_v=0.6, load=ConstantLoad(2.0)
+        )
+        assert loop.power_stage.state.output_voltage_v == pytest.approx(0.6)
+        assert loop.power_stage.state.inductor_current_a == pytest.approx(0.3)
+        voltages = np.asarray(loop.run(250).output_voltages_v)
+        # No artificial transient: the loop holds the reference from period 0.
+        assert voltages[200:250].mean() == pytest.approx(0.6, abs=0.02)
+
+    @pytest.mark.parametrize("input_voltage_v", [1.4, 1.8, 2.4])
+    def test_regulates_from_the_parameters_input_rail(self, input_voltage_v):
+        params = BuckParameters(
+            input_voltage_v=input_voltage_v, switching_frequency_hz=100e6
+        )
+        trace = DigitallyControlledBuck(
+            params, IdealDPWM(bits=8), reference_v=0.9
+        ).run(600)
+        assert trace.steady_state_voltage_v() == pytest.approx(0.9, abs=0.03)
+        # The rail is the only source: the duty settles near Vref / Vg.
+        duty = np.asarray(trace.duty_fractions)[-100:].mean()
+        assert duty == pytest.approx(0.9 / input_voltage_v, abs=0.05)
 
     def test_empty_trace_statistics_raise(self):
         # Regression: mean() of an empty trace used to yield NaN plus a
@@ -129,49 +173,6 @@ class TestClosedLoopWithIdealDPWM:
         v_exact = exact.run(400).steady_state_voltage_v()
         v_euler = euler.run(400).steady_state_voltage_v()
         assert v_exact == pytest.approx(v_euler, abs=1e-3)
-
-    def test_start_at_reference_follows_profile_initial_value(self, params):
-        profile = ReferenceStep(initial_v=0.6, final_v=0.9, step_period=300)
-        loop = DigitallyControlledBuck(
-            params, IdealDPWM(bits=8), reference_v=0.9, reference_profile=profile
-        )
-        assert loop.power_stage.state.output_voltage_v == pytest.approx(0.6)
-        trace = loop.run(250)
-        voltages = np.asarray(trace.output_voltages_v)
-        # No artificial transient before the step: the loop holds 0.6 V.
-        assert voltages[200:250].mean() == pytest.approx(0.6, abs=0.02)
-
-    def test_reference_profile_above_input_rejected(self, params):
-        profile = ReferenceStep(initial_v=0.9, final_v=2.5, step_period=300)
-        with pytest.raises(ValueError, match="reference profile"):
-            DigitallyControlledBuck(
-                params, IdealDPWM(bits=8), reference_v=0.9, reference_profile=profile
-            )
-
-    def test_reference_step_scenario(self, params):
-        profile = ReferenceStep(initial_v=0.9, final_v=1.1, step_period=300)
-        loop = DigitallyControlledBuck(
-            params, IdealDPWM(bits=8), reference_v=0.9, reference_profile=profile
-        )
-        trace = loop.run(800)
-        voltages = np.asarray(trace.output_voltages_v)
-        assert voltages[250:300].mean() == pytest.approx(0.9, abs=0.03)
-        assert voltages[-50:].mean() == pytest.approx(1.1, abs=0.03)
-
-    def test_line_transient_scenario(self, params):
-        profile = LineTransient(
-            nominal_v=1.8, disturbed_v=1.4, start_period=300, end_period=600
-        )
-        loop = DigitallyControlledBuck(
-            params, IdealDPWM(bits=8), reference_v=0.9, source_profile=profile
-        )
-        trace = loop.run(900)
-        voltages = np.asarray(trace.output_voltages_v)
-        duties = np.asarray(trace.duty_fractions)
-        # The loop re-regulates through the droop by raising the duty.
-        assert voltages[550:600].mean() == pytest.approx(0.9, abs=0.03)
-        assert duties[550:600].mean() > duties[250:300].mean()
-        assert voltages[-50:].mean() == pytest.approx(0.9, abs=0.03)
 
     def test_cold_start_reaches_reference(self, params):
         loop = DigitallyControlledBuck(

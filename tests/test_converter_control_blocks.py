@@ -9,11 +9,9 @@ from repro.converter.adc import WindowedADC
 from repro.converter.compensator import PIDCompensator
 from repro.converter.load import (
     ConstantLoad,
-    LineTransient,
     PulseTrainLoad,
     RampLoad,
     RandomBurstLoad,
-    ReferenceStep,
     SteppedLoad,
 )
 from repro.converter.missions import (
@@ -243,25 +241,6 @@ class TestLoads:
                 expected[start : start + burst_periods] = True
             np.testing.assert_array_equal(load._heavy_mask, expected)
 
-    def test_reference_step(self):
-        step = ReferenceStep(initial_v=0.9, final_v=1.2, step_period=100)
-        assert step.reference_at(99) == 0.9
-        assert step.reference_at(100) == 1.2
-        assert step.max_reference_v == 1.2
-        with pytest.raises(ValueError):
-            ReferenceStep(initial_v=0.0, final_v=1.0, step_period=0)
-
-    def test_line_transient(self):
-        transient = LineTransient(
-            nominal_v=1.8, disturbed_v=1.5, start_period=100, end_period=200
-        )
-        assert transient.voltage_at(99) == 1.8
-        assert transient.voltage_at(100) == 1.5
-        assert transient.voltage_at(199) == 1.5
-        assert transient.voltage_at(200) == 1.8
-        assert transient.min_voltage_v == 1.5
-        with pytest.raises(ValueError):
-            LineTransient(nominal_v=1.8, disturbed_v=1.5, start_period=10, end_period=10)
 
 
 class TestMissionEdgeCases:
@@ -289,14 +268,10 @@ class TestMissionEdgeCases:
         with pytest.raises(ValueError, match="empty mission schedule"):
             MissionProfile(segments=[])
 
-    def test_missing_channels_raise_typed_errors(self):
+    def test_negative_period_raises_typed_error(self):
         mission = MissionProfile(
             segments=(MissionSegment(duration_periods=4),)
         )
-        with pytest.raises(ValueError, match="no reference channel"):
-            mission.reference_at(0)
-        with pytest.raises(ValueError, match="no source channel"):
-            mission.voltage_at(0)
         with pytest.raises(ValueError, match="non-negative"):
             mission.resistance_at(-1)
 

@@ -3,7 +3,7 @@
 Three contracts, hypothesis-tested where the statement is universal:
 
 * **Composition exactness** -- a composed mission evaluates each segment's
-  scenario at the segment-local index, so the mission is bit-identical to
+  load at the segment-local index, so the mission is bit-identical to
   running its segments back-to-back (the :class:`OffsetLoad` equivalence),
   and ``segment_windows`` tiles any run length exactly.
 * **Chunk invariance** -- :class:`MissionGenerator` keys instance ``i``'s
@@ -34,11 +34,9 @@ from hypothesis import strategies as st
 
 from repro.converter.load import (
     ConstantLoad,
-    LineTransient,
     PulseTrainLoad,
     RampLoad,
     RandomBurstLoad,
-    ReferenceStep,
     SteppedLoad,
     load_schedule,
 )
@@ -133,34 +131,6 @@ class TestMissionComposition:
                 ramp.resistance_at(4 + overhang)
             )
 
-    def test_reference_and_source_channels(self) -> None:
-        mission = MissionProfile(
-            segments=(
-                MissionSegment(duration_periods=10),
-                MissionSegment(
-                    duration_periods=10,
-                    reference=ReferenceStep(
-                        initial_v=0.9, final_v=1.1, step_period=4
-                    ),
-                    source=LineTransient(
-                        nominal_v=1.8,
-                        disturbed_v=1.5,
-                        start_period=2,
-                        end_period=6,
-                    ),
-                ),
-            ),
-            default_reference_v=0.9,
-            default_source_v=1.8,
-        )
-        # Defaults hold in the first segment; the second segment's scenarios
-        # run at the segment-local index (the step fires at global 14).
-        assert mission.reference_at(0) == 0.9
-        assert mission.reference_at(13) == 0.9
-        assert mission.reference_at(14) == 1.1
-        assert mission.voltage_at(11) == 1.8
-        assert mission.voltage_at(12) == 1.5
-        assert mission.voltage_at(16) == 1.8
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import repro.analysis.metrics
+import repro.converter.closed_loop
 import repro.converter.load
 import repro.converter.missions
 import repro.core.ensemble
@@ -46,6 +47,7 @@ DOCTEST_MODULES = [
     repro.kernels.ensemble,
     repro.kernels.fabrication,
     repro.analysis.metrics,
+    repro.converter.closed_loop,
     repro.converter.load,
     repro.converter.missions,
     repro.core.ensemble,

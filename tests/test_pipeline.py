@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.converter.buck import BuckParameters
 from repro.converter.closed_loop import DigitallyControlledBuck, IdealDPWM
-from repro.converter.load import LineTransient, ReferenceStep, SteppedLoad
+from repro.converter.load import SteppedLoad
 from repro.converter.missions import (
     MissionGenerator,
     MissionProfile,
@@ -220,67 +220,6 @@ class TestChunkedSiliconToRegulation:
             one_shot.calibration.locked,
             np.concatenate([piece.calibration.locked for piece in pieces]),
         )
-
-    @pytest.mark.parametrize(
-        "mission, channel",
-        [
-            (
-                MissionProfile(
-                    segments=(MissionSegment(duration_periods=20),),
-                    default_reference_v=0.9,
-                ),
-                r"reference channel \(default_reference_v\)",
-            ),
-            (
-                MissionProfile(
-                    segments=(MissionSegment(duration_periods=20),),
-                    default_source_v=1.8,
-                ),
-                r"source channel \(default_source_v\)",
-            ),
-            (
-                MissionProfile(
-                    segments=(
-                        MissionSegment(duration_periods=10),
-                        MissionSegment(
-                            duration_periods=10,
-                            reference=ReferenceStep(
-                                initial_v=0.9, final_v=1.0, step_period=3
-                            ),
-                        ),
-                    )
-                ),
-                r"reference channel \(segment 1 reference scenario\)",
-            ),
-            (
-                MissionProfile(
-                    segments=(
-                        MissionSegment(
-                            duration_periods=20,
-                            source=LineTransient(
-                                nominal_v=1.8,
-                                disturbed_v=1.6,
-                                start_period=2,
-                                end_period=5,
-                            ),
-                        ),
-                    )
-                ),
-                r"source channel \(segment 0 source scenario\)",
-            ),
-        ],
-    )
-    def test_mission_channels_beyond_the_load_are_rejected(self, mission, channel):
-        """Reference/source channels are never flown, so they must not be
-        dropped without a word: the error names the instance and the channel.
-        """
-        runner = ChunkedSiliconToRegulation("proposed", SPEC, library=LIBRARY)
-        load_only = MissionProfile(segments=(MissionSegment(duration_periods=20),))
-        with pytest.raises(ValueError, match=f"instance 5 sets a {channel}"):
-            runner.run_chunk(4, 3, periods=20, missions=[load_only, mission, load_only])
-        # A load-only mission list still runs.
-        result = runner.run_chunk(4, 2, periods=20, missions=[load_only] * 2)
-        assert result.num_instances == 2
 
     @pytest.mark.parametrize(
         "missions",

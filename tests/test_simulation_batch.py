@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,12 @@ from repro.converter.buck import BuckParameters
 from repro.converter.closed_loop import DigitallyControlledBuck, IdealDPWM
 from repro.converter.load import (
     ConstantLoad,
-    LineTransient,
     PulseTrainLoad,
     RampLoad,
     RandomBurstLoad,
-    ReferenceStep,
     SteppedLoad,
 )
+from repro.converter.missions import MissionGenerator, OffsetLoad
 from repro.core.yield_analysis import ComponentVariation, adaptive_regulation_yield
 from repro.dpwm.calibrated import CalibratedDelayLineDPWM
 from repro.simulation.batch import (
@@ -188,17 +189,31 @@ class TestBatchClosedLoop:
             atol=0.0,
         )
 
-    def test_reproduces_scalar_loop_under_stepped_load(self, nominal):
-        load = SteppedLoad(light_ohm=2.0, heavy_ohm=0.9, step_up_period=100)
+    @pytest.mark.parametrize(
+        "load",
+        [
+            SteppedLoad(light_ohm=2.0, heavy_ohm=0.9, step_up_period=100),
+            RampLoad(2.0, 1.0, ramp_start_period=50, ramp_end_period=150),
+            PulseTrainLoad(2.0, 0.8, pulse_periods=20, train_period=80),
+            RandomBurstLoad(2.0, 0.8, burst_probability=0.05, seed=3),
+            MissionGenerator(total_periods=300, num_segments=5, seed=7).mission(2),
+            OffsetLoad(RampLoad(2.0, 1.0, ramp_start_period=50, ramp_end_period=150), 80),
+        ],
+        ids=["stepped", "ramp", "pulse-train", "random-burst", "mission", "offset"],
+    )
+    def test_reproduces_scalar_loop_under_each_load(self, nominal, load):
+        # The load is the only per-period scenario channel, so every shape
+        # must lift into the batch engine bit for bit.
         scalar = DigitallyControlledBuck(
             nominal, IdealDPWM(bits=6), reference_v=0.9, load=load
         )
-        batch = from_closed_loops([scalar])
-        np.testing.assert_allclose(
-            np.asarray(scalar.run(300).output_voltages_v),
-            batch.run(300).output_voltages_v[:, 0],
-            rtol=0.0,
-            atol=0.0,
+        batch = from_closed_loops([scalar]).run(300)
+        expected = scalar.run(300)
+        np.testing.assert_array_equal(
+            np.asarray(expected.duty_words), batch.duty_words[:, 0]
+        )
+        np.testing.assert_array_equal(
+            np.asarray(expected.output_voltages_v), batch.output_voltages_v[:, 0]
         )
 
     def test_regulates_all_variants(self, nominal):
@@ -240,47 +255,64 @@ class TestBatchClosedLoop:
             result.steady_state_voltage_v(), [0.9, 0.9], atol=0.03
         )
 
-    def test_equal_profiles_on_distinct_objects_accepted(self, nominal):
-        # Frozen-dataclass profiles compare by value, so per-loop instances
-        # with the same parameters lift into one batch.
+    def test_start_at_reference_starts_at_reference_v(self, nominal):
+        batch = BatchClosedLoop(
+            BatchBuckParameters.uniform(nominal, 2),
+            BatchQuantizer.ideal(8, 2),
+            reference_v=[0.6, 0.9],
+            load=ConstantLoad(2.0),
+        )
+        np.testing.assert_array_equal(batch.output_voltage_v, [0.6, 0.9])
+        np.testing.assert_allclose(batch.inductor_current_a, [0.3, 0.45])
+        result = batch.run(150)
+        # No artificial transient: each lane holds its reference.
+        np.testing.assert_allclose(
+            result.output_voltages_v[100:150].mean(axis=0), [0.6, 0.9], atol=0.02
+        )
+
+    def test_per_variant_input_rails_reproduce_scalar_loops(self, nominal):
+        rails = [1.4, 1.8, 2.4]
+        loops = [
+            DigitallyControlledBuck(
+                dataclasses.replace(nominal, input_voltage_v=rail),
+                IdealDPWM(bits=6),
+                reference_v=0.9,
+            )
+            for rail in rails
+        ]
+        result = from_closed_loops(loops).run(300)
+        for column, loop in enumerate(loops):
+            trace = loop.run(300)
+            np.testing.assert_array_equal(
+                np.asarray(trace.duty_words), result.duty_words[:, column]
+            )
+            np.testing.assert_array_equal(
+                np.asarray(trace.output_voltages_v), result.output_voltages_v[:, column]
+            )
+        # A lower rail needs a larger duty word for the same reference.
+        steady_words = result.duty_words[-50:].mean(axis=0)
+        assert steady_words[0] > steady_words[1] > steady_words[2]
+
+    def test_equal_loads_on_distinct_objects_share_one_profile(self, nominal):
+        # Frozen-dataclass loads compare by value, so per-loop instances
+        # with the same parameters lift as one shared load.
         loops = [
             DigitallyControlledBuck(
                 nominal,
                 IdealDPWM(bits=6),
                 reference_v=0.9,
-                reference_profile=ReferenceStep(0.9, 1.1, step_period=200),
+                load=SteppedLoad(2.0, 0.9, step_up_period=100),
             )
             for _ in range(3)
         ]
-        result = from_closed_loops(loops).run(400)
-        assert result.output_voltages_v[-50:].mean() == pytest.approx(1.1, abs=0.03)
-
-    def test_start_at_reference_follows_profile_initial_value(self, nominal):
-        batch = BatchClosedLoop(
-            BatchBuckParameters.uniform(nominal, 2),
-            BatchQuantizer.ideal(8, 2),
-            reference_v=0.9,
-            reference_profile=ReferenceStep(0.6, 0.9, step_period=200),
-        )
-        np.testing.assert_allclose(batch.output_voltage_v, 0.6)
-        result = batch.run(150)
-        # No artificial transient: the loop holds the profile's initial value.
-        np.testing.assert_allclose(
-            result.output_voltages_v[100:150].mean(axis=0), [0.6, 0.6], atol=0.02
-        )
-
-    def test_scenarios_reference_step_and_line_transient(self, nominal):
-        batch = BatchClosedLoop(
-            BatchBuckParameters.uniform(nominal, 4),
-            BatchQuantizer.ideal(8, 4),
-            reference_v=0.9,
-            reference_profile=ReferenceStep(0.9, 1.1, step_period=250),
-            source_profile=LineTransient(1.8, 1.6, start_period=400, end_period=500),
-        )
-        result = batch.run(700)
-        voltages = result.output_voltages_v
-        assert voltages[200:250].mean() == pytest.approx(0.9, abs=0.03)
-        assert voltages[-50:].mean() == pytest.approx(1.1, abs=0.03)
+        batch = from_closed_loops(loops)
+        assert batch._variant_loads is None
+        result = batch.run(300)
+        expected = loops[0].run(300)
+        for column in range(3):
+            np.testing.assert_array_equal(
+                np.asarray(expected.duty_words), result.duty_words[:, column]
+            )
 
     def test_ramp_pulse_and_burst_loads_run(self, nominal):
         for load in (
@@ -416,22 +448,13 @@ class TestBatchClosedLoop:
         with pytest.raises(ValueError):
             from_closed_loops([])
 
-    def test_reference_profile_above_input_rejected(self, nominal):
-        with pytest.raises(ValueError, match="reference profile"):
-            BatchClosedLoop(
-                BatchBuckParameters.uniform(nominal, 2),
-                BatchQuantizer.ideal(6, 2),
-                reference_v=0.9,
-                reference_profile=ReferenceStep(0.9, 2.5, step_period=100),
-            )
-        # reference_v itself is validated even when a profile is supplied,
-        # mirroring the scalar loop.
+    @pytest.mark.parametrize("reference_v", [-5.0, 2.5])
+    def test_reference_out_of_range_rejected(self, nominal, reference_v):
         with pytest.raises(ValueError, match="reference voltages"):
             BatchClosedLoop(
                 BatchBuckParameters.uniform(nominal, 2),
                 BatchQuantizer.ideal(6, 2),
-                reference_v=-5.0,
-                reference_profile=ReferenceStep(0.9, 1.1, step_period=100),
+                reference_v=reference_v,
             )
 
     def test_nonpositive_load_rejected(self, nominal):
