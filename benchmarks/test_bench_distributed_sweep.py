@@ -31,6 +31,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from repro.experiments import run_experiment
 from repro.sweep import (
@@ -43,6 +44,9 @@ from repro.sweep import (
     sweep_map,
 )
 from repro.sweep.executors import _call_indexed
+
+#: Wall-clock gated: out of tier-1, run by the CI benchmarks job.
+pytestmark = pytest.mark.wallclock
 
 #: Ten times the 30 cells of the real Monte-Carlo grid experiments.
 N_CELLS = 300

@@ -107,5 +107,5 @@ def test_bench_pipeline_speedup_and_bit_exactness(benchmark):
     # The workload is sane: every instance locked and the fleet regulates.
     assert bool(result.calibration.locked.all())
     np.testing.assert_allclose(
-        result.steady_state_voltages_v(), REFERENCE_V, atol=0.02
+        result.regulation.steady_state_voltage_v(), REFERENCE_V, atol=0.02
     )

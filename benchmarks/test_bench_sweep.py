@@ -20,8 +20,13 @@ from __future__ import annotations
 import os
 import time
 
+import pytest
+
 from repro.experiments import run_experiment
 from repro.sweep import SweepConfig, SweepOrchestrator, canonical_json
+
+#: Wall-clock gated: out of tier-1, run by the CI benchmarks job.
+pytestmark = pytest.mark.wallclock
 
 #: The grid experiments: every Monte-Carlo sweep in the registry.
 MC_EXPERIMENTS = ("fig15", "fig15_mc", "fig50_51_mc")

@@ -7,11 +7,12 @@ quantizes that command into a duty word and reports the duty it can actually
 produce (including the delay line's calibration and non-linearity), and the
 buck power stage is advanced one period at that duty.
 
-The DPWM can be any object exposing ``duty_word_for`` / ``duty_fraction`` /
-``max_word`` (duck-typed), which lets the same loop run with the calibrated
-proposed line, the calibrated conventional line, or an ideal quantizer -- the
-basis of the regulation examples and of the resolution experiments (paper
-eq. 12: output-voltage resolution = Vg / 2**n_DPWM).
+The DPWM can be any :class:`DutyQuantizer` (``duty_word_for`` /
+``duty_fraction`` / ``duty_table`` / ``max_word``), which lets the same loop
+run with the calibrated proposed line, the calibrated conventional line, or
+an ideal quantizer -- the basis of the regulation examples and of the
+resolution experiments (paper eq. 12: output-voltage resolution =
+Vg / 2**n_DPWM).
 
 The loop regulates a fixed ``reference_v`` from the fixed input rail
 ``parameters.input_voltage_v``; the load profile is its only per-period
@@ -84,6 +85,10 @@ class DutyQuantizer(Protocol):
     def duty_fraction(self, duty_word: int) -> float:  # pragma: no cover
         ...
 
+    def duty_table(self) -> np.ndarray:  # pragma: no cover
+        """``duty_fraction`` of every word ``0 .. max_word`` as one array."""
+        ...
+
 
 @dataclass(frozen=True)
 class IdealDPWM:
@@ -113,10 +118,9 @@ class IdealDPWM:
         return duty_word / float(1 << self.bits)
 
     def duty_table(self) -> np.ndarray:
-        """The whole word -> duty staircase as one array (the batch engine's
-        :meth:`~repro.simulation.batch.BatchQuantizer.from_quantizers` fast
-        path consumes this instead of calling :meth:`duty_fraction` per
-        word)."""
+        """The whole word -> duty staircase as one array (what
+        :meth:`~repro.simulation.batch.BatchQuantizer.from_quantizers`
+        copies into the batch engine)."""
         return np.arange(1 << self.bits, dtype=float) / float(1 << self.bits)
 
 

@@ -9,6 +9,9 @@ realistic core workloads the closed loop has to survive -- current ramps
 accelerator) and seeded random bursts (interrupt-driven activity).  The
 load is the only scenario channel: the loops regulate a fixed reference
 from a fixed input rail, as in the paper's Figure 15.
+
+The scalar loop reads a profile with ``resistance_at`` once per period, the
+batch engine with ``resistances`` once per run (see :class:`LoadProfile`).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Protocol
 import numpy as np
 
 __all__ = [
-    "load_schedule",
+    "check_window",
     "LoadProfile",
     "ConstantLoad",
     "SteppedLoad",
@@ -30,35 +33,31 @@ __all__ = [
 
 
 class LoadProfile(Protocol):
-    """What the closed loops need from a load scenario."""
+    """What the closed loops need from a load scenario.
+
+    ``resistances(start, count)`` is the window ``[start, start + count)``
+    at once; entry ``k`` equals ``resistance_at(start + k)`` bit for bit.
+    """
 
     def resistance_at(self, period_index: int) -> float:  # pragma: no cover
         ...
 
+    def resistances(self, start: int, count: int) -> np.ndarray:  # pragma: no cover
+        ...
+
+
+def check_window(start: int, count: int) -> None:
+    """Reject a period window ``[start, start + count)`` no profile resolves."""
+    if start < 0:
+        raise ValueError(f"period index must be non-negative; got {start}")
+    if count < 0:
+        raise ValueError(f"count must be non-negative; got {count}")
+
 
 def _period_indices(start: int, count: int) -> np.ndarray:
     """The int64 period indices ``start .. start + count``."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative; got {count}")
+    check_window(start, count)
     return np.arange(start, start + count, dtype=np.int64)
-
-
-def load_schedule(load: LoadProfile, start: int, count: int) -> np.ndarray:
-    """Resistances of ``load`` over periods ``start .. start + count``.
-
-    Profiles with a vectorized ``resistances(start, count)`` method (every
-    primitive here, :class:`~repro.converter.missions.MissionProfile` and
-    :class:`~repro.converter.missions.OffsetLoad`) resolve the whole window
-    in a few array operations; any other profile falls back to exactly one
-    ``resistance_at`` call per period.  Either way entry ``k`` equals
-    ``load.resistance_at(start + k)`` bit for bit.
-    """
-    vectorized = getattr(load, "resistances", None)
-    if vectorized is not None:
-        return np.asarray(vectorized(start, count), dtype=float)
-    return np.array(
-        [load.resistance_at(start + offset) for offset in range(count)], dtype=float
-    )
 
 
 @dataclass(frozen=True)
@@ -66,11 +65,6 @@ class ConstantLoad:
     """A fixed resistive load."""
 
     resistance_ohm: float
-
-    #: Static loads return the same resistance every period, which lets the
-    #: batch engine evaluate the resistance vector once per run instead of
-    #: once per period (plain class attribute, not a dataclass field).
-    is_static = True
 
     def __post_init__(self) -> None:
         if self.resistance_ohm <= 0:
@@ -81,7 +75,8 @@ class ConstantLoad:
         return self.resistance_ohm
 
     def resistances(self, start: int, count: int) -> np.ndarray:
-        """The window ``[start, start + count)`` at once (see :func:`load_schedule`)."""
+        """The window ``[start, start + count)`` at once."""
+        check_window(start, count)
         return np.full(count, self.resistance_ohm, dtype=float)
 
 
@@ -118,10 +113,10 @@ class SteppedLoad:
         return self.light_ohm
 
     def resistances(self, start: int, count: int) -> np.ndarray:
-        """The window ``[start, start + count)`` at once (see :func:`load_schedule`)."""
+        """The window ``[start, start + count)`` at once."""
         index = _period_indices(start, count)
         heavy = (self.step_up_period <= index) & (index < self.step_down_period)
-        return np.where(heavy, self.heavy_ohm, self.light_ohm)
+        return np.where(heavy, float(self.heavy_ohm), float(self.light_ohm))
 
 
 @dataclass(frozen=True)
@@ -164,7 +159,7 @@ class RampLoad:
         return self.start_ohm + progress * (self.end_ohm - self.start_ohm)
 
     def resistances(self, start: int, count: int) -> np.ndarray:
-        """The window ``[start, start + count)`` at once (see :func:`load_schedule`).
+        """The window ``[start, start + count)`` at once.
 
         The same IEEE operations as :meth:`resistance_at`: the integer
         offsets divide exactly as Python's true division does.
@@ -212,11 +207,11 @@ class PulseTrainLoad:
         return self.heavy_ohm if phase < self.pulse_periods else self.light_ohm
 
     def resistances(self, start: int, count: int) -> np.ndarray:
-        """The window ``[start, start + count)`` at once (see :func:`load_schedule`)."""
+        """The window ``[start, start + count)`` at once."""
         index = _period_indices(start, count)
         phase = (index - self.first_pulse_period) % self.train_period
         heavy = (index >= self.first_pulse_period) & (phase < self.pulse_periods)
-        return np.where(heavy, self.heavy_ohm, self.light_ohm)
+        return np.where(heavy, float(self.heavy_ohm), float(self.light_ohm))
 
 
 @dataclass(frozen=True)
@@ -273,8 +268,6 @@ class RandomBurstLoad:
         return self.light_ohm
 
     def resistances(self, start: int, count: int) -> np.ndarray:
-        """The window ``[start, start + count)`` at once (see :func:`load_schedule`)."""
-        if start < 0:
-            raise ValueError("period index must be non-negative")
+        """The window ``[start, start + count)`` at once."""
         heavy = self._heavy_mask[_period_indices(start, count) % self.horizon_periods]
-        return np.where(heavy, self.heavy_ohm, self.light_ohm)
+        return np.where(heavy, float(self.heavy_ohm), float(self.light_ohm))

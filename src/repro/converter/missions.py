@@ -7,7 +7,7 @@ follow each other in randomized order while the environment drifts.  This
 module provides the composition layer:
 
 * :class:`MissionSegment` -- one leg of a mission: a duration in switching
-  periods plus the load active during it.
+  periods plus the load active during it (every leg declares its load).
 * :class:`MissionProfile` -- a chain of loads that itself implements the
   load protocol (``resistance_at`` / ``resistances``), so anything that
   accepts a :class:`~repro.converter.load.LoadProfile` accepts a mission.
@@ -53,7 +53,7 @@ from repro.converter.load import (
     PulseTrainLoad,
     RampLoad,
     RandomBurstLoad,
-    load_schedule,
+    check_window,
 )
 from repro.streams import instance_streams
 
@@ -79,12 +79,11 @@ class MissionSegment:
     Attributes:
         duration_periods: length of the leg in switching periods (>= 1; a
             zero-duration segment has no period to own and is rejected).
-        load: load scenario evaluated with the segment-local period index;
-            ``None`` falls back to the mission's default load.
+        load: load scenario evaluated with the segment-local period index.
     """
 
     duration_periods: int
-    load: LoadProfile | None = None
+    load: LoadProfile
 
     def __post_init__(self) -> None:
         if self.duration_periods < 1:
@@ -111,11 +110,9 @@ class MissionProfile:
 
     Attributes:
         segments: the legs, in order (must be non-empty).
-        default_load: load for segments that declare none.
     """
 
     segments: tuple[MissionSegment, ...]
-    default_load: LoadProfile = ConstantLoad(resistance_ohm=1.0)
     _starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -179,22 +176,18 @@ class MissionProfile:
     def resistance_at(self, period_index: int) -> float:
         """Load resistance during the given (mission-global) period."""
         segment, local = self._locate(period_index)
-        load = segment.load if segment.load is not None else self.default_load
-        return load.resistance_at(local)
+        return segment.load.resistance_at(local)
 
     def resistances(self, start: int, count: int) -> np.ndarray:
         """Resistances of periods ``start .. start + count``.
 
         Walks the segment windows the range overlaps and resolves each
-        overlap with one :func:`~repro.converter.load.load_schedule` call
-        at segment-local indices; the last segment's window is open-ended,
+        overlap with one ``resistances`` call of the segment's load at
+        segment-local indices; the last segment's window is open-ended,
         so the tail overhang past :attr:`total_periods` is its final leg
         held, exactly as :meth:`resistance_at` evaluates it.
         """
-        if start < 0:
-            raise ValueError(f"period index must be non-negative; got {start}")
-        if count < 0:
-            raise ValueError(f"count must be non-negative; got {count}")
+        check_window(start, count)
         stop = start + count
         schedule = np.empty(count)
         last = len(self.segments) - 1
@@ -206,9 +199,8 @@ class MissionProfile:
             low, high = max(start, segment_start), min(stop, segment_end)
             if low >= high:
                 continue
-            load = segment.load if segment.load is not None else self.default_load
-            schedule[low - start : high - start] = load_schedule(
-                load, low - segment_start, high - low
+            schedule[low - start : high - start] = segment.load.resistances(
+                low - segment_start, high - low
             )
         return schedule
 
@@ -252,9 +244,8 @@ class OffsetLoad:
 
     def resistances(self, start: int, count: int) -> np.ndarray:
         """Resistances of periods ``start .. start + count`` at the shifted index."""
-        if start < 0:
-            raise ValueError(f"period index must be non-negative; got {start}")
-        return load_schedule(self.load, self.offset_periods + start, count)
+        check_window(start, count)
+        return self.load.resistances(self.offset_periods + start, count)
 
 
 @dataclass(frozen=True)

@@ -116,9 +116,9 @@ class CalibratedDelayLineDPWM:
     def duty_table(self) -> np.ndarray:
         """Achieved duty of every word ``0..max_word`` as one array.
 
-        The batch engine consumes this directly
-        (:meth:`~repro.simulation.batch.BatchQuantizer.from_quantizers`
-        fast path); treat the returned array as read-only.
+        The batch engine copies this
+        (:meth:`~repro.simulation.batch.BatchQuantizer.from_quantizers`);
+        treat the returned array as read-only.
         """
         return self._duty_table
 

@@ -18,16 +18,11 @@ from __future__ import annotations
 import numpy as np
 import numpy.typing as npt
 
-from repro.converter.buck import (
-    PlantTerms,
-    duration_coefficients,
-    plant_terms,
-)
+from repro.converter.buck import PlantTerms, duration_coefficients
 
 __all__ = [
     "apply_period_step",
     "gather_coefficients",
-    "interval_coefficients",
     "period_coefficients",
     "pid_update",
     "quantize_duty",
@@ -37,34 +32,20 @@ FloatArray = npt.NDArray[np.float64]
 IntArray = npt.NDArray[np.int64]
 
 
-def interval_coefficients(
-    a: FloatArray,
-    b: FloatArray,
-    c: FloatArray,
-    d: FloatArray,
-    on_time_s: FloatArray,
-    period_s: FloatArray,
-) -> FloatArray:
-    """``(variants, 12)`` on+off exact-stepper coefficients for one period.
-
-    For per-variant plant-matrix entries ``(a, b, c, d)`` (see
-    :func:`~repro.converter.buck.plant_matrix_entries`) and per-variant
-    on-times, evaluates the closed-form matrix exponential update of the
-    on interval and the off interval and stacks both coefficient sets along
-    the last axis: columns 0..5 are the on-interval ``(ad11, ad12, ad21,
-    ad22, m11, m21)``, columns 6..11 the off-interval ones.  The plant
-    terms are computed here; :func:`period_coefficients` does the rest.
-    """
-    return period_coefficients(plant_terms(a, b, c, d), on_time_s, period_s)
-
-
 def period_coefficients(
     terms: PlantTerms,
     on_time_s: FloatArray,
     period_s: FloatArray,
     out: FloatArray | None = None,
 ) -> FloatArray:
-    """:func:`interval_coefficients` on precomputed plant terms.
+    """``(variants, 12)`` on+off exact-stepper coefficients for one period.
+
+    For per-variant plant terms (see :func:`~repro.converter.buck
+    .plant_terms`) and per-variant on-times, evaluates the closed-form
+    matrix exponential update of the on interval and the off interval and
+    stacks both coefficient sets along the last axis: columns 0..5 are the
+    on-interval ``(ad11, ad12, ad21, ad22, m11, m21)``, columns 6..11 the
+    off-interval ones.
 
     The on and off durations are stacked into one ``(2, variants)`` array
     and evaluated in a single :func:`~repro.converter.buck
@@ -184,7 +165,7 @@ def apply_period_step(
     """Advance the fleet state through one on+off switching period.
 
     ``step`` is the ``(variants, 12)`` coefficient matrix of
-    :func:`interval_coefficients`.  The on interval applies the drive term
+    :func:`period_coefficients`.  The on interval applies the drive term
     (switch node at the source voltage); the off interval is drive-free
     (switch node grounded).  Returns the new ``(current, voltage)``,
     written into ``out`` when it is given.

@@ -20,10 +20,11 @@ per-instance Python loop:
    re-derates at every epoch with exact state carry-over.
 
 Each fleet variant's DPWM nonlinearity is its *own* fabricated instance's
-calibrated curve, so steady-state limit-cycle amplitude and regulation
-yield become per-chip Monte-Carlo statistics.  The run is bit-identical to
-composing the two engines by hand (scalar ``CalibratedDelayLineDPWM`` plus
-scalar ``DigitallyControlledBuck`` per instance) -- the property
+calibrated curve, so steady-state limit-cycle amplitude (the tail ripple of
+``result.regulation``) and regulation yield become per-chip Monte-Carlo
+statistics.  The run is bit-identical to composing the two engines by hand
+(scalar ``CalibratedDelayLineDPWM`` plus scalar ``DigitallyControlledBuck``
+per instance) -- the property
 ``tests/test_pipeline.py`` asserts and ``benchmarks/test_bench_pipeline.py``
 perf-gates (>= 10x at bit-exact steady-state agreement).
 
@@ -51,9 +52,9 @@ population one run over the whole range regulates:
     >>> second = chunked.run_chunk(2, 2, periods=40)
     >>> one_shot = chunked.run_chunk(0, 4, periods=40)
     >>> bool(np.array_equal(
-    ...     np.concatenate([first.steady_state_voltages_v(),
-    ...                     second.steady_state_voltages_v()]),
-    ...     one_shot.steady_state_voltages_v()))
+    ...     np.concatenate([first.regulation.steady_state_voltage_v(),
+    ...                     second.regulation.steady_state_voltage_v()]),
+    ...     one_shot.regulation.steady_state_voltage_v()))
     True
     >>> one_shot.num_instances
     4
@@ -65,7 +66,6 @@ from dataclasses import dataclass, fields
 from collections.abc import Sequence
 
 import numpy as np
-import numpy.typing as npt
 
 from repro.converter.buck import BuckParameters
 from repro.converter.load import LoadProfile
@@ -196,29 +196,6 @@ class PipelineResult:
     @property
     def num_instances(self) -> int:
         return self.regulation.num_variants
-
-    def steady_state_voltages_v(
-        self, tail_fraction: float = 0.25
-    ) -> npt.NDArray[np.float64]:
-        """Per-instance steady-state output voltage."""
-        return self.regulation.steady_state_voltage_v(tail_fraction)
-
-    def limit_cycle_amplitudes_v(
-        self, tail_fraction: float = 0.25
-    ) -> npt.NDArray[np.float64]:
-        """Per-instance steady-state peak-to-peak output ripple.
-
-        This is the limit-cycle amplitude the DPWM's finite (and, after
-        fabrication, nonlinear) resolution leaves behind once the loop has
-        settled -- the regulation-side signature of the silicon.
-        """
-        return self.regulation.steady_state_ripple_v(tail_fraction)
-
-    def regulation_errors_v(
-        self, tail_fraction: float = 0.25
-    ) -> npt.NDArray[np.float64]:
-        """Per-instance |steady-state output - reference|."""
-        return np.abs(self.steady_state_voltages_v(tail_fraction) - self.reference_v)
 
 
 def regulate_ensemble(

@@ -27,7 +27,10 @@ them simultaneously:
 The load resistance is the one per-period quantity: it follows the same
 load profiles as the scalar loop (:mod:`repro.converter.load`), so steps,
 ramps, pulse trains, random bursts and missions all work unchanged on whole
-fleets, while the reference and the input rail are fixed for the run.
+fleets, while the reference and the input rail are fixed for the run.  The
+engine reads loads only through ``LoadProfile.resistances`` (once per run;
+a shared load is one column) and DPWMs only through
+``DutyQuantizer.duty_table``.
 
 Example -- a three-variant fleet regulating 1.8 V down to 0.9 V behind an
 ideal 6-bit DPWM, advanced 200 switching periods in one vectorized run:
@@ -70,11 +73,7 @@ from repro.converter.closed_loop import (
     RegulationTrace,
     steady_state_tail,
 )
-from repro.converter.load import (
-    ConstantLoad,
-    LoadProfile,
-    load_schedule,
-)
+from repro.converter.load import ConstantLoad, LoadProfile
 from repro.kernels.closed_loop import (
     apply_period_step,
     gather_coefficients,
@@ -277,12 +276,10 @@ class BatchQuantizer:
     def from_quantizers(cls, quantizers: Sequence[DutyQuantizer]) -> "BatchQuantizer":
         """Extract the word -> duty tables of scalar DPWM objects.
 
-        Every quantizer must expose ``max_word`` / ``duty_fraction`` (the
-        :class:`~repro.converter.closed_loop.DutyQuantizer` protocol); word
-        widths may differ between quantizers.  Quantizers that expose their
-        whole table in array form (a ``duty_table()`` method, as the ideal
-        and calibrated delay-line DPWMs do) are copied in one vectorized
-        assignment instead of one ``duty_fraction`` call per word.
+        Each quantizer's ``duty_table()`` (the
+        :class:`~repro.converter.closed_loop.DutyQuantizer` protocol) is
+        copied in one vectorized assignment; word widths may differ between
+        quantizers, but each table must cover ``max_word + 1`` words.
         """
         if not quantizers:
             raise ValueError("need at least one quantizer")
@@ -290,19 +287,13 @@ class BatchQuantizer:
         levels = np.zeros((len(quantizers), int(num_words.max())))
         for row, quantizer in enumerate(quantizers):
             count = int(num_words[row])
-            table = getattr(quantizer, "duty_table", None)
-            if table is not None:
-                values = np.asarray(table(), dtype=float)
-                if values.shape != (count,):
-                    raise ValueError(
-                        f"quantizer {row} reports max_word {count - 1} but "
-                        f"its duty_table has shape {values.shape}"
-                    )
-                levels[row, :count] = values
-            else:
-                levels[row, :count] = [
-                    quantizer.duty_fraction(word) for word in range(count)
-                ]
+            values = np.asarray(quantizer.duty_table(), dtype=float)
+            if values.shape != (count,):
+                raise ValueError(
+                    f"quantizer {row} reports max_word {count - 1} but "
+                    f"its duty_table has shape {values.shape}"
+                )
+            levels[row, :count] = values
         return cls(levels, num_words=num_words)
 
     @classmethod
@@ -645,25 +636,14 @@ class BatchClosedLoop:
             raise ValueError("pass either a shared load or per-variant loads")
         if loads is not None and len(loads) != num_variants:
             raise ValueError(f"need one load per variant ({num_variants})")
-        self._shared_load = load or (ConstantLoad(resistance_ohm=1.0) if loads is None else None)
-        self._variant_loads = list(loads) if loads is not None else None
-        # Loads that declare themselves static (ConstantLoad sets is_static)
-        # are evaluated once and the resistance vector is reused every
-        # period; anything else is resolved once per run into the
-        # (periods, variants) schedule (see _load_schedule).
-        if self._variant_loads is not None:
-            loads_static = all(
-                getattr(variant_load, "is_static", False)
-                for variant_load in self._variant_loads
-            )
-        else:
-            loads_static = getattr(self._shared_load, "is_static", False)
-        self._loads_static = bool(loads_static)
-        self._static_resistances: np.ndarray | None = None
+        # One profile per column of the load rows: a shared load is one
+        # column, per-variant loads are one column each (see _load_rows).
+        self._loads: list[LoadProfile] = (
+            list(loads) if loads is not None else [load or ConstantLoad(1.0)]
+        )
         if start_at_reference:
-            initial_load = self._load_schedule(np.empty((1, num_variants)))[0]
             self.output_voltage_v = self.reference_v.copy()
-            self.inductor_current_a = self.reference_v / initial_load
+            self.inductor_current_a = self.reference_v / self._load_rows(1)[0]
         else:
             self.output_voltage_v = np.zeros(num_variants)
             self.inductor_current_a = np.zeros(num_variants)
@@ -672,41 +652,22 @@ class BatchClosedLoop:
     def num_variants(self) -> int:
         return self.parameters.num_variants
 
-    def _load_schedule(self, schedule: np.ndarray) -> np.ndarray:
-        """Fill ``schedule`` with the loads of periods ``0 .. len(schedule)``.
+    def _load_rows(self, periods: int) -> np.ndarray:
+        """The load resistances of periods ``0 .. periods``, unbroadcast.
 
-        ``schedule`` has shape ``(periods, variants)`` (the run writes the
-        result's ``load_resistances_ohm`` array in place).  Static loads are
-        evaluated once per loop and broadcast; dynamic profiles are resolved
-        with one :func:`~repro.converter.load.load_schedule` call each, which
-        is vectorized for the library's profiles and one ``resistance_at``
-        per period for any other.
+        One column per profile, each resolved with one ``resistances``
+        call: ``(periods, 1)`` for a shared load, ``(periods, variants)``
+        for per-variant loads.
         """
-        if self._loads_static:
-            if self._static_resistances is None:
-                self._static_resistances = self._evaluate_loads(
-                    np.empty((1, self.num_variants))
-                )[0]
-            schedule[...] = self._static_resistances
-            return schedule
-        return self._evaluate_loads(schedule)
-
-    def _evaluate_loads(self, schedule: np.ndarray) -> np.ndarray:
-        """Resolve the load profiles into ``schedule`` and check the values."""
-        periods = schedule.shape[0]
-        if self._variant_loads is not None:
-            for column, variant_load in enumerate(self._variant_loads):
-                schedule[:, column] = load_schedule(variant_load, 0, periods)
-        else:
-            schedule[...] = load_schedule(self._shared_load, 0, periods).reshape(
-                periods, -1
-            )
-        nonpositive = np.flatnonzero(np.any(schedule <= 0, axis=1))
+        rows = np.empty((periods, len(self._loads)))
+        for column, profile in enumerate(self._loads):
+            rows[:, column] = profile.resistances(0, periods)
+        nonpositive = np.flatnonzero(np.any(rows <= 0, axis=1))
         if nonpositive.size:
             raise ValueError(
                 f"load resistance must be positive in period {nonpositive[0]}"
             )
-        return schedule
+        return rows
 
     def run(self, periods: int) -> BatchRegulationResult:
         """Run the closed loop for a number of switching periods.
@@ -724,7 +685,10 @@ class BatchClosedLoop:
         series_resistance = params.switch_resistance_ohm + params.inductor_resistance_ohm
         period_s = params.switching_period_s
 
-        loads_out = self._load_schedule(np.empty((periods, num_variants)))
+        load_rows = self._load_rows(periods)
+        loads_out = load_rows
+        if load_rows.shape[1] != num_variants:
+            loads_out = np.broadcast_to(load_rows, (periods, num_variants)).copy()
         voltages = np.empty((periods, num_variants))
         currents = np.empty((periods, num_variants))
         words_out = np.empty((periods, num_variants), dtype=np.int64)
@@ -740,8 +704,8 @@ class BatchClosedLoop:
         reference = self.reference_v
         drive = params.input_voltage_v / params.inductance_h
         step_buffer = np.empty((num_variants, 12))
-        # Transition coefficients are memoized per (load fingerprint, duty
-        # word) in one table per load level (see _LoadCoefficientTable):
+        # Transition coefficients are memoized per (load row, duty word) in
+        # one table per load level (see _LoadCoefficientTable):
         # whole-fleet dithering costs one gather per period instead of two
         # vectorized matrix exponentials.  The drive term is applied outside
         # the cache.
@@ -762,15 +726,13 @@ class BatchClosedLoop:
         # A load row that occurs once in the run (a fleet with some instance
         # mid-ramp) would retire its table after one period, so it skips the
         # table and pays the table's first-period cost: one direct fused
-        # evaluation.  Rows are told apart by the hash of their bytes; a
-        # collision only makes a one-shot row look recurring, which costs a
-        # table but never changes a value.  Static loads repeat one row.
-        if self._loads_static:
-            recurs = [True] * periods
-        else:
-            row_hashes = [hash(row.tobytes()) for row in loads_out]
-            occurrences = Counter(row_hashes)
-            recurs = [occurrences[row_hash] > 1 for row_hash in row_hashes]
+        # evaluation.  Rows are told apart by the hash of their bytes (one
+        # float per row for a shared load); a collision only makes a
+        # one-shot row look recurring, which costs a table but never
+        # changes a value.
+        row_hashes = [hash(row.tobytes()) for row in load_rows]
+        occurrences = Counter(row_hashes)
+        recurs = [occurrences[row_hash] > 1 for row_hash in row_hashes]
         # The one-shot rows' plant terms are computed a block of rows at a
         # time (elementwise, so bit-equal to one row at a time); the block
         # is capped by element count, so a wide fleet keeps a short block.
@@ -780,7 +742,7 @@ class BatchClosedLoop:
         def block_terms() -> Iterator[PlantTerms]:
             for first in range(0, one_shot.size, block_rows):
                 rows = one_shot[first : first + block_rows]
-                block = np.broadcast_arrays(*terms_for(loads_out[rows]))
+                block = np.broadcast_arrays(*terms_for(load_rows[rows]))
                 for row_terms in zip(*block):
                     yield PlantTerms._make(row_terms)
 
@@ -803,7 +765,7 @@ class BatchClosedLoop:
                     out=step_buffer,
                 )
             else:
-                rload = loads_out[index]
+                rload = load_rows[index]
                 rload_key = rload.tobytes()
                 table = load_tables.get(rload_key)
                 if table is None:

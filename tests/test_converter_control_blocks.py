@@ -254,7 +254,7 @@ class TestMissionEdgeCases:
 
     def test_zero_duration_segment_raises(self):
         with pytest.raises(ValueError, match="at least one switching period"):
-            MissionSegment(duration_periods=0)
+            MissionSegment(duration_periods=0, load=ConstantLoad(2.0))
 
     def test_negative_duration_segment_raises(self):
         with pytest.raises(ValueError, match="at least one switching period"):
@@ -270,7 +270,7 @@ class TestMissionEdgeCases:
 
     def test_negative_period_raises_typed_error(self):
         mission = MissionProfile(
-            segments=(MissionSegment(duration_periods=4),)
+            segments=(MissionSegment(duration_periods=4, load=ConstantLoad(2.0)),)
         )
         with pytest.raises(ValueError, match="non-negative"):
             mission.resistance_at(-1)
@@ -290,7 +290,7 @@ class TestMissionEdgeCases:
 
     def test_resolve_missions_requires_one_per_instance(self):
         mission = MissionProfile(
-            segments=(MissionSegment(duration_periods=4),)
+            segments=(MissionSegment(duration_periods=4, load=ConstantLoad(2.0)),)
         )
         with pytest.raises(ValueError, match="one mission per instance"):
             resolve_missions([mission], num_instances=2)

@@ -38,7 +38,6 @@ from repro.converter.load import (
     RampLoad,
     RandomBurstLoad,
     SteppedLoad,
-    load_schedule,
 )
 from repro.converter.missions import (
     MISSION_STREAM_TAG,
@@ -178,34 +177,13 @@ primitive_loads = st.one_of(
 )
 
 
-class ScalarOnlyLoad:
-    """A custom profile with ``resistance_at`` only (the fallback path)."""
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-        self.calls = 0
-
-    def resistance_at(self, period_index: int) -> float:
-        self.calls += 1
-        return self.inner.resistance_at(period_index)
-
-
 mission_profiles = st.builds(
-    lambda legs, default: MissionProfile(
-        segments=tuple(MissionSegment(duration, load) for duration, load in legs),
-        default_load=default,
+    lambda legs: MissionProfile(
+        segments=tuple(MissionSegment(duration, load) for duration, load in legs)
     ),
     st.lists(
-        st.tuples(
-            st.integers(1, 40),
-            st.one_of(
-                st.none(), primitive_loads, primitive_loads.map(ScalarOnlyLoad)
-            ),
-        ),
-        min_size=1,
-        max_size=5,
+        st.tuples(st.integers(1, 40), primitive_loads), min_size=1, max_size=5
     ),
-    primitive_loads,
 )
 offset_loads = st.builds(
     OffsetLoad, st.one_of(primitive_loads, mission_profiles), st.integers(0, 100)
@@ -228,10 +206,12 @@ _EDGE_MISSION = MissionProfile(
     segments=(
         MissionSegment(duration_periods=5, load=ConstantLoad(2.0)),
         MissionSegment(duration_periods=4, load=_RAMP),
-        MissionSegment(duration_periods=3),
-    ),
-    default_load=PulseTrainLoad(
-        light_ohm=2.0, heavy_ohm=0.9, pulse_periods=2, train_period=5
+        MissionSegment(
+            duration_periods=3,
+            load=PulseTrainLoad(
+                light_ohm=2.0, heavy_ohm=0.9, pulse_periods=2, train_period=5
+            ),
+        ),
     ),
 )
 
@@ -284,24 +264,52 @@ class TestVectorizedSchedule:
             pytest.param(
                 OffsetLoad(OffsetLoad(_RAMP, 2), 3), 0, 15, id="nested-offsets"
             ),
+            pytest.param(SteppedLoad(2, 1, 3), 0, 6, id="integer-ohms-stepped"),
+            pytest.param(PulseTrainLoad(2, 1, 1, 3), 0, 6, id="integer-ohms-pulse"),
+            pytest.param(
+                RandomBurstLoad(2, 1, burst_probability=0.5),
+                0,
+                6,
+                id="integer-ohms-burst",
+            ),
+            pytest.param(
+                OffsetLoad(SteppedLoad(2, 1, 3), 2), 0, 6, id="integer-ohms-offset"
+            ),
         ],
     )
     def test_edges(self, load, start: int, count: int) -> None:
         _assert_schedule_matches_scalar(load, start, count)
 
-    def test_fallback_calls_resistance_at_once_per_period(self) -> None:
-        custom = ScalarOnlyLoad(_RAMP)
-        schedule = load_schedule(custom, 3, 11)
-        assert custom.calls == 11
-        assert schedule.tobytes() == _RAMP.resistances(3, 11).tobytes()
-
-    def test_negative_windows_are_rejected(self) -> None:
-        burst = RandomBurstLoad(light_ohm=2.0, heavy_ohm=0.9)
-        for load in (_EDGE_MISSION, OffsetLoad(_RAMP, 3), burst):
-            with pytest.raises(ValueError, match="non-negative"):
-                load.resistances(-1, 4)
+    @pytest.mark.parametrize(
+        "load",
+        [
+            ConstantLoad(2.0),
+            SteppedLoad(light_ohm=2.0, heavy_ohm=0.9, step_up_period=3),
+            _RAMP,
+            PulseTrainLoad(
+                light_ohm=2.0, heavy_ohm=0.9, pulse_periods=2, train_period=5
+            ),
+            RandomBurstLoad(light_ohm=2.0, heavy_ohm=0.9),
+            _EDGE_MISSION,
+            OffsetLoad(_RAMP, 3),
+        ],
+        ids=[
+            "constant",
+            "stepped",
+            "ramp",
+            "pulse-train",
+            "random-burst",
+            "mission",
+            "offset",
+        ],
+    )
+    def test_negative_windows_are_rejected(self, load) -> None:
+        # Every profile shares one window check: a negative start or count
+        # names no periods, so it must raise rather than return values.
         with pytest.raises(ValueError, match="non-negative"):
-            _EDGE_MISSION.resistances(0, -1)
+            load.resistances(-1, 4)
+        with pytest.raises(ValueError, match="non-negative"):
+            load.resistances(0, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def assert_bit_identical(result, expected) -> None:
 class TestKernelEquivalence:
     @KERNEL_SETTINGS
     @given(data=st.data())
-    def test_interval_coefficients(self, data):
+    def test_period_coefficients(self, data):
         n = data.draw(st.integers(1, 5))
         draw_row = lambda elems: np.asarray(  # noqa: E731
             data.draw(st.lists(elems, min_size=n, max_size=n)), dtype=float
@@ -85,7 +85,9 @@ class TestKernelEquivalence:
         on_time = period * draw_row(
             st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
         )
-        result = closed_loop.interval_coefficients(a, b, c, d, on_time, period)
+        result = closed_loop.period_coefficients(
+            plant_terms(a, b, c, d), on_time, period
+        )
         expected = np.stack(
             np.broadcast_arrays(
                 *exact_interval_coefficients(a, b, c, d, on_time),
@@ -308,12 +310,12 @@ class TestKernelEquivalence:
                 and totals[i, expected_step] >= period
             )
 
+    @pytest.mark.parametrize("buffers", range(1, 11))
     @KERNEL_SETTINGS
     @given(data=st.data())
-    def test_cell_delays_from_multipliers(self, data):
+    def test_cell_delays_from_multipliers(self, buffers, data):
         instances = data.draw(st.integers(1, 4))
         cells = data.draw(st.integers(1, 5))
-        buffers = data.draw(st.integers(1, 6))
         multipliers = np.stack(
             [
                 data.draw(float_matrix(cells, buffers, elements=positive))
@@ -322,14 +324,17 @@ class TestKernelEquivalence:
         )
         unit = data.draw(positive)
         result = fabrication.cell_delays_from_multipliers(multipliers, unit)
-        # Under 8 elements numpy sums sequentially, so the loop reference
-        # is bit-identical (pairwise summation never kicks in).
+        # Under 8 buffers numpy sums sequentially, so the loop reference is
+        # bit-identical; from 8 on its pairwise sum is, cell by cell.
         expected = np.empty((instances, cells))
         for i in range(instances):
             for j in range(cells):
-                total = 0.0
-                for k in range(buffers):
-                    total += multipliers[i, j, k]
+                if buffers < 8:
+                    total = 0.0
+                    for k in range(buffers):
+                        total += multipliers[i, j, k]
+                else:
+                    total = np.sum(multipliers[i, j])
                 expected[i, j] = total * unit
         assert_bit_identical((result,), (expected,))
 
@@ -469,7 +474,7 @@ class TestFusedIntervalCoefficients:
         period = np.ones(3)
         on_time = np.array([0.25, 0.9, 0.5])
         np.testing.assert_array_equal(
-            bit_pattern(closed_loop.interval_coefficients(a, b, c, d, on_time, period)),
+            bit_pattern(closed_loop.period_coefficients(terms, on_time, period)),
             bit_pattern(separate_evaluation(a, b, c, d, on_time, period)),
         )
 
@@ -478,14 +483,12 @@ class TestFusedIntervalCoefficients:
     def test_fused_equals_separate_calls(self, plants):
         a, b, c, d, on_time, period = plants
         expected = separate_evaluation(a, b, c, d, on_time, period)
-        fused = closed_loop.interval_coefficients(a, b, c, d, on_time, period)
-        on_terms = closed_loop.period_coefficients(
+        fused = closed_loop.period_coefficients(
             plant_terms(a, b, c, d), on_time, period
         )
         assert fused.shape == (a.size, 12)
         assert np.all(np.isfinite(expected))
         np.testing.assert_array_equal(bit_pattern(fused), bit_pattern(expected))
-        np.testing.assert_array_equal(bit_pattern(on_terms), bit_pattern(expected))
 
     @settings(max_examples=30, deadline=None)
     @given(plants=mixed_plants(), data=st.data())

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.converter.buck import BuckParameters
 from repro.converter.closed_loop import DigitallyControlledBuck, IdealDPWM
-from repro.converter.load import SteppedLoad
+from repro.converter.load import ConstantLoad, SteppedLoad
 from repro.converter.missions import (
     MissionGenerator,
     MissionProfile,
@@ -224,7 +224,12 @@ class TestChunkedSiliconToRegulation:
     @pytest.mark.parametrize(
         "missions",
         [
-            [MissionProfile(segments=(MissionSegment(duration_periods=20),))] * 2,
+            [
+                MissionProfile(
+                    segments=(MissionSegment(20, load=ConstantLoad(2.0)),)
+                )
+            ]
+            * 2,
             MissionGenerator(total_periods=20, num_segments=2, seed=3),
         ],
         ids=["mission-list", "mission-generator"],
@@ -260,8 +265,10 @@ class TestChunkedSiliconToRegulation:
         whole = runner.run_chunk(0, 8, periods=40)
         shards = [runner.run_chunk(0, 4, periods=40), runner.run_chunk(4, 4, periods=40)]
         np.testing.assert_array_equal(
-            np.concatenate([shard.steady_state_voltages_v() for shard in shards]),
-            whole.steady_state_voltages_v(),
+            np.concatenate(
+                [shard.regulation.steady_state_voltage_v() for shard in shards]
+            ),
+            whole.regulation.steady_state_voltage_v(),
         )
         np.testing.assert_array_equal(
             np.concatenate([shard.calibration.locked for shard in shards]),
@@ -320,11 +327,11 @@ class TestFixedBudgetMatchesRunChunk:
             "regulation": float(np.mean(regulation)),
             "lock": float(np.mean(chunk.calibration.locked)),
         }
-        assert fixed.moments["error_v"].maximum == float(
-            chunk.regulation_errors_v().max()
-        )
+        steady = chunk.regulation.steady_state_voltage_v()
+        errors = np.abs(steady - chunk.reference_v)
+        assert fixed.moments["error_v"].maximum == float(errors.max())
         assert fixed.moments["limit_cycle_amplitude_v"].maximum == float(
-            chunk.limit_cycle_amplitudes_v().max()
+            chunk.regulation.steady_state_ripple_v().max()
         )
 
 
@@ -354,9 +361,8 @@ class TestPipelineConstruction:
             "proposed", SPEC, variation=VariationModel(seed=5), library=LIBRARY
         ).run_chunk(0, 4, periods=60)
         assert result.num_instances == 4
-        assert result.steady_state_voltages_v().shape == (4,)
-        assert result.limit_cycle_amplitudes_v().shape == (4,)
-        assert np.all(result.regulation_errors_v() >= 0.0)
+        assert result.regulation.steady_state_voltage_v().shape == (4,)
+        assert result.regulation.steady_state_ripple_v().shape == (4,)
         assert result.regulation.num_periods == 60
 
 
@@ -510,22 +516,16 @@ class TestQuantizerFastPath:
         )
         line = design.build_line(library=LIBRARY, variation=sample)
         dpwm = CalibratedDelayLineDPWM(line, conditions)
-        ideal = IdealDPWM(bits=6)
-
-        class NoTable:
-            """The slow path: duty_fraction only."""
-
-            def __init__(self, inner):
-                self._inner = inner
-                self.max_word = inner.max_word
-
-            def duty_fraction(self, word):
-                return self._inner.duty_fraction(word)
-
-        fast = BatchQuantizer.from_quantizers([dpwm, ideal])
-        slow = BatchQuantizer.from_quantizers([NoTable(dpwm), NoTable(ideal)])
-        np.testing.assert_array_equal(fast.levels, slow.levels)
-        np.testing.assert_array_equal(fast.num_words, slow.num_words)
+        quantizers = [dpwm, IdealDPWM(bits=6)]
+        batch = BatchQuantizer.from_quantizers(quantizers)
+        expected = np.zeros((2, max(q.max_word + 1 for q in quantizers)))
+        for row, quantizer in enumerate(quantizers):
+            count = quantizer.max_word + 1
+            expected[row, :count] = [quantizer.duty_fraction(w) for w in range(count)]
+        np.testing.assert_array_equal(batch.levels, expected)
+        np.testing.assert_array_equal(
+            batch.num_words, [q.max_word + 1 for q in quantizers]
+        )
 
     def test_lying_duty_table_rejected(self):
         class Liar:

@@ -306,7 +306,7 @@ class TestBatchClosedLoop:
             for _ in range(3)
         ]
         batch = from_closed_loops(loops)
-        assert batch._variant_loads is None
+        assert len(batch._loads) == 1  # one shared column
         result = batch.run(300)
         expected = loops[0].run(300)
         for column in range(3):
@@ -371,51 +371,55 @@ class TestBatchClosedLoop:
             assert trace.error_codes == expected.error_codes
             assert trace.load_resistances_ohm == expected.load_resistances_ohm
 
-    def test_static_load_evaluated_once_per_run(self, nominal):
-        """Static loads resolve to one resistance vector, not one per period."""
+    @pytest.mark.parametrize(
+        "load",
+        [
+            ConstantLoad(2.0),
+            SteppedLoad(light_ohm=2.0, heavy_ohm=0.9, step_up_period=100),
+            RampLoad(2.0, 1.0, ramp_start_period=50, ramp_end_period=150),
+        ],
+        ids=["constant", "stepped", "ramp"],
+    )
+    def test_shared_load_resolved_once_per_run(self, nominal, load):
+        """A shared load is one column: one ``resistances`` call at
+        construction and one per run, whatever the fleet size.  Its rows
+        recur (constant, stepped) or occur once (ramp)."""
 
         class CountingLoad:
-            def __init__(self, resistance_ohm, static):
-                self.resistance_ohm = resistance_ohm
-                self.calls = 0
-                if static:
-                    self.is_static = True
+            def __init__(self, inner):
+                self.inner = inner
+                self.windows = []
 
             def resistance_at(self, period_index):
-                self.calls += 1
-                return self.resistance_ohm
+                raise AssertionError("the batch engine resolves whole windows")
 
-        static = CountingLoad(2.0, static=True)
+            def resistances(self, start, count):
+                self.windows.append((start, count))
+                return self.inner.resistances(start, count)
+
+        counting = CountingLoad(load)
         batch = BatchClosedLoop(
             BatchBuckParameters.uniform(nominal, 3),
             BatchQuantizer.ideal(6, 3),
             reference_v=0.9,
-            load=static,
+            load=counting,
         )
+        assert counting.windows == [(0, 1)]
         result = batch.run(200)
-        assert static.calls == 1  # the construction-time evaluation is reused
+        assert counting.windows == [(0, 1), (0, 200)]
 
-        # The fast path changes bookkeeping only, not the physics.
+        # One column broadcast to the fleet changes bookkeeping only, not
+        # the physics: per-variant copies of the load give the same run.
         reference = BatchClosedLoop(
             BatchBuckParameters.uniform(nominal, 3),
             BatchQuantizer.ideal(6, 3),
             reference_v=0.9,
-            load=ConstantLoad(2.0),
-        )
-        np.testing.assert_array_equal(
-            result.output_voltages_v, reference.run(200).output_voltages_v
-        )
-
-        # Loads that do not declare themselves static keep the per-period
-        # evaluation (their resistance may depend on the period index).
-        dynamic = CountingLoad(2.0, static=False)
-        BatchClosedLoop(
-            BatchBuckParameters.uniform(nominal, 3),
-            BatchQuantizer.ideal(6, 3),
-            reference_v=0.9,
-            load=dynamic,
+            loads=[load] * 3,
         ).run(200)
-        assert dynamic.calls == 201  # construction + one per period
+        for field in ("output_voltages_v", "duty_words", "load_resistances_ohm"):
+            np.testing.assert_array_equal(
+                getattr(result, field), getattr(reference, field)
+            )
 
     def test_empty_result_statistics_raise(self, nominal):
         batch = BatchClosedLoop(
@@ -461,6 +465,9 @@ class TestBatchClosedLoop:
         class BrokenLoad:
             def resistance_at(self, period_index: int) -> float:
                 return 0.0
+
+            def resistances(self, start: int, count: int) -> np.ndarray:
+                return np.zeros(count)
 
         with pytest.raises(ValueError, match="load resistance must be positive"):
             BatchClosedLoop(

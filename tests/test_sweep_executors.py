@@ -32,6 +32,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments import run_experiment
 from repro.experiments.runner import main as runner_main
 from repro.sweep import (
     EXECUTOR_NAMES,
@@ -185,6 +186,55 @@ class TestExecutorIdentity:
         ) as sweep:
             serial = sweep.map_cells(value_cell, self.CELLS, experiment_id="ident")
         assert canonical_json(serial) == canonical_json(reference)
+
+
+class TestRealExperimentIdentity:
+    """The sweep benches' real-experiment identity gate, at reduced budgets.
+
+    ``benchmarks/test_bench_sweep.py`` and
+    ``benchmarks/test_bench_distributed_sweep.py`` assert it at full size
+    next to their wall-clock gates; here every Monte-Carlo grid experiment
+    must give byte-identical canonical JSON serially, cold through a
+    two-worker pool that fills a cache, warm from that cache, and through
+    the named ``serial`` executor.
+    """
+
+    BUDGETS = {
+        "fig15": dict(precision=0.1, max_instances=64),
+        "fig15_mc": dict(precision=0.1, max_instances=64),
+        "fig50_51_mc": dict(precision=0.1, max_instances=64),
+        "fig15_rare": dict(precision=5e-5, max_instances=256),
+    }
+
+    @staticmethod
+    def _payload(experiment_id, sweep=None, **options) -> str:
+        result = run_experiment(experiment_id, sweep=sweep, **options)
+        return canonical_json(
+            {
+                "title": result.title,
+                "data": result.data,
+                "paper_reference": result.paper_reference,
+            }
+        )
+
+    @pytest.mark.parametrize("experiment_id", sorted(BUDGETS))
+    def test_serial_cold_warm_and_executors_agree(self, experiment_id, tmp_path):
+        options = self.BUDGETS[experiment_id]
+        serial = self._payload(experiment_id, **options)
+        config = SweepConfig(workers=2, cache_dir=tmp_path / "pool")
+        with SweepOrchestrator(config) as sweep:
+            cold = self._payload(experiment_id, sweep, **options)
+            assert sweep.misses > 0 and sweep.hits == 0
+        with SweepOrchestrator(config) as sweep:
+            warm = self._payload(experiment_id, sweep, **options)
+            assert sweep.misses == 0 and sweep.hits > 0
+        with SweepOrchestrator(
+            SweepConfig(cache_dir=tmp_path / "serial", executor="serial")
+        ) as sweep:
+            named_serial = self._payload(experiment_id, sweep, **options)
+        assert cold == serial
+        assert warm == serial
+        assert named_serial == serial
 
 
 class TestUnorderedCompletion:
