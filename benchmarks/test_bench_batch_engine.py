@@ -14,11 +14,16 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pytest
 
 from repro.converter.buck import BuckParameters
 from repro.converter.closed_loop import DigitallyControlledBuck, IdealDPWM
 from repro.core.yield_analysis import ComponentVariation
 from repro.simulation.batch import BatchClosedLoop, BatchQuantizer
+
+#: Wall-clock gated: out of tier-1, run by the CI benchmarks job; the
+#: agreement asserts have a reduced twin in tests/test_bench_twins.py.
+pytestmark = pytest.mark.wallclock
 
 NUM_VARIANTS = 256
 PERIODS = 300

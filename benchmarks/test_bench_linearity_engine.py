@@ -16,6 +16,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pytest
 
 from repro.core.design import DesignSpec, design_proposed
 from repro.core.ensemble import ProposedEnsemble
@@ -23,6 +24,10 @@ from repro.core.proposed import ProposedController
 from repro.technology.corners import OperatingConditions
 from repro.technology.library import intel32_like_library
 from repro.technology.variation import VariationModel
+
+#: Wall-clock gated: out of tier-1, run by the CI benchmarks job; the
+#: agreement asserts have a reduced twin in tests/test_bench_twins.py.
+pytestmark = pytest.mark.wallclock
 
 NUM_INSTANCES = 1000
 SPEC = DesignSpec(clock_frequency_mhz=100.0, resolution_bits=6)

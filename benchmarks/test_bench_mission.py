@@ -17,6 +17,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pytest
 
 from repro.converter.missions import MissionGenerator
 from repro.core.design import DesignSpec
@@ -25,6 +26,10 @@ from repro.pipeline import ChunkedSiliconToRegulation
 from repro.technology.corners import OperatingConditions
 from repro.technology.thermal import TemperatureTrace, ThermalDerating
 from repro.technology.variation import VariationModel
+
+#: Wall-clock gated: out of tier-1, run by the CI benchmarks job; the
+#: agreement asserts have a reduced twin in tests/test_bench_twins.py.
+pytestmark = pytest.mark.wallclock
 
 NUM_INSTANCES = 32
 PERIODS = 360

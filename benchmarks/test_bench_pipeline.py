@@ -20,6 +20,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pytest
 
 from repro.converter.buck import BuckParameters
 from repro.converter.closed_loop import DigitallyControlledBuck
@@ -30,6 +31,10 @@ from repro.pipeline import ChunkedSiliconToRegulation
 from repro.technology.corners import OperatingConditions
 from repro.technology.library import intel32_like_library
 from repro.technology.variation import VariationModel
+
+#: Wall-clock gated: out of tier-1, run by the CI benchmarks job; the
+#: agreement asserts have a reduced twin in tests/test_bench_twins.py.
+pytestmark = pytest.mark.wallclock
 
 NUM_INSTANCES = 512
 PERIODS = 300

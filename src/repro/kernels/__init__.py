@@ -6,8 +6,8 @@ This package splits the pure array math out of the orchestration layers
 arrays out -- grouped by stage:
 
 * :mod:`repro.kernels.closed_loop` -- per-period regulation kernels
-  (exact 2x2 stepper coefficients, coefficient gather, PID update, duty
-  quantizer, state advance);
+  (the ten exact-stepper step coefficients, PID update, duty quantizer,
+  state advance);
 * :mod:`repro.kernels.ensemble` -- calibration kernels (proposed lock
   fixed point, transfer-curve matrix build, conventional first-crossing
   bisection);

@@ -12,14 +12,18 @@ them simultaneously:
   per variant (Monte-Carlo component draws, corner sweeps ...).
 * :class:`BatchQuantizer` -- per-variant duty-word -> achieved-duty tables
   extracted from any scalar DPWM (ideal or calibrated delay line), applied
-  with one fancy-indexing gather per period.
-* :class:`BatchCompensator` -- the PID law of
-  :class:`~repro.converter.compensator.PIDCompensator` on arrays.
+  with one ``np.take`` on the flat table per period.
+* :class:`BatchCompensator` -- the validated per-variant gains, duty
+  limits and state of :class:`~repro.converter.compensator.PIDCompensator`;
+  the run applies its law with :func:`~repro.kernels.closed_loop.pid_update`.
 * :class:`BatchClosedLoop` -- ADC + compensator + DPWM + power stage for all
   variants at once; each on/off interval uses the closed-form state-space
   update of :func:`~repro.converter.buck.exact_interval_coefficients`, so a
-  whole switching period is a handful of vectorized operations instead of
-  N x 128 Python iterations.
+  whole switching period is a few dozen vectorized operations instead of
+  N x 128 Python iterations.  Each period's ten step coefficients (see
+  :mod:`repro.kernels.closed_loop`) come from a per-load-level table in
+  one ``np.take``, and every buffer the period writes is made once per
+  run.
 * :func:`from_closed_loops` -- lift a list of scalar loops into one batch
   run (the cross-validation path: the batch engine reproduces the scalar
   exact-stepper loop bit-for-bit on the control decisions).
@@ -76,7 +80,6 @@ from repro.converter.closed_loop import (
 from repro.converter.load import ConstantLoad, LoadProfile
 from repro.kernels.closed_loop import (
     apply_period_step,
-    gather_coefficients,
     period_coefficients,
     pid_update,
     quantize_duty,
@@ -343,26 +346,39 @@ class BatchQuantizer:
 
     def word_lookup(
         self, num_commands: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(rows, counts)`` for a vector of ``num_commands``.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(levels, offsets, counts)`` for a vector of ``num_commands``.
 
-        Each command's table row and word count, as
-        :func:`~repro.kernels.closed_loop.quantize_duty` takes them.  A
-        single shared table serving a wider command vector gives every
-        command row 0.  A closed loop resolves this once per run.
+        The flat word -> duty table, each command's row offset into it and
+        its row's word count, as :func:`~repro.kernels.closed_loop
+        .quantize_duty` takes them.  One command per variant, or any
+        number of commands for a single-row quantizer; any other count
+        raises ``ValueError`` rather than lend one variant's table to
+        another.  A closed loop resolves this once per run.
         """
         if num_commands == self.num_variants:
             rows = np.arange(num_commands, dtype=np.int64)
-        else:
+        elif self.num_variants == 1:
             rows = np.zeros(num_commands, dtype=np.int64)
-        return rows, self.num_words[rows]
+        else:
+            raise ValueError(
+                f"need one duty command per variant ({self.num_variants}), "
+                f"got {num_commands}"
+            )
+        # A shared row stays one row (every offset 0); per-variant rows
+        # are laid end to end (np.ravel copies only a non-contiguous
+        # table).
+        levels = self.levels
+        if levels.shape[0] == 1 or levels.strides[0] == 0:
+            return levels[0], np.zeros_like(rows), self.num_words[rows]
+        return np.ravel(levels), rows * levels.shape[1], self.num_words[rows]
 
     def quantize(self, commands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Duty commands -> (duty words, achieved duty fractions).
 
         Matches the scalar ``duty_word_for`` of the ideal and calibrated
         DPWMs exactly (clip to [0, 1], round half to even, clamp to the top
-        word).
+        word).  A NaN command raises ``IndexError``.
         """
         commands = np.atleast_1d(np.asarray(commands, dtype=float))
         if self.num_variants != 1 and commands.shape != (self.num_variants,):
@@ -370,14 +386,27 @@ class BatchQuantizer:
                 f"need one duty command per variant ({self.num_variants}), "
                 f"got shape {commands.shape}"
             )
+        levels, offsets, counts = self.word_lookup(commands.shape[0])
         return quantize_duty(
-            commands, self.levels, *self.word_lookup(commands.shape[0])
+            np.minimum(np.maximum(commands, 0.0), 1.0),
+            levels,
+            offsets,
+            counts,
+            counts - 1,
         )
 
 
 class BatchCompensator:
-    """The PID law of :class:`~repro.converter.compensator.PIDCompensator`
-    applied to stacked error-code arrays (one entry per variant)."""
+    """The gains, duty limits and state of
+    :class:`~repro.converter.compensator.PIDCompensator`, one entry per
+    variant.
+
+    Construction checks ``0 <= min_duty < max_duty <= 1`` and that the
+    initial duty lies inside the limits.  :meth:`BatchClosedLoop.run`
+    applies the law (:func:`~repro.kernels.closed_loop.pid_update`) from
+    this state and hands the integral and the last error codes back at
+    the end of the run.
+    """
 
     def __init__(
         self,
@@ -410,42 +439,23 @@ class BatchCompensator:
         self.integral = self.initial_duty.copy()
         self.previous_error = np.zeros(self.num_variants)
 
-    def update(self, error_codes: np.ndarray) -> np.ndarray:
-        """Advance one switching period; returns the duty commands.
-
-        The error is copied before it is kept as ``previous_error``, so a
-        caller may reuse its error buffer without changing the next
-        derivative term.
-        """
-        error = np.array(error_codes, dtype=float)
-        duty, self.integral = pid_update(
-            error,
-            self.integral,
-            self.previous_error,
-            self.kp,
-            self.ki,
-            self.kd,
-            self.min_duty,
-            self.max_duty,
-        )
-        self.previous_error = error
-        return duty
-
 
 class _LoadCoefficientTable:
-    """Per-(variant, duty word) transition coefficients for one load level.
+    """Per-(variant, duty word) step coefficients for one load level.
 
     A Monte-Carlo fleet dithers its duty words independently, so whole
     duty-word *vectors* almost never repeat period to period -- but each
     variant only ever visits a handful of distinct words.  This table
-    memoizes the exact-stepper coefficients per duty word: the first period
-    a word value appears, its on/off coefficients are evaluated for every
-    variant at once (one fused :func:`~repro.kernels.closed_loop
-    .period_coefficients` call on the load level's precomputed
-    :class:`~repro.converter.buck.PlantTerms`); afterwards a period costs
-    one fancy-indexing gather no matter how the fleet dithers.  Gathered
-    values are bit-identical to computing the coefficients fresh because
-    the evaluation is elementwise per variant.
+    memoizes the ten step coefficients per duty word: the first period a
+    word value appears, its coefficients are evaluated for every variant at
+    once (one fused :func:`~repro.kernels.closed_loop.period_coefficients`
+    call on the load level's precomputed
+    :class:`~repro.converter.buck.PlantTerms`, drive folded in);
+    afterwards a period costs one ``np.take`` no matter how the fleet
+    dithers.  The table is variant-major, ``(variants, slots, 10)``, so a
+    variant's row for a word sits at its lane offset plus the word's slot.
+    Gathered values are bit-identical to computing the coefficients fresh
+    because the evaluation is elementwise per variant.
     """
 
     #: At most this many brand-new words are cached per period.  A settled
@@ -454,16 +464,23 @@ class _LoadCoefficientTable:
     #: mixed evaluation stays bounded.
     FILL_BUDGET_PER_PERIOD = 8
 
-    def __init__(self, terms: PlantTerms, max_words: int) -> None:
+    def __init__(
+        self, terms: PlantTerms, drive: np.ndarray, max_words: int
+    ) -> None:
+        """``drive`` is the ``(variants,)`` drive ``Vg / L`` of the fleet."""
         self.terms = terms
+        self.drive = drive
         self.slot_of_word = np.full(max_words, -1, dtype=np.int64)
-        self.table: np.ndarray | None = None  # (slots, variants, 12)
         self.used = 0
         self.periods_seen = 0
+        self._adopt(np.empty((drive.shape[0], 8, 10)))
 
-    def _evaluate(self, on_time: np.ndarray, period_s: np.ndarray) -> np.ndarray:
-        """``(variants, 12)`` on+off coefficients for per-variant on-times."""
-        return period_coefficients(self.terms, on_time, period_s)
+    def _adopt(self, table: np.ndarray) -> None:
+        """Make ``table`` the memo, with its flat row view and lane offsets."""
+        lanes, slots, _ = table.shape
+        self.table = table
+        self.rows = table.reshape(lanes * slots, 10)
+        self.lane_offsets = np.arange(lanes, dtype=np.int64) * slots
 
     def coefficients(
         self,
@@ -471,9 +488,9 @@ class _LoadCoefficientTable:
         duties: np.ndarray,
         levels: np.ndarray,
         period_s: np.ndarray,
-        variant_rows: np.ndarray,
+        out: np.ndarray,
     ) -> np.ndarray:
-        """``(variants, 12)`` on+off coefficients for this period's words.
+        """Fill ``out`` with this period's ``(variants, 10)`` step.
 
         Values are bit-identical whether gathered from the table or
         evaluated directly: :func:`~repro.kernels.closed_loop
@@ -483,32 +500,39 @@ class _LoadCoefficientTable:
         """
         self.periods_seen += 1
         slots = self.slot_of_word[words]
-        missing = slots < 0
-        if missing.any():
+        if slots.min() < 0:
             # A table's very first period is always evaluated directly: a
             # load level that never repeats (a ramp retires its table every
             # period) then costs exactly the plain mixed evaluation, and
             # caching starts only once the load level has proven it recurs.
             budget = self.FILL_BUDGET_PER_PERIOD if self.periods_seen > 1 else 0
-            new_words = np.unique(words[missing])
+            new_words = np.unique(words[slots < 0])
             for word in new_words[:budget]:
-                entry = self._evaluate(levels[:, word] * period_s, period_s)
-                if self.table is None:
-                    self.table = np.empty((8, *entry.shape))
-                elif self.used == self.table.shape[0]:
-                    grown = np.empty((2 * self.used, *entry.shape))
-                    grown[: self.used] = self.table
-                    self.table = grown
-                self.table[self.used] = entry
+                if self.used == self.table.shape[1]:
+                    grown = np.empty((self.table.shape[0], 2 * self.used, 10))
+                    grown[:, : self.used] = self.table
+                    self._adopt(grown)
+                period_coefficients(
+                    self.terms,
+                    levels[:, word] * period_s,
+                    period_s,
+                    self.drive,
+                    out=self.table[:, self.used],
+                )
                 self.slot_of_word[word] = self.used
                 self.used += 1
             if new_words.size > budget:
                 # Some of this period's words are still uncached: evaluate
                 # the mixed duty vector directly (one coefficient pair, the
                 # pre-table cost) and let later periods fill the rest.
-                return self._evaluate(duties * period_s, period_s)
+                return period_coefficients(
+                    self.terms, duties * period_s, period_s, self.drive, out=out
+                )
             slots = self.slot_of_word[words]
-        return gather_coefficients(self.table, slots, variant_rows)
+        # Every index is in range, so mode="wrap" skips the bounds pass;
+        # the ndarray method skips np.take's Python-level dispatch.
+        np.add(slots, self.lane_offsets, out=slots)
+        return self.rows.take(slots, axis=0, out=out, mode="wrap")
 
 
 @dataclass
@@ -673,10 +697,14 @@ class BatchClosedLoop:
         """Run the closed loop for a number of switching periods.
 
         Everything fixed for the run -- the drive, the reference, the
-        quantizer's rows and word counts, the variant rows -- is resolved
-        before the first period, and each
-        period's ADC codes, duty words, achieved duties and state are
-        written straight into the result's arrays.
+        quantizer's flat table, row offsets and word counts, the step
+        buffer with its column views, the kernels' scratch arrays -- is
+        resolved before the first period, and each period's ADC codes, duty
+        words, achieved duties and state are written straight into the
+        result's arrays.  The PID state lives in run-local arrays and is
+        handed back to the compensator at the end; with every ``kd`` zero
+        the derivative term is skipped (see
+        :func:`~repro.kernels.closed_loop.pid_update`).
         """
         if periods < 1:
             raise ValueError("periods must be >= 1")
@@ -699,19 +727,31 @@ class BatchClosedLoop:
         voltage = self.output_voltage_v
         adc = self.adc
         compensator = self.compensator
+        kp, ki = compensator.kp, compensator.ki
+        kd = compensator.kd if np.any(compensator.kd) else None
+        min_duty, max_duty = compensator.min_duty, compensator.max_duty
+        integral = compensator.integral.copy()
+        previous_codes = compensator.previous_error
+        commands = np.empty(num_variants)
         levels = self.quantizer.levels
-        quantizer_rows, word_counts = self.quantizer.word_lookup(num_variants)
+        flat_levels, level_offsets, word_counts = self.quantizer.word_lookup(
+            num_variants
+        )
+        word_scales = word_counts.astype(float)
+        top_words = word_counts - 1
         reference = self.reference_v
         drive = params.input_voltage_v / params.inductance_h
-        step_buffer = np.empty((num_variants, 12))
-        # Transition coefficients are memoized per (load row, duty word) in
-        # one table per load level (see _LoadCoefficientTable):
-        # whole-fleet dithering costs one gather per period instead of two
-        # vectorized matrix exponentials.  The drive term is applied outside
-        # the cache.
+        step = np.empty((num_variants, 10))
+        step_columns = tuple(step.T)
+        step_scratch = (
+            np.empty(num_variants), np.empty(num_variants), np.empty(num_variants)
+        )
+        # Step coefficients are memoized per (load row, duty word) in one
+        # table per load level (see _LoadCoefficientTable): whole-fleet
+        # dithering costs one gather per period instead of two vectorized
+        # matrix exponentials.
         load_tables: dict[bytes, _LoadCoefficientTable] = {}
         max_words = int(self.quantizer.num_words.max())
-        variant_rows = np.arange(num_variants)
 
         def terms_for(rload: np.ndarray) -> PlantTerms:
             return plant_terms(
@@ -749,20 +789,35 @@ class BatchClosedLoop:
         one_shot_terms = block_terms()
         for index in range(periods):
             codes = adc.quantize_error_array(reference, voltage, out=codes_out[index])
-            commands = compensator.update(codes)
+            pid_update(
+                codes,
+                integral,
+                previous_codes,
+                kp,
+                ki,
+                kd,
+                min_duty,
+                max_duty,
+                out=(commands, integral),
+            )
+            previous_codes = codes
+            # The PID limits lie inside [0, 1], so the commands need no
+            # further clamp before quantizing.
             words, duties = quantize_duty(
                 commands,
-                levels,
-                quantizer_rows,
-                word_counts,
+                flat_levels,
+                level_offsets,
+                word_scales,
+                top_words,
                 out=(words_out[index], duties_out[index]),
             )
             if not recurs[index]:
-                step = period_coefficients(
+                period_coefficients(
                     next(one_shot_terms),
                     duties * period_s,
                     period_s,
-                    out=step_buffer,
+                    drive,
+                    out=step,
                 )
             else:
                 rload = load_rows[index]
@@ -771,18 +826,24 @@ class BatchClosedLoop:
                 if table is None:
                     if len(load_tables) >= self.MAX_CACHED_LOADS:
                         load_tables.clear()
-                    table = _LoadCoefficientTable(terms_for(rload), max_words)
+                    table = _LoadCoefficientTable(
+                        terms_for(rload), drive, max_words
+                    )
                     load_tables[rload_key] = table
-                step = table.coefficients(
-                    words, duties, levels, period_s, variant_rows
-                )
+                table.coefficients(words, duties, levels, period_s, out=step)
             # On interval with the switch node at the input voltage, then
             # the drive-free off interval, in one kernel call.
             current, voltage = apply_period_step(
-                step, current, voltage, drive, out=(currents[index], voltages[index])
+                step_columns,
+                current,
+                voltage,
+                out=(currents[index], voltages[index]),
+                scratch=step_scratch,
             )
         self.inductor_current_a = current.copy()
         self.output_voltage_v = voltage.copy()
+        compensator.integral = integral
+        compensator.previous_error = codes_out[-1].astype(float)
         return BatchRegulationResult(
             switching_period_s=period_s,
             output_voltages_v=voltages,

@@ -3,11 +3,25 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.design import DesignSpec, design_conventional, design_proposed
 from repro.technology.corners import OperatingConditions
 from repro.technology.library import intel32_like_library
 from repro.technology.synthesis import Synthesizer
+
+#: Tier-1 draws the same examples on every run: each property test's
+#: search is seeded from the test itself, so a failure always reproduces.
+settings.register_profile("deterministic", derandomize=True)
+#: The open-ended search: fresh examples each run.  CI runs it in a step of
+#: its own with ``--hypothesis-profile=randomized``.
+settings.register_profile("randomized", derandomize=False)
+
+
+def pytest_configure(config):
+    """Load the deterministic profile unless the command line names one."""
+    if not config.getoption("hypothesis_profile", default=None):
+        settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

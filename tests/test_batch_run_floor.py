@@ -1,8 +1,9 @@
 """The per-period floor of ``BatchClosedLoop.run``: state and work counts.
 
 Deterministic guards for the run-level hoists -- no wall-clock asserts.
-The compensator keeps its own copy of the error it differentiates, the
-plant terms of one-shot load rows are computed once per block of rows
+The run differentiates each period's codes against the previous period's
+(never against an aliased buffer) and hands back a copy of the last codes,
+the plant terms of one-shot load rows are computed once per block of rows
 (never once per period), a block stays under its element cap up to the
 cap's width and is a single row beyond it, and the block size never
 changes a value.
@@ -28,22 +29,40 @@ from repro.simulation.batch import (
 )
 
 
-class TestCompensatorErrorCopy:
-    def test_reused_error_buffer_keeps_the_derivative(self):
-        compensator = BatchCompensator(2, kp=0.0, ki=0.0, kd=0.5, initial_duty=0.5)
-        buffer = np.array([3.0, -2.0])
-        np.testing.assert_array_equal(compensator.update(buffer), [1.0, 0.0])
-        buffer[:] = 0.0
-        buffer[:] = [1.0, 1.0]
-        # d/dt of (3, -2) -> (1, 1) is (-2, +3): 0.5 + 0.5 * (-2, 3) clamps
-        # to (0, 1).  Aliasing the buffer would see no change at all.
-        np.testing.assert_array_equal(compensator.update(buffer), [0.0, 1.0])
+class TestRunDerivativeMemory:
+    @staticmethod
+    def kd_only_loop() -> BatchClosedLoop:
+        """A fleet whose duty is ``0.5 + kd * (code - previous code)``."""
+        return BatchClosedLoop(
+            BatchBuckParameters.uniform(BuckParameters(input_voltage_v=1.8), 2),
+            BatchQuantizer.ideal(bits=6, num_variants=2),
+            reference_v=0.9,
+            compensator=BatchCompensator(
+                2, kp=0.0, ki=0.0, kd=[0.02, 0.05], initial_duty=0.5
+            ),
+            start_at_reference=False,
+        )
 
-    def test_previous_error_is_not_the_callers_array(self):
-        compensator = BatchCompensator(3)
-        codes = np.array([1.0, 2.0, 3.0])
-        compensator.update(codes)
-        assert not np.shares_memory(compensator.previous_error, codes)
+    def test_kd_only_fleet_differentiates_successive_codes(self):
+        loop = self.kd_only_loop()
+        result = loop.run(120)
+        codes = result.error_codes
+        previous = np.vstack([np.zeros((1, 2)), codes[:-1]])
+        commands = np.clip(0.5 + loop.compensator.kd * (codes - previous), 0.0, 1.0)
+        expected = np.minimum(np.rint(commands * 64), 63).astype(np.int64)
+        np.testing.assert_array_equal(result.duty_words, expected)
+        # Codes aliased to one buffer would difference to zero: every word
+        # would be the 0.5 command's 32.
+        assert np.count_nonzero(result.duty_words != 32) > 10
+
+    def test_last_codes_are_handed_back_as_a_copy(self):
+        loop = self.kd_only_loop()
+        result = loop.run(50)
+        np.testing.assert_array_equal(
+            loop.compensator.previous_error, result.error_codes[-1]
+        )
+        assert loop.compensator.previous_error.dtype == np.float64
+        assert not np.shares_memory(loop.compensator.previous_error, result.error_codes)
 
 
 def mission_loop(lanes: int, periods: int) -> BatchClosedLoop:
@@ -89,9 +108,9 @@ def count_plant_work(monkeypatch):
         calls.append(int(np.size(d)))
         return plant_terms(a, b, c, d)
 
-    def counting_table_init(self, terms, max_words):
+    def counting_table_init(self, *args):
         tables.append(1)
-        table_init(self, terms, max_words)
+        table_init(self, *args)
 
     monkeypatch.setattr(batch_module, "plant_terms", counting_plant_terms)
     monkeypatch.setattr(

@@ -17,6 +17,7 @@ broke.
 from __future__ import annotations
 
 import doctest
+import re
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,25 @@ def test_module_docstring_examples_run(module):
     results = doctest.testmod(module, verbose=False, report=True)
     assert results.attempted > 0, f"{module.__name__} has no doctest examples"
     assert results.failed == 0
+
+
+def test_ci_doctest_step_lists_exactly_the_doctest_modules():
+    """The CI docs job doctests the same files this suite does.
+
+    The ``--doctest-modules`` step of ``.github/workflows/ci.yml`` names
+    its files by hand; a module added here (or there) alone would leave
+    one of the two gates silently narrower.
+    """
+    workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    step = workflow[workflow.index("--doctest-modules") :]
+    step = step[: step.index("-q")]
+    listed = re.findall(r"src/\S+\.py", step)
+    expected = [
+        Path(module.__file__).resolve().relative_to(REPO_ROOT).as_posix()
+        for module in DOCTEST_MODULES
+    ]
+    assert len(listed) == len(set(listed)), f"duplicate files in CI: {listed}"
+    assert sorted(listed) == sorted(expected)
 
 
 def test_experiment_catalog_lists_every_registered_id():

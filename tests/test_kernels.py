@@ -22,7 +22,7 @@ from repro.converter.buck import (
     plant_terms,
 )
 from repro.kernels import closed_loop, ensemble, fabrication
-from repro.simulation.batch import _LoadCoefficientTable
+from repro.simulation.batch import BatchQuantizer, _LoadCoefficientTable
 
 # --- per-kernel equivalence properties ------------------------------------
 
@@ -85,40 +85,19 @@ class TestKernelEquivalence:
         on_time = period * draw_row(
             st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
         )
+        drive = draw_row(positive)
         result = closed_loop.period_coefficients(
-            plant_terms(a, b, c, d), on_time, period
+            plant_terms(a, b, c, d), on_time, period, drive
         )
+        on = exact_interval_coefficients(a, b, c, d, on_time)
+        off = exact_interval_coefficients(a, b, c, d, period - on_time)
         expected = np.stack(
             np.broadcast_arrays(
-                *exact_interval_coefficients(a, b, c, d, on_time),
-                *exact_interval_coefficients(a, b, c, d, period - on_time),
+                *on[:4], on[4] * drive, on[5] * drive, *off[:4]
             ),
             axis=-1,
         )
-        assert result.shape == (n, 12)
-        assert_bit_identical((result,), (expected,))
-
-    @KERNEL_SETTINGS
-    @given(data=st.data())
-    def test_gather_coefficients(self, data):
-        slots_count = data.draw(st.integers(1, 4))
-        variants = data.draw(st.integers(1, 5))
-        table = np.stack(
-            [data.draw(float_matrix(variants, 12)) for _ in range(slots_count)]
-        )
-        slots = np.asarray(
-            data.draw(
-                st.lists(
-                    st.integers(0, slots_count - 1),
-                    min_size=variants,
-                    max_size=variants,
-                )
-            ),
-            dtype=np.int64,
-        )
-        rows = np.arange(variants, dtype=np.int64)
-        result = closed_loop.gather_coefficients(table, slots, rows)
-        expected = np.stack([table[slots[i], i] for i in range(variants)])
+        assert result.shape == (n, 10)
         assert_bit_identical((result,), (expected,))
 
     @KERNEL_SETTINGS
@@ -145,6 +124,54 @@ class TestKernelEquivalence:
 
     @KERNEL_SETTINGS
     @given(data=st.data())
+    def test_pid_update_int_codes_in_place(self, data):
+        """Int codes, an in-place integral and ``kd=None`` against floats.
+
+        The batch loop feeds the ADC's int64 codes straight in, updates
+        its integral in place and drops the derivative when every ``kd``
+        is zero; the duty words must match the full float evaluation.
+        """
+        n = data.draw(st.integers(1, 5))
+        codes = np.asarray(
+            data.draw(st.lists(st.integers(-16, 15), min_size=n, max_size=n)),
+            dtype=np.int64,
+        )
+        previous = np.asarray(
+            data.draw(st.lists(st.integers(-16, 15), min_size=n, max_size=n)),
+            dtype=np.int64,
+        )
+        unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+        draw_row = lambda elems: np.asarray(  # noqa: E731
+            data.draw(st.lists(elems, min_size=n, max_size=n)), dtype=float
+        )
+        integral, kp, ki, kd = (draw_row(unit) for _ in range(4))
+        min_duty, max_duty = np.zeros(n), np.ones(n)
+        want = closed_loop.pid_update(
+            codes.astype(float), integral, previous.astype(float),
+            kp, ki, kd, min_duty, max_duty,
+        )
+        state = integral.copy()
+        duty = np.empty(n)
+        got = closed_loop.pid_update(
+            codes, state, previous, kp, ki, kd, min_duty, max_duty,
+            out=(duty, state),
+        )
+        assert got[0] is duty and got[1] is state
+        assert_bit_identical(got, want)
+        # Without a derivative term: equal to kd = 0 up to the sign of a
+        # zero command, which quantizes to the same word.
+        zero_kd = closed_loop.pid_update(
+            codes.astype(float), integral, previous.astype(float),
+            kp, ki, np.zeros(n), min_duty, max_duty,
+        )
+        no_kd = closed_loop.pid_update(
+            codes, integral, None, kp, ki, None, min_duty, max_duty
+        )
+        np.testing.assert_array_equal(no_kd[0], zero_kd[0])
+        np.testing.assert_array_equal(bit_pattern(no_kd[1]), bit_pattern(zero_kd[1]))
+
+    @KERNEL_SETTINGS
+    @given(data=st.data())
     def test_quantize_duty(self, data):
         variants = data.draw(st.integers(1, 5))
         words = data.draw(st.integers(2, 16))
@@ -155,53 +182,70 @@ class TestKernelEquivalence:
                 elements=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
             )
         )
+        # The kernel's contract is commands inside [0, 1]; the clamp is
+        # BatchQuantizer.quantize's (see TestClipReplacement).
         commands = np.asarray(
             data.draw(
                 st.lists(
-                    st.floats(
-                        min_value=-0.5,
-                        max_value=1.5,
-                        allow_nan=False,
-                        allow_infinity=False,
-                    ),
+                    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
                     min_size=variants,
                     max_size=variants,
                 )
             ),
             dtype=float,
         )
-        num_words = np.full(variants, words, dtype=np.int64)
+        counts = np.asarray(
+            data.draw(
+                st.lists(
+                    st.integers(2, words), min_size=variants, max_size=variants
+                )
+            ),
+            dtype=np.int64,
+        )
         rows = np.arange(variants, dtype=np.int64)
-        counts = num_words[rows]
-        got_words, got_duties = closed_loop.quantize_duty(
-            commands, levels, rows, counts
+        for scales in (counts, counts.astype(float)):
+            got_words, got_duties = closed_loop.quantize_duty(
+                commands, levels.ravel(), rows * words, scales, counts - 1
+            )
+            expected_words = np.minimum(
+                np.rint(commands * counts).astype(np.int64), counts - 1
+            )
+            expected_duties = levels[rows, expected_words]
+            assert_bit_identical(
+                (got_words, got_duties), (expected_words, expected_duties)
+            )
+        out = (np.empty(variants, dtype=np.int64), np.empty(variants))
+        filled = closed_loop.quantize_duty(
+            commands, levels.ravel(), rows * words, counts, counts - 1, out=out
         )
-        clipped = np.clip(commands, 0.0, 1.0)
-        expected_words = np.minimum(
-            np.rint(clipped * words).astype(np.int64), words - 1
-        )
-        expected_duties = levels[rows, expected_words]
-        assert_bit_identical(
-            (got_words, got_duties), (expected_words, expected_duties)
-        )
+        assert filled[0] is out[0] and filled[1] is out[1]
+        assert_bit_identical(filled, (expected_words, expected_duties))
 
     @KERNEL_SETTINGS
     @given(data=st.data())
     def test_apply_period_step(self, data):
         n = data.draw(st.integers(1, 5))
-        step = data.draw(float_matrix(n, 12))
+        step = data.draw(float_matrix(n, 10))
         draw_row = lambda: np.asarray(  # noqa: E731
             data.draw(st.lists(finite, min_size=n, max_size=n)), dtype=float
         )
-        current, voltage, drive = draw_row(), draw_row(), draw_row()
-        result = closed_loop.apply_period_step(step, current, voltage, drive)
-        on_i = step[:, 0] * current + step[:, 1] * voltage + step[:, 4] * drive
-        on_v = step[:, 2] * current + step[:, 3] * voltage + step[:, 5] * drive
+        current, voltage = draw_row(), draw_row()
+        result = closed_loop.apply_period_step(step.T, current, voltage)
+        on_i = step[:, 0] * current + step[:, 1] * voltage + step[:, 4]
+        on_v = step[:, 2] * current + step[:, 3] * voltage + step[:, 5]
         expected = (
             step[:, 6] * on_i + step[:, 7] * on_v,
             step[:, 8] * on_i + step[:, 9] * on_v,
         )
         assert_bit_identical(result, expected)
+        # Into caller buffers, with scratch, the state updated in place.
+        scratch = (np.empty(n), np.empty(n), np.empty(n))
+        filled = closed_loop.apply_period_step(
+            tuple(step.T), current, voltage, out=(current, voltage),
+            scratch=scratch,
+        )
+        assert filled[0] is current and filled[1] is voltage
+        assert_bit_identical(filled, expected)
 
     @KERNEL_SETTINGS
     @given(data=st.data())
@@ -449,13 +493,21 @@ def mixed_plants(draw):
     return a, b, c, d, on_time, period
 
 
-def separate_evaluation(a, b, c, d, on_time, period):
-    """The pre-fusion reference: two per-interval calls, stacked."""
+def drive_for(a):
+    """A per-plant drive ``Vg / L`` of realistic size."""
+    return np.linspace(1.2e7, 2.4e7, np.size(a))
+
+
+def separate_evaluation(a, b, c, d, on_time, period, drive):
+    """The pre-fusion reference: two per-interval calls, drive applied.
+
+    The step's ten columns: the on interval's ``Ad``, its ``M`` column
+    times ``drive`` and the off interval's ``Ad``.
+    """
+    on = exact_interval_coefficients(a, b, c, d, on_time)
+    off = exact_interval_coefficients(a, b, c, d, period - on_time)
     return np.stack(
-        np.broadcast_arrays(
-            *exact_interval_coefficients(a, b, c, d, on_time),
-            *exact_interval_coefficients(a, b, c, d, period - on_time),
-        ),
+        np.broadcast_arrays(*on[:4], on[4] * drive, on[5] * drive, *off[:4]),
         axis=-1,
     )
 
@@ -473,20 +525,24 @@ class TestFusedIntervalCoefficients:
         assert terms.q[1] * 1.0 > 30.0  # grouped at a unit duration
         period = np.ones(3)
         on_time = np.array([0.25, 0.9, 0.5])
+        drive = drive_for(a)
         np.testing.assert_array_equal(
-            bit_pattern(closed_loop.period_coefficients(terms, on_time, period)),
-            bit_pattern(separate_evaluation(a, b, c, d, on_time, period)),
+            bit_pattern(
+                closed_loop.period_coefficients(terms, on_time, period, drive)
+            ),
+            bit_pattern(separate_evaluation(a, b, c, d, on_time, period, drive)),
         )
 
     @settings(max_examples=60, deadline=None)
     @given(plants=mixed_plants())
     def test_fused_equals_separate_calls(self, plants):
         a, b, c, d, on_time, period = plants
-        expected = separate_evaluation(a, b, c, d, on_time, period)
+        drive = drive_for(a)
+        expected = separate_evaluation(a, b, c, d, on_time, period, drive)
         fused = closed_loop.period_coefficients(
-            plant_terms(a, b, c, d), on_time, period
+            plant_terms(a, b, c, d), on_time, period, drive
         )
-        assert fused.shape == (a.size, 12)
+        assert fused.shape == (a.size, 10)
         assert np.all(np.isfinite(expected))
         np.testing.assert_array_equal(bit_pattern(fused), bit_pattern(expected))
 
@@ -496,8 +552,8 @@ class TestFusedIntervalCoefficients:
         """The per-duty-word table returns the fresh evaluation bit for bit.
 
         Enough periods run for the table to pass through all of its modes:
-        the direct first period, budgeted fills, mixed fallbacks and pure
-        gathers.
+        the direct first period, budgeted fills, growth past its first
+        eight slots, mixed fallbacks and pure gathers.
         """
         a, b, c, d, _, period = plants
         n = a.size
@@ -506,8 +562,10 @@ class TestFusedIntervalCoefficients:
             data.draw(float_matrix(n, num_words, elements=st.floats(0.0, 1.0)))
         )
         terms = plant_terms(a, b, c, d)
-        table = _LoadCoefficientTable(terms, num_words)
+        drive = drive_for(a)
+        table = _LoadCoefficientTable(terms, drive, num_words)
         rows = np.arange(n)
+        step = np.empty((n, 10))
         for _ in range(data.draw(st.integers(1, 12))):
             words = np.asarray(
                 data.draw(
@@ -516,8 +574,12 @@ class TestFusedIntervalCoefficients:
                 dtype=np.int64,
             )
             duties = levels[rows, words]
-            got = table.coefficients(words, duties, levels, period, rows)
-            fresh = closed_loop.period_coefficients(terms, duties * period, period)
+            step[...] = np.nan
+            got = table.coefficients(words, duties, levels, period, out=step)
+            assert got is step
+            fresh = closed_loop.period_coefficients(
+                terms, duties * period, period, drive
+            )
             np.testing.assert_array_equal(bit_pattern(got), bit_pattern(fresh))
 
 
@@ -626,12 +688,15 @@ class TestBranchSkipping:
         reference = all_branches_reference(terms, stacked)
         assert_same_bits(out, reference)
         assert all(np.shares_memory(entry, out) for entry in returned)
-        step = np.full((a.size, 12), np.nan)
-        filled = closed_loop.period_coefficients(terms, on_time, period, out=step)
+        step = np.full((a.size, 10), np.nan)
+        drive = drive_for(a)
+        filled = closed_loop.period_coefficients(
+            terms, on_time, period, drive, out=step
+        )
         assert filled is step
         np.testing.assert_array_equal(
             bit_pattern(step),
-            bit_pattern(separate_evaluation(a, b, c, d, on_time, period)),
+            bit_pattern(separate_evaluation(a, b, c, d, on_time, period, drive)),
         )
 
     def test_scalar_plants_match_reference(self):
@@ -702,16 +767,15 @@ class TestClipReplacement:
         )
         reference = np.clip(np.array([-0.0, -0.0, 1.0, 0.0]), 0.0, 1.0)
         assert_equal_values(duty, reference)
-        levels = np.linspace(0.0, 1.0, 8)[np.newaxis, :]
-        rows = np.zeros(4, dtype=np.int64)
-        counts = np.full(4, 8)
-        got = closed_loop.quantize_duty(duty, levels, rows, counts)
-        want = closed_loop.quantize_duty(reference, levels, rows, counts)
+        quantizer = BatchQuantizer(np.linspace(0.0, 1.0, 8)[np.newaxis, :])
+        got = quantizer.quantize(duty)
+        want = quantizer.quantize(reference)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(bit_pattern(got[1]), bit_pattern(want[1]))
 
     @pytest.mark.parametrize("shared_row", [False, True])
     def test_quantize_duty(self, shared_row):
+        """``BatchQuantizer.quantize`` clamps to [0, 1] before the kernel."""
         finite = SPECIAL[~np.isnan(SPECIAL)]
         n = finite.size
         words = 16
@@ -720,8 +784,8 @@ class TestClipReplacement:
         )
         rows = np.zeros(n, dtype=np.int64) if shared_row else np.arange(n)
         counts = np.full(n, words)
-        got_words, got_duties = closed_loop.quantize_duty(
-            finite, levels, rows, counts
+        got_words, got_duties = BatchQuantizer(levels, num_variants=n).quantize(
+            finite
         )
         want_words = np.minimum(
             np.rint(np.clip(finite, 0.0, 1.0) * counts).astype(np.int64), counts - 1
@@ -730,21 +794,12 @@ class TestClipReplacement:
         np.testing.assert_array_equal(
             bit_pattern(got_duties), bit_pattern(levels[rows, want_words])
         )
-        out = (np.empty(n, dtype=np.int64), np.empty(n))
-        filled = closed_loop.quantize_duty(
-            finite, levels, rows, counts, out=out
-        )
-        assert filled[0] is out[0] and filled[1] is out[1]
-        np.testing.assert_array_equal(out[0], want_words)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
     def test_quantize_duty_nan_fails_like_the_clip_version(self):
-        levels = np.linspace(0.0, 1.0, 8)[np.newaxis, :]
-        rows, counts = np.zeros(1, dtype=np.int64), np.full(1, 8)
+        quantizer = BatchQuantizer(np.linspace(0.0, 1.0, 8)[np.newaxis, :])
         with pytest.raises(IndexError):
-            closed_loop.quantize_duty(
-                np.array([np.nan]), levels, rows, counts
-            )
+            quantizer.quantize(np.array([np.nan]))
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
     @pytest.mark.parametrize("dead_band_v", [0.0, 0.004])

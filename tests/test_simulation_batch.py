@@ -10,6 +10,7 @@ import pytest
 from repro.converter.adc import WindowedADC
 from repro.converter.buck import BuckParameters
 from repro.converter.closed_loop import DigitallyControlledBuck, IdealDPWM
+from repro.converter.compensator import PIDCompensator
 from repro.converter.load import (
     ConstantLoad,
     PulseTrainLoad,
@@ -20,6 +21,7 @@ from repro.converter.load import (
 from repro.converter.missions import MissionGenerator, OffsetLoad
 from repro.core.yield_analysis import ComponentVariation, adaptive_regulation_yield
 from repro.dpwm.calibrated import CalibratedDelayLineDPWM
+from repro.kernels.closed_loop import pid_update
 from repro.simulation.batch import (
     BatchBuckParameters,
     BatchClosedLoop,
@@ -123,26 +125,166 @@ class TestBatchQuantizer:
         words, duties = BatchQuantizer.ideal(6, 1).quantize(0.5)
         assert words.shape == (1,)
 
+    def test_word_lookup_rejects_a_foreign_command_count(self):
+        """A multi-row quantizer never lends one row's table to every command."""
+        quantizer = BatchQuantizer.from_quantizers(
+            [IdealDPWM(bits=4), IdealDPWM(bits=6)]
+        )
+        with pytest.raises(ValueError, match="one duty command per variant"):
+            quantizer.word_lookup(3)
+        levels, offsets, counts = quantizer.word_lookup(2)
+        assert offsets.tolist() == [0, 64] and counts.tolist() == [16, 64]
+        assert levels[offsets[1] + 63] == quantizer.levels[1, 63]
+        # A single row serves any command count, and so does a shared row
+        # broadcast to every variant, without copying it per variant.
+        levels, offsets, counts = BatchQuantizer.ideal(6, 1).word_lookup(5)
+        assert offsets.tolist() == [0] * 5 and counts.tolist() == [64] * 5
+        levels, offsets, counts = BatchQuantizer.ideal(6, 3).word_lookup(3)
+        assert levels.shape == (64,) and offsets.tolist() == [0] * 3
+
 
 class TestBatchCompensator:
-    def test_matches_scalar_pid(self):
-        from repro.converter.compensator import PIDCompensator
-
+    def test_pid_update_from_its_state_matches_scalar_pid(self):
         scalar = PIDCompensator(kp=0.002, ki=1e-4, kd=5e-4, initial_duty=0.5)
-        batch = BatchCompensator(
-            1, kp=0.002, ki=1e-4, kd=5e-4, initial_duty=0.5
-        )
+        batch = BatchCompensator(1, kp=0.002, ki=1e-4, kd=5e-4, initial_duty=0.5)
+        integral, previous = batch.integral, batch.previous_error
         rng = np.random.default_rng(11)
-        for code in rng.integers(-15, 16, size=200):
-            expected = scalar.update(int(code))
-            got = batch.update(np.array([code]))
-            assert got[0] == pytest.approx(expected, abs=1e-15)
+        for code in rng.integers(-15, 16, size=(200, 1)):
+            expected = scalar.update(int(code[0]))
+            duty, integral = pid_update(
+                code, integral, previous, batch.kp, batch.ki, batch.kd,
+                batch.min_duty, batch.max_duty,
+            )
+            previous = code
+            assert duty[0] == expected
+            assert integral[0] == scalar.integral
 
     def test_validation(self):
         with pytest.raises(ValueError):
             BatchCompensator(2, min_duty=0.9, max_duty=0.5)
         with pytest.raises(ValueError):
             BatchCompensator(2, initial_duty=1.5)
+
+
+def assert_batch_reproduces_scalar_loops(loops, periods):
+    """``from_closed_loops(loops)`` equals the scalar loops bit for bit.
+
+    Every result column and the compensator state the run hands back are
+    compared, over two consecutive runs so the second starts from the
+    state the first left behind.
+    """
+    batch = from_closed_loops(loops)
+    for _ in range(2):
+        result = batch.run(periods)
+        for column, loop in enumerate(loops):
+            trace = loop.run(periods)
+            for name in (
+                "output_voltages_v",
+                "inductor_currents_a",
+                "duty_words",
+                "duty_fractions",
+                "error_codes",
+            ):
+                np.testing.assert_array_equal(
+                    np.asarray(getattr(trace, name)),
+                    getattr(result, name)[:, column],
+                    err_msg=f"{name}, loop {column}",
+                )
+            assert batch.compensator.integral[column] == loop.compensator.integral
+            assert (
+                batch.compensator.previous_error[column]
+                == loop.compensator.previous_error
+            )
+    return result
+
+
+def pid(kp=0.001, ki=5e-5, kd=0.0, min_duty=0.0, max_duty=1.0):
+    return PIDCompensator(
+        kp=kp, ki=ki, kd=kd, initial_duty=0.5, min_duty=min_duty, max_duty=max_duty
+    )
+
+
+class TestScalarEquivalenceFleets:
+    """Fleets that reach each branch of the batch loop's period."""
+
+    def test_mixed_derivative_gains(self, nominal):
+        gains = [(0.002, 1e-4, 0.0), (0.002, 1e-4, 5e-4), (0.004, 5e-5, 2e-3)]
+        loops = [
+            DigitallyControlledBuck(
+                nominal,
+                IdealDPWM(bits=6),
+                reference_v=0.9,
+                compensator=pid(kp, ki, kd, min_duty=0.1, max_duty=0.9),
+                load=SteppedLoad(light_ohm=2.0, heavy_ohm=0.9, step_up_period=120),
+            )
+            for kp, ki, kd in gains
+        ]
+        assert_batch_reproduces_scalar_loops(loops, 250)
+
+    def test_every_derivative_gain_zero(self, nominal):
+        loops = [
+            DigitallyControlledBuck(
+                nominal,
+                IdealDPWM(bits=6),
+                reference_v=reference,
+                compensator=pid(kp=0.003, ki=2e-4, min_duty=0.05, max_duty=0.95),
+                load=PulseTrainLoad(2.0, 0.8, pulse_periods=20, train_period=80),
+            )
+            for reference in (0.6, 0.9, 1.2)
+        ]
+        assert_batch_reproduces_scalar_loops(loops, 250)
+
+    def test_dead_band_adc(self, nominal):
+        adc = WindowedADC(lsb_v=0.005, bits=5, dead_band_v=0.012)
+        loops = [
+            DigitallyControlledBuck(
+                nominal,
+                IdealDPWM(bits=bits),
+                reference_v=0.9,
+                adc=adc,
+                compensator=pid(kp=0.004, ki=1e-4, kd=1e-3),
+                load=SteppedLoad(light_ohm=2.0, heavy_ohm=0.7, step_up_period=100),
+            )
+            for bits in (5, 6, 7)
+        ]
+        result = assert_batch_reproduces_scalar_loops(loops, 250)
+        assert np.any(result.error_codes == 0)
+
+    def test_mixed_word_widths(self, nominal, proposed_design, library):
+        line = proposed_design.build_line(library=library)
+        dpwms = [
+            IdealDPWM(bits=4),
+            CalibratedDelayLineDPWM(line, OperatingConditions.typical()),
+            IdealDPWM(bits=9),
+        ]
+        loops = [
+            DigitallyControlledBuck(
+                nominal,
+                dpwm,
+                reference_v=0.9,
+                load=RampLoad(2.0, 1.0, ramp_start_period=40, ramp_end_period=140),
+            )
+            for dpwm in dpwms
+        ]
+        assert len({dpwm.max_word for dpwm in dpwms}) == 3
+        assert_batch_reproduces_scalar_loops(loops, 250)
+
+    def test_one_load_level_visits_more_than_eight_words(self, nominal):
+        """The fleet's words at one load level outgrow the table's first slots."""
+        references = np.linspace(0.5, 1.5, 12)
+        loops = [
+            DigitallyControlledBuck(
+                nominal,
+                IdealDPWM(bits=8),
+                reference_v=float(reference),
+                compensator=pid(kp=0.004, ki=2e-4, kd=1e-3),
+                load=SteppedLoad(light_ohm=2.0, heavy_ohm=1.0, step_up_period=60),
+            )
+            for reference in references
+        ]
+        result = assert_batch_reproduces_scalar_loops(loops, 200)
+        heavy = result.load_resistances_ohm == 1.0
+        assert np.unique(result.duty_words[heavy]).size > 8
 
 
 class TestBatchClosedLoop:
