@@ -17,16 +17,15 @@ Package map
   (the Design Compiler / Intel 32 nm substitute).
 * :mod:`repro.dpwm` -- counter-based, delay-line and hybrid DPWM
   architectures, plus the calibrated delay-line DPWM built on the core.
-* :mod:`repro.converter` -- digitally controlled buck converter and the
-  background regulator topologies.
+* :mod:`repro.converter` -- digitally controlled buck converter, its
+  control blocks, loads and missions.
 * :mod:`repro.pipeline` -- the fused silicon-to-regulation Monte-Carlo
   pipeline: variation -> calibration -> DPWM duty tables -> batch
   closed-loop regulation, with no per-instance Python loops.
 * :mod:`repro.mc` -- streaming adaptive Monte-Carlo: 95 % Wilson
   intervals on yields, Welford running moments, and a chunked sampler
   that stops when the interval is tight enough.
-* :mod:`repro.analysis` -- linearity/power/efficiency metrics and report
-  rendering.
+* :mod:`repro.analysis` -- linearity/power metrics and report rendering.
 * :mod:`repro.experiments` -- one harness per paper table/figure plus a CLI
   (``repro-experiments``).
 

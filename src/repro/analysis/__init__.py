@@ -1,20 +1,13 @@
-"""Metrics, power/efficiency models and report rendering.
+"""Metrics, power models and report rendering.
 
 * :mod:`repro.analysis.metrics` -- DNL/INL/monotonicity of delay-line
-  transfer curves, duty-cycle error, settling/ripple measurements.
+  transfer curves.
 * :mod:`repro.analysis.power` -- the dynamic-power model of paper eq. 14 and
   leakage roll-ups over synthesized netlists.
-* :mod:`repro.analysis.efficiency` -- converter efficiency and loss models
-  (paper eqs. 1-8) for the regulator substrate.
 * :mod:`repro.analysis.reports` -- plain-text table/series rendering used by
   the experiment harnesses and examples.
 """
 
-from repro.analysis.efficiency import (
-    buck_efficiency_estimate,
-    linear_regulator_efficiency,
-    power_loss_w,
-)
 from repro.analysis.metastability import (
     FlipFlopMetastabilityModel,
     synchronizer_mtbf_years,
@@ -25,12 +18,9 @@ from repro.analysis.metrics import (
     batch_linearity_metrics,
     differential_nonlinearity,
     distinct_level_counts,
-    duty_cycle_error,
     integral_nonlinearity,
     is_monotonic,
     linearity_metrics,
-    peak_to_peak_ripple,
-    settling_time_s,
 )
 from repro.analysis.power import dynamic_power_w, netlist_dynamic_power_w
 from repro.analysis.reports import format_series, format_table
@@ -40,20 +30,14 @@ __all__ = [
     "FlipFlopMetastabilityModel",
     "LinearityMetrics",
     "batch_linearity_metrics",
-    "buck_efficiency_estimate",
     "differential_nonlinearity",
     "distinct_level_counts",
-    "duty_cycle_error",
     "dynamic_power_w",
     "format_series",
     "format_table",
     "integral_nonlinearity",
     "is_monotonic",
-    "linear_regulator_efficiency",
     "linearity_metrics",
     "netlist_dynamic_power_w",
-    "peak_to_peak_ripple",
-    "power_loss_w",
-    "settling_time_s",
     "synchronizer_mtbf_years",
 ]

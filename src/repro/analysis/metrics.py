@@ -1,4 +1,4 @@
-"""Linearity and regulation metrics.
+"""Linearity metrics.
 
 The paper judges the delay-line schemes on *linearity*: how closely the
 delay-versus-input-word transfer curve follows the ideal straight line
@@ -9,9 +9,6 @@ delay-versus-input-word transfer curve follows the ideal straight line
 * **INL** (integral nonlinearity): deviation of each point from the best-fit
   ideal line, in LSB units.
 * **monotonicity**: whether the curve never decreases with the input word.
-
-Regulation metrics (ripple, settling time, duty error) support the buck
-converter substrate.
 """
 
 from __future__ import annotations
@@ -30,9 +27,6 @@ __all__ = [
     "integral_nonlinearity",
     "is_monotonic",
     "linearity_metrics",
-    "duty_cycle_error",
-    "peak_to_peak_ripple",
-    "settling_time_s",
 ]
 
 
@@ -238,51 +232,3 @@ def batch_linearity_metrics(
     """
     return BatchLinearityMetrics(values, lsb)
 
-
-def duty_cycle_error(achieved: float, requested: float) -> float:
-    """Absolute duty-cycle error (fractions of the switching period)."""
-    return abs(achieved - requested)
-
-
-def peak_to_peak_ripple(samples: np.ndarray, settle_fraction: float = 0.5) -> float:
-    """Peak-to-peak ripple of a steady-state waveform.
-
-    Only the tail of the record (after ``settle_fraction`` of the samples) is
-    used, so start-up transients do not inflate the ripple estimate.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 4:
-        raise ValueError("need at least 4 samples to estimate ripple")
-    start = int(samples.size * settle_fraction)
-    tail = samples[start:]
-    return float(tail.max() - tail.min())
-
-
-def settling_time_s(
-    times_s: np.ndarray,
-    samples: np.ndarray,
-    target: float,
-    tolerance: float = 0.01,
-) -> float:
-    """Time after which the waveform stays within ``tolerance`` of ``target``.
-
-    Returns ``inf`` when the waveform never settles inside the band.
-    """
-    times_s = np.asarray(times_s, dtype=float)
-    samples = np.asarray(samples, dtype=float)
-    if times_s.shape != samples.shape:
-        raise ValueError("times and samples must have the same shape")
-    if target == 0:
-        raise ValueError("settling target must be nonzero")
-    inside = np.abs(samples - target) <= abs(target) * tolerance
-    if not inside[-1]:
-        return float("inf")
-    # Find the last sample that is outside the band; settling happens at the
-    # following sample.
-    outside_indices = np.nonzero(~inside)[0]
-    if outside_indices.size == 0:
-        return float(times_s[0])
-    last_outside = outside_indices[-1]
-    if last_outside + 1 >= times_s.size:
-        return float("inf")
-    return float(times_s[last_outside + 1])

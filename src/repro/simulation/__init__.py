@@ -8,7 +8,7 @@ paper uses for functional verification.  It provides:
 * :class:`~repro.simulation.signals.Signal` objects with change notification
   and full waveform tracing,
 * behavioural primitives (:mod:`repro.simulation.primitives`): buffers,
-  inverters, multiplexers, D flip-flops with setup-time checking and an
+  multiplexers, D flip-flops with setup-time checking and an
   optional metastability model, set/reset flops, counters and comparators,
 * clock and pulse generators (:mod:`repro.simulation.clocks`),
 * waveform analysis helpers (:mod:`repro.simulation.waveform`) used to
@@ -32,15 +32,12 @@ from repro.simulation.primitives import (
     Comparator,
     Counter,
     DFlipFlop,
-    Inverter,
-    Mux2,
     MuxN,
     SetResetFlop,
     TwoFlopSynchronizer,
 )
 from repro.simulation.signals import Signal
 from repro.simulation.simulator import Simulator
-from repro.simulation.vcd import dump_vcd, traces_to_vcd
 from repro.simulation.waveform import WaveformTrace, duty_cycle_of, pulse_widths
 
 __all__ = [
@@ -55,8 +52,6 @@ __all__ = [
     "Comparator",
     "Counter",
     "DFlipFlop",
-    "Inverter",
-    "Mux2",
     "MuxN",
     "PulseGenerator",
     "SetResetFlop",
@@ -64,8 +59,6 @@ __all__ = [
     "Simulator",
     "TwoFlopSynchronizer",
     "WaveformTrace",
-    "dump_vcd",
     "duty_cycle_of",
     "pulse_widths",
-    "traces_to_vcd",
 ]

@@ -18,8 +18,6 @@ from repro.simulation.simulator import Simulator
 
 __all__ = [
     "Buffer",
-    "Inverter",
-    "Mux2",
     "MuxN",
     "DFlipFlop",
     "SetResetFlop",
@@ -50,56 +48,6 @@ class Buffer:
     def _on_input(self, signal: Signal) -> None:
         value = signal.value
         self.output_signal.schedule_set(value, self.delay_ps)
-
-
-class Inverter:
-    """An inverting buffer with transport delay."""
-
-    def __init__(
-        self, simulator: Simulator, input_signal: Signal, output_signal: Signal, delay_ps: float
-    ) -> None:
-        if delay_ps < 0:
-            raise ValueError("inverter delay must be non-negative")
-        self.simulator = simulator
-        self.input_signal = input_signal
-        self.output_signal = output_signal
-        self.delay_ps = delay_ps
-        input_signal.connect(self._on_input)
-        # Establish the inverted value of the initial input.
-        output_signal.set(0 if input_signal.value else 1)
-
-    def _on_input(self, signal: Signal) -> None:
-        self.output_signal.schedule_set(0 if signal.value else 1, self.delay_ps)
-
-
-class Mux2:
-    """A 2:1 multiplexer: ``out = b if sel else a``."""
-
-    def __init__(
-        self,
-        simulator: Simulator,
-        input_a: Signal,
-        input_b: Signal,
-        select: Signal,
-        output_signal: Signal,
-        delay_ps: float = 0.0,
-    ) -> None:
-        self.simulator = simulator
-        self.input_a = input_a
-        self.input_b = input_b
-        self.select = select
-        self.output_signal = output_signal
-        self.delay_ps = delay_ps
-        for signal in (input_a, input_b, select):
-            signal.connect(self._update)
-        self._update(select)
-
-    def _update(self, _signal: Signal) -> None:
-        source = self.input_b if self.select.is_high() else self.input_a
-        if self.delay_ps > 0:
-            self.output_signal.schedule_set(source.value, self.delay_ps)
-        else:
-            self.output_signal.set(source.value)
 
 
 class MuxN:

@@ -1,24 +1,15 @@
-"""Tests for the analysis package (metrics, power, efficiency, reports)."""
+"""Tests for the analysis package (metrics, power, reports)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.analysis.efficiency import (
-    buck_efficiency_estimate,
-    efficiency,
-    linear_regulator_efficiency,
-    power_loss_w,
-)
 from repro.analysis.metrics import (
     differential_nonlinearity,
-    duty_cycle_error,
     integral_nonlinearity,
     is_monotonic,
     linearity_metrics,
-    peak_to_peak_ripple,
-    settling_time_s,
 )
 from repro.analysis.power import dynamic_power_w, leakage_power_w, netlist_dynamic_power_w
 from repro.analysis.reports import format_series, format_table
@@ -60,24 +51,6 @@ class TestLinearityMetrics:
         with pytest.raises(ValueError):
             integral_nonlinearity(np.array([1.0, 1.0]))
 
-    def test_duty_cycle_error(self):
-        assert duty_cycle_error(0.52, 0.5) == pytest.approx(0.02)
-
-    def test_ripple_uses_settled_tail(self):
-        samples = np.concatenate([np.linspace(0, 1, 50), 0.9 + 0.01 * np.sin(np.arange(50))])
-        assert peak_to_peak_ripple(samples) == pytest.approx(0.02, abs=0.005)
-
-    def test_settling_time(self):
-        times = np.linspace(0, 1e-6, 101)
-        samples = np.where(times < 0.4e-6, 0.5, 0.9)
-        settled_at = settling_time_s(times, samples, target=0.9, tolerance=0.01)
-        assert settled_at == pytest.approx(0.4e-6, abs=1e-8)
-
-    def test_settling_time_never_settles(self):
-        times = np.linspace(0, 1e-6, 11)
-        samples = np.full(11, 0.5)
-        assert settling_time_s(times, samples, target=0.9) == float("inf")
-
 
 class TestPowerModels:
     def test_dynamic_power_formula(self):
@@ -101,43 +74,6 @@ class TestPowerModels:
         netlist = Netlist(name="block").add_cells(CellKind.BUFFER, 1000)
         expected = 1000 * library.leakage_nw(CellKind.BUFFER) * 1e-9
         assert leakage_power_w(netlist, library) == pytest.approx(expected)
-
-
-class TestEfficiencyModels:
-    def test_efficiency_and_loss_are_consistent(self):
-        eta = efficiency(p_out_w=0.9, p_in_w=1.0)
-        assert eta == pytest.approx(0.9)
-        assert power_loss_w(0.9, eta) == pytest.approx(0.1)
-
-    def test_linear_regulator_efficiency_bounded_by_ratio(self):
-        eta = linear_regulator_efficiency(1.8, 0.9, 0.1)
-        assert eta == pytest.approx(0.5)
-        with_ground = linear_regulator_efficiency(1.8, 0.9, 0.1, i_ground_a=0.01)
-        assert with_ground < eta
-
-    def test_linear_regulator_validation(self):
-        with pytest.raises(ValueError):
-            linear_regulator_efficiency(1.0, 1.5, 0.1)
-        with pytest.raises(ValueError):
-            linear_regulator_efficiency(1.8, 0.9, 0.0)
-
-    def test_buck_efficiency_beats_linear_at_large_stepdown(self):
-        buck = buck_efficiency_estimate(1.8, 0.9, 0.5)
-        linear = linear_regulator_efficiency(1.8, 0.9, 0.5)
-        assert buck > linear
-
-    def test_buck_efficiency_degrades_with_switching_frequency(self):
-        slow = buck_efficiency_estimate(1.8, 0.9, 0.5, switching_frequency_hz=10e6)
-        fast = buck_efficiency_estimate(1.8, 0.9, 0.5, switching_frequency_hz=1e9)
-        assert fast < slow
-
-    def test_efficiency_validation(self):
-        with pytest.raises(ValueError):
-            efficiency(1.0, 0.0)
-        with pytest.raises(ValueError):
-            power_loss_w(1.0, 0.0)
-        with pytest.raises(ValueError):
-            buck_efficiency_estimate(1.0, 1.5, 0.1)
 
 
 class TestReports:

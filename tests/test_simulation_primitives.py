@@ -12,8 +12,6 @@ from repro.simulation.primitives import (
     Comparator,
     Counter,
     DFlipFlop,
-    Inverter,
-    Mux2,
     MuxN,
     SetResetFlop,
     TwoFlopSynchronizer,
@@ -22,7 +20,7 @@ from repro.simulation.signals import Signal
 from repro.simulation.simulator import Simulator
 
 
-class TestBufferAndInverter:
+class TestBuffer:
     def test_buffer_delays_both_edges(self):
         sim = Simulator()
         a = Signal(sim, "a")
@@ -43,37 +41,14 @@ class TestBufferAndInverter:
         sim.run()
         assert stages[-1].trace.edges(rising=True) == [40.0]
 
-    def test_inverter_inverts(self):
-        sim = Simulator()
-        a = Signal(sim, "a")
-        y = Signal(sim, "y")
-        Inverter(sim, a, y, delay_ps=5.0)
-        assert y.value == 1  # initial input is 0
-        sim.schedule(10.0, lambda: a.set(1))
-        sim.run()
-        assert y.value == 0
-
     def test_negative_delay_rejected(self):
         sim = Simulator()
         a, y = Signal(sim, "a"), Signal(sim, "y")
         with pytest.raises(ValueError):
             Buffer(sim, a, y, delay_ps=-1.0)
-        with pytest.raises(ValueError):
-            Inverter(sim, a, y, delay_ps=-1.0)
 
 
 class TestMuxes:
-    def test_mux2_follows_select(self):
-        sim = Simulator()
-        a = Signal(sim, "a", initial=0)
-        b = Signal(sim, "b", initial=1)
-        sel = Signal(sim, "sel")
-        y = Signal(sim, "y")
-        Mux2(sim, a, b, sel, y)
-        assert y.value == 0
-        sel.set(1)
-        assert y.value == 1
-
     def test_muxn_only_selected_input_propagates(self):
         sim = Simulator()
         inputs = [Signal(sim, f"i{k}") for k in range(4)]
