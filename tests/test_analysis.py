@@ -64,6 +64,16 @@ class TestPowerModels:
         with pytest.raises(ValueError):
             dynamic_power_w(1e-12, 1.0, 1e6, activity=2.0)
 
+    @pytest.mark.parametrize("vdd_v", [0.0, -1.0])
+    def test_dynamic_power_rejects_nonpositive_supply(self, vdd_v):
+        with pytest.raises(ValueError, match="supply voltage"):
+            dynamic_power_w(1e-12, vdd_v, 1e6)
+
+    def test_dynamic_power_rejects_negative_frequency(self):
+        with pytest.raises(ValueError, match="frequency"):
+            dynamic_power_w(1e-12, 1.0, -1.0)
+        assert dynamic_power_w(1e-12, 1.0, 0.0) == 0.0
+
     def test_netlist_power_scales_with_frequency(self, library):
         netlist = Netlist(name="block").add_cells(CellKind.DFF, 10)
         slow = netlist_dynamic_power_w(netlist, library, 1.0, 1e6)

@@ -116,5 +116,13 @@ class TestBuckPowerStage:
             stage.run_period(0.5, 0.0)
         with pytest.raises(ValueError):
             stage.run_periods(0.5, 1.0, periods=0)
+
+    def test_settle_gives_up_after_max_periods(self):
+        # A cold start rings for far more than a handful of periods, so a
+        # tight period budget must fail loudly rather than return a value
+        # taken mid-transient.
+        stage = BuckPowerStage(make_params())
+        with pytest.raises(RuntimeError, match="did not settle within 20"):
+            stage.settle(0.5, 1.0, max_periods=20)
         with pytest.raises(ValueError):
             BuckPowerStage(make_params(), substeps_per_interval=2)

@@ -178,6 +178,12 @@ class TestLoads:
         with pytest.raises(ValueError):
             RampLoad(start_ohm=1.0, end_ohm=2.0, ramp_start_period=10, ramp_end_period=10)
 
+    def test_ramp_load_rejects_negative_start(self):
+        with pytest.raises(ValueError, match="ramp_start_period"):
+            RampLoad(
+                start_ohm=1.0, end_ohm=2.0, ramp_start_period=-1, ramp_end_period=10
+            )
+
     def test_pulse_train_load_repeats(self):
         load = PulseTrainLoad(
             light_ohm=2.0, heavy_ohm=0.5, pulse_periods=3, train_period=10,
@@ -194,6 +200,52 @@ class TestLoads:
             PulseTrainLoad(light_ohm=1.0, heavy_ohm=1.0, pulse_periods=5, train_period=5)
         with pytest.raises(ValueError):
             PulseTrainLoad(light_ohm=1.0, heavy_ohm=1.0, pulse_periods=0, train_period=5)
+
+    @pytest.mark.parametrize("light_ohm, heavy_ohm", [(0.0, 1.0), (1.0, -0.5)])
+    def test_pulse_train_rejects_nonpositive_resistance(self, light_ohm, heavy_ohm):
+        with pytest.raises(ValueError, match="positive"):
+            PulseTrainLoad(
+                light_ohm=light_ohm, heavy_ohm=heavy_ohm, pulse_periods=1,
+                train_period=5,
+            )
+
+    def test_pulse_train_rejects_negative_first_pulse(self):
+        with pytest.raises(ValueError, match="first_pulse_period"):
+            PulseTrainLoad(
+                light_ohm=1.0, heavy_ohm=0.5, pulse_periods=1, train_period=5,
+                first_pulse_period=-1,
+            )
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"light_ohm": 0.0}, "resistances"),
+            ({"heavy_ohm": -1.0}, "resistances"),
+            ({"burst_probability": -0.1}, "burst_probability"),
+            ({"burst_probability": 1.5}, "burst_probability"),
+            ({"burst_periods": 0}, "burst_periods"),
+            ({"horizon_periods": 0}, "horizon_periods"),
+        ],
+        ids=["light", "heavy", "negative-p", "p-above-one", "burst", "horizon"],
+    )
+    def test_random_burst_load_validation(self, overrides, message):
+        kwargs = {"light_ohm": 2.0, "heavy_ohm": 0.5, **overrides}
+        with pytest.raises(ValueError, match=message):
+            RandomBurstLoad(**kwargs)
+
+    def test_random_burst_load_rejects_negative_period(self):
+        load = RandomBurstLoad(light_ohm=2.0, heavy_ohm=0.5, seed=1)
+        with pytest.raises(ValueError, match="non-negative"):
+            load.resistance_at(-1)
+
+    def test_random_burst_schedule_repeats_past_the_horizon(self):
+        load = RandomBurstLoad(
+            light_ohm=2.0, heavy_ohm=0.5, burst_probability=0.1,
+            burst_periods=3, horizon_periods=50, seed=4,
+        )
+        first = [load.resistance_at(i) for i in range(50)]
+        assert [load.resistance_at(i) for i in range(50, 100)] == first
+        np.testing.assert_array_equal(load.resistances(50, 50), first)
 
     def test_random_burst_load_is_reproducible(self):
         load_a = RandomBurstLoad(light_ohm=2.0, heavy_ohm=0.5, seed=7)

@@ -114,6 +114,11 @@ class TestMissionComposition:
             assert end == start
         assert all(start < end for start, end in windows)
 
+    @pytest.mark.parametrize("periods", [0, -3])
+    def test_segment_windows_reject_an_empty_run(self, periods: int) -> None:
+        with pytest.raises(ValueError, match="periods must be >= 1"):
+            GENERATOR.mission(0).segment_windows(periods)
+
     def test_tail_holds_the_final_segment(self) -> None:
         ramp = RampLoad(
             start_ohm=2.0, end_ohm=1.0, ramp_start_period=0, ramp_end_period=6
@@ -416,6 +421,32 @@ class TestThermal:
         with pytest.raises(ValueError):
             TemperatureTrace(temperatures_c=(math.nan,), durations_periods=(5,))
 
+    def test_trace_accepts_lists_and_stays_hashable(self) -> None:
+        trace = TemperatureTrace(
+            temperatures_c=[25.0, 85.0], durations_periods=[10, 30]
+        )
+        assert trace.temperatures_c == (25.0, 85.0)
+        assert trace.durations_periods == (10, 30)
+        assert trace.total_periods == 40
+        assert hash(trace) == hash(
+            TemperatureTrace(temperatures_c=(25.0, 85.0), durations_periods=(10, 30))
+        )
+
+    def test_trace_rejects_negative_period_and_empty_run(self) -> None:
+        trace = TemperatureTrace(temperatures_c=(25.0,), durations_periods=(5,))
+        with pytest.raises(ValueError, match="non-negative"):
+            trace.temperature_at(-1)
+        with pytest.raises(ValueError, match="periods must be >= 1"):
+            trace.epochs(0)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["resistance_tempco_per_c", "capacitance_tempco_per_c", "reference_c"],
+    )
+    def test_derating_rejects_non_finite_parameters(self, field: str) -> None:
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ThermalDerating(**{field: math.inf})
+
     def test_derating_is_exact_identity_at_reference(self) -> None:
         derating = ThermalDerating()
         assert derating.resistance_factor(25.0) == 1.0
@@ -644,6 +675,29 @@ class TestMissionYield:
         assert payload["mission_yield"] == result.mission_yield
         if any(result.segment_failure_counts):
             assert payload["worst_segment"] is not None
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"num_instances": 0}, "at least one instance"),
+            ({"periods": 0}, "periods must be >= 1"),
+        ],
+        ids=["no-instances", "no-periods"],
+    )
+    def test_empty_runs_are_rejected(self, overrides, message) -> None:
+        kwargs = dict(
+            missions=MissionGenerator(total_periods=20, num_segments=2, seed=3),
+            variation=VariationModel(seed=3),
+            num_instances=2,
+        )
+        kwargs.update(overrides)
+        with pytest.raises(ValueError, match=message):
+            mission_yield(
+                "proposed",
+                DesignSpec(clock_frequency_mhz=100.0, resolution_bits=6),
+                OperatingConditions.typical(),
+                **kwargs,
+            )
 
     def test_correlation_without_component_variation_is_rejected(self) -> None:
         # Without a component spread there are no component draws to

@@ -142,6 +142,11 @@ class TestConventionalDelays:
             )
             np.testing.assert_allclose(delays, reference, rtol=0, atol=1e-12)
 
+    def test_variation_sample_cell_count_mismatch_rejected(self, library):
+        sample = VariationModel(seed=7).sample(num_cells=32, buffers_per_cell=8)
+        with pytest.raises(ValueError, match="variation sample has 32 cells"):
+            make_line(library=library, variation=sample)
+
     def test_undersized_variation_sample_rejected(self, library):
         # The longest branch of the 64x4x2 line spans 8 buffers; a 4-buffer
         # sample cannot cover it (the seed implementation silently truncated).

@@ -380,6 +380,20 @@ class TestBatchMetrics:
             assert int(batch.distinct_levels[i]) == scalar.distinct_levels
             assert batch.instance(i) == scalar
 
+    def test_single_curve_is_a_batch_of_one(self):
+        curve = np.array([0.0, 1.0, 3.0, 4.0])
+        batch = batch_linearity_metrics(curve)
+        assert batch.num_instances == 1
+        assert batch.instance(0) == linearity_metrics(curve)
+
+    def test_per_curve_lsb_scales_each_row(self):
+        curves = np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 4.0, 6.0]])
+        # Each row measured against the other's step: DNL 1.0 and -0.5.
+        batch = batch_linearity_metrics(curves, lsb=np.array([0.5, 4.0]))
+        np.testing.assert_allclose(batch.max_dnl_lsb, [1.0, 0.5])
+        with pytest.raises(ValueError, match="degenerate"):
+            batch_linearity_metrics(curves, lsb=np.array([1.0, 0.0]))
+
     def test_linearity_metrics_rejects_batches(self):
         with pytest.raises(ValueError, match="one curve"):
             linearity_metrics(np.ones((2, 5)))

@@ -536,6 +536,41 @@ class TestRunnerCLI:
         assert runner_main(argv) == 2
         assert "--max-instances must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["fig15_rare", "--estimator", "vanilla", "--tilt-shift", "0.5"],
+                "cannot be combined with --estimator vanilla",
+            ),
+            (
+                ["fig15_rare", "--estimator", "stratified", "--tilt-scale", "2"],
+                "cannot be combined with --estimator stratified",
+            ),
+            (["fig15_rare", "--tilt-scale", "0"], "--tilt-scale must be > 0"),
+            (
+                ["fig15_mission", "--mission-length", "0"],
+                "--mission-length must be >= 1",
+            ),
+            (
+                ["fig15_mission", "--correlation", "bogus"],
+                "unknown --correlation 'bogus'; available: ",
+            ),
+        ],
+        ids=[
+            "tilt-shift-vanilla",
+            "tilt-scale-stratified",
+            "tilt-scale-zero",
+            "mission-length-zero",
+            "unknown-correlation",
+        ],
+    )
+    def test_invalid_rare_event_and_mission_options_rejected(
+        self, capsys, argv, message
+    ):
+        assert runner_main(argv) == 2
+        assert message in capsys.readouterr().err
+
     def test_precision_threads_into_adaptive_experiments(self, capsys, monkeypatch):
         from repro.experiments import registry as live_registry
         from repro.experiments.base import ExperimentResult as Result

@@ -104,6 +104,11 @@ class TestIntervals:
         with pytest.raises(ValueError):
             wilson_interval(successes, trials)
 
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5])
+    def test_rejects_confidence_outside_the_unit_interval(self, confidence):
+        with pytest.raises(ValueError, match="confidence"):
+            wilson_interval(5, 10, confidence)
+
     def test_confidence_interval_validates_bounds(self):
         with pytest.raises(ValueError):
             ConfidenceInterval(lower=0.9, upper=0.1, confidence=0.95)
@@ -303,6 +308,18 @@ class TestAdaptiveSample:
             return SampleChunk(passes={"yield": np.ones(count + 1, dtype=bool)})
 
         with pytest.raises(ValueError, match="shape"):
+            adaptive_sample(
+                draw, primary="yield", precision=0.1, max_samples=64,
+            )
+
+    def test_wrong_value_stream_shape_is_an_error(self):
+        def draw(first_instance: int, count: int) -> SampleChunk:
+            return SampleChunk(
+                passes={"yield": np.ones(count, dtype=bool)},
+                values={"metric": np.zeros(count - 1)},
+            )
+
+        with pytest.raises(ValueError, match="value stream 'metric' has shape"):
             adaptive_sample(
                 draw, primary="yield", precision=0.1, max_samples=64,
             )

@@ -331,6 +331,22 @@ class TestStratifiedSampling:
         with pytest.raises(ValueError, match="weight"):
             Stratum(name="zero", weight=0.0, draw=strata[0].draw)
 
+    def test_needs_at_least_one_stratum(self) -> None:
+        with pytest.raises(ValueError, match="at least one stratum"):
+            stratified_sample([], primary="tail", precision=0.0, max_samples=300)
+
+    def test_loose_precision_stops_before_the_cap(self) -> None:
+        result = stratified_sample(
+            _stratified_tail_strata(2.5),
+            primary="tail",
+            precision=0.01,
+            max_samples=30_000,
+            chunk_size=100,
+        )
+        assert result.stop_reason == "precision"
+        assert result.trials < 30_000
+        assert result.interval.half_width <= 0.01
+
     def test_deterministic_reruns(self) -> None:
         kwargs = dict(
             primary="tail", precision=0.0, max_samples=1200, chunk_size=60
@@ -398,6 +414,28 @@ class TestWeightedRunningMoments:
         assert (interval.lower, interval.upper) == (0.0, 1.0)
         stat.extend(np.array([1.0]), np.array([0.0]))
         assert stat.mean == 1.0
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0])
+    def test_interval_rejects_confidence_outside_the_unit_interval(
+        self, confidence: float
+    ) -> None:
+        stat = WeightedRunningMoments()
+        stat.extend(np.array([1.0, 0.0]), np.array([0.0, 0.0]))
+        with pytest.raises(ValueError, match="confidence"):
+            stat.interval(confidence)
+
+    def test_summary_reports_count_mean_error_and_ess(self) -> None:
+        stat = WeightedRunningMoments()
+        stat.extend(np.array([1.0, 0.0, 1.0, 1.0]), np.zeros(4))
+        summary = stat.summary()
+        assert summary == {
+            "count": 4.0,
+            "mean": stat.mean,
+            "standard_error": stat.standard_error(),
+            "effective_sample_size": stat.effective_sample_size(),
+        }
+        assert summary["mean"] == pytest.approx(0.75)
+        assert summary["effective_sample_size"] == pytest.approx(4.0)
 
     def test_empty_chunk_is_noop_and_validation(self) -> None:
         stat = WeightedRunningMoments()
@@ -694,6 +732,24 @@ class TestChunkStableStreams:
             assert (z > lower_z).all()
             assert (z <= upper_z + 1e-9).all()
 
+    def test_stratification_validation(self) -> None:
+        with pytest.raises(ValueError, match="at least one stratum boundary"):
+            ComponentStratification(boundaries=())
+        with pytest.raises(ValueError, match="finite"):
+            ComponentStratification(boundaries=(-2.0, math.inf))
+
+    @pytest.mark.parametrize("stratum", [-1, 4])
+    def test_stratum_index_out_of_range_rejected(self, stratum: int) -> None:
+        assert STRATIFICATION.num_strata == 4
+        with pytest.raises(ValueError, match="stratum must be in"):
+            STRATIFICATION.bounds(stratum)
+
+    def test_stratum_draw_needs_a_variant(self) -> None:
+        with pytest.raises(ValueError, match="at least one variant"):
+            VARIATION.sample_instances_stratum(
+                NOMINAL, 0, 0, stratification=STRATIFICATION
+            )
+
     def test_stratification_weights_are_exact_masses(self) -> None:
         weights = STRATIFICATION.weights()
         assert abs(sum(weights) - 1.0) < 1e-12
@@ -886,6 +942,21 @@ class TestCorrelatedVariation:
             CorrelatedVariationModel(matrix=scaled)
         with pytest.raises(ValueError, match="unknown correlation preset"):
             component_correlation_preset("bogus")
+
+    def test_matrix_must_be_non_empty_and_finite(self) -> None:
+        with pytest.raises(ValueError, match="at least 1x1"):
+            CorrelatedVariationModel(matrix=np.empty((0, 0)))
+        matrix = np.eye(2)
+        matrix[0, 1] = matrix[1, 0] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            CorrelatedVariationModel(matrix=matrix)
+
+    def test_correlate_checks_the_draw_dimension(self) -> None:
+        model = component_correlation_preset("passives")
+        z = np.arange(5.0)
+        np.testing.assert_array_equal(model.correlate(z), model.cholesky() @ z)
+        with pytest.raises(ValueError, match="draw vector spans 4 axes"):
+            model.correlate(np.zeros(4))
 
     def test_dimension_mismatch_raises(self) -> None:
         matrix = np.eye(3)

@@ -82,6 +82,29 @@ class TestBatchBuckParameters:
                 inductor_resistance_ohm=0.01,
             )
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("inductance_h", 0.0, "L and C must be positive"),
+            ("capacitance_f", -1e-9, "L and C must be positive"),
+            ("switching_frequency_hz", 0.0, "switching frequencies"),
+            ("switch_resistance_ohm", -0.01, "parasitic resistances"),
+            ("inductor_resistance_ohm", -0.01, "parasitic resistances"),
+        ],
+    )
+    def test_rejects_unphysical_parameters(self, nominal, field, value, message):
+        kwargs = {
+            name: getattr(nominal, name)
+            for name in BatchBuckParameters._field_names()
+        }
+        kwargs[field] = np.array([getattr(nominal, field), value])
+        with pytest.raises(ValueError, match=message):
+            BatchBuckParameters(**kwargs)
+
+    def test_from_parameters_needs_one_set(self):
+        with pytest.raises(ValueError, match="at least one parameter set"):
+            BatchBuckParameters.from_parameters([])
+
 
 class TestBatchQuantizer:
     def test_ideal_matches_scalar_dpwm(self):
@@ -113,6 +136,26 @@ class TestBatchQuantizer:
             BatchQuantizer.from_quantizers([])
         with pytest.raises(ValueError):
             BatchQuantizer.ideal(0, 4)
+
+    def test_needs_two_duty_words(self):
+        with pytest.raises(ValueError, match="at least two duty words"):
+            BatchQuantizer(np.array([[0.5]]))
+
+    def test_levels_rows_must_match_variants(self):
+        levels = np.array([[0.0, 0.5, 1.0], [0.0, 0.25, 1.0]])
+        with pytest.raises(ValueError, match=r"levels rows \(2\) do not match"):
+            BatchQuantizer(levels, num_variants=3)
+        # A single row is shared by every variant instead.
+        shared = BatchQuantizer(levels[:1], num_variants=3)
+        assert shared.num_variants == 3
+
+    def test_word_counts_are_validated(self):
+        levels = np.array([[0.0, 0.5, 1.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="one word count per levels row"):
+            BatchQuantizer(levels, num_words=np.array([3]))
+        for bad in ([3, 1], [3, 4]):
+            with pytest.raises(ValueError, match="word counts must lie in"):
+                BatchQuantizer(levels, num_words=np.array(bad))
 
     def test_command_count_mismatch_rejected(self):
         quantizer = BatchQuantizer.ideal(6, 4)
@@ -618,6 +661,15 @@ class TestBatchClosedLoop:
                 reference_v=0.9,
                 load=BrokenLoad(),
             ).run(10)
+
+    def test_per_variant_loads_must_cover_every_variant(self, nominal):
+        with pytest.raises(ValueError, match=r"one load per variant \(2\)"):
+            BatchClosedLoop(
+                BatchBuckParameters.uniform(nominal, 2),
+                BatchQuantizer.ideal(6, 2),
+                reference_v=0.9,
+                loads=[ConstantLoad(1.0)],
+            )
 
     def test_euler_loops_rejected(self, nominal):
         # The batch engine only reproduces the exact stepper; silently

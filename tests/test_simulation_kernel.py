@@ -132,6 +132,19 @@ class TestSimulator:
         sim.run()
         assert sim.events_executed == 5
 
+    def test_step_runs_one_event_and_reports_an_empty_queue(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(10.0, lambda: fired.append("a"))
+        sim.schedule(20.0, lambda: fired.append("b"))
+        assert sim.step() is True
+        assert (fired, sim.now_ps) == (["a"], 10.0)
+        assert sim.step() is True
+        assert (fired, sim.now_ps) == (["a", "b"], 20.0)
+        assert sim.step() is False
+        assert sim.now_ps == 20.0
+        assert sim.events_executed == 2
+
 
 class TestSignal:
     def test_set_records_trace_and_notifies(self):
@@ -232,3 +245,17 @@ class TestWaveformTrace:
     def test_invalid_duty_period_rejected(self):
         with pytest.raises(ValueError):
             self._square_wave().duty_cycle(0.0)
+
+    def test_high_time_of_an_empty_window_is_zero(self):
+        trace = self._square_wave()
+        assert trace.high_time_ps(20.0, 20.0) == 0.0
+        assert trace.high_time_ps(60.0, 20.0) == 0.0
+
+    def test_invalid_ascii_step_rejected(self):
+        with pytest.raises(ValueError):
+            self._square_wave().to_ascii(stop_ps=100.0, step_ps=0.0)
+
+    def test_pulse_widths_drop_an_unfinished_pulse(self):
+        trace = self._square_wave()
+        trace.record(300.0, 1)  # rises and never falls
+        assert pulse_widths(trace) == pytest.approx([40.0, 40.0, 40.0])

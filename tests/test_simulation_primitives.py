@@ -83,6 +83,18 @@ class TestMuxes:
         MuxN(sim, inputs, sel, y)
         assert y.value == 1  # clamped to the last input
 
+    def test_muxn_delay_postpones_output(self):
+        sim = Simulator()
+        inputs = [Signal(sim, "i0"), Signal(sim, "i1")]
+        sel = Signal(sim, "sel", initial=1)
+        y = Signal(sim, "y")
+        MuxN(sim, inputs, sel, y, delay_ps=15.0)
+        sim.schedule(100.0, lambda: inputs[1].set(1))
+        sim.schedule(200.0, lambda: sel.set(0))
+        sim.run()
+        assert y.trace.edges(rising=True) == [115.0]
+        assert y.trace.edges(rising=False) == [215.0]
+
 
 class TestDFlipFlop:
     def test_samples_on_rising_edge_only(self):
@@ -173,6 +185,18 @@ class TestSetResetFlop:
         sim.run()
         assert q.value == 1
 
+    def test_output_delay_applies_to_set_and_reset(self):
+        sim = Simulator()
+        s = Signal(sim, "s")
+        r = Signal(sim, "r")
+        q = Signal(sim, "q")
+        SetResetFlop(sim, s, r, q, delay_ps=5.0)
+        sim.schedule(10.0, lambda: s.set(1))
+        sim.schedule(60.0, lambda: r.set(1))
+        sim.run()
+        assert q.trace.edges(rising=True) == [15.0]
+        assert q.trace.edges(rising=False) == [65.0]
+
 
 class TestCounterAndComparator:
     def test_counter_wraps_at_modulus(self):
@@ -213,6 +237,16 @@ class TestCounterAndComparator:
         b.set(5)
         assert y.value == 1
 
+    def test_comparator_delay_postpones_output(self):
+        sim = Simulator()
+        a = Signal(sim, "a", width=4, initial=3)
+        b = Signal(sim, "b", width=4)
+        y = Signal(sim, "y")
+        Comparator(sim, a, b, y, delay_ps=20.0)
+        sim.schedule(100.0, lambda: b.set(3))
+        sim.run()
+        assert y.trace.edges(rising=True) == [120.0]
+
 
 class TestSynchronizerAndClocks:
     def test_two_flop_synchronizer_delays_by_two_edges(self):
@@ -226,6 +260,28 @@ class TestSynchronizerAndClocks:
         sim.run_until(450.0)
         # Sampled by the first flop at 200 ps, reaches the output at 300 ps.
         assert synced.trace.edges(rising=True) == [300.0]
+
+    def test_synchronizer_reports_first_stage_setup_violations(self):
+        sim = Simulator()
+        clk = Signal(sim, "clk")
+        # The first edge comes a full period after construction, so only
+        # the late input change below can violate the setup window.
+        ClockGenerator(sim, clk, period_ps=100.0, start_ps=100.0)
+        async_in = Signal(sim, "async")
+        synced = Signal(sim, "synced")
+        sync = TwoFlopSynchronizer(
+            sim, clk, async_in, synced, setup_ps=30.0,
+            metastability_rng=random.Random(7),
+        )
+        # 190 ps is inside the 30 ps setup window of the 200 ps edge.
+        sim.schedule(190.0, lambda: async_in.set(1))
+        sim.run_until(450.0)
+        assert sync.setup_violations == 1
+        assert sync.first_stage.setup_violations == 1
+        assert sync.second_stage.setup_violations == 0
+        # Whatever the 200 ps edge resolved to, the 300 ps edge samples a
+        # stable 1, so the output is high after the second stage passes it.
+        assert synced.value == 1
 
     def test_clock_generator_period_and_duty(self):
         sim = Simulator()
